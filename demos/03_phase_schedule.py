@@ -14,7 +14,6 @@ from affineswarm import (
     leader_trajectory,
     load_default_scenario,
     quintic_blend,
-    vertical_profile,
 )
 from affineswarm.bundle import plan_csv_text
 
@@ -37,7 +36,3 @@ out.write_text(plan_csv_text(traj))
 print(f"\nwrote {len(traj.times) * 3} plan rows to {out.name}")
 print("leader cf1 at t=0:  ", traj.positions[0, 0])
 print("leader cf1 at t=30: ", traj.positions[-1, 0])
-
-# Takeoff and landing legs run outside the affine framework.
-times, z = vertical_profile(z_target=1.0, duration=3.0, direction="up", tick_rate=10.0)
-print("\ntakeoff ramp to 1 m:", np.round(z[::6], 3))

@@ -12,6 +12,7 @@ import numpy as np
 
 from affineswarm import (
     build_matrices,
+    check_schedule_safety,
     compute_alpha,
     compute_follower_weights,
     load_default_scenario,
@@ -29,10 +30,12 @@ bound = min_scaling_bound(
     scenario.safety.agent_radius,
     min_reference_distance(cfg),
 )
+safety = check_schedule_safety(scenario.schedule, bound, scenario.params.control_rate)
+print(f"strain precheck: commanded min {safety.min_strain_observed} vs "
+      f"bound {bound:.3f} -> {'pass' if safety.passed else 'FAIL'}")
 
 start = time.perf_counter()
-trace = run_simulation(cfg, matrices, scenario.schedule, scenario.params,
-                       safety_bound=bound)
+trace = run_simulation(cfg, matrices, scenario.schedule, scenario.params)
 wall = time.perf_counter() - start
 print(f"simulated {trace.times[-1]:.0f} s at dt={scenario.params.dt} "
       f"in {wall:.2f} s wall time ({len(trace.times)} control ticks)")

@@ -49,12 +49,10 @@ from .phases import (
     SafetyReport,
     TranslationRamp,
     check_schedule_safety,
-    coords_at,
     desired_positions,
     hold_schedule,
     leader_trajectory,
     quintic_blend,
-    vertical_profile,
 )
 from .scenario import (
     SafetyParams,
@@ -66,27 +64,21 @@ from .scenario import (
     serialize_scenario,
 )
 from .simulation import (
-    AgentState,
     SimParams,
     SimTrace,
-    agent_step,
-    follower_reference,
     run_simulation,
 )
 from .transform import (
     AtCoordinates,
     JacobianDecomposition,
-    apply_at,
     assemble_jacobian,
     decompose_jacobian,
-    euler_matrix,
     min_scaling_bound,
     transform_points,
 )
 
 __all__ = [
     "Agent",
-    "AgentState",
     "AffineSwarmError",
     "AtCoordinates",
     "ConfigError",
@@ -112,20 +104,15 @@ __all__ = [
     "TrackingErrors",
     "TranslationRamp",
     "ValidationReport",
-    "apply_at",
-    "agent_step",
     "assemble_jacobian",
     "build_matrices",
     "check_schedule_safety",
     "compute_alpha",
     "compute_follower_weights",
     "convergence_check",
-    "coords_at",
     "corridor_clearance",
     "decompose_jacobian",
     "desired_positions",
-    "euler_matrix",
-    "follower_reference",
     "hold_schedule",
     "leader_trajectory",
     "load_default_scenario",
@@ -143,5 +130,4 @@ __all__ = [
     "validate_config",
     "validate_run",
     "verify_spectrum",
-    "vertical_profile",
 ]

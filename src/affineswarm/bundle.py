@@ -165,14 +165,20 @@ def read_manifest(bundle_dir) -> dict:
     path = Path(bundle_dir) / "manifest.json"
     if not path.exists():
         raise ScenarioError([f"{path}: no manifest found"])
-    return json.loads(path.read_text())
+    text = path.read_text()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError([f"{path}: malformed manifest: {exc}"]) from None
 
 
 def read_trace(bundle_dir, manifest: dict) -> SimTrace:
     """Rebuild a trace from a bundle's per-agent CSVs.
 
     Values carry the CSV's 9-significant-digit precision, which is ample
-    for every recomputed metric.
+    for every recomputed metric. A CSV with a short or non-numeric row, or
+    with a different row count than the first agent's, raises
+    ``ScenarioError`` naming the file.
     """
     out = Path(bundle_dir)
     agent_ids = tuple(manifest["agent_order"])
@@ -183,7 +189,19 @@ def read_trace(bundle_dir, manifest: dict) -> SimTrace:
     for aid in agent_ids:
         path = out / manifest["outputs"]["traces"][aid]
         rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
-        arr = np.array([[float(v) for v in r] for r in rows])
+        try:
+            arr = np.array([[float(v) for v in r] for r in rows], ndmin=2)
+        except ValueError as exc:
+            raise ScenarioError([f"{path}: damaged trace CSV: {exc}"]) from None
+        expected = (len(arr) if times is None else len(times), len(TRACE_COLUMNS))
+        if arr.shape != expected:
+            raise ScenarioError(
+                [
+                    f"{path}: damaged trace CSV: {arr.shape[0]} rows of "
+                    f"{arr.shape[1]} fields, expected {expected[0]} rows of "
+                    f"{expected[1]}"
+                ]
+            )
         if times is None:
             times = arr[:, 0]
         data.append(arr[:, 1:])

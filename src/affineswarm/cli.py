@@ -14,6 +14,7 @@ output directory root for ``simulate``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -29,7 +30,7 @@ from .bundle import (
     read_trace,
     safety_document,
 )
-from .errors import AffineSwarmError, ConfigError, SafetyError, ScenarioError
+from .errors import AffineSwarmError, SafetyError, ScenarioError
 from .formation import (
     build_matrices,
     compute_alpha,
@@ -143,15 +144,13 @@ def _cmd_check(args) -> int:
 
 
 def _resolved_params(scenario: Scenario, args) -> SimParams:
-    p = scenario.params
-    return SimParams(
-        dt=args.dt if args.dt is not None else p.dt,
-        control_rate=args.control_rate if args.control_rate is not None else p.control_rate,
-        kp=args.kp if args.kp is not None else p.kp,
-        kd=args.kd if args.kd is not None else p.kd,
-        duration=args.duration if args.duration is not None else p.duration,
-        delay_ticks=args.delay_ticks if args.delay_ticks is not None else p.delay_ticks,
-    )
+    """The scenario's parameters with every ``simulate`` flag that was given."""
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(SimParams)
+        if getattr(args, f.name) is not None
+    }
+    return dataclasses.replace(scenario.params, **overrides)
 
 
 def _cmd_simulate(args) -> int:
@@ -165,14 +164,7 @@ def _cmd_simulate(args) -> int:
         return 2
     scenario = load_scenario(path)
     params = _resolved_params(scenario, args)
-    scenario = Scenario(
-        name=scenario.name,
-        config=scenario.config,
-        schedule=scenario.schedule,
-        params=params,
-        safety=scenario.safety,
-        corridor=scenario.corridor,
-    )
+    scenario = dataclasses.replace(scenario, params=params)
     out_dir = args.out
     if out_dir is None:
         root = os.environ.get(ENV_OUT, "runs")
@@ -187,19 +179,20 @@ def _cmd_simulate(args) -> int:
             file=sys.stderr,
         )
         return 1
-    bound = min_scaling_bound(
-        scenario.safety.delta_budget,
-        scenario.safety.agent_radius,
-        min_reference_distance(scenario.config),
-    )
-    trace = run_simulation(
-        scenario.config,
-        matrices,
-        scenario.schedule,
-        params,
-        safety_bound=bound,
-        skip_safety_check=args.skip_safety_check,
-    )
+    if not args.skip_safety_check:
+        bound = min_scaling_bound(
+            scenario.safety.delta_budget,
+            scenario.safety.agent_radius,
+            min_reference_distance(scenario.config),
+        )
+        safety = check_schedule_safety(scenario.schedule, bound, params.control_rate)
+        if not safety.passed:
+            raise SafetyError(
+                f"commanded min strain {safety.min_strain_observed:.6g} is below "
+                f"the bound {bound:.6g}; violating intervals {safety.violations} "
+                "(pass --skip-safety-check to run anyway)"
+            )
+    trace = run_simulation(scenario.config, matrices, scenario.schedule, params)
     metrics = validate_run(
         trace,
         scenario.config,
@@ -260,13 +253,7 @@ def main(argv=None) -> int:
         for line in exc.errors:
             print(f"error: {line}", file=sys.stderr)
         return 2
-    except (ConfigError, SafetyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except AffineSwarmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (AffineSwarmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,4 +32,4 @@ class SafetyError(AffineSwarmError):
 
 
 class SimulationError(AffineSwarmError):
-    """The simulation engine hit an integrity failure (divergence, bad snapshot)."""
+    """The simulation engine hit an integrity failure (a diverged state)."""

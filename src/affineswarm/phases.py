@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ScheduleError
 from .formation import ReferenceConfig
-from .transform import AtCoordinates, assemble_jacobian
+from .transform import AtCoordinates, assemble_jacobian, transform_points
 
 logger = logging.getLogger(__name__)
 
@@ -161,11 +161,6 @@ class PhaseSchedule:
         return assemble_jacobian(c).Q, c.translation()
 
 
-def coords_at(schedule: PhaseSchedule, t: float) -> AtCoordinates:
-    """Module-level alias of ``PhaseSchedule.coords_at``."""
-    return schedule.coords_at(t)
-
-
 def tick_times(t_start: float, t_end: float, tick_rate: float) -> np.ndarray:
     """Inclusive tick grid from ``t_start`` to ``t_end`` at ``tick_rate`` Hz."""
     if tick_rate <= 0.0:
@@ -179,7 +174,7 @@ def desired_positions(
 ) -> np.ndarray:
     """Global desired positions (N, 3) of every agent at time ``t``."""
     q, d = schedule.jacobian_at(t)
-    return cfg.reference_positions() @ q.T + d
+    return transform_points(q, d, cfg.reference_positions())
 
 
 @dataclass(frozen=True)
@@ -209,31 +204,10 @@ def leader_trajectory(
     positions = np.empty((len(times), 3, 3))
     for k, t in enumerate(times):
         q, d = schedule.jacobian_at(float(t))
-        positions[k] = leaders @ q.T + d
+        positions[k] = transform_points(q, d, leaders)
     return LeaderTrajectory(
         times=times, agent_ids=cfg.leader_ids, positions=positions
     )
-
-
-def vertical_profile(
-    z_target: float,
-    duration: float,
-    direction: str = "up",
-    tick_rate: float = 100.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quintic altitude ramp between ground and ``z_target``.
-
-    Used for the takeoff and landing legs outside the affine framework.
-    Returns ``(times, z)`` sampled at ``tick_rate``.
-    """
-    if duration <= 0.0:
-        raise ValueError("duration must be positive")
-    if direction not in ("up", "down"):
-        raise ValueError("direction must be 'up' or 'down'")
-    times = tick_times(0.0, duration, tick_rate)
-    blend = quintic_blend(times / duration)
-    z = z_target * blend if direction == "up" else z_target * (1.0 - blend)
-    return times, z
 
 
 @dataclass

@@ -3,10 +3,10 @@
 Every agent is a double integrator with proportional-derivative tracking
 of its reference position. Leaders take their reference straight from the
 planner (the commanded affine map); followers take the weighted sum of
-their in-neighbors' actual positions, read from a snapshot taken
-``delay_ticks`` control ticks earlier. Followers never see the commanded
-map; their global desired positions are computed per tick for logging and
-error measurement only.
+their three in-neighbors' actual positions from ``delay_ticks`` control
+ticks earlier, with the weights stored in their row of ``W``. Followers
+never see the commanded map; their global desired positions are computed
+per tick for logging and error measurement only.
 
 The engine advances at a fixed integration step ``dt`` with references
 held constant between control ticks, so identical inputs always produce
@@ -16,13 +16,13 @@ bit-identical traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, SafetyError, SimulationError
+from .errors import ConfigError, SimulationError
 from .formation import FormationMatrices, ReferenceConfig, validate_config
-from .phases import PhaseSchedule, check_schedule_safety, desired_positions
+from .phases import PhaseSchedule, desired_positions
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class SimParams:
     default gains the tracker is critically damped (kd = 2 sqrt(kp)).
     ``duration`` of None means "schedule span plus a 10 s settling hold".
     ``delay_ticks`` is the staleness, in control ticks, of the neighbor
-    snapshot a follower reads (1 mimics a motion-capture pipeline that
+    positions a follower reads (1 mimics a motion-capture pipeline that
     delivers the previous sample).
     """
 
@@ -65,44 +65,6 @@ class SimParams:
         return int(round(1.0 / (self.dt * self.control_rate)))
 
 
-@dataclass(frozen=True)
-class AgentState:
-    position: np.ndarray
-    velocity: np.ndarray
-
-
-def agent_step(state: AgentState, reference: np.ndarray, params: SimParams) -> AgentState:
-    """One semi-implicit integration step of the PD tracker.
-
-    acceleration = kp (reference - position) - kd velocity; velocity is
-    updated first, then position uses the new velocity.
-    """
-    ref = np.asarray(reference, dtype=float)
-    acc = params.kp * (ref - state.position) - params.kd * state.velocity
-    vel = state.velocity + params.dt * acc
-    pos = state.position + params.dt * vel
-    return AgentState(position=pos, velocity=vel)
-
-
-def follower_reference(
-    snapshot: Mapping[str, np.ndarray],
-    neighbor_ids: Sequence[str],
-    weights: np.ndarray,
-) -> np.ndarray:
-    """Weighted sum of in-neighbor positions from a local snapshot.
-
-    ``snapshot`` is the follower's entire world view: it only ever
-    contains its three in-neighbors. A missing neighbor is a simulation
-    integrity bug and raises ``SimulationError``.
-    """
-    missing = [j for j in neighbor_ids if j not in snapshot]
-    if missing:
-        raise SimulationError(f"snapshot is missing in-neighbors {missing}")
-    w = np.asarray(weights, dtype=float)
-    stacked = np.array([snapshot[j] for j in neighbor_ids], dtype=float)
-    return w @ stacked
-
-
 @dataclass
 class SimTrace:
     """Per-tick record of a run, in config (matrix) agent order."""
@@ -130,18 +92,15 @@ def run_simulation(
     schedule: PhaseSchedule,
     params: SimParams,
     *,
-    safety_bound: float | None = None,
-    skip_safety_check: bool = False,
     initial_positions: Mapping[str, np.ndarray] | None = None,
     initial_velocities: Mapping[str, np.ndarray] | None = None,
 ) -> SimTrace:
     """Run the decentralized acquisition loop and record a full trace.
 
     Agents start at their reference positions (override per id with
-    ``initial_positions``/``initial_velocities``). When ``safety_bound``
-    is given the commanded strains are prechecked against it and a
-    failing schedule raises ``SafetyError`` unless ``skip_safety_check``
-    (for deliberate negative runs).
+    ``initial_positions``/``initial_velocities``). The schedule is not
+    checked against the strain floor here; ``check_schedule_safety`` does
+    that.
     """
     report = validate_config(cfg)
     if not report.ok:
@@ -151,14 +110,6 @@ def run_simulation(
             "matrices were built for a different configuration "
             f"({matrices.agent_ids} vs {cfg.ids})"
         )
-    if safety_bound is not None and not skip_safety_check:
-        safety = check_schedule_safety(schedule, safety_bound, params.control_rate)
-        if not safety.passed:
-            raise SafetyError(
-                f"commanded min strain {safety.min_strain_observed:.6g} is below "
-                f"the bound {safety_bound:.6g}; violating intervals "
-                f"{safety.violations} (pass skip_safety_check to run anyway)"
-            )
 
     n = len(cfg.agents)
     ids = cfg.ids
@@ -179,18 +130,16 @@ def run_simulation(
         for aid, v in initial_velocities.items():
             vel[cfg.index_of(aid)] = np.asarray(v, dtype=float)
 
-    followers = [
-        (
-            cfg.index_of(fid),
-            cfg.in_neighbors[fid],
-            np.array([cfg.index_of(j) for j in cfg.in_neighbors[fid]]),
-            matrices.weights[fid],
-        )
-        for fid in cfg.follower_ids
-    ]
+    # Follower rows, their in-neighbor rows (F, 3) and the matching
+    # entries of W: the only nonzero off-diagonal entries of each row.
+    rows = np.array([cfg.index_of(fid) for fid in cfg.follower_ids], dtype=int)
+    nbr = np.array(
+        [[cfg.index_of(j) for j in cfg.in_neighbors[fid]] for fid in cfg.follower_ids],
+        dtype=int,
+    ).reshape(-1, 3)
+    w = matrices.W[rows[:, None], nbr]
 
     times = schedule.t_start + np.arange(ticks + 1) / params.control_rate
-    history = np.empty((ticks + 1, n, 3))
     trace_pos = np.empty((ticks + 1, n, 3))
     trace_ref = np.empty((ticks + 1, n, 3))
     trace_des = np.empty((ticks + 1, n, 3))
@@ -208,16 +157,13 @@ def run_simulation(
                 f"state diverged at t={t_k:.3f}s (tick {k}); non-finite agents: "
                 f"{names}"
             )
-        history[k] = pos
+        trace_pos[k] = pos
         des = desired_positions(cfg, schedule, t_k)
         refs = np.empty((n, 3))
         refs[:3] = des[:3]
-        snap = history[max(k - params.delay_ticks, 0)]
-        for row, nbr_ids, nbr_rows, w in followers:
-            view = {aid: snap[r] for aid, r in zip(nbr_ids, nbr_rows)}
-            refs[row] = follower_reference(view, nbr_ids, w)
+        snap = trace_pos[max(k - params.delay_ticks, 0)]
+        refs[rows] = np.matmul(w[:, None, :], snap[nbr])[:, 0, :]
 
-        trace_pos[k] = pos
         trace_ref[k] = refs
         trace_des[k] = des
 

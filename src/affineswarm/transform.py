@@ -35,26 +35,10 @@ UNIFORM_STRAIN_TOL = 1e-9
 PLANAR_TOL = 1e-9
 
 
-def euler_matrix(beta1: float, beta2: float, beta3: float) -> np.ndarray:
-    """Rotation matrix for the 3-2-1 Euler angle sequence.
-
-    ``beta1`` rolls about x, ``beta2`` pitches about y, ``beta3`` yaws
-    about z; the result is orthogonal with determinant +1.
-    """
-    c1, s1 = math.cos(beta1), math.sin(beta1)
-    c2, s2 = math.cos(beta2), math.sin(beta2)
-    c3, s3 = math.cos(beta3), math.sin(beta3)
-    return np.array(
-        [
-            [c2 * c3, s1 * s2 * c3 - c1 * s3, c1 * s2 * c3 + s1 * s3],
-            [c2 * s3, s1 * s2 * s3 + c1 * c3, c1 * s2 * s3 - s1 * c3],
-            [-s2, s1 * c2, c1 * c2],
-        ]
-    )
-
-
 def _yaw(angle: float) -> np.ndarray:
-    return euler_matrix(0.0, 0.0, angle)
+    """Rotation by ``angle`` about the z axis."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def _wrap_half_pi(angle: float) -> float:
@@ -211,13 +195,6 @@ def decompose_jacobian(q: np.ndarray) -> JacobianDecomposition:
         lambda2=lambda2,
         psi_d=psi_d,
         psi_r=psi_r,
-    )
-
-
-def apply_at(q: np.ndarray, d: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Global desired position ``Q a + d`` of the reference point ``a``."""
-    return np.asarray(q, dtype=float) @ np.asarray(a, dtype=float) + np.asarray(
-        d, dtype=float
     )
 
 

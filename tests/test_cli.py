@@ -116,7 +116,7 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["scenario"]["sim"]["duration"] == 31.0
 
-    def test_unsafe_schedule_blocked_then_skipped(self, tmp_path):
+    def test_unsafe_schedule_blocked_then_skipped(self, tmp_path, capsys):
         doc = json.loads(default_scenario_text())
         doc["phases"] = [doc["phases"][0]]
         doc["phases"][0]["end"]["lambda1"] = 0.2
@@ -128,6 +128,11 @@ class TestSimulate:
         path = tmp_path / "unsafe.json"
         path.write_text(json.dumps(doc))
         assert main(["simulate", str(path), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "min strain 0.2 is below the bound 0.3" in err
+        assert "violating intervals [(" in err
+        assert "--skip-safety-check" in err
+        assert not (tmp_path / "x").exists()
         assert (
             main(
                 [
@@ -161,6 +166,23 @@ class TestValidate:
 
     def test_missing_bundle_is_parse_error(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope")]) == 2
+
+    def test_malformed_manifest_is_parse_error(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        (bundle / "manifest.json").write_text('{"scenario": ')
+        assert main(["validate", str(bundle)]) == 2
+        assert f"{bundle / 'manifest.json'}: malformed manifest" in capsys.readouterr().err
+
+    def test_truncated_trace_is_parse_error(self, fast_path, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        assert main(["simulate", fast_path, "--out", str(out)]) == 0
+        trace = out / "trace_cf3.csv"
+        text = trace.read_text()
+        trace.write_text(text[: len(text) // 2])  # cut mid-row
+        capsys.readouterr()
+        assert main(["validate", str(out)]) == 2
+        assert f"{trace}: damaged trace CSV" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -14,12 +14,10 @@ from affineswarm import (
     ScheduleError,
     TranslationRamp,
     check_schedule_safety,
-    coords_at,
     desired_positions,
     hold_schedule,
     leader_trajectory,
     quintic_blend,
-    vertical_profile,
 )
 
 
@@ -145,37 +143,37 @@ class TestPhaseScheduleValidation:
 class TestCoordsAt:
     def test_default_schedule_endpoints(self, default_scenario):
         sched = default_scenario.schedule
-        c0 = coords_at(sched, 0.0)
+        c0 = sched.coords_at(0.0)
         assert (c0.lambda1, c0.lambda2) == (1.0, 1.0)
-        c10 = coords_at(sched, 10.0)
+        c10 = sched.coords_at(10.0)
         assert (c10.lambda1, c10.lambda2) == (0.5, 0.5)
-        c30 = coords_at(sched, 30.0)
+        c30 = sched.coords_at(30.0)
         assert (c30.lambda1, c30.lambda2) == (0.6, 0.9)
         assert c30.psi_d == 0.25
         assert c30.psi_r == 0.5
 
     def test_halfway_blend(self, default_scenario):
-        c5 = coords_at(default_scenario.schedule, 5.0)
+        c5 = default_scenario.schedule.coords_at(5.0)
         assert c5.lambda1 == pytest.approx(0.75, abs=1e-15)
         assert c5.lambda2 == pytest.approx(0.75, abs=1e-15)
 
     def test_held_before_start(self, default_scenario):
-        before = coords_at(default_scenario.schedule, -3.0)
+        before = default_scenario.schedule.coords_at(-3.0)
         assert (before.lambda1, before.lambda2) == (1.0, 1.0)
         assert before.d1 == 0.0
 
     def test_hold_after_final_is_exact(self, default_scenario):
         sched = default_scenario.schedule
-        ref = coords_at(sched, sched.t_end)
+        ref = sched.coords_at(sched.t_end)
         for t in (30.0, 33.3, 40.0, 400.0):
-            assert coords_at(sched, t) == ref
+            assert sched.coords_at(t) == ref
 
     def test_translation_ramp_superimposes(self, default_scenario):
         sched = default_scenario.schedule
-        assert coords_at(sched, 0.0).d1 == 0.0
-        assert coords_at(sched, 15.0).d1 == pytest.approx(2.0, abs=1e-12)
-        assert coords_at(sched, 30.0).d1 == pytest.approx(4.0, abs=1e-12)
-        assert coords_at(sched, 12.0).d1 == pytest.approx(
+        assert sched.coords_at(0.0).d1 == 0.0
+        assert sched.coords_at(15.0).d1 == pytest.approx(2.0, abs=1e-12)
+        assert sched.coords_at(30.0).d1 == pytest.approx(4.0, abs=1e-12)
+        assert sched.coords_at(12.0).d1 == pytest.approx(
             4.0 * blend_oracle(12.0 / 30.0), abs=1e-12
         )
 
@@ -192,23 +190,23 @@ class TestCoordsAt:
             z=1.0,
             translation=TranslationRamp(t0=0.0, tf=8.0, end=(2.0, 0.0)),
         )
-        mid = coords_at(sched, 6.0)
+        mid = sched.coords_at(6.0)
         assert mid.lambda1 == 0.5  # shape held after the phase ends
         assert mid.d1 == pytest.approx(2.0 * blend_oracle(0.75), abs=1e-12)
-        assert coords_at(sched, 9.0).d1 == pytest.approx(2.0, abs=1e-12)
+        assert sched.coords_at(9.0).d1 == pytest.approx(2.0, abs=1e-12)
 
     def test_interior_blend_matches_oracle(self):
         sched = two_phase_schedule()
         t = 13.7
         s = (t - 10.0) / 10.0
-        c = coords_at(sched, t)
+        c = sched.coords_at(t)
         assert c.psi_r == pytest.approx(0.5 * blend_oracle(s), abs=1e-15)
         assert c.lambda1 == 0.5
 
     def test_blended_strain_stays_in_range(self):
         sched = two_phase_schedule()
         for t in np.linspace(0.0, 10.0, 200):
-            lam = coords_at(sched, float(t)).lambda1
+            lam = sched.coords_at(float(t)).lambda1
             assert 0.5 <= lam <= 1.0
 
 
@@ -280,29 +278,6 @@ class TestDesiredPositions:
         for t in (3.0, 12.5, 21.0, 29.9):
             p = desired_positions(cfg, default_scenario.schedule, t)
             np.testing.assert_allclose(p, default_matrices.H @ p[:3], atol=1e-9)
-
-
-class TestVerticalProfile:
-    def test_up_ramp_endpoints(self):
-        times, z = vertical_profile(1.0, 4.0, "up")
-        assert z[0] == 0.0
-        assert z[-1] == 1.0
-        assert z[len(z) // 2] == pytest.approx(0.5, abs=1e-12)
-
-    def test_down_ramp(self):
-        _, z = vertical_profile(1.0, 2.0, "down")
-        assert z[0] == 1.0
-        assert z[-1] == 0.0
-
-    def test_monotone(self):
-        _, z = vertical_profile(2.5, 3.0, "up")
-        assert (np.diff(z) >= 0.0).all()
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            vertical_profile(1.0, 0.0, "up")
-        with pytest.raises(ValueError):
-            vertical_profile(1.0, 1.0, "sideways")
 
 
 class TestCheckScheduleSafety:

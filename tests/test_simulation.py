@@ -4,65 +4,84 @@ import numpy as np
 import pytest
 
 from affineswarm import (
-    AgentState,
     AtCoordinates,
+    ConfigError,
     Phase,
     PhaseSchedule,
     ReferenceConfig,
-    SafetyError,
     SimParams,
     SimulationError,
-    agent_step,
     build_matrices,
+    check_schedule_safety,
     compute_alpha,
     compute_follower_weights,
-    follower_reference,
     hold_schedule,
     run_simulation,
 )
-from conftest import consensus_fixed_point
+from conftest import consensus_fixed_point, random_config
 
 
-def simulate_step_response(params, target, t_final):
-    """Closed-loop step response of a single agent from rest at the origin."""
-    state = AgentState(position=np.zeros(3), velocity=np.zeros(3))
-    steps = int(round(t_final / params.dt))
-    ref = np.array([target, 0.0, 0.0])
-    peak = 0.0
-    for _ in range(steps):
-        state = agent_step(state, ref, params)
-        peak = max(peak, state.position[0])
-    return state, peak
+@pytest.fixture(scope="module")
+def default_setup(default_scenario):
+    cfg = default_scenario.config
+    matrices = build_matrices(
+        cfg, compute_follower_weights(cfg), compute_alpha(cfg)
+    )
+    return cfg, matrices
+
+
+def hold_run(cfg, matrices, params, initial_positions=None):
+    """A run under the identity map held still, from the given start."""
+    schedule = hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0)
+    return run_simulation(
+        cfg, matrices, schedule, params, initial_positions=initial_positions
+    )
+
+
+def leader_step_response(cfg, matrices, params):
+    """x of the first leader released from rest 1 m short of its held reference.
+
+    A leader tracks the commanded map directly, so this is the closed-loop
+    response of one PD tracker to a 1 m step, from 0 to 1.
+    """
+    start = cfg.reference_positions()[0] - [1.0, 0.0, 0.0]
+    trace = hold_run(cfg, matrices, params, {cfg.leader_ids[0]: start})
+    return trace.times, trace.positions[:, 0, 0] - start[0]
 
 
 class TestAgentStep:
-    def test_equilibrium_is_fixed(self):
-        params = SimParams()
-        ref = np.array([1.0, -2.0, 0.5])
-        state = AgentState(position=ref.copy(), velocity=np.zeros(3))
-        nxt = agent_step(state, ref, params)
-        assert np.array_equal(nxt.position, ref)
-        assert np.array_equal(nxt.velocity, np.zeros(3))
+    """Step response of one agent's PD tracker, observed through the engine."""
 
-    def test_converges_to_constant_reference(self):
+    def test_equilibrium_is_fixed(self, default_setup):
+        cfg, matrices = default_setup
+        trace = hold_run(cfg, matrices, SimParams(duration=1.0))
+        leaders = np.broadcast_to(
+            cfg.reference_positions()[:3], trace.positions[:, :3].shape
+        )
+        assert np.array_equal(trace.references[:, :3], leaders)
+        assert np.array_equal(trace.positions[:, :3], leaders)
+
+    def test_converges_to_constant_reference(self, default_setup):
         # Default gains give a double pole at -5 (time constant 0.2 s);
         # the 1 m step residual (1 + 5t) e^{-5t} drops below 1e-4 by ~2.5 s.
-        params = SimParams()
-        state, _ = simulate_step_response(params, 1.0, t_final=4.0)
-        assert abs(state.position[0] - 1.0) < 1e-4
-        assert abs(state.velocity[0]) < 1e-4
+        cfg, matrices = default_setup
+        times, x = leader_step_response(cfg, matrices, SimParams(duration=4.0))
+        assert abs(x[-1] - 1.0) < 1e-4
+        assert abs(x[-1] - x[-2]) / (times[-1] - times[-2]) < 1e-4
 
-    def test_critically_damped_no_overshoot(self):
-        params = SimParams(kp=25.0, kd=10.0, dt=0.001)
-        _, peak = simulate_step_response(params, 1.0, t_final=3.0)
-        assert peak <= 1.0 + 1e-6
+    def test_critically_damped_no_overshoot(self, default_setup):
+        cfg, matrices = default_setup
+        params = SimParams(kp=25.0, kd=10.0, dt=0.001, duration=3.0)
+        _, x = leader_step_response(cfg, matrices, params)
+        assert x.max() <= 1.0 + 1e-6
 
-    def test_matches_closed_form_response(self):
+    def test_matches_closed_form_response(self, default_setup):
         # x(t) = 1 - (1 + 5 t) e^{-5 t} for the critically damped pair.
-        params = SimParams(kp=25.0, kd=10.0, dt=0.0001)
-        state, _ = simulate_step_response(params, 1.0, t_final=0.5)
-        expected = 1.0 - (1.0 + 5.0 * 0.5) * np.exp(-5.0 * 0.5)
-        assert state.position[0] == pytest.approx(expected, abs=1e-3)
+        cfg, matrices = default_setup
+        params = SimParams(kp=25.0, kd=10.0, dt=0.0001, duration=0.5)
+        times, x = leader_step_response(cfg, matrices, params)
+        expected = 1.0 - (1.0 + 5.0 * times) * np.exp(-5.0 * times)
+        np.testing.assert_allclose(x, expected, rtol=0, atol=1e-3)
 
 
 class TestSimParams:
@@ -81,58 +100,73 @@ class TestSimParams:
         assert SimParams(dt=0.01, control_rate=100.0).substeps == 1
 
 
+def first_tick_references(cfg, matrices, initial_positions=None):
+    """Follower references the engine computes from the starting positions."""
+    trace = hold_run(cfg, matrices, SimParams(dt=0.01, duration=0.01), initial_positions)
+    rows = [trace.agent_index(fid) for fid in cfg.follower_ids]
+    return trace.references[0, rows]
+
+
 class TestFollowerReference:
-    def test_partition_of_unity(self):
-        snap = {j: np.ones(3) for j in ("a", "b", "c")}
-        ref = follower_reference(snap, ("a", "b", "c"), np.array([0.2, 0.5, 0.3]))
-        np.testing.assert_allclose(ref, np.ones(3), atol=1e-15)
+    """A follower's reference: its row of W applied to in-neighbor positions."""
 
-    def test_weighted_sum_reproduces_reference_position(self, default_scenario):
-        cfg = default_scenario.config
-        snap = {
-            aid: cfg.reference_positions()[cfg.index_of(aid)]
-            for aid in ("cf1", "cf3", "cf4")
-        }
-        w = compute_follower_weights(cfg)["cf2"]
-        ref = follower_reference(snap, ("cf1", "cf3", "cf4"), w)
-        np.testing.assert_allclose(ref, [0.0, 0.25, 1.0], atol=1e-12)
+    def test_partition_of_unity(self, default_setup):
+        cfg, matrices = default_setup
+        rows = [cfg.index_of(fid) for fid in cfg.follower_ids]
+        off_diagonal = matrices.W[rows].sum(axis=1) - matrices.W[rows, rows]
+        np.testing.assert_allclose(off_diagonal, 1.0, rtol=0, atol=1e-15)
+        point = np.array([0.3, -0.2, 1.0])
+        refs = first_tick_references(cfg, matrices, {aid: point for aid in cfg.ids})
+        np.testing.assert_allclose(refs, np.broadcast_to(point, refs.shape), atol=1e-15)
 
-    def test_common_offset_passes_through(self):
+    def test_weighted_sum_reproduces_reference_position(self, default_setup):
+        cfg, matrices = default_setup
+        refs = first_tick_references(cfg, matrices)
+        rows = [cfg.index_of(fid) for fid in cfg.follower_ids]
+        np.testing.assert_allclose(
+            refs, cfg.reference_positions()[rows], rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(refs[0], [0.0, 0.25, 1.0], rtol=0, atol=1e-12)
+
+    def test_common_offset_passes_through(self, default_setup):
+        cfg, matrices = default_setup
         rng = np.random.default_rng(0)
-        base = {j: rng.uniform(-1, 1, 3) for j in ("a", "b", "c")}
-        w = np.array([0.5, 0.3, 0.2])
+        base = {aid: rng.uniform(-1, 1, 3) for aid in cfg.ids}
         v = np.array([0.7, -0.2, 0.1])
-        ref0 = follower_reference(base, ("a", "b", "c"), w)
-        shifted = {j: p + v for j, p in base.items()}
-        ref1 = follower_reference(shifted, ("a", "b", "c"), w)
-        np.testing.assert_allclose(ref1, ref0 + v, atol=1e-15)
+        ref0 = first_tick_references(cfg, matrices, base)
+        ref1 = first_tick_references(
+            cfg, matrices, {aid: p + v for aid, p in base.items()}
+        )
+        np.testing.assert_allclose(ref1, ref0 + v, rtol=0, atol=1e-15)
 
-    def test_missing_neighbor_is_integrity_error(self):
-        with pytest.raises(SimulationError, match="missing"):
-            follower_reference({"a": np.zeros(3)}, ("a", "b", "c"), np.ones(3) / 3)
+    def test_missing_neighbor_is_integrity_error(self, default_setup):
+        cfg, matrices = default_setup
+        neighbors = dict(cfg.in_neighbors)
+        neighbors["cf2"] = ("cf1", "cf3", "ghost")
+        bad = ReferenceConfig(agents=cfg.agents, z=cfg.z, in_neighbors=neighbors)
+        with pytest.raises(ConfigError, match="ghost"):
+            first_tick_references(bad, matrices)
 
 
-@pytest.fixture(scope="module")
-def default_setup(default_scenario):
-    cfg = default_scenario.config
-    matrices = build_matrices(
-        cfg, compute_follower_weights(cfg), compute_alpha(cfg)
-    )
-    return cfg, matrices
+def assert_references_mix_neighbors(trace, cfg, matrices, delay):
+    """Every follower's reference at every tick is ``w @`` its neighbors' positions."""
+    for fid in cfg.follower_ids:
+        row = trace.agent_index(fid)
+        nbr_rows = [trace.agent_index(j) for j in cfg.in_neighbors[fid]]
+        w = matrices.weights[fid]
+        for k in range(len(trace.times)):
+            expected = w @ trace.positions[max(k - delay, 0)][nbr_rows]
+            np.testing.assert_array_equal(trace.references[k, row], expected)
 
 
 def frozen_leader_trace(cfg, matrices, perturb=0.3, duration=5.0, **kwargs):
-    schedule = hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0)
     rng = np.random.default_rng(42)
     initial = {
         fid: cfg.reference_positions()[cfg.index_of(fid)]
         + np.append(rng.uniform(-perturb, perturb, 2), 0.0)
         for fid in cfg.follower_ids
     }
-    params = SimParams(duration=duration, **kwargs)
-    return run_simulation(
-        cfg, matrices, schedule, params, initial_positions=initial
-    )
+    return hold_run(cfg, matrices, SimParams(duration=duration, **kwargs), initial)
 
 
 class TestRunSimulation:
@@ -201,50 +235,36 @@ class TestRunSimulation:
 
     def test_snapshot_delay_semantics(self, default_setup, default_scenario):
         # The recorded follower reference at tick k is exactly the weighted
-        # mix of neighbor positions at tick k - delay.
+        # mix of neighbor positions at tick k - delay (tick 0 before that).
         cfg, matrices = default_setup
-        delay = 3
-        trace = run_simulation(
-            cfg,
-            matrices,
-            default_scenario.schedule,
-            SimParams(dt=0.01, duration=2.0, delay_ticks=delay),
-        )
-        fid = "cf2"
-        row = trace.agent_index(fid)
-        nbr_rows = [trace.agent_index(j) for j in cfg.in_neighbors[fid]]
-        w = matrices.weights[fid]
-        for k in (delay, delay + 5, len(trace.times) - 1):
-            expected = w @ trace.positions[k - delay][nbr_rows]
-            np.testing.assert_array_equal(trace.references[k, row], expected)
-
-    def test_followers_never_read_the_commanded_map(self, default_setup, monkeypatch):
-        # Decentralization audit: follower references flow through the
-        # three-entry snapshot view only.
-        import affineswarm.simulation as sim
-
-        seen = []
-
-        original = sim.follower_reference
-
-        def spy(snapshot, neighbor_ids, weights):
-            seen.append(set(snapshot))
-            return original(snapshot, neighbor_ids, weights)
-
-        monkeypatch.setattr(sim, "follower_reference", spy)
-        cfg, matrices = default_setup
-        run_simulation(
-            cfg,
-            matrices,
-            hold_schedule(AtCoordinates(), z=cfg.z, duration=0.5),
-            SimParams(dt=0.01, duration=0.5),
-        )
-        assert seen
-        for view in seen:
-            assert len(view) == 3
-            assert view in (
-                set(cfg.in_neighbors[fid]) for fid in cfg.follower_ids
+        for delay in (1, 3):
+            trace = run_simulation(
+                cfg,
+                matrices,
+                default_scenario.schedule,
+                SimParams(dt=0.01, duration=2.0, delay_ticks=delay),
             )
+            assert_references_mix_neighbors(trace, cfg, matrices, delay)
+
+    def test_followers_never_read_the_commanded_map(self, default_scenario):
+        # Decentralization audit: a follower's row of W, which the engine
+        # gathers its reference from, has exactly three off-diagonal
+        # nonzeros, at its in-neighbor columns, summing to one.
+        rng = np.random.default_rng(11)
+        configs = [default_scenario.config] + [
+            random_config(rng, n) for n in (1, 4, 12, 30)
+        ]
+        for cfg in configs:
+            matrices = build_matrices(
+                cfg, compute_follower_weights(cfg), compute_alpha(cfg)
+            )
+            for fid in cfg.follower_ids:
+                row = cfg.index_of(fid)
+                off_diagonal = np.delete(matrices.W[row], row)
+                columns = np.delete(np.arange(len(cfg.ids)), row)
+                nonzero = set(columns[off_diagonal != 0.0])
+                assert nonzero == {cfg.index_of(j) for j in cfg.in_neighbors[fid]}
+                assert off_diagonal.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_aborts_with_diagnostics(self, default_setup):
@@ -259,6 +279,9 @@ class TestRunSimulation:
             )
 
     def test_safety_precheck_blocks_unsafe_schedule(self, default_setup):
+        # The strain precheck is check_schedule_safety, run by the caller
+        # (the simulate command) before the engine; the engine itself runs
+        # an unsafe schedule to the end.
         cfg, matrices = default_setup
         unsafe = PhaseSchedule(
             phases=(
@@ -271,12 +294,12 @@ class TestRunSimulation:
             ),
             z=cfg.z,
         )
+        report = check_schedule_safety(unsafe, 0.3)
+        assert not report.passed
+        assert report.min_strain_observed == pytest.approx(0.2)
+        assert report.violations and report.violations[-1][1] == pytest.approx(2.0)
         params = SimParams(dt=0.01, duration=2.0)
-        with pytest.raises(SafetyError, match="below"):
-            run_simulation(cfg, matrices, unsafe, params, safety_bound=0.3)
-        trace = run_simulation(
-            cfg, matrices, unsafe, params, safety_bound=0.3, skip_safety_check=True
-        )
+        trace = run_simulation(cfg, matrices, unsafe, params)
         assert len(trace.times) == 201
 
     def test_zero_delay_uses_same_tick_snapshot(self, default_setup, default_scenario):
@@ -287,13 +310,7 @@ class TestRunSimulation:
             default_scenario.schedule,
             SimParams(dt=0.01, duration=1.0, delay_ticks=0),
         )
-        fid = "cf3"
-        row = trace.agent_index(fid)
-        nbr_rows = [trace.agent_index(j) for j in cfg.in_neighbors[fid]]
-        w = matrices.weights[fid]
-        for k in (0, 5, len(trace.times) - 1):
-            expected = w @ trace.positions[k][nbr_rows]
-            np.testing.assert_array_equal(trace.references[k, row], expected)
+        assert_references_mix_neighbors(trace, cfg, matrices, 0)
 
     def test_mismatched_matrices_rejected(self, default_scenario, default_setup):
         from affineswarm import ConfigError

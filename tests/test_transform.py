@@ -1,4 +1,4 @@
-"""Affine kernel: Euler matrices, Jacobian assembly/decomposition, bounds."""
+"""Affine kernel: yaw factors, Jacobian assembly/decomposition, bounds."""
 
 import math
 
@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from affineswarm import (
     AtCoordinates,
-    apply_at,
     assemble_jacobian,
     compute_alpha,
     decompose_jacobian,
-    euler_matrix,
     load_default_scenario,
     min_scaling_bound,
     transform_points,
@@ -31,33 +29,27 @@ def axis_angle_gap(a, b):
 
 
 class TestEulerMatrix:
+    """The yaw (z-axis Euler) rotations R_r and R_D that assemble_jacobian uses."""
+
     def test_zero_angles_is_identity(self):
-        assert np.array_equal(euler_matrix(0.0, 0.0, 0.0), np.eye(3))
+        dec = assemble_jacobian(AtCoordinates())
+        assert np.array_equal(dec.R_r, np.eye(3))
+        assert np.array_equal(dec.R_D, np.eye(3))
 
     def test_quarter_turn_yaw_maps_x_to_y(self):
-        r = euler_matrix(0.0, 0.0, math.pi / 2)
-        np.testing.assert_allclose(r @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], atol=1e-15)
+        q = assemble_jacobian(AtCoordinates(psi_r=math.pi / 2)).Q
+        np.testing.assert_allclose(q @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], atol=1e-15)
 
     def test_half_radian_yaw_block(self):
-        r = euler_matrix(0.0, 0.0, 0.5)
-        c, s = math.cos(0.5), math.sin(0.5)
-        np.testing.assert_allclose(r[:2, :2], [[c, -s], [s, c]], rtol=0, atol=0)
+        dec = assemble_jacobian(AtCoordinates(psi_d=0.5, psi_r=0.5))
+        np.testing.assert_array_equal(dec.R_r, yaw_oracle(0.5))
+        np.testing.assert_array_equal(dec.R_D, yaw_oracle(0.5))
 
     def test_general_angles_orthogonal_det_one(self):
-        r = euler_matrix(0.3, -0.7, 1.9)
-        np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-15)
-        assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-14)
-
-    def test_full_sequence_equals_factored_rotations(self):
-        # 3-2-1 composition: yaw, then pitch, then roll applied left to right.
-        b1, b2, b3 = 0.4, -0.2, 1.1
-        c1, s1 = math.cos(b1), math.sin(b1)
-        c2, s2 = math.cos(b2), math.sin(b2)
-        rx = np.array([[1, 0, 0], [0, c1, -s1], [0, s1, c1]])
-        ry = np.array([[c2, 0, s2], [0, 1, 0], [-s2, 0, c2]])
-        np.testing.assert_allclose(
-            euler_matrix(b1, b2, b3), yaw_oracle(b3) @ ry @ rx, atol=1e-15
-        )
+        dec = assemble_jacobian(AtCoordinates(psi_d=-0.7, psi_r=1.9))
+        for r in (dec.R_r, dec.R_D):
+            np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-15)
+            assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestAtCoordinates:
@@ -198,17 +190,19 @@ def test_round_trip_property(lam1, lam2, psi_d, psi_r):
 
 
 class TestApplyAt:
+    """Applying the affine transformation ``Q a + d`` with transform_points."""
+
     def test_identity_map(self):
-        a = np.array([0.3, -0.4, 1.0])
-        assert np.array_equal(apply_at(np.eye(3), np.zeros(3), a), a)
+        a = np.array([[0.3, -0.4, 1.0], [-1.2, 0.8, 1.0]])
+        assert np.array_equal(transform_points(np.eye(3), np.zeros(3), a), a)
 
     def test_contraction_example(self):
-        p = apply_at(np.diag([0.5, 0.5, 1.0]), np.zeros(3), [0.0, 0.75, 1.0])
-        np.testing.assert_allclose(p, [0.0, 0.375, 1.0], rtol=0, atol=0)
+        p = transform_points(np.diag([0.5, 0.5, 1.0]), np.zeros(3), [[0.0, 0.75, 1.0]])
+        np.testing.assert_allclose(p, [[0.0, 0.375, 1.0]], rtol=0, atol=0)
 
     def test_translation_adds(self):
-        p = apply_at(np.eye(3), [1.0, 2.0, 0.0], [0.5, 0.5, 1.0])
-        np.testing.assert_allclose(p, [1.5, 2.5, 1.0])
+        p = transform_points(np.eye(3), [1.0, 2.0, 0.0], [[0.5, 0.5, 1.0]])
+        np.testing.assert_allclose(p, [[1.5, 2.5, 1.0]])
 
     def test_affine_combination_consistency(self):
         # Followers' images equal the barycentric mix of the leaders' images
