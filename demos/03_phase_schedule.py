@@ -23,12 +23,13 @@ sched = scenario.schedule
 print("quintic blend: beta(0)=%.1f beta(0.25)=%s beta(0.5)=%.1f beta(1)=%.1f"
       % (quintic_blend(0.0), quintic_blend(0.25), quintic_blend(0.5), quintic_blend(1.0)))
 
-print("\ncommanded coordinates over the schedule:")
+print("\ncommanded coordinates over the schedule (one array evaluation):")
 print(f"{'t':>5} {'lam1':>7} {'lam2':>7} {'psi_d':>7} {'psi_r':>7} {'d1':>7}")
-for t in np.arange(0.0, 31.0, 2.5):
-    c = sched.coords_at(float(t))
-    print(f"{t:5.1f} {c.lambda1:7.3f} {c.lambda2:7.3f} {c.psi_d:7.3f} "
-          f"{c.psi_r:7.3f} {c.d1:7.3f}")
+times = np.arange(0.0, 31.0, 2.5)
+coords, q, d = sched.sample(times)  # (T, 6) d1 d2 lambda1 lambda2 psi_d psi_r
+for t, (d1, _, lam1, lam2, psi_d, psi_r) in zip(times, coords):
+    print(f"{t:5.1f} {lam1:7.3f} {lam2:7.3f} {psi_d:7.3f} {psi_r:7.3f} {d1:7.3f}")
+print("det Q (area scale lambda1 * lambda2) at t=10 s:", np.linalg.det(q[4]).round(6))
 
 traj = leader_trajectory(sched, scenario.config, tick_rate=100.0)
 out = Path(__file__).with_name("leader_plan.csv")

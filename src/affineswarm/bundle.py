@@ -26,33 +26,38 @@ TRACE_COLUMNS = ("t", "x", "y", "z", "x_ref", "y_ref", "z_ref", "x_des", "y_des"
 PLAN_COLUMNS = ("t", "agent_id", "x_d", "y_d", "z_d")
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".9g")
+def _csv(header: tuple[str, ...], row: str, table: np.ndarray) -> str:
+    """Header plus one ``row % values`` line per row of ``table``.
+
+    ``row`` holds one ``%.9g`` per column (``'%.9g' % x`` is
+    ``format(x, '.9g')``); the whole body is formatted in one pass.
+    """
+    body = (row + "\n") * len(table) % tuple(table.ravel().tolist())
+    return ",".join(header) + "\n" + body
 
 
 def trace_csv_text(trace: SimTrace, agent_id: str) -> str:
     idx = trace.agent_index(agent_id)
-    lines = [",".join(TRACE_COLUMNS)]
-    for k in range(len(trace.times)):
-        row = (
-            [_fmt(trace.times[k])]
-            + [_fmt(v) for v in trace.positions[k, idx]]
-            + [_fmt(v) for v in trace.references[k, idx]]
-            + [_fmt(v) for v in trace.desired[k, idx]]
+    table = np.column_stack(
+        (
+            trace.times,
+            trace.positions[:, idx],
+            trace.references[:, idx],
+            trace.desired[:, idx],
         )
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    )
+    return _csv(TRACE_COLUMNS, ",".join(["%.9g"] * len(TRACE_COLUMNS)), table)
 
 
 def plan_csv_text(traj: LeaderTrajectory) -> str:
-    lines = [",".join(PLAN_COLUMNS)]
-    for k in range(len(traj.times)):
-        for i, aid in enumerate(traj.agent_ids):
-            p = traj.positions[k, i]
-            lines.append(
-                ",".join([_fmt(traj.times[k]), aid, _fmt(p[0]), _fmt(p[1]), _fmt(p[2])])
-            )
-    return "\n".join(lines) + "\n"
+    """One row per tick and leader: time, leader id, desired position."""
+    row = "\n".join(
+        "%.9g," + aid.replace("%", "%%") + ",%.9g,%.9g,%.9g" for aid in traj.agent_ids
+    )
+    table = np.column_stack(
+        (np.repeat(traj.times, len(traj.agent_ids)), traj.positions.reshape(-1, 3))
+    ).reshape(len(traj.times), -1)
+    return _csv(PLAN_COLUMNS, row, table)
 
 
 def dumps_json(doc) -> str:
@@ -161,15 +166,31 @@ def emit_bundle(
     )
 
 
+def _lookup(doc, path: Path, *keys):
+    """``doc[k1][k2]...``; a missing key raises ``ScenarioError`` naming ``path``."""
+    value = doc
+    for depth, key in enumerate(keys):
+        try:
+            value = value[key]
+        except (KeyError, IndexError, TypeError):
+            where = ".".join(map(str, keys[: depth + 1]))
+            raise ScenarioError([f"{path}: missing key {where!r}"]) from None
+    return value
+
+
 def read_manifest(bundle_dir) -> dict:
+    """Parse a bundle's manifest; it must hold the keys ``validate`` reads."""
     path = Path(bundle_dir) / "manifest.json"
     if not path.exists():
         raise ScenarioError([f"{path}: no manifest found"])
     text = path.read_text()
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"{path}: malformed manifest: {exc}"]) from None
+    for keys in (("scenario",), ("agent_order",), ("outputs", "traces")):
+        _lookup(doc, path, *keys)
+    return doc
 
 
 def read_trace(bundle_dir, manifest: dict) -> SimTrace:
@@ -178,17 +199,29 @@ def read_trace(bundle_dir, manifest: dict) -> SimTrace:
     Values carry the CSV's 9-significant-digit precision, which is ample
     for every recomputed metric. A CSV with a short or non-numeric row, or
     with a different row count than the first agent's, raises
-    ``ScenarioError`` naming the file.
+    ``ScenarioError`` naming the file, as does a missing or unreadable CSV
+    or a manifest key that is absent.
     """
     out = Path(bundle_dir)
-    agent_ids = tuple(manifest["agent_order"])
-    scenario_doc = manifest["scenario"]
-    roles = {a["id"]: a["role"] for a in scenario_doc["agents"]}
+    manifest_path = out / "manifest.json"
+    agent_ids = tuple(_lookup(manifest, manifest_path, "agent_order"))
+    agents = _lookup(manifest, manifest_path, "scenario", "agents")
+    roles = {a["id"]: a["role"] for a in agents}
     data = []
     times = None
     for aid in agent_ids:
-        path = out / manifest["outputs"]["traces"][aid]
-        rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
+        if aid not in roles:
+            raise ScenarioError(
+                [f"{manifest_path}: agent {aid!r} is not in the scenario"]
+            )
+        path = out / _lookup(manifest, manifest_path, "outputs", "traces", aid)
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise ScenarioError(
+                [f"{path}: cannot read trace CSV: {exc.strerror}"]
+            ) from None
+        rows = [line.split(",") for line in text.strip().splitlines()[1:]]
         try:
             arr = np.array([[float(v) for v in r] for r in rows], ndmin=2)
         except ValueError as exc:

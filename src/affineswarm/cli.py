@@ -144,13 +144,22 @@ def _cmd_check(args) -> int:
 
 
 def _resolved_params(scenario: Scenario, args) -> SimParams:
-    """The scenario's parameters with every ``simulate`` flag that was given."""
+    """The scenario's parameters with every ``simulate`` flag that was given.
+
+    Values ``SimParams`` rejects raise ``ScenarioError`` naming the flags.
+    """
     overrides = {
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(SimParams)
         if getattr(args, f.name) is not None
     }
-    return dataclasses.replace(scenario.params, **overrides)
+    try:
+        return dataclasses.replace(scenario.params, **overrides)
+    except ValueError as exc:
+        flags = " ".join(
+            f"--{name.replace('_', '-')} {value}" for name, value in overrides.items()
+        )
+        raise ScenarioError([f"{flags}: {exc}"]) from None
 
 
 def _cmd_simulate(args) -> int:

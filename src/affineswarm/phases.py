@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .errors import ScheduleError
 from .formation import ReferenceConfig
-from .transform import AtCoordinates, assemble_jacobian, transform_points
+from .transform import AtCoordinates, jacobian_stack, transform_points
 
 logger = logging.getLogger(__name__)
 
@@ -70,15 +70,19 @@ class TranslationRamp:
     start: tuple[float, float] = (0.0, 0.0)
     end: tuple[float, float] = (0.0, 0.0)
 
-    def value(self, t: float) -> tuple[float, float]:
+    def value(self, times: np.ndarray) -> np.ndarray:
+        """Ramp offsets (T, 2) at an array of times (T,).
+
+        A ramp with ``tf <= t0`` is a step to ``end`` at ``tf``.
+        """
+        t = np.asarray(times, dtype=float)
         if self.tf <= self.t0:
-            b = 1.0 if t >= self.tf else 0.0
+            b = np.where(t >= self.tf, 1.0, 0.0)
         else:
             b = quintic_blend((t - self.t0) / (self.tf - self.t0))
-        return (
-            self.start[0] + b * (self.end[0] - self.start[0]),
-            self.start[1] + b * (self.end[1] - self.start[1]),
-        )
+        start = np.asarray(self.start, dtype=float)
+        end = np.asarray(self.end, dtype=float)
+        return start + b[:, None] * (end - start)
 
 
 @dataclass(frozen=True)
@@ -102,6 +106,10 @@ class PhaseSchedule:
                 problems.append(
                     f"phase {k} ends at {a.tf} but phase {k + 1} starts at {b.t0}"
                 )
+            elif not (b.t0 > a.t0 and b.tf > a.tf):
+                problems.append(
+                    f"phase {k + 1} must start and end after phase {k}"
+                )
             for name in _COORD_FIELDS:
                 va, vb = getattr(a.end, name), getattr(b.start, name)
                 if abs(va - vb) > _BOUNDARY_TOL:
@@ -120,45 +128,52 @@ class PhaseSchedule:
     def t_end(self) -> float:
         return self.phases[-1].tf
 
+    def coordinates(self, times) -> np.ndarray:
+        """Blended coordinates (T, 6), in ``AtCoordinates`` field order, at times (T,).
+
+        Times at or before ``t_start`` hold the first start coordinates and
+        times at or after ``t_end`` the final end coordinates. A time in a
+        sub-tolerance crack between phases takes the next phase's start,
+        which boundary continuity makes the right value.
+        """
+        t = np.asarray(times, dtype=float)
+        t0 = np.array([ph.t0 for ph in self.phases])
+        tf = np.array([ph.tf for ph in self.phases])
+        start = np.array([astuple(ph.start) for ph in self.phases])
+        end = np.array([astuple(ph.end) for ph in self.phases])
+
+        # Phases are in time order, so the first phase ending after t is
+        # the one holding it, or the next one when t sits in a crack.
+        k = np.minimum(np.searchsorted(tf, t, side="right"), len(tf) - 1)
+        coords = start[k]
+        coords[t >= tf[-1]] = end[-1]
+        inside = (t > t0[0]) & (t < tf[-1]) & (t0[k] <= t)
+        ki = k[inside]
+        b = quintic_blend((t[inside] - t0[ki]) / (tf[ki] - t0[ki]))
+        coords[inside] = start[ki] + b[:, None] * (end[ki] - start[ki])
+        if self.translation is not None:
+            coords[:, :2] += self.translation.value(t)
+        return coords
+
+    def sample(self, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The commanded map at times (T,).
+
+        Returns ``coordinates(times)`` (T, 6), the Jacobians ``Q``
+        (T, 3, 3) and the translations ``d`` (T, 3).
+        """
+        coords = self.coordinates(times)
+        d = np.zeros((len(coords), 3))
+        d[:, :2] = coords[:, :2]
+        return coords, jacobian_stack(coords), d
+
     def coords_at(self, t: float) -> AtCoordinates:
         """Blended coordinates at time ``t``; clamped to the schedule span."""
-        if t <= self.phases[0].t0:
-            base = self.phases[0].start
-        elif t >= self.phases[-1].tf:
-            base = self.phases[-1].end
-        else:
-            base = None
-            for ph in self.phases:
-                if ph.t0 <= t < ph.tf:
-                    b = quintic_blend((t - ph.t0) / (ph.tf - ph.t0))
-                    vals = {
-                        name: getattr(ph.start, name)
-                        + b * (getattr(ph.end, name) - getattr(ph.start, name))
-                        for name in _COORD_FIELDS
-                    }
-                    base = AtCoordinates(**vals)
-                    break
-            if base is None:
-                # t sits in a sub-tolerance crack between phases; boundary
-                # continuity makes the next start the right value.
-                nxt = next(ph for ph in self.phases if t < ph.t0)
-                base = nxt.start
-        if self.translation is None:
-            return base
-        rd1, rd2 = self.translation.value(t)
-        return AtCoordinates(
-            d1=base.d1 + rd1,
-            d2=base.d2 + rd2,
-            lambda1=base.lambda1,
-            lambda2=base.lambda2,
-            psi_d=base.psi_d,
-            psi_r=base.psi_r,
-        )
+        return AtCoordinates(*self.coordinates([t])[0].tolist())
 
     def jacobian_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(Q, d) of the commanded map at time ``t``."""
-        c = self.coords_at(t)
-        return assemble_jacobian(c).Q, c.translation()
+        _, q, d = self.sample([t])
+        return q[0], d[0]
 
 
 def tick_times(t_start: float, t_end: float, tick_rate: float) -> np.ndarray:
@@ -169,12 +184,14 @@ def tick_times(t_start: float, t_end: float, tick_rate: float) -> np.ndarray:
     return t_start + np.arange(count + 1) / tick_rate
 
 
-def desired_positions(
-    cfg: ReferenceConfig, schedule: PhaseSchedule, t: float
-) -> np.ndarray:
-    """Global desired positions (N, 3) of every agent at time ``t``."""
-    q, d = schedule.jacobian_at(t)
-    return transform_points(q, d, cfg.reference_positions())
+def desired_positions(cfg: ReferenceConfig, schedule: PhaseSchedule, t) -> np.ndarray:
+    """Global desired positions of every agent.
+
+    (N, 3) at a time ``t``; (T, N, 3) for an array of times.
+    """
+    _, q, d = schedule.sample(np.atleast_1d(t))
+    pos = transform_points(q, d, cfg.reference_positions())
+    return pos if np.ndim(t) else pos[0]
 
 
 @dataclass(frozen=True)
@@ -200,11 +217,8 @@ def leader_trajectory(
     times = tick_times(
         schedule.t_start, schedule.t_end if t_end is None else t_end, tick_rate
     )
-    leaders = cfg.reference_positions()[:3]
-    positions = np.empty((len(times), 3, 3))
-    for k, t in enumerate(times):
-        q, d = schedule.jacobian_at(float(t))
-        positions[k] = transform_points(q, d, leaders)
+    _, q, d = schedule.sample(times)
+    positions = transform_points(q, d, cfg.reference_positions()[:3])
     return LeaderTrajectory(
         times=times, agent_ids=cfg.leader_ids, positions=positions
     )
@@ -233,22 +247,14 @@ def check_schedule_safety(
     tick pairs.
     """
     times = tick_times(schedule.t_start, schedule.t_end, tick_rate)
-    strains = np.empty(len(times))
-    for k, t in enumerate(times):
-        c = schedule.coords_at(float(t))
-        strains[k] = min(c.lambda1, c.lambda2)
+    coords = schedule.coordinates(times)
+    strains = np.minimum(coords[:, 2], coords[:, 3])
     min_strain = float(strains.min())
-    bad = strains < bound
-    violations: list[tuple[float, float]] = []
-    start = None
-    for k, flag in enumerate(bad):
-        if flag and start is None:
-            start = times[k]
-        elif not flag and start is not None:
-            violations.append((float(start), float(times[k - 1])))
-            start = None
-    if start is not None:
-        violations.append((float(start), float(times[-1])))
+    # +1 where a run of violating ticks starts, -1 one past where it ends.
+    edges = np.diff(np.concatenate(([0], (strains < bound).astype(np.int8), [0])))
+    firsts = times[edges[:-1] == 1]
+    lasts = times[edges[1:] == -1]
+    violations = list(zip(firsts.tolist(), lasts.tolist()))
     return SafetyReport(
         lambda_min_bound=float(bound),
         min_strain_observed=min_strain,

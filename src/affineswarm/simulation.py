@@ -6,7 +6,8 @@ planner (the commanded affine map); followers take the weighted sum of
 their three in-neighbors' actual positions from ``delay_ticks`` control
 ticks earlier, with the weights stored in their row of ``W``. Followers
 never see the commanded map; their global desired positions are computed
-per tick for logging and error measurement only.
+(for every tick at once, before the run) for logging and error
+measurement only.
 
 The engine advances at a fixed integration step ``dt`` with references
 held constant between control ticks, so identical inputs always produce
@@ -15,6 +16,7 @@ bit-identical traces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -31,7 +33,9 @@ class SimParams:
 
     The control period must be an integer multiple of ``dt``. With the
     default gains the tracker is critically damped (kd = 2 sqrt(kp)).
-    ``duration`` of None means "schedule span plus a 10 s settling hold".
+    ``duration`` of None means "schedule span plus a 10 s settling hold";
+    a given duration must cover at least one control tick. Every check is
+    written so that NaN fails it.
     ``delay_ticks`` is the staleness, in control ticks, of the neighbor
     positions a follower reads (1 mimics a motion-capture pipeline that
     delivers the previous sample).
@@ -45,19 +49,38 @@ class SimParams:
     delay_ticks: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.control_rate <= 0.0:
-            raise ValueError("control_rate must be positive")
-        if self.kp <= 0.0 or self.kd <= 0.0:
-            raise ValueError("tracker gains must be positive")
+        def positive(v):
+            return math.isfinite(v) and v > 0.0
+
+        if not positive(self.dt):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not positive(self.control_rate):
+            raise ValueError(
+                f"control_rate must be positive and finite, got {self.control_rate}"
+            )
+        if not (positive(self.kp) and positive(self.kd)):
+            raise ValueError(
+                f"tracker gains must be positive and finite, got kp={self.kp}, "
+                f"kd={self.kd}"
+            )
         if self.delay_ticks < 0:
             raise ValueError("delay_ticks must be >= 0")
         substeps = 1.0 / (self.dt * self.control_rate)
-        if abs(substeps - round(substeps)) > 1e-9 or round(substeps) < 1:
+        if not (
+            math.isfinite(substeps)
+            and round(substeps) >= 1
+            and abs(substeps - round(substeps)) <= 1e-9
+        ):
             raise ValueError(
                 f"control period 1/{self.control_rate} Hz is not an integer "
                 f"multiple of dt={self.dt}"
+            )
+        # round(x) >= 1 exactly when x > 0.5; run_simulation rounds the same way.
+        if self.duration is not None and not (
+            math.isfinite(self.duration) and self.duration * self.control_rate > 0.5
+        ):
+            raise ValueError(
+                f"duration must cover at least one control tick, got {self.duration}"
             )
 
     @property
@@ -141,8 +164,9 @@ def run_simulation(
 
     times = schedule.t_start + np.arange(ticks + 1) / params.control_rate
     trace_pos = np.empty((ticks + 1, n, 3))
+    trace_des = desired_positions(cfg, schedule, times)
     trace_ref = np.empty((ticks + 1, n, 3))
-    trace_des = np.empty((ticks + 1, n, 3))
+    trace_ref[:, :3] = trace_des[:, :3]
 
     dt = params.dt
     kp, kd = params.kp, params.kd
@@ -158,14 +182,9 @@ def run_simulation(
                 f"{names}"
             )
         trace_pos[k] = pos
-        des = desired_positions(cfg, schedule, t_k)
-        refs = np.empty((n, 3))
-        refs[:3] = des[:3]
+        refs = trace_ref[k]
         snap = trace_pos[max(k - params.delay_ticks, 0)]
         refs[rows] = np.matmul(w[:, None, :], snap[nbr])[:, 0, :]
-
-        trace_ref[k] = refs
-        trace_des[k] = des
 
         if k < ticks:
             for _ in range(substeps):

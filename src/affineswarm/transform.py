@@ -35,10 +35,24 @@ UNIFORM_STRAIN_TOL = 1e-9
 PLANAR_TOL = 1e-9
 
 
-def _yaw(angle: float) -> np.ndarray:
-    """Rotation by ``angle`` about the z axis."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def _yaw(angle) -> np.ndarray:
+    """Rotation by ``angle`` about the z axis; an array of angles gives a stack.
+
+    ``math.cos``/``math.sin`` are mapped over the angles so every host
+    yields the same bits as a scalar evaluation (numpy's SIMD kernels may
+    differ from libm in the last place).
+    """
+    a = np.asarray(angle, dtype=float)
+    flat = a.ravel().tolist()
+    c = np.fromiter(map(math.cos, flat), float, len(flat)).reshape(a.shape)
+    s = np.fromiter(map(math.sin, flat), float, len(flat)).reshape(a.shape)
+    r = np.zeros(a.shape + (3, 3))
+    r[..., 0, 0] = c
+    r[..., 0, 1] = -s
+    r[..., 1, 0] = s
+    r[..., 1, 1] = c
+    r[..., 2, 2] = 1.0
+    return r
 
 
 def _wrap_half_pi(angle: float) -> float:
@@ -122,16 +136,37 @@ class JacobianDecomposition:
         return AtCoordinates(d1, d2, self.lambda1, self.lambda2, self.psi_d, self.psi_r)
 
 
+def _factors(lambda1, lambda2, psi_d, psi_r):
+    """``(Q, R_r, R_D, Lambda)`` with ``Q = R_r R_D Lambda R_D^T``.
+
+    Scalars give 3x3 matrices; equal-length arrays give (T, 3, 3) stacks
+    whose slices equal the scalar results bit for bit.
+    """
+    r_r = _yaw(psi_r)
+    r_d = _yaw(psi_d)
+    lam = np.zeros(r_d.shape)
+    lam[..., 0, 0] = lambda1
+    lam[..., 1, 1] = lambda2
+    lam[..., 2, 2] = 1.0
+    q = r_r @ r_d @ lam @ np.swapaxes(r_d, -1, -2)
+    return q, r_r, r_d, lam
+
+
+def jacobian_stack(coords: np.ndarray) -> np.ndarray:
+    """Jacobians (T, 3, 3) for coordinate rows (T, 6) in ``AtCoordinates`` order."""
+    coords = np.asarray(coords, dtype=float)
+    return _factors(coords[:, 2], coords[:, 3], coords[:, 4], coords[:, 5])[0]
+
+
 def assemble_jacobian(coords: AtCoordinates) -> JacobianDecomposition:
     """Build the Jacobian ``R_r R_D Lambda R_D^T`` from generalized coordinates.
 
     The third row and column of the result are (0, 0, 1): a planar map
     leaves altitude fixed.
     """
-    r_r = _yaw(coords.psi_r)
-    r_d = _yaw(coords.psi_d)
-    lam = np.diag([coords.lambda1, coords.lambda2, 1.0])
-    q = r_r @ r_d @ lam @ r_d.T
+    q, r_r, r_d, lam = _factors(
+        coords.lambda1, coords.lambda2, coords.psi_d, coords.psi_r
+    )
     return JacobianDecomposition(
         Q=q,
         R_r=r_r,
@@ -183,9 +218,7 @@ def decompose_jacobian(q: np.ndarray) -> JacobianDecomposition:
     else:
         # Right singular vector of the larger strain = first principal axis.
         psi_d = _wrap_half_pi(math.atan2(vt[0, 1], vt[0, 0]))
-    r_r = _yaw(psi_r)
-    r_d = _yaw(psi_d)
-    lam = np.diag([lambda1, lambda2, 1.0])
+    _, r_r, r_d, lam = _factors(lambda1, lambda2, psi_d, psi_r)
     return JacobianDecomposition(
         Q=q,
         R_r=r_r,
@@ -199,9 +232,15 @@ def decompose_jacobian(q: np.ndarray) -> JacobianDecomposition:
 
 
 def transform_points(q: np.ndarray, d: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Apply ``Q a + d`` to every row of an (N, 3) array of points."""
+    """Apply ``Q a + d`` to every row of an (N, 3) array of points.
+
+    With stacks ``q`` (T, 3, 3) and ``d`` (T, 3) the result is (T, N, 3),
+    slice ``k`` being the image under ``(q[k], d[k])``.
+    """
     pts = np.asarray(points, dtype=float)
-    return pts @ np.asarray(q, dtype=float).T + np.asarray(d, dtype=float)
+    q = np.asarray(q, dtype=float)
+    d = np.asarray(d, dtype=float)
+    return pts @ np.swapaxes(q, -1, -2) + d[..., None, :]
 
 
 def min_scaling_bound(delta: float, radius: float, d_min: float) -> float:

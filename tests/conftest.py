@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from affineswarm import (
     compute_alpha,
     compute_follower_weights,
     load_default_scenario,
+    quintic_blend,
 )
 
 
@@ -143,3 +147,50 @@ def random_schedule(rng: np.random.Generator, z: float = 1.0) -> PhaseSchedule:
         t += dt
         prev = end
     return PhaseSchedule(phases=tuple(phases), z=z)
+
+
+def schedule_oracle(schedule: PhaseSchedule, t: float):
+    """Coordinates (6-tuple), ``Q`` and ``d`` of a schedule at one time.
+
+    A per-tick restatement of the scalar semantics ``PhaseSchedule.sample``
+    must reproduce bit for bit: hold the first start at or before the
+    first phase, the last end at or after the last one, blend inside the
+    first phase with ``t0 <= t < tf``, take the next phase's start in a
+    crack between phases, then add the translation ramp (a step at ``tf``
+    when ``tf <= t0``). ``Q = R_r R_D Lambda R_D^T`` from 3x3 yaw
+    matrices built with ``math.cos``/``math.sin``.
+    """
+    phases = schedule.phases
+    if t <= phases[0].t0:
+        base = astuple(phases[0].start)
+    elif t >= phases[-1].tf:
+        base = astuple(phases[-1].end)
+    else:
+        base = None
+        for ph in phases:
+            if ph.t0 <= t < ph.tf:
+                b = quintic_blend((t - ph.t0) / (ph.tf - ph.t0))
+                base = tuple(
+                    a + b * (e - a) for a, e in zip(astuple(ph.start), astuple(ph.end))
+                )
+                break
+        if base is None:
+            base = astuple(next(ph for ph in phases if t < ph.t0).start)
+    ramp = schedule.translation
+    if ramp is not None:
+        if ramp.tf <= ramp.t0:
+            b = 1.0 if t >= ramp.tf else 0.0
+        else:
+            b = quintic_blend((t - ramp.t0) / (ramp.tf - ramp.t0))
+        r1 = ramp.start[0] + b * (ramp.end[0] - ramp.start[0])
+        r2 = ramp.start[1] + b * (ramp.end[1] - ramp.start[1])
+        base = (base[0] + r1, base[1] + r2) + tuple(base[2:])
+
+    def yaw(angle):
+        c, s = math.cos(angle), math.sin(angle)
+        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+    d1, d2, lambda1, lambda2, psi_d, psi_r = base
+    r_r, r_d = yaw(psi_r), yaw(psi_d)
+    q = r_r @ r_d @ np.diag([lambda1, lambda2, 1.0]) @ r_d.T
+    return base, q, np.array([d1, d2, 0.0])

@@ -7,9 +7,11 @@ import pytest
 
 from affineswarm import (
     SimParams,
+    SimTrace,
     build_matrices,
     compute_alpha,
     compute_follower_weights,
+    LeaderTrajectory,
     leader_trajectory,
     run_simulation,
     scenario_sha256,
@@ -17,6 +19,7 @@ from affineswarm import (
     verify_spectrum,
 )
 from affineswarm.bundle import (
+    PLAN_COLUMNS,
     TRACE_COLUMNS,
     emit_bundle,
     matrices_document,
@@ -84,6 +87,66 @@ class TestTraceCsv:
         for field in row.split(","):
             mantissa = field.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
             assert len(mantissa) <= 9
+
+
+EDGE_VALUES = (-0.0, 5e-324, 1e300, 9.9999999995, -1.5e-7, 123456789.5, 0.1)
+
+
+def _edge_table(rows, cols):
+    values = np.resize(np.array(EDGE_VALUES), rows * cols)
+    return values.reshape(rows, cols)
+
+
+class TestOnePassFormatting:
+    """The one-pass ``%.9g`` formatter equals ``format(float(v), ".9g")`` per value."""
+
+    def test_trace_csv_edge_values(self):
+        table = _edge_table(len(EDGE_VALUES) + 1, 10)
+        trace = SimTrace(
+            times=table[:, 0],
+            agent_ids=("a",),
+            roles=("leader",),
+            positions=table[:, None, 1:4],
+            references=table[:, None, 4:7],
+            desired=table[:, None, 7:10],
+        )
+        lines = trace_csv_text(trace, "a").split("\n")
+        assert lines[0] == ",".join(TRACE_COLUMNS)
+        assert lines[-1] == ""
+        expected = [",".join(format(float(v), ".9g") for v in row) for row in table]
+        assert lines[1:-1] == expected
+        assert "-0" in lines[1].split(",")
+        assert "4.94065646e-324" in lines[1].split(",")
+
+    def test_plan_csv_edge_values(self):
+        table = _edge_table(4, 10)
+        traj = LeaderTrajectory(
+            times=table[:, 0],
+            agent_ids=("u1", "u%2", "u3"),
+            positions=table[:, 1:].reshape(4, 3, 3),
+        )
+        lines = plan_csv_text(traj).split("\n")
+        assert lines[0] == ",".join(PLAN_COLUMNS)
+        expected = [
+            ",".join(
+                [format(float(traj.times[k]), ".9g"), aid]
+                + [format(float(v), ".9g") for v in traj.positions[k, i]]
+            )
+            for k in range(4)
+            for i, aid in enumerate(traj.agent_ids)
+        ]
+        assert lines[1:] == expected + [""]
+
+    def test_empty_trace_is_header_only(self):
+        trace = SimTrace(
+            times=np.empty(0),
+            agent_ids=("a",),
+            roles=("leader",),
+            positions=np.empty((0, 1, 3)),
+            references=np.empty((0, 1, 3)),
+            desired=np.empty((0, 1, 3)),
+        )
+        assert trace_csv_text(trace, "a") == ",".join(TRACE_COLUMNS) + "\n"
 
 
 class TestPlanCsv:

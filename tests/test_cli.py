@@ -146,6 +146,26 @@ class TestSimulate:
             == 0
         )
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--dt", "0.003", "not an integer multiple of dt=0.003"),
+            ("--dt", "nan", "dt must be positive and finite"),
+            ("--kp", "-1", "tracker gains must be positive"),
+            ("--duration", "0.001", "duration must cover at least one control tick"),
+        ],
+    )
+    def test_rejected_flag_value_is_usage_error(
+        self, fast_path, tmp_path, capsys, flag, value, message
+    ):
+        out = tmp_path / "bundle"
+        assert main(["simulate", fast_path, "--out", str(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ")
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_env_var_default_out(self, fast_path, tmp_path, monkeypatch):
         monkeypatch.setenv("AFFINESWARM_OUT", str(tmp_path / "envroot"))
         monkeypatch.chdir(tmp_path)
@@ -183,6 +203,24 @@ class TestValidate:
         capsys.readouterr()
         assert main(["validate", str(out)]) == 2
         assert f"{trace}: damaged trace CSV" in capsys.readouterr().err
+
+
+    def test_manifest_without_keys_is_parse_error(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        (bundle / "manifest.json").write_text("{}")
+        assert main(["validate", str(bundle)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bundle / 'manifest.json'}: missing key 'scenario'" in err
+
+    def test_missing_trace_is_parse_error(self, fast_path, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        assert main(["simulate", fast_path, "--out", str(out)]) == 0
+        trace = out / "trace_cf3.csv"
+        trace.unlink()
+        capsys.readouterr()
+        assert main(["validate", str(out)]) == 2
+        assert f"{trace}: cannot read trace CSV" in capsys.readouterr().err
 
 
 class TestUsage:

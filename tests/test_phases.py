@@ -1,9 +1,11 @@
 """Phase schedules, quintic blending, leader trajectories, safety sampling."""
 
 import logging
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from conftest import schedule_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,6 +141,14 @@ class TestPhaseScheduleValidation:
         with pytest.raises(ScheduleError):
             PhaseSchedule(phases=(), z=1.0)
 
+    def test_phase_out_of_time_order_rejected(self):
+        # A phase shorter than the boundary tolerance lets the next one
+        # start before it does; the schedule must run forward in time.
+        a = Phase(0.0, 5e-10, AtCoordinates(), AtCoordinates())
+        b = Phase(-4e-10, 1.0, AtCoordinates(), AtCoordinates())
+        with pytest.raises(ScheduleError, match="start and end after phase 0"):
+            PhaseSchedule(phases=(a, b), z=1.0)
+
 
 class TestCoordsAt:
     def test_default_schedule_endpoints(self, default_scenario):
@@ -208,6 +218,90 @@ class TestCoordsAt:
         for t in np.linspace(0.0, 10.0, 200):
             lam = sched.coords_at(float(t)).lambda1
             assert 0.5 <= lam <= 1.0
+
+
+_coord = st.floats(-3.0, 3.0)
+_strain = st.floats(0.1, 2.0)
+_angle = st.floats(-4.0, 4.0)
+# Offsets within the 1e-9 boundary tolerance: cracks (> 0) and overlaps (< 0).
+_crack = st.one_of(st.just(0.0), st.floats(-9e-10, 9e-10))
+_jitter = st.sampled_from([0.0, 5e-13, -5e-13])
+
+
+@st.composite
+def schedules(draw):
+    """Multi-phase schedules with cracks, overlaps and an optional ramp."""
+
+    def coords():
+        return AtCoordinates(
+            draw(_coord), draw(_coord), draw(_strain), draw(_strain),
+            draw(_angle), draw(_angle),
+        )
+
+    t = draw(st.floats(-5.0, 5.0))
+    start = coords()
+    phases = []
+    for _ in range(draw(st.integers(1, 4))):
+        tf = t + draw(st.floats(1e-6, 10.0))
+        end = coords()
+        phases.append(Phase(t, tf, start, end))
+        t = tf + draw(_crack)
+        # The next start may differ from this end within the 1e-12 tolerance.
+        start = AtCoordinates(*(v + draw(_jitter) for v in astuple(end)))
+    ramp = None
+    if draw(st.booleans()):
+        # tf <= t0 is allowed: the ramp is then a step at tf.
+        ramp = TranslationRamp(
+            t0=draw(st.floats(-10.0, 40.0)),
+            tf=draw(st.floats(-10.0, 40.0)),
+            start=(draw(_coord), draw(_coord)),
+            end=(draw(_coord), draw(_coord)),
+        )
+    return PhaseSchedule(phases=tuple(phases), z=1.0, translation=ramp)
+
+
+def sample_times(schedule, extra):
+    """Phase and ramp boundaries, their float neighbours, crack midpoints,
+    times before the start and after the end, plus ``extra``."""
+    edges = [t for ph in schedule.phases for t in (ph.t0, ph.tf)]
+    if schedule.translation is not None:
+        edges += [schedule.translation.t0, schedule.translation.tf]
+    times = list(edges) + list(extra)
+    times += [np.nextafter(t, -np.inf) for t in edges]
+    times += [np.nextafter(t, np.inf) for t in edges]
+    times += [
+        (a.tf + b.t0) / 2.0 for a, b in zip(schedule.phases, schedule.phases[1:])
+    ]
+    times += [schedule.t_start - 1.0, schedule.t_end + 1.0]
+    return np.array(times, dtype=float)
+
+
+class TestSample:
+    @settings(max_examples=150, deadline=None)
+    @given(schedules(), st.lists(st.floats(-20.0, 60.0), max_size=20))
+    def test_matches_scalar_oracle_bit_for_bit(self, schedule, extra):
+        times = sample_times(schedule, extra)
+        coords, q, d = schedule.sample(times)
+        expected = [schedule_oracle(schedule, float(t)) for t in times]
+        assert coords.tobytes() == np.array([e[0] for e in expected]).tobytes()
+        assert q.tobytes() == np.array([e[1] for e in expected]).tobytes()
+        assert d.tobytes() == np.array([e[2] for e in expected]).tobytes()
+        # The one-time accessors are one-row views of the same evaluator.
+        t = float(times[0])
+        assert np.array(astuple(schedule.coords_at(t))).tobytes() == (
+            np.array(expected[0][0]).tobytes()
+        )
+        q0, d0 = schedule.jacobian_at(t)
+        assert q0.tobytes() == expected[0][1].tobytes()
+        assert d0.tobytes() == expected[0][2].tobytes()
+
+    def test_desired_positions_stack_equals_each_time(self, default_scenario):
+        cfg, sched = default_scenario.config, default_scenario.schedule
+        times = np.linspace(-1.0, 31.0, 33)
+        stack = desired_positions(cfg, sched, times)
+        assert stack.shape == (len(times), len(cfg.agents), 3)
+        for k, t in enumerate(times):
+            assert np.array_equal(stack[k], desired_positions(cfg, sched, float(t)))
 
 
 class TestLeaderTrajectory:
@@ -322,3 +416,28 @@ class TestCheckScheduleSafety:
         )
         report = check_schedule_safety(sched, 0.5)
         assert report.passed
+
+    def test_every_violating_run_is_reported(self):
+        # Dips below the bound twice; the second dip lasts to the end.
+        full, low = AtCoordinates(), AtCoordinates(lambda1=0.2, lambda2=0.2)
+        sched = PhaseSchedule(
+            phases=(
+                Phase(0.0, 10.0, full, low),
+                Phase(10.0, 20.0, low, full),
+                Phase(20.0, 30.0, full, low),
+            ),
+            z=1.0,
+        )
+        report = check_schedule_safety(sched, 0.3, tick_rate=10.0)
+        times = np.arange(301) / 10.0
+        bad = [sched.coords_at(float(t)).lambda1 < 0.3 for t in times]
+        runs, first = [], None
+        for k, flag in enumerate(bad + [False]):
+            if flag and first is None:
+                first = k
+            elif not flag and first is not None:
+                runs.append((float(times[first]), float(times[k - 1])))
+                first = None
+        assert len(runs) == 2
+        assert report.violations == runs
+        assert report.violations[-1][1] == 30.0
