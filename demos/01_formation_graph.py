@@ -1,18 +1,17 @@
 """Build the formation graph for the bundled six-agent team.
 
-Walks through the whole graph pipeline: validation, barycentric
-coefficients over the leaders, communication weights over each
-follower's in-neighbors, the W/L/H matrices, and the numerical spectrum
-check that guarantees decentralized convergence. Finishes with the
+Walks through the whole graph pipeline: validation, then one constructor,
+``FormationMatrices.from_config``, that solves every follower's
+barycentric coordinates in one batched pass (over its in-neighbors for
+the communication weights in ``W``, over the leaders for ``H``), and the
+numerical spectrum check that guarantees decentralized convergence. Finishes with the
 fixed-point iteration that a follower network effectively performs.
 """
 
 import numpy as np
 
 from affineswarm import (
-    build_matrices,
-    compute_alpha,
-    compute_follower_weights,
+    FormationMatrices,
     load_default_scenario,
     validate_config,
     verify_spectrum,
@@ -31,16 +30,14 @@ for fid, nbrs in cfg.in_neighbors.items():
 report = validate_config(cfg)
 print("\nvalidation:", "ok" if report.ok else report.messages())
 
-alpha = compute_alpha(cfg)
-weights = compute_follower_weights(cfg)
-print("\nbarycentric coefficients over the leaders:")
-for fid, a in alpha.items():
+m = FormationMatrices.from_config(cfg)
+followers = m.agent_ids[3:]
+print("\nbarycentric coefficients over the leaders (rows of H):")
+for fid, a in zip(followers, m.H[3:]):
     print(f"  {fid}: {a}")
-print("communication weights over in-neighbors:")
-for fid, w in weights.items():
-    print(f"  {fid}: {w}")
-
-m = build_matrices(cfg, weights, alpha)
+print("communication weights over in-neighbors (W at the neighbor columns):")
+for k, fid in enumerate(followers):
+    print(f"  {fid}: {m.W[3 + k, m.neighbors[k]]}")
 print("\nW =\n", m.W)
 print("H =\n", m.H)
 

@@ -11,10 +11,8 @@ import time
 import numpy as np
 
 from affineswarm import (
-    build_matrices,
+    FormationMatrices,
     check_schedule_safety,
-    compute_alpha,
-    compute_follower_weights,
     load_default_scenario,
     min_reference_distance,
     min_scaling_bound,
@@ -24,7 +22,7 @@ from affineswarm import (
 
 scenario = load_default_scenario()
 cfg = scenario.config
-matrices = build_matrices(cfg, compute_follower_weights(cfg), compute_alpha(cfg))
+matrices = FormationMatrices.from_config(cfg)
 bound = min_scaling_bound(
     scenario.safety.delta_budget,
     scenario.safety.agent_radius,

@@ -9,12 +9,10 @@ with the violating interval reported).
 
 from affineswarm import (
     AtCoordinates,
+    FormationMatrices,
     Phase,
     PhaseSchedule,
-    build_matrices,
     check_schedule_safety,
-    compute_alpha,
-    compute_follower_weights,
     load_default_scenario,
     min_reference_distance,
     min_scaling_bound,
@@ -25,7 +23,7 @@ from affineswarm import (
 
 scenario = load_default_scenario()
 cfg = scenario.config
-matrices = build_matrices(cfg, compute_follower_weights(cfg), compute_alpha(cfg))
+matrices = FormationMatrices.from_config(cfg)
 
 trace = run_simulation(cfg, matrices, scenario.schedule, scenario.params)
 delta = tracking_error_metrics(trace).measured_delta

@@ -24,9 +24,6 @@ from .formation import (
     ReferenceConfig,
     SpectralReport,
     ValidationReport,
-    build_matrices,
-    compute_alpha,
-    compute_follower_weights,
     min_reference_distance,
     validate_config,
     verify_spectrum,
@@ -105,10 +102,7 @@ __all__ = [
     "TranslationRamp",
     "ValidationReport",
     "assemble_jacobian",
-    "build_matrices",
     "check_schedule_safety",
-    "compute_alpha",
-    "compute_follower_weights",
     "convergence_check",
     "corridor_clearance",
     "decompose_jacobian",

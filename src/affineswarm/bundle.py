@@ -68,11 +68,13 @@ def matrices_document(
     matrices: FormationMatrices, spectrum: SpectralReport | None = None
 ) -> dict:
     """Row-major JSON document with W, L, H, alpha, and per-follower w."""
+    followers = matrices.agent_ids[3:]
+    weights = np.take_along_axis(matrices.W[3:], matrices.neighbors, axis=1)
     doc = {
         "agent_order": list(matrices.agent_ids),
-        "follower_order": list(matrices.follower_ids),
-        "alpha": [list(map(float, row)) for row in matrices.alpha],
-        "w": {fid: list(map(float, w)) for fid, w in matrices.weights.items()},
+        "follower_order": list(followers),
+        "alpha": [list(map(float, row)) for row in matrices.H[3:]],
+        "w": {fid: list(map(float, w)) for fid, w in zip(followers, weights)},
         "W": [list(map(float, row)) for row in matrices.W],
         "L": [list(map(float, row)) for row in matrices.L],
         "H": [list(map(float, row)) for row in matrices.H],

@@ -31,13 +31,7 @@ from .bundle import (
     safety_document,
 )
 from .errors import AffineSwarmError, SafetyError, ScenarioError
-from .formation import (
-    build_matrices,
-    compute_alpha,
-    compute_follower_weights,
-    min_reference_distance,
-    verify_spectrum,
-)
+from .formation import FormationMatrices, min_reference_distance, verify_spectrum
 from .metrics import validate_run
 from .phases import check_schedule_safety, leader_trajectory
 from .scenario import Scenario, load_scenario, parse_scenario
@@ -116,9 +110,7 @@ def _cmd_plan(args) -> int:
 
 
 def _graph_doc(scenario: Scenario):
-    weights = compute_follower_weights(scenario.config)
-    alpha = compute_alpha(scenario.config)
-    matrices = build_matrices(scenario.config, weights, alpha)
+    matrices = FormationMatrices.from_config(scenario.config)
     spectrum = verify_spectrum(matrices)
     return matrices, spectrum
 
@@ -218,9 +210,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_validate(args) -> int:
     manifest = read_manifest(args.bundle)
-    scenario = parse_scenario(
-        json.dumps(manifest["scenario"]), source=f"{args.bundle}/manifest.json"
-    )
+    source = f"{args.bundle}/manifest.json"
+    scenario = parse_scenario(json.dumps(manifest["scenario"]), source=source)
+    order, ids = manifest["agent_order"], list(scenario.config.ids)
+    if order != ids:
+        raise ScenarioError(
+            [f"{source}: agent_order {order!r} is not the scenario's matrix order {ids!r}"]
+        )
     trace = read_trace(args.bundle, manifest)
     corridor = scenario.corridor
     metrics = validate_run(

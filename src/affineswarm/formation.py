@@ -6,7 +6,8 @@ exactly three in-neighbors and must sit strictly inside their triangle,
 which makes its communication weights (the barycentric coordinates of
 its reference position in that triangle) strictly positive and unique.
 
-From the weights we assemble:
+``FormationMatrices.from_config`` solves every follower's coordinates in
+one batched pass (the pass ``validate_config`` checks) and assembles:
 
 * ``W`` (N x N): -1 on the diagonal, follower rows carry their weights in
   the in-neighbor columns, leader rows are pure -1 diagonal entries.
@@ -21,7 +22,9 @@ team settles. ``verify_spectrum`` checks both facts numerically.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,14 +88,16 @@ class ReferenceConfig:
     def follower_ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.agents if a.role == ROLE_FOLLOWER)
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        # Built back to front, so a repeated id maps to its first row.
+        return {a.id: i for i, a in reversed(tuple(enumerate(self.agents)))}
+
     def index_of(self, agent_id: str) -> int:
-        return self.ids.index(agent_id)
+        return self._index[agent_id]
 
     def agent(self, agent_id: str) -> Agent:
-        for a in self.agents:
-            if a.id == agent_id:
-                return a
-        raise KeyError(agent_id)
+        return self.agents[self._index[agent_id]]
 
     def planar_positions(self) -> np.ndarray:
         """(N, 2) array of initial positions in matrix order."""
@@ -123,18 +128,32 @@ class ValidationReport:
     def messages(self) -> list[str]:
         return [f"{v.code}: {v.message}" for v in self.violations]
 
+    def raise_if_invalid(self):
+        """Raise ``ConfigError`` listing every violation, if there is any."""
+        if self.violations:
+            raise ConfigError("invalid configuration: " + "; ".join(self.messages()))
 
-def _barycentric(point: np.ndarray, triangle: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of a planar point in a triangle.
 
-    ``triangle`` is (3, 2), rows are vertices. Raises ``ConfigError`` when
-    the vertices are collinear.
+def _barycentric(
+    xy: np.ndarray, points: np.ndarray, triangles: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Barycentric coordinates of the rows ``points`` in the triangles ``triangles``.
+
+    ``points`` is (K,) and ``triangles`` (K, 3), both rows of the (N, 2)
+    planar positions ``xy``. One batched ``det`` and ``solve`` over the
+    systems ``[x; y; 1] c = [p; 1]``. Returns ``(solvable, coords)``: a
+    triangle whose ``|det|`` is not above ``COLLINEAR_TOL`` (NaN included)
+    is not solved, and its coordinates are NaN.
     """
-    m = np.vstack([triangle.T, np.ones(3)])
-    if abs(np.linalg.det(m)) <= COLLINEAR_TOL:
-        raise ConfigError("triangle vertices are collinear (singular system)")
-    rhs = np.array([point[0], point[1], 1.0])
-    return np.linalg.solve(m, rhs)
+    m = np.ones((len(points), 3, 3))
+    m[:, :2] = xy[triangles].transpose(0, 2, 1)
+    coords = np.full((len(points), 3), np.nan)
+    with np.errstate(invalid="ignore"):
+        solvable = np.abs(np.linalg.det(m)) > COLLINEAR_TOL
+        rhs = np.ones((np.count_nonzero(solvable), 3, 1))
+        rhs[:, :2, 0] = xy[points[solvable]]
+        coords[solvable] = np.linalg.solve(m[solvable], rhs)[..., 0]
+    return solvable, coords
 
 
 def _reachable_from(cfg: ReferenceConfig, source: str) -> set[str]:
@@ -155,20 +174,19 @@ def _reachable_from(cfg: ReferenceConfig, source: str) -> set[str]:
     return seen
 
 
-def validate_config(cfg: ReferenceConfig) -> ValidationReport:
-    """Check every structural and geometric invariant of a configuration.
+def _audit(cfg: ReferenceConfig):
+    """``validate_config``'s violations and the barycentric pass they rest on.
 
-    Returns a report listing all violations found; an empty report means
-    the configuration is usable. Checks: role counts and ordering, unique
-    ids, leader independence, in-neighbor cardinality, leader
-    non-collinearity, strict containment of each follower in its
-    in-neighbor triangle, and reachability of every follower from every
-    leader.
+    Returns ``(report, neighbors, weights, alpha)``: the (F, 3)
+    in-neighbor rows of every follower with a well-formed triple, in
+    ``follower_ids`` order; their raw coordinates in those triangles; and
+    every agent's raw coordinates in the leader triangle (N, 3), NaN when
+    there is no such triangle.
     """
     violations: list[Violation] = []
 
-    ids = [a.id for a in cfg.agents]
-    for dup in sorted({i for i in ids if ids.count(i) > 1}):
+    ids = cfg.ids
+    for dup in sorted(i for i, count in Counter(ids).items() if count > 1):
         violations.append(Violation("duplicate-id", f"agent id {dup!r} repeats"))
 
     leaders = cfg.leader_ids
@@ -231,10 +249,22 @@ def validate_config(cfg: ReferenceConfig) -> ValidationReport:
                 Violation("unknown-neighbor", f"graph names unknown agent {fid!r}")
             )
 
+    xy = cfg.planar_positions().reshape(-1, 2)
+    rows = np.array([cfg.index_of(fid) for fid in followers_ok], dtype=int)
+    neighbors = np.array(
+        [[cfg.index_of(j) for j in cfg.in_neighbors[fid]] for fid in followers_ok],
+        dtype=int,
+    ).reshape(-1, 3)
+    solvable, weights = _barycentric(xy, rows, neighbors)
+    partitioned = np.abs(weights.sum(axis=1) - 1.0) <= PARTITION_TOL
+
+    alpha = np.full((len(xy), 3), np.nan)
     if len(leaders) == 3:
-        tri = np.array([[cfg.agent(l).x, cfg.agent(l).y] for l in leaders])
-        m = np.vstack([tri.T, np.ones(3)])
-        if abs(np.linalg.det(m)) <= COLLINEAR_TOL:
+        triangle = [cfg.index_of(lid) for lid in leaders]
+        leaders_ok, alpha = _barycentric(
+            xy, np.arange(len(xy)), np.broadcast_to(triangle, (len(xy), 3))
+        )
+        if not leaders_ok[0]:
             violations.append(
                 Violation(
                     "collinear-leaders",
@@ -242,28 +272,31 @@ def validate_config(cfg: ReferenceConfig) -> ValidationReport:
                     "system is singular",
                 )
             )
+        else:
+            partitioned &= np.abs(alpha[rows].sum(axis=1) - 1.0) <= PARTITION_TOL
 
-    for fid in followers_ok:
-        agent = cfg.agent(fid)
-        tri = np.array(
-            [[cfg.agent(j).x, cfg.agent(j).y] for j in cfg.in_neighbors[fid]]
-        )
-        try:
-            coords = _barycentric(np.array([agent.x, agent.y]), tri)
-        except ConfigError:
+    contained = weights.min(axis=1) > CONTAINMENT_TOL
+    for k in np.flatnonzero(~(contained & partitioned)):
+        fid = followers_ok[k]
+        if not solvable[k]:
             violations.append(
-                Violation(
-                    "neighbor-collinear",
-                    f"in-neighbors of {fid!r} are collinear",
-                )
+                Violation("neighbor-collinear", f"in-neighbors of {fid!r} are collinear")
             )
-            continue
-        if coords.min() <= CONTAINMENT_TOL:
+        elif not contained[k]:
             violations.append(
                 Violation(
                     "containment",
                     f"follower {fid!r} is not strictly inside its in-neighbor "
-                    f"triangle (barycentric coordinates {coords.round(12).tolist()})",
+                    f"triangle (barycentric coordinates "
+                    f"{weights[k].round(12).tolist()})",
+                )
+            )
+        else:
+            violations.append(
+                Violation(
+                    "partition",
+                    f"barycentric coordinates of {fid!r} do not sum to 1 "
+                    f"within {PARTITION_TOL}",
                 )
             )
 
@@ -279,121 +312,62 @@ def validate_config(cfg: ReferenceConfig) -> ValidationReport:
                     )
                 )
 
-    return ValidationReport(tuple(violations))
+    return ValidationReport(tuple(violations)), neighbors, weights, alpha
 
 
-def compute_alpha(cfg: ReferenceConfig) -> dict[str, np.ndarray]:
-    """Barycentric coordinates of each follower with respect to the leaders.
+def validate_config(cfg: ReferenceConfig) -> ValidationReport:
+    """Check every structural and geometric invariant of a configuration.
 
-    Solves the 3x3 affine system per follower; each triple is renormalized
-    to sum exactly to 1 after checking the raw solve already sums to 1
-    within ``PARTITION_TOL``.
+    Returns a report listing all violations found; an empty report means
+    the configuration is usable. Checks: role counts and ordering, unique
+    ids, leader independence, in-neighbor cardinality, leader
+    non-collinearity, strict containment of each follower in its
+    in-neighbor triangle (coordinates that sum to 1 within
+    ``PARTITION_TOL``), and reachability of every follower from every
+    leader. Every geometric check is written so that NaN fails it.
     """
-    leaders = cfg.leader_ids
-    if len(leaders) != 3:
-        raise ConfigError(f"expected 3 leaders, got {len(leaders)}")
-    tri = np.array([[cfg.agent(l).x, cfg.agent(l).y] for l in leaders])
-    out: dict[str, np.ndarray] = {}
-    for fid in cfg.follower_ids:
-        agent = cfg.agent(fid)
-        try:
-            coeffs = _barycentric(np.array([agent.x, agent.y]), tri)
-        except ConfigError as exc:
-            raise ConfigError(
-                f"leader positions are collinear; cannot place {fid!r}: {exc}"
-            ) from exc
-        if abs(coeffs.sum() - 1.0) > PARTITION_TOL:
-            raise ConfigError(
-                f"barycentric solve for {fid!r} sums to {coeffs.sum()!r}, "
-                "outside tolerance"
-            )
-        out[fid] = coeffs / coeffs.sum()
-    return out
-
-
-def compute_follower_weights(cfg: ReferenceConfig) -> dict[str, np.ndarray]:
-    """Communication weights of each follower over its in-neighbor triple.
-
-    The weights are the barycentric coordinates of the follower's
-    reference position in its in-neighbor triangle; they must be strictly
-    positive (strict containment) and are renormalized to sum exactly
-    to 1.
-    """
-    out: dict[str, np.ndarray] = {}
-    for fid in cfg.follower_ids:
-        nbrs = cfg.in_neighbors.get(fid)
-        if nbrs is None or len(nbrs) != 3:
-            raise ConfigError(f"follower {fid!r} needs exactly 3 in-neighbors")
-        agent = cfg.agent(fid)
-        tri = np.array([[cfg.agent(j).x, cfg.agent(j).y] for j in nbrs])
-        try:
-            w = _barycentric(np.array([agent.x, agent.y]), tri)
-        except ConfigError as exc:
-            raise ConfigError(f"in-neighbors of {fid!r} are collinear") from exc
-        if w.min() <= CONTAINMENT_TOL:
-            raise ConfigError(
-                f"follower {fid!r} is not strictly inside its in-neighbor "
-                f"triangle; weights {w.round(12).tolist()} are not all positive"
-            )
-        if abs(w.sum() - 1.0) > PARTITION_TOL:
-            raise ConfigError(
-                f"weight solve for {fid!r} sums to {w.sum()!r}, outside tolerance"
-            )
-        out[fid] = w / w.sum()
-    return out
+    return _audit(cfg)[0]
 
 
 @dataclass(frozen=True)
 class FormationMatrices:
-    """Consensus matrices assembled from one configuration.
+    """Consensus matrices of one configuration, in its matrix order.
 
-    ``alpha`` rows follow ``follower_ids`` order; ``weights`` maps each
-    follower to its in-neighbor weight triple.
+    The leaders are rows 0-2, so follower ``k`` is row ``3 + k``: its
+    in-neighbor rows are ``neighbors[k]`` (an (F, 3) integer array), its
+    weights ``W[3 + k, neighbors[k]]`` and its barycentric coordinates in
+    the leader triangle ``H[3 + k]``.
     """
 
-    alpha: np.ndarray
-    weights: dict[str, np.ndarray]
     W: np.ndarray
     L: np.ndarray
     H: np.ndarray
     agent_ids: tuple[str, ...]
-    follower_ids: tuple[str, ...]
+    neighbors: np.ndarray
 
+    @classmethod
+    def from_config(cls, cfg: ReferenceConfig) -> "FormationMatrices":
+        """Assemble ``W``, ``L`` and ``H`` from a configuration's layout.
 
-def build_matrices(
-    cfg: ReferenceConfig,
-    weights: dict[str, np.ndarray],
-    alpha: dict[str, np.ndarray],
-) -> FormationMatrices:
-    """Assemble W, L, and H from precomputed weights and barycentric rows."""
-    n = len(cfg.agents)
-    ids = cfg.ids
-    w_mat = np.zeros((n, n))
-    np.fill_diagonal(w_mat, -1.0)
-    for fid in cfg.follower_ids:
-        row = cfg.index_of(fid)
-        for j, wj in zip(cfg.in_neighbors[fid], weights[fid]):
-            w_mat[row, cfg.index_of(j)] = wj
-    l_mat = np.zeros((n, 3))
-    l_mat[:3, :3] = np.eye(3)
-    h_mat = np.zeros((n, 3))
-    h_mat[:3, :3] = np.eye(3)
-    alpha_rows = []
-    for fid in cfg.follower_ids:
-        h_mat[cfg.index_of(fid)] = alpha[fid]
-        alpha_rows.append(alpha[fid])
-    alpha_mat = (
-        np.array(alpha_rows) if alpha_rows else np.zeros((0, 3))
-    )
-    return FormationMatrices(
-        alpha=alpha_mat,
-        weights={fid: np.asarray(weights[fid], dtype=float) for fid in cfg.follower_ids},
-        W=w_mat,
-        L=l_mat,
-        H=h_mat,
-        agent_ids=ids,
-        follower_ids=cfg.follower_ids,
-    )
+        Each follower's weights and leader coordinates come from one
+        barycentric pass and are renormalized to sum exactly to 1. Raises
+        ``ConfigError`` with ``validate_config``'s messages when the
+        configuration has any violation.
+        """
+        report, neighbors, weights, alpha = _audit(cfg)
+        report.raise_if_invalid()
+        n = len(cfg.agents)
+        w_mat = np.zeros((n, n))
+        np.fill_diagonal(w_mat, -1.0)
+        w_mat[np.arange(3, n)[:, None], neighbors] = weights / weights.sum(
+            axis=1, keepdims=True
+        )
+        l_mat = np.zeros((n, 3))
+        l_mat[:3, :3] = np.eye(3)
+        h_mat = np.zeros((n, 3))
+        h_mat[:3, :3] = np.eye(3)
+        h_mat[3:] = alpha[3:] / alpha[3:].sum(axis=1, keepdims=True)
+        return cls(W=w_mat, L=l_mat, H=h_mat, agent_ids=cfg.ids, neighbors=neighbors)
 
 
 @dataclass(frozen=True)
@@ -444,3 +418,4 @@ def min_reference_distance(cfg: ReferenceConfig) -> float:
     dist = np.linalg.norm(diff, axis=-1)
     iu = np.triu_indices(len(pts), k=1)
     return float(dist[iu].min())
+

@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formation import (
-    FormationMatrices,
-    ReferenceConfig,
-    build_matrices,
-    compute_alpha,
-    compute_follower_weights,
-    min_reference_distance,
-)
+from .formation import FormationMatrices, ReferenceConfig, min_reference_distance
 from .phases import PhaseSchedule, check_schedule_safety
 from .simulation import SimTrace
 from .transform import min_scaling_bound
@@ -210,9 +203,7 @@ def validate_run(
     )
 
     if matrices is None:
-        matrices = build_matrices(
-            cfg, compute_follower_weights(cfg), compute_alpha(cfg)
-        )
+        matrices = FormationMatrices.from_config(cfg)
     # Average over the final 10% of the hold period (the span after the
     # last phase ends); fall back to 10% of the trace when there is none.
     span = float(trace.times[-1] - trace.times[0])

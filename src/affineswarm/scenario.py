@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError, ScenarioError, ScheduleError
+from .errors import ScenarioError, ScheduleError
 from .formation import Agent, ReferenceConfig, validate_config
 from .metrics import Corridor
 from .phases import Phase, PhaseSchedule, TranslationRamp
@@ -75,6 +76,17 @@ class Scenario:
     corridor: Corridor | None = None
 
 
+def _finite(value) -> float | None:
+    """``value`` as a float when it is a finite JSON number, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return value if math.isfinite(value) else None
+
+
 class _Schema:
     """Accumulates schema errors while pulling typed values out of a doc."""
 
@@ -89,11 +101,11 @@ class _Schema:
             if required:
                 self.fail(path, f"missing required key {key!r}")
             return default
-        value = doc[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.fail(f"{path}.{key}", f"expected a number, got {value!r}")
+        value = _finite(doc[key])
+        if value is None:
+            self.fail(f"{path}.{key}", f"expected a finite number, got {doc[key]!r}")
             return default
-        return float(value)
+        return value
 
     def integer(self, doc: dict, key: str, path: str, default=None):
         if key not in doc:
@@ -152,14 +164,11 @@ def _parse_coords(doc, path: str, schema: _Schema) -> AtCoordinates | None:
 def _parse_pair(value, path: str, schema: _Schema, default=None):
     if value is None:
         return default
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-    ):
-        schema.fail(path, f"expected [d1, d2], got {value!r}")
+    pair = tuple(map(_finite, value)) if isinstance(value, (list, tuple)) else ()
+    if len(pair) != 2 or None in pair:
+        schema.fail(path, f"expected [d1, d2] of finite numbers, got {value!r}")
         return default
-    return (float(value[0]), float(value[1]))
+    return pair
 
 
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
@@ -259,10 +268,12 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     sf_doc = schema.section(doc, "safety", "$")
     if sf_doc is not None:
         schema.check_keys(sf_doc, {"agent_radius", "delta_budget"}, "$.safety")
-        radius = schema.number(sf_doc, "agent_radius", "$.safety", default=0.065)
-        budget = schema.number(sf_doc, "delta_budget", "$.safety", default=0.01)
-        if radius is not None and budget is not None:
-            safety = SafetyParams(agent_radius=radius, delta_budget=budget)
+        values = {}
+        for key, default in (("agent_radius", 0.065), ("delta_budget", 0.01)):
+            values[key] = schema.number(sf_doc, key, "$.safety", default=default)
+            if values[key] < 0.0:
+                schema.fail(f"$.safety.{key}", f"must be >= 0, got {values[key]!r}")
+        safety = SafetyParams(**values)
 
     params = SimParams()
     sim_doc = schema.section(doc, "sim", "$")
@@ -306,9 +317,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         raise ScenarioError(schema.errors)
 
     cfg = ReferenceConfig.from_agents(agents, z=altitude, in_neighbors=graph)
-    report = validate_config(cfg)
-    if not report.ok:
-        raise ConfigError("invalid configuration: " + "; ".join(report.messages()))
+    validate_config(cfg).raise_if_invalid()
     try:
         schedule = PhaseSchedule(
             phases=tuple(phases), z=altitude, translation=translation

@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError, SimulationError
-from .formation import FormationMatrices, ReferenceConfig, validate_config
+from .formation import FormationMatrices, ReferenceConfig, _audit
 from .phases import PhaseSchedule, desired_positions
 
 
@@ -125,13 +125,17 @@ def run_simulation(
     checked against the strain floor here; ``check_schedule_safety`` does
     that.
     """
-    report = validate_config(cfg)
-    if not report.ok:
-        raise ConfigError("invalid configuration: " + "; ".join(report.messages()))
+    report, neighbors, _, _ = _audit(cfg)
+    report.raise_if_invalid()
     if matrices.agent_ids != cfg.ids:
         raise ConfigError(
             "matrices were built for a different configuration "
             f"({matrices.agent_ids} vs {cfg.ids})"
+        )
+    if not np.array_equal(matrices.neighbors, neighbors):
+        raise ConfigError(
+            "matrices were built for a different communication graph "
+            "than the configuration's in_neighbors"
         )
 
     n = len(cfg.agents)
@@ -155,11 +159,8 @@ def run_simulation(
 
     # Follower rows, their in-neighbor rows (F, 3) and the matching
     # entries of W: the only nonzero off-diagonal entries of each row.
-    rows = np.array([cfg.index_of(fid) for fid in cfg.follower_ids], dtype=int)
-    nbr = np.array(
-        [[cfg.index_of(j) for j in cfg.in_neighbors[fid]] for fid in cfg.follower_ids],
-        dtype=int,
-    ).reshape(-1, 3)
+    rows = np.arange(3, n)
+    nbr = matrices.neighbors
     w = matrices.W[rows[:, None], nbr]
 
     times = schedule.t_start + np.arange(ticks + 1) / params.control_rate

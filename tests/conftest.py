@@ -11,12 +11,10 @@ import pytest
 from affineswarm import (
     Agent,
     AtCoordinates,
+    FormationMatrices,
     Phase,
     PhaseSchedule,
     ReferenceConfig,
-    build_matrices,
-    compute_alpha,
-    compute_follower_weights,
     load_default_scenario,
     quintic_blend,
 )
@@ -29,8 +27,7 @@ def default_scenario():
 
 @pytest.fixture(scope="session")
 def default_matrices(default_scenario):
-    cfg = default_scenario.config
-    return build_matrices(cfg, compute_follower_weights(cfg), compute_alpha(cfg))
+    return FormationMatrices.from_config(default_scenario.config)
 
 
 def barycentric_oracle(point, triangle):
@@ -48,6 +45,34 @@ def barycentric_oracle(point, triangle):
             signed_area(a, b, point) / total,
         ]
     )
+
+
+def matrices_oracle(cfg: ReferenceConfig):
+    """``W`` and ``H`` of a valid configuration, one follower at a time.
+
+    A restatement of the per-follower solve ``FormationMatrices.from_config``
+    must reproduce bit for bit: each follower's coordinates solve
+    ``[x; y; 1] c = [p; 1]`` over its in-neighbor triangle (for ``W``) and
+    over the leader triangle (for ``H``), renormalized by their sum.
+    """
+
+    def solve(point, triangle):
+        tri = np.array([[cfg.agent(j).x, cfg.agent(j).y] for j in triangle])
+        m = np.vstack([tri.T, np.ones(3)])
+        c = np.linalg.solve(m, np.array([point.x, point.y, 1.0]))
+        return c / c.sum()
+
+    n = len(cfg.agents)
+    w_mat = np.zeros((n, n))
+    np.fill_diagonal(w_mat, -1.0)
+    h_mat = np.zeros((n, 3))
+    h_mat[:3, :3] = np.eye(3)
+    for fid in cfg.follower_ids:
+        row, agent = cfg.index_of(fid), cfg.agent(fid)
+        nbrs = cfg.in_neighbors[fid]
+        w_mat[row, [cfg.index_of(j) for j in nbrs]] = solve(agent, nbrs)
+        h_mat[row] = solve(agent, cfg.leader_ids)
+    return w_mat, h_mat
 
 
 def consensus_fixed_point(W, L, leader_values, tol=1e-13, max_iter=200_000):

@@ -13,14 +13,12 @@ import pytest
 
 from affineswarm import (
     AtCoordinates,
+    FormationMatrices,
     Phase,
     PhaseSchedule,
     SimParams,
     assemble_jacobian,
-    build_matrices,
     check_schedule_safety,
-    compute_alpha,
-    compute_follower_weights,
     decompose_jacobian,
     hold_schedule,
     load_default_scenario,
@@ -52,7 +50,7 @@ def scenario():
 @pytest.fixture(scope="module")
 def matrices(scenario):
     cfg = scenario.config
-    return build_matrices(cfg, compute_follower_weights(cfg), compute_alpha(cfg))
+    return FormationMatrices.from_config(cfg)
 
 
 def test_criterion_1_strain_bound_arithmetic(scenario):
@@ -74,7 +72,7 @@ def test_criterion_2_spectrum_for_default_and_random_configs(matrices):
     for _ in range(100):
         cfg = random_config(rng, n_followers=int(rng.integers(1, 28)))
         configs.append(
-            build_matrices(cfg, compute_follower_weights(cfg), compute_alpha(cfg))
+            FormationMatrices.from_config(cfg)
         )
     for m in configs:
         rep = verify_spectrum(m)
@@ -85,9 +83,8 @@ def test_criterion_2_spectrum_for_default_and_random_configs(matrices):
     report(2, "weight-matrix spectrum, 100 random configs up to N=30")
 
 
-def test_criterion_3_affine_consistency(scenario):
+def test_criterion_3_affine_consistency(scenario, matrices):
     cfg = scenario.config
-    alpha = compute_alpha(cfg)
     refs = cfg.reference_positions()
     rng = np.random.default_rng(3)
     worst = 0.0
@@ -105,7 +102,7 @@ def test_criterion_3_affine_consistency(scenario):
         images = transform_points(q, d, refs)
         for fid in cfg.follower_ids:
             gap = np.linalg.norm(
-                images[cfg.index_of(fid)] - alpha[fid] @ images[:3]
+                images[cfg.index_of(fid)] - matrices.H[cfg.index_of(fid)] @ images[:3]
             )
             worst = max(worst, gap)
     assert worst <= 1e-9

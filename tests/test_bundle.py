@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from affineswarm import (
+    FormationMatrices,
+    LeaderTrajectory,
     SimParams,
     SimTrace,
-    build_matrices,
-    compute_alpha,
-    compute_follower_weights,
-    LeaderTrajectory,
     leader_trajectory,
     run_simulation,
     scenario_sha256,
@@ -34,9 +32,7 @@ from affineswarm.scenario import Scenario, parse_scenario, serialize_scenario
 @pytest.fixture(scope="module")
 def default_trace(default_scenario):
     s = default_scenario
-    matrices = build_matrices(
-        s.config, compute_follower_weights(s.config), compute_alpha(s.config)
-    )
+    matrices = FormationMatrices.from_config(s.config)
     return run_simulation(s.config, matrices, s.schedule, s.params)
 
 
@@ -56,9 +52,7 @@ def short_run(default_scenario):
         safety=s.safety,
         corridor=s.corridor,
     )
-    matrices = build_matrices(
-        s.config, compute_follower_weights(s.config), compute_alpha(s.config)
-    )
+    matrices = FormationMatrices.from_config(s.config)
     trace = run_simulation(s.config, matrices, s.schedule, params)
     metrics = validate_run(
         trace, s.config, s.schedule, s.safety.agent_radius,
@@ -203,11 +197,7 @@ class TestEmitBundle:
         first = emit_bundle(tmp_path / "a", scenario, trace, metrics, matrices)
         manifest = read_manifest(first.out_dir)
         replay = parse_scenario(json.dumps(manifest["scenario"]))
-        m2 = build_matrices(
-            replay.config,
-            compute_follower_weights(replay.config),
-            compute_alpha(replay.config),
-        )
+        m2 = FormationMatrices.from_config(replay.config)
         trace2 = run_simulation(replay.config, m2, replay.schedule, replay.params)
         metrics2 = validate_run(
             trace2, replay.config, replay.schedule, replay.safety.agent_radius,

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, output documents."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -26,6 +27,62 @@ def fast_path(tmp_path):
     path = tmp_path / "fast.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def fast_bundle(tmp_path_factory):
+    """One ``simulate`` bundle of the fast scenario, for tests to copy and damage."""
+    root = tmp_path_factory.mktemp("fast")
+    doc = json.loads(default_scenario_text())
+    doc["sim"]["dt"] = 0.01
+    doc["sim"]["duration"] = 32.0
+    path = root / "fast.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--out", str(root / "bundle")]) == 0
+    return root / "bundle"
+
+
+def scenario_with(tmp_path, path_keys, value):
+    """The default scenario file with one value replaced, written as JSON."""
+    doc = json.loads(default_scenario_text())
+    node = doc
+    for key in path_keys[:-1]:
+        node = node[key]
+    node[path_keys[-1]] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity as JSON tokens
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, keys, value, where",
+    [
+        ("graph", ("agents", 3, "x"), float("nan"), "$.agents[3].x"),
+        ("simulate", ("agents", 3, "x"), float("nan"), "$.agents[3].x"),
+        ("check", ("agents", 3, "x"), float("nan"), "$.agents[3].x"),
+        ("check", ("altitude",), float("inf"), "$.altitude"),
+        ("check", ("corridor", "width"), float("nan"), "$.corridor.width"),
+        ("check", ("phases", 1, "end", "psi_r"), float("nan"), "$.phases[1].end.psi_r"),
+        ("plan", ("translation", "end"), [float("-inf"), 0.0], "$.translation.end"),
+    ],
+)
+def test_non_finite_number_is_schema_error(
+    tmp_path, capsys, command, keys, value, where
+):
+    path = scenario_with(tmp_path, keys, value)
+    argv = [command, path, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {where}: expected " in err
+    assert "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["agent_radius", "delta_budget"])
+def test_negative_safety_value_is_schema_error(tmp_path, capsys, key):
+    path = scenario_with(tmp_path, ("safety", key), -1.0)
+    assert main(["check", path]) == 2
+    assert f"error: $.safety.{key}: must be >= 0, got -1.0" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -221,6 +278,32 @@ class TestValidate:
         capsys.readouterr()
         assert main(["validate", str(out)]) == 2
         assert f"{trace}: cannot read trace CSV" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda order: [a for a in order if a != "cf4"], id="missing"),
+            pytest.param(lambda order: order + ["ghost"], id="extra"),
+            pytest.param(lambda order: order[:-1] + [order[0]], id="repeated"),
+            pytest.param(
+                lambda order: [{"cf5": "cf6", "cf6": "cf5"}.get(a, a) for a in order],
+                id="reordered",
+            ),
+        ],
+    )
+    def test_agent_order_must_match_scenario(self, fast_bundle, tmp_path, capsys, edit):
+        out = tmp_path / "bundle"
+        shutil.copytree(fast_bundle, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        order = manifest["agent_order"]
+        assert order == ["cf1", "cf5", "cf6", "cf2", "cf3", "cf4"]
+        manifest["agent_order"] = edit(list(order))
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["validate", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{out}/manifest.json: agent_order {manifest['agent_order']!r}" in err
+        assert f"matrix order {order!r}" in err
 
 
 class TestUsage:

@@ -1,5 +1,7 @@
 """Formation graph: validation, barycentric solves, consensus matrices."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,14 +12,17 @@ from affineswarm import (
     ConfigError,
     FormationMatrices,
     ReferenceConfig,
-    build_matrices,
-    compute_alpha,
-    compute_follower_weights,
     min_reference_distance,
     validate_config,
     verify_spectrum,
 )
-from conftest import barycentric_oracle, consensus_fixed_point, random_config
+from affineswarm.formation import _audit
+from conftest import (
+    barycentric_oracle,
+    consensus_fixed_point,
+    matrices_oracle,
+    random_config,
+)
 
 
 def three_leaders(z=1.0):
@@ -32,9 +37,29 @@ def leaders_only_config():
     return ReferenceConfig.from_agents(three_leaders(), z=1.0, in_neighbors={})
 
 
+def alpha_of(m):
+    """Each follower's barycentric coordinates over the leaders: ``H[3:]``."""
+    return dict(zip(m.agent_ids[3:], m.H[3:]))
+
+
+def weights_of(m):
+    """Each follower's weights over its in-neighbors: ``W`` at ``neighbors``."""
+    return dict(zip(m.agent_ids[3:], np.take_along_axis(m.W[3:], m.neighbors, axis=1)))
+
+
+def assert_refused(cfg, code):
+    """``validate_config`` reports ``code`` and ``from_config`` refuses with it."""
+    report = validate_config(cfg)
+    assert any(v.code == code for v in report.violations)
+    with pytest.raises(ConfigError, match=f"{code}: "):
+        FormationMatrices.from_config(cfg)
+    return report
+
+
 class TestValidateConfig:
     def test_default_scenario_is_valid(self, default_scenario):
         assert validate_config(default_scenario.config).ok
+        FormationMatrices.from_config(default_scenario.config)
 
     def test_midpoint_neighbor_triple_fails_containment(self, default_scenario):
         # cf3 sits exactly at the midpoint of cf2-cf5, so a triple holding
@@ -44,7 +69,7 @@ class TestValidateConfig:
         neighbors["cf3"] = ("cf2", "cf4", "cf5")
         neighbors["cf4"] = ("cf2", "cf3", "cf6")
         bad = ReferenceConfig(agents=cfg.agents, z=cfg.z, in_neighbors=neighbors)
-        report = validate_config(bad)
+        report = assert_refused(bad, "containment")
         codes = {v.code for v in report.violations}
         assert codes == {"containment"}
         assert sum(v.code == "containment" for v in report.violations) == 2
@@ -54,8 +79,7 @@ class TestValidateConfig:
         cfg = ReferenceConfig.from_agents(
             agents, z=1.0, in_neighbors={"f1": ("u1", "u2", "u3")}
         )
-        report = validate_config(cfg)
-        assert any(v.code == "containment" for v in report.violations)
+        assert_refused(cfg, "containment")
 
     def test_collinear_leaders_reported(self):
         agents = [
@@ -64,28 +88,24 @@ class TestValidateConfig:
             Agent("u3", "leader", 2.0, 0.0),
         ]
         cfg = ReferenceConfig.from_agents(agents, z=1.0, in_neighbors={})
-        report = validate_config(cfg)
-        assert any(v.code == "collinear-leaders" for v in report.violations)
+        assert_refused(cfg, "collinear-leaders")
 
     def test_wrong_leader_count(self):
         agents = three_leaders() + [Agent("u4", "leader", 0.0, 0.0)]
-        report = validate_config(ReferenceConfig.from_agents(agents, 1.0, {}))
-        assert any(v.code == "role-count" for v in report.violations)
+        assert_refused(ReferenceConfig.from_agents(agents, 1.0, {}), "role-count")
 
     def test_leader_with_neighbors(self):
         cfg = ReferenceConfig.from_agents(
             three_leaders(), z=1.0, in_neighbors={"u1": ("u2", "u3", "u1")}
         )
-        report = validate_config(cfg)
-        assert any(v.code == "leader-has-neighbors" for v in report.violations)
+        assert_refused(cfg, "leader-has-neighbors")
 
     def test_wrong_neighbor_cardinality(self):
         agents = three_leaders() + [Agent("f1", "follower", 0.0, 0.0)]
         cfg = ReferenceConfig.from_agents(
             agents, z=1.0, in_neighbors={"f1": ("u1", "u2")}
         )
-        report = validate_config(cfg)
-        assert any(v.code == "neighbor-count" for v in report.violations)
+        assert_refused(cfg, "neighbor-count")
 
     def test_unreachable_follower_cluster(self):
         agents = three_leaders() + [
@@ -100,8 +120,7 @@ class TestValidateConfig:
             "f3": ("f1", "f2", "f4"),
             "f4": ("f1", "f2", "f3"),
         }
-        report = validate_config(ReferenceConfig.from_agents(agents, 1.0, graph))
-        assert any(v.code == "unreachable" for v in report.violations)
+        assert_refused(ReferenceConfig.from_agents(agents, 1.0, graph), "unreachable")
 
     def test_duplicate_and_unknown_ids(self):
         agents = three_leaders() + [
@@ -111,14 +130,15 @@ class TestValidateConfig:
         cfg = ReferenceConfig.from_agents(
             agents, z=1.0, in_neighbors={"f1": ("u1", "u2", "nope")}
         )
-        codes = {v.code for v in validate_config(cfg).violations}
+        codes = {v.code for v in assert_refused(cfg, "duplicate-id").violations}
         assert "duplicate-id" in codes
         assert "unknown-neighbor" in codes
+        assert_refused(cfg, "unknown-neighbor")
 
 
 class TestComputeAlpha:
-    def test_table_follower_exact_thirds(self, default_scenario):
-        alpha = compute_alpha(default_scenario.config)
+    def test_table_follower_exact_thirds(self, default_matrices):
+        alpha = alpha_of(default_matrices)
         np.testing.assert_allclose(
             alpha["cf2"], [2 / 3, 1 / 6, 1 / 6], rtol=0, atol=1e-14
         )
@@ -134,21 +154,26 @@ class TestComputeAlpha:
         cfg = ReferenceConfig.from_agents(
             agents, z=1.0, in_neighbors={"f1": ("u1", "u2", "u3")}
         )
-        alpha = compute_alpha(cfg)
-        np.testing.assert_allclose(alpha["f1"], [1.0, 0.0, 0.0], atol=1e-14)
+        # The barycentric pass behind from_config puts it at (1, 0, 0) in
+        # the leader triangle; that triangle is also its in-neighbor one,
+        # so from_config refuses it as not strictly contained.
+        alpha = _audit(cfg)[3]
+        np.testing.assert_allclose(alpha[3], [1.0, 0.0, 0.0], atol=1e-14)
+        with pytest.raises(ConfigError, match="containment"):
+            FormationMatrices.from_config(cfg)
 
     def test_follower_at_centroid(self):
         agents = three_leaders() + [Agent("f1", "follower", 0.0, -0.25)]
         cfg = ReferenceConfig.from_agents(
             agents, z=1.0, in_neighbors={"f1": ("u1", "u2", "u3")}
         )
-        alpha = compute_alpha(cfg)
+        alpha = alpha_of(FormationMatrices.from_config(cfg))
         np.testing.assert_allclose(alpha["f1"], [1 / 3] * 3, atol=1e-14)
 
-    def test_matches_area_ratio_oracle(self, default_scenario):
+    def test_matches_area_ratio_oracle(self, default_scenario, default_matrices):
         cfg = default_scenario.config
         tri = [np.array([cfg.agent(l).x, cfg.agent(l).y]) for l in cfg.leader_ids]
-        alpha = compute_alpha(cfg)
+        alpha = alpha_of(default_matrices)
         for fid in cfg.follower_ids:
             a = cfg.agent(fid)
             expected = barycentric_oracle(np.array([a.x, a.y]), tri)
@@ -165,12 +190,12 @@ class TestComputeAlpha:
             agents, z=1.0, in_neighbors={"f1": ("u1", "u2", "u3")}
         )
         with pytest.raises(ConfigError, match="collinear"):
-            compute_alpha(cfg)
+            FormationMatrices.from_config(cfg)
 
 
 class TestComputeFollowerWeights:
-    def test_table_follower_weights(self, default_scenario):
-        w = compute_follower_weights(default_scenario.config)
+    def test_table_follower_weights(self, default_matrices):
+        w = weights_of(default_matrices)
         np.testing.assert_allclose(w["cf2"], [0.5, 0.25, 0.25], atol=1e-14)
         np.testing.assert_allclose(w["cf3"], [2 / 7, 1 / 7, 4 / 7], atol=1e-14)
         np.testing.assert_allclose(w["cf4"], [2 / 7, 1 / 7, 4 / 7], atol=1e-14)
@@ -180,7 +205,7 @@ class TestComputeFollowerWeights:
         cfg = ReferenceConfig.from_agents(
             agents, z=1.0, in_neighbors={"f1": ("u1", "u2", "u3")}
         )
-        w = compute_follower_weights(cfg)
+        w = weights_of(FormationMatrices.from_config(cfg))
         np.testing.assert_allclose(w["f1"], [1 / 3] * 3, atol=1e-14)
 
     def test_boundary_midpoint_rejected(self):
@@ -190,7 +215,7 @@ class TestComputeFollowerWeights:
             agents, z=1.0, in_neighbors={"f1": ("u1", "u2", "u3")}
         )
         with pytest.raises(ConfigError, match="not strictly inside"):
-            compute_follower_weights(cfg)
+            FormationMatrices.from_config(cfg)
 
     def test_collinear_neighbors_rejected(self):
         agents = three_leaders() + [
@@ -205,20 +230,20 @@ class TestComputeFollowerWeights:
         }
         cfg = ReferenceConfig.from_agents(agents, z=1.0, in_neighbors=graph)
         with pytest.raises(ConfigError, match="collinear"):
-            compute_follower_weights(cfg)
+            FormationMatrices.from_config(cfg)
 
-    def test_weights_sum_exactly_one(self, default_scenario):
-        for w in compute_follower_weights(default_scenario.config).values():
+    def test_weights_sum_exactly_one(self, default_matrices):
+        for w in weights_of(default_matrices).values():
             assert w.sum() == 1.0
 
 
 class TestBuildMatrices:
     def test_leaders_only(self):
-        cfg = leaders_only_config()
-        m = build_matrices(cfg, {}, {})
+        m = FormationMatrices.from_config(leaders_only_config())
         assert np.array_equal(m.W, -np.eye(3))
         assert np.array_equal(m.H, np.eye(3))
-        assert m.alpha.shape == (0, 3)
+        assert m.H[3:].shape == (0, 3)
+        assert m.neighbors.shape == (0, 3)
 
     def test_default_structure(self, default_matrices):
         m = default_matrices
@@ -249,7 +274,7 @@ class TestBuildMatrices:
         # in-neighbors' reference positions.
         cfg = default_scenario.config
         pts = cfg.planar_positions()
-        for fid, w in default_matrices.weights.items():
+        for fid, w in weights_of(default_matrices).items():
             nbr = np.array([pts[cfg.index_of(j)] for j in cfg.in_neighbors[fid]])
             np.testing.assert_allclose(
                 w @ nbr, pts[cfg.index_of(fid)], atol=1e-9
@@ -258,7 +283,7 @@ class TestBuildMatrices:
 
 class TestVerifySpectrum:
     def test_leaders_only_spectrum(self):
-        m = build_matrices(leaders_only_config(), {}, {})
+        m = FormationMatrices.from_config(leaders_only_config())
         report = verify_spectrum(m)
         np.testing.assert_allclose(report.eigenvalues.real, -np.ones(3))
         assert report.h_deviation == 0.0
@@ -281,14 +306,13 @@ class TestVerifySpectrum:
             w[i, others] = 1.0 / 3.0
         l_mat = np.vstack([np.eye(3), np.zeros((4, 3))])
         h = np.vstack([np.eye(3), np.full((4, 3), 1.0 / 3.0)])
+        cluster = range(3, n)
         m = FormationMatrices(
-            alpha=h[3:],
-            weights={},
             W=w,
             L=l_mat,
             H=h,
             agent_ids=tuple(f"a{i}" for i in range(n)),
-            follower_ids=tuple(f"a{i}" for i in range(3, n)),
+            neighbors=np.array([[j for j in cluster if j != i] for i in cluster]),
         )
         report = verify_spectrum(m)
         assert not report.ok
@@ -348,8 +372,9 @@ def test_random_valid_configs_satisfy_invariants(seed, n_followers):
     cfg = random_config(rng, n_followers)
     assert validate_config(cfg).ok
 
-    alpha = compute_alpha(cfg)
-    weights = compute_follower_weights(cfg)
+    m = FormationMatrices.from_config(cfg)
+    alpha = alpha_of(m)
+    weights = weights_of(m)
     pts = cfg.planar_positions()
     for fid in cfg.follower_ids:
         own = pts[cfg.index_of(fid)]
@@ -362,7 +387,6 @@ def test_random_valid_configs_satisfy_invariants(seed, n_followers):
         nbr = np.array([pts[cfg.index_of(j)] for j in cfg.in_neighbors[fid]])
         np.testing.assert_allclose(w @ nbr, own, atol=1e-9)
 
-    m = build_matrices(cfg, weights, alpha)
     report = verify_spectrum(m)
     assert report.ok
     assert (m.H >= -1e-12).all()  # followers inside the leader triangle
@@ -371,3 +395,51 @@ def test_random_valid_configs_satisfy_invariants(seed, n_followers):
     leaders = rng.uniform(-2, 2, size=(3, 2))
     limit = consensus_fixed_point(m.W, m.L, leaders)
     np.testing.assert_allclose(limit, m.H @ leaders, atol=1e-6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), n_followers=st.integers(1, 40))
+def test_from_config_matches_matrices_oracle(seed, n_followers):
+    # The batched pass reproduces the per-follower solve bit for bit.
+    cfg = random_config(np.random.default_rng(seed), n_followers)
+    m = FormationMatrices.from_config(cfg)
+    w_mat, h_mat = matrices_oracle(cfg)
+    assert np.array_equal(m.W, w_mat)
+    assert np.array_equal(m.H, h_mat)
+    assert m.agent_ids == cfg.ids
+    assert m.neighbors.tolist() == [
+        [cfg.index_of(j) for j in cfg.in_neighbors[fid]] for fid in cfg.follower_ids
+    ]
+
+
+@pytest.mark.parametrize(
+    "agent_id, field, value, codes",
+    [
+        ("cf2", "x", float("nan"), {"containment"}),
+        ("cf3", "y", float("nan"), {"containment", "neighbor-collinear"}),
+        ("cf1", "x", float("nan"), {"collinear-leaders", "neighbor-collinear"}),
+        ("cf4", "y", float("inf"), {"containment"}),
+    ],
+)
+def test_non_finite_coordinate_is_reported_and_refused(
+    default_scenario, agent_id, field, value, codes
+):
+    # A config built in code skips the scenario schema; the formation pass
+    # itself must fail every non-finite coordinate, never reach LinAlgError.
+    cfg = default_scenario.config
+    agents = tuple(
+        replace(a, **{field: value}) if a.id == agent_id else a for a in cfg.agents
+    )
+    bad = ReferenceConfig(agents=agents, z=cfg.z, in_neighbors=cfg.in_neighbors)
+    assert {v.code for v in validate_config(bad).violations} == codes
+    for code in codes:
+        assert_refused(bad, code)
+
+
+def test_index_lookups_use_matrix_order(default_scenario):
+    cfg = default_scenario.config
+    for i, aid in enumerate(cfg.ids):
+        assert cfg.index_of(aid) == i
+        assert cfg.agent(aid) is cfg.agents[i]
+    with pytest.raises(KeyError):
+        cfg.agent("ghost")

@@ -8,13 +8,11 @@ import pytest
 from affineswarm import (
     AtCoordinates,
     Corridor,
+    FormationMatrices,
     Phase,
     PhaseSchedule,
     SimParams,
     SimTrace,
-    build_matrices,
-    compute_alpha,
-    compute_follower_weights,
     convergence_check,
     corridor_clearance,
     hold_schedule,
@@ -150,7 +148,7 @@ class TestTrackingErrorMetrics:
 @pytest.fixture(scope="module")
 def settled_run(default_scenario):
     cfg = default_scenario.config
-    matrices = build_matrices(cfg, compute_follower_weights(cfg), compute_alpha(cfg))
+    matrices = FormationMatrices.from_config(cfg)
     rng = np.random.default_rng(9)
     initial = {
         fid: cfg.reference_positions()[cfg.index_of(fid)]
@@ -176,9 +174,7 @@ class TestConvergenceCheck:
 
     def test_truncated_run_raises(self, default_scenario):
         cfg = default_scenario.config
-        matrices = build_matrices(
-            cfg, compute_follower_weights(cfg), compute_alpha(cfg)
-        )
+        matrices = FormationMatrices.from_config(cfg)
         trace = run_simulation(
             cfg,
             matrices,
@@ -190,9 +186,7 @@ class TestConvergenceCheck:
 
     def test_already_at_targets_gives_zero_residual(self, default_scenario):
         cfg = default_scenario.config
-        matrices = build_matrices(
-            cfg, compute_follower_weights(cfg), compute_alpha(cfg)
-        )
+        matrices = FormationMatrices.from_config(cfg)
         trace = static_trace(cfg.reference_positions())
         result = convergence_check(trace, matrices)
         assert result.converged

@@ -6,15 +6,13 @@ import pytest
 from affineswarm import (
     AtCoordinates,
     ConfigError,
+    FormationMatrices,
     Phase,
     PhaseSchedule,
     ReferenceConfig,
     SimParams,
     SimulationError,
-    build_matrices,
     check_schedule_safety,
-    compute_alpha,
-    compute_follower_weights,
     hold_schedule,
     run_simulation,
 )
@@ -24,9 +22,7 @@ from conftest import consensus_fixed_point, random_config
 @pytest.fixture(scope="module")
 def default_setup(default_scenario):
     cfg = default_scenario.config
-    matrices = build_matrices(
-        cfg, compute_follower_weights(cfg), compute_alpha(cfg)
-    )
+    matrices = FormationMatrices.from_config(cfg)
     return cfg, matrices
 
 
@@ -149,11 +145,12 @@ class TestFollowerReference:
 
 
 def assert_references_mix_neighbors(trace, cfg, matrices, delay):
-    """Every follower's reference at every tick is ``w @`` its neighbors' positions."""
+    """Every follower's reference at every tick is ``w @`` its neighbors' positions,
+    with ``w`` its row of ``W`` at the in-neighbor columns."""
     for fid in cfg.follower_ids:
         row = trace.agent_index(fid)
         nbr_rows = [trace.agent_index(j) for j in cfg.in_neighbors[fid]]
-        w = matrices.weights[fid]
+        w = matrices.W[row, nbr_rows]
         for k in range(len(trace.times)):
             expected = w @ trace.positions[max(k - delay, 0)][nbr_rows]
             np.testing.assert_array_equal(trace.references[k, row], expected)
@@ -207,7 +204,7 @@ class TestRunSimulation:
         )
         results = {}
         for key, c in (("orig", cfg), ("shuffled", shuffled)):
-            m = build_matrices(c, compute_follower_weights(c), compute_alpha(c))
+            m = FormationMatrices.from_config(c)
             trace = run_simulation(
                 c,
                 m,
@@ -255,15 +252,16 @@ class TestRunSimulation:
             random_config(rng, n) for n in (1, 4, 12, 30)
         ]
         for cfg in configs:
-            matrices = build_matrices(
-                cfg, compute_follower_weights(cfg), compute_alpha(cfg)
-            )
+            matrices = FormationMatrices.from_config(cfg)
             for fid in cfg.follower_ids:
                 row = cfg.index_of(fid)
                 off_diagonal = np.delete(matrices.W[row], row)
                 columns = np.delete(np.arange(len(cfg.ids)), row)
                 nonzero = set(columns[off_diagonal != 0.0])
                 assert nonzero == {cfg.index_of(j) for j in cfg.in_neighbors[fid]}
+                assert matrices.neighbors[row - 3].tolist() == [
+                    cfg.index_of(j) for j in cfg.in_neighbors[fid]
+                ]
                 assert off_diagonal.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -321,6 +319,20 @@ class TestRunSimulation:
         with pytest.raises(ConfigError, match="different configuration"):
             run_simulation(
                 smaller,
+                matrices,
+                hold_schedule(AtCoordinates(), cfg.z, 1.0),
+                SimParams(dt=0.01, duration=0.5),
+            )
+
+    def test_matrices_of_another_graph_rejected(self, default_setup):
+        cfg, matrices = default_setup
+        neighbors = dict(cfg.in_neighbors)
+        neighbors["cf3"] = ("cf1", "cf5", "cf6")  # valid, but not the default's
+        other = ReferenceConfig(agents=cfg.agents, z=cfg.z, in_neighbors=neighbors)
+        FormationMatrices.from_config(other)
+        with pytest.raises(ConfigError, match="different communication graph"):
+            run_simulation(
+                other,
                 matrices,
                 hold_schedule(AtCoordinates(), cfg.z, 1.0),
                 SimParams(dt=0.01, duration=0.5),

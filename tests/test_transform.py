@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from affineswarm import (
     AtCoordinates,
+    FormationMatrices,
     assemble_jacobian,
-    compute_alpha,
     decompose_jacobian,
     load_default_scenario,
     min_scaling_bound,
@@ -209,7 +209,7 @@ class TestApplyAt:
         # for any planar map, because the map is affine.
         scenario = load_default_scenario()
         cfg = scenario.config
-        alpha = compute_alpha(cfg)
+        h = FormationMatrices.from_config(cfg).H
         rng = np.random.default_rng(23)
         refs = cfg.reference_positions()
         for _ in range(100):
@@ -226,7 +226,7 @@ class TestApplyAt:
             images = transform_points(q, d, refs)
             for fid in cfg.follower_ids:
                 follower = images[cfg.index_of(fid)]
-                mix = alpha[fid] @ images[:3]
+                mix = h[cfg.index_of(fid)] @ images[:3]
                 assert np.linalg.norm(follower - mix) <= 1e-9
 
     def test_singular_value_floor(self):
