@@ -73,12 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--scenario", dest="scenario_flag", default=None,
                        help="alternative to the positional scenario path")
     p_sim.add_argument("--out", default=None, help="bundle output directory")
-    p_sim.add_argument("--dt", type=float, default=None)
-    p_sim.add_argument("--control-rate", type=float, default=None)
-    p_sim.add_argument("--kp", type=float, default=None)
-    p_sim.add_argument("--kd", type=float, default=None)
-    p_sim.add_argument("--delay-ticks", type=int, default=None)
-    p_sim.add_argument("--duration", type=float, default=None)
+    for f in dataclasses.fields(SimParams):  # overrides, see _resolved_params
+        p_sim.add_argument(
+            f"--{f.name.replace('_', '-')}",
+            type=int if f.type == "int" else float,
+            default=None,
+        )
     p_sim.add_argument(
         "--skip-safety-check",
         action="store_true",
@@ -122,8 +122,11 @@ def _cmd_graph(args) -> int:
     return 0 if spectrum.ok else 1
 
 
-def _cmd_check(args) -> int:
-    scenario = load_scenario(args.scenario)
+def _strain_check(scenario: Scenario):
+    """The schedule's strains at the control rate against the paper's floor.
+
+    Returns the report and the reference spacing ``d_min`` behind the floor.
+    """
     d_min = min_reference_distance(scenario.config)
     bound = min_scaling_bound(
         scenario.safety.delta_budget, scenario.safety.agent_radius, d_min
@@ -131,6 +134,12 @@ def _cmd_check(args) -> int:
     report = check_schedule_safety(
         scenario.schedule, bound, scenario.params.control_rate
     )
+    return report, d_min
+
+
+def _cmd_check(args) -> int:
+    scenario = load_scenario(args.scenario)
+    report, d_min = _strain_check(scenario)
     _emit(dumps_json(safety_document(report, d_min=d_min)), args.out)
     return 0 if report.passed else 1
 
@@ -181,17 +190,12 @@ def _cmd_simulate(args) -> int:
         )
         return 1
     if not args.skip_safety_check:
-        bound = min_scaling_bound(
-            scenario.safety.delta_budget,
-            scenario.safety.agent_radius,
-            min_reference_distance(scenario.config),
-        )
-        safety = check_schedule_safety(scenario.schedule, bound, params.control_rate)
+        safety, _ = _strain_check(scenario)
         if not safety.passed:
             raise SafetyError(
                 f"commanded min strain {safety.min_strain_observed:.6g} is below "
-                f"the bound {bound:.6g}; violating intervals {safety.violations} "
-                "(pass --skip-safety-check to run anyway)"
+                f"the bound {safety.lambda_min_bound:.6g}; violating intervals "
+                f"{safety.violations} (pass --skip-safety-check to run anyway)"
             )
     trace = run_simulation(scenario.config, matrices, scenario.schedule, params)
     metrics = validate_run(

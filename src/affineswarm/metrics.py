@@ -30,9 +30,9 @@ class Corridor:
     center_y: float = 0.0
 
     def __post_init__(self):
-        if self.width <= 0.0:
+        if not (self.width > 0.0):
             raise ValueError("corridor width must be positive")
-        if self.x_end <= self.x_start:
+        if not (self.x_end > self.x_start):
             raise ValueError("corridor x_end must exceed x_start")
 
     @property
@@ -60,7 +60,7 @@ def pairwise_min_distance(trace: SimTrace) -> float:
 
 
 def corridor_clearance(
-    trace: SimTrace, corridor: Corridor, agent_radius: float = 0.065
+    trace: SimTrace, corridor: Corridor, agent_radius: float
 ) -> float:
     """Minimum surface-to-wall margin while any agent is inside the x-span.
 

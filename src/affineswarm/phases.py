@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .transform import AtCoordinates, jacobian_stack, transform_points
 
 logger = logging.getLogger(__name__)
 
-_COORD_FIELDS = ("d1", "d2", "lambda1", "lambda2", "psi_d", "psi_r")
 _BOUNDARY_TOL = 1e-12
 
 
@@ -50,10 +49,15 @@ def quintic_blend(s):
 
 @dataclass(frozen=True)
 class Phase:
+    """One quintic blend from ``start`` to ``end`` over [t0, tf].
+
+    ``start`` and ``end`` default to the identity coordinates.
+    """
+
     t0: float
     tf: float
-    start: AtCoordinates
-    end: AtCoordinates
+    start: AtCoordinates = AtCoordinates()
+    end: AtCoordinates = AtCoordinates()
     name: str = ""
 
 
@@ -110,11 +114,11 @@ class PhaseSchedule:
                 problems.append(
                     f"phase {k + 1} must start and end after phase {k}"
                 )
-            for name in _COORD_FIELDS:
-                va, vb = getattr(a.end, name), getattr(b.start, name)
+            for f in fields(AtCoordinates):
+                va, vb = getattr(a.end, f.name), getattr(b.start, f.name)
                 if abs(va - vb) > _BOUNDARY_TOL:
                     problems.append(
-                        f"{name} jumps from {va} to {vb} between phases "
+                        f"{f.name} jumps from {va} to {vb} between phases "
                         f"{k} and {k + 1}"
                     )
         if problems:
@@ -165,15 +169,6 @@ class PhaseSchedule:
         d = np.zeros((len(coords), 3))
         d[:, :2] = coords[:, :2]
         return coords, jacobian_stack(coords), d
-
-    def coords_at(self, t: float) -> AtCoordinates:
-        """Blended coordinates at time ``t``; clamped to the schedule span."""
-        return AtCoordinates(*self.coordinates([t])[0].tolist())
-
-    def jacobian_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(Q, d) of the commanded map at time ``t``."""
-        _, q, d = self.sample([t])
-        return q[0], d[0]
 
 
 def tick_times(t_start: float, t_end: float, tick_rate: float) -> np.ndarray:

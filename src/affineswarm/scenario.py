@@ -3,32 +3,36 @@
 A scenario is a single JSON object with these sections (unknown keys are
 rejected everywhere):
 
-``name``        optional string label (default "scenario").
-``altitude``    flight-plane height in meters (default 1.0).
-``agents``      list of {"id", "role": "leader"|"follower", "x", "y"}.
+``name``        optional string label.
+``altitude``    optional flight-plane height in meters.
+``agents``      list of ``Agent`` objects; ``role`` is "leader" or "follower".
 ``graph``       map follower-id -> list of exactly 3 in-neighbor ids.
-``phases``      list of {"name"?, "t0", "tf", "start": coords, "end": coords}
-                where coords may set lambda1, lambda2 (default 1.0) and
-                psi_d, psi_r, d1, d2 (default 0.0).
-``translation`` optional {"t0", "tf", "start"?: [d1, d2], "end": [d1, d2]}
-                ramp added on top of the per-phase translation.
-``safety``      optional {"agent_radius": 0.065, "delta_budget": 0.01}.
-``sim``         optional {"dt", "control_rate", "kp", "kd", "delay_ticks",
-                "duration"}; defaults match ``SimParams``.
-``corridor``    optional {"x_start", "x_end", "width", "center_y"?}.
+``phases``      list of ``Phase`` objects, whose ``start`` and ``end`` are
+                ``AtCoordinates`` objects.
+``translation`` optional ``TranslationRamp`` added on top of the per-phase
+                translation; ``start`` and ``end`` are ``[d1, d2]`` lists
+                and ``end`` is required.
+``safety``      optional ``SafetyParams``.
+``sim``         optional ``SimParams``.
+``corridor``    optional ``Corridor``.
 
-Parsing accumulates every schema problem (with key paths, and line/column
-for syntax errors) before failing, then validates the configuration
-invariants. Serialization is canonical (sorted keys), so a parsed
-scenario round-trips to an identical model and a stable content hash.
+An object's keys are its dataclass's field names: a field without a
+default is a required key and an omitted optional key takes the field's
+default (``parse_scenario`` holds those of ``name`` and ``altitude``).
+``null`` is never a valid value. Parsing accumulates every schema problem
+(with key paths, and line/column for syntax errors) before failing, then
+validates the configuration invariants. Serialization is canonical
+(sorted keys), so a parsed scenario round-trips to an identical model and
+a stable content hash.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -37,16 +41,7 @@ from .formation import Agent, ReferenceConfig, validate_config
 from .metrics import Corridor
 from .phases import Phase, PhaseSchedule, TranslationRamp
 from .simulation import SimParams
-from .transform import AtCoordinates
 
-_COORD_KEYS = {
-    "lambda1": 1.0,
-    "lambda2": 1.0,
-    "psi_d": 0.0,
-    "psi_r": 0.0,
-    "d1": 0.0,
-    "d2": 0.0,
-}
 _TOP_KEYS = {
     "name",
     "altitude",
@@ -60,10 +55,27 @@ _TOP_KEYS = {
 }
 
 
+class _FieldErrors(ValueError):
+    """``__post_init__`` complaints by field name; a parse reports each at its key."""
+
+    def __init__(self, problems: dict[str, str]):
+        super().__init__("; ".join(f"{k}: {m}" for k, m in problems.items()))
+        self.problems = problems
+
+
 @dataclass(frozen=True)
 class SafetyParams:
     agent_radius: float = 0.065
     delta_budget: float = 0.01
+
+    def __post_init__(self):
+        problems = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (value >= 0.0):
+                problems[f.name] = f"must be >= 0, got {value!r}"
+        if problems:
+            raise _FieldErrors(problems)
 
 
 @dataclass(frozen=True)
@@ -87,6 +99,46 @@ def _finite(value) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _pair(value) -> tuple[float, float] | None:
+    """``value`` as a (d1, d2) tuple when it is a list of two finite numbers."""
+    pair = tuple(map(_finite, value)) if isinstance(value, list) else ()
+    return pair if len(pair) == 2 and None not in pair else None
+
+
+def _integer(value) -> int | None:
+    return value if isinstance(value, int) and not isinstance(value, bool) else None
+
+
+def _string(value) -> str | None:
+    return value if isinstance(value, str) else None
+
+
+# A field's annotation -> (reader returning None for a bad value, what it
+# expects). Annotations are strings because every module postpones them.
+_KINDS = {
+    "int": (_integer, "an integer"),
+    "str": (_string, "a string"),
+    "tuple[float, float]": (_pair, "[d1, d2] of finite numbers"),
+}
+_NUMBER = (_finite, "a finite number")
+
+
+@functools.cache
+def _fields(cls) -> dict:
+    """``cls``'s fields by name: (required, nested dataclass or None, kind).
+
+    Cached because a scenario reads one ``Agent`` for each of its agents.
+    """
+    return {
+        f.name: (
+            f.default is MISSING,
+            type(f.default) if is_dataclass(f.default) else None,
+            _KINDS.get(f.type, _NUMBER),
+        )
+        for f in fields(cls)
+    }
+
+
 class _Schema:
     """Accumulates schema errors while pulling typed values out of a doc."""
 
@@ -96,79 +148,68 @@ class _Schema:
     def fail(self, path: str, message: str):
         self.errors.append(f"{path}: {message}")
 
-    def number(self, doc: dict, key: str, path: str, default=None, required=False):
-        if key not in doc:
-            if required:
-                self.fail(path, f"missing required key {key!r}")
-            return default
-        value = _finite(doc[key])
-        if value is None:
-            self.fail(f"{path}.{key}", f"expected a finite number, got {doc[key]!r}")
-            return default
-        return value
-
-    def integer(self, doc: dict, key: str, path: str, default=None):
-        if key not in doc:
-            return default
-        value = doc[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.fail(f"{path}.{key}", f"expected an integer, got {value!r}")
-            return default
-        return value
-
-    def string(self, doc: dict, key: str, path: str, default=None, required=False):
-        if key not in doc:
-            if required:
-                self.fail(path, f"missing required key {key!r}")
-            return default
-        value = doc[key]
-        if not isinstance(value, str):
-            self.fail(f"{path}.{key}", f"expected a string, got {value!r}")
-            return default
-        return value
-
-    def check_keys(self, doc: dict, allowed: set, path: str):
+    def check_keys(self, doc: dict, allowed, path: str):
         for key in doc:
             if key not in allowed:
                 self.fail(path, f"unknown key {key!r}")
 
-    def section(self, doc: dict, key: str, path: str, required=False):
-        if key not in doc:
-            if required:
-                self.fail(path, f"missing required section {key!r}")
-            return None
-        value = doc[key]
-        if not isinstance(value, dict):
-            self.fail(f"{path}.{key}", "expected an object")
-            return None
+    def value(self, doc: dict, key: str, path: str, kind=_NUMBER):
+        """``doc[key]`` read as ``kind``, a ``_KINDS`` entry; None after failing."""
+        read, expected = kind
+        value = read(doc[key])
+        if value is None:
+            self.fail(f"{path}.{key}", f"expected {expected}, got {doc[key]!r}")
         return value
 
+    def read(self, cls, doc, path: str):
+        """A ``cls`` read from the object ``doc``; None after failing.
 
-def _parse_coords(doc, path: str, schema: _Schema) -> AtCoordinates | None:
-    if not isinstance(doc, dict):
-        schema.fail(path, "expected an object of coordinate values")
-        return None
-    schema.check_keys(doc, set(_COORD_KEYS), path)
-    vals = {}
-    for key, default in _COORD_KEYS.items():
-        vals[key] = schema.number(doc, key, path, default=default)
-    if any(v is None for v in vals.values()):
-        return None
-    try:
-        return AtCoordinates(**vals)
-    except ValueError as exc:
-        schema.fail(path, str(exc))
+        The keys are ``cls``'s field names. A field without a default is a
+        required key, and an omitted key takes the field's default. A field
+        whose default is a dataclass is read as a nested object; any other
+        is read by its annotation: ``int``, ``str``, ``tuple[float, float]``
+        or else a finite number. A ``ValueError`` from ``cls`` is reported
+        at ``path``, or at each key's path when it names fields.
+        """
+        if not isinstance(doc, dict):
+            self.fail(path, "expected an object")
+            return None
+        cls_fields = _fields(cls)
+        self.check_keys(doc, cls_fields, path)
+        values, ok = {}, True
+        for name, (required, nested, kind) in cls_fields.items():
+            if name not in doc:
+                if required:
+                    self.fail(path, f"missing required key {name!r}")
+                    ok = False
+                continue
+            if nested is not None:
+                value = self.read(nested, doc[name], f"{path}.{name}")
+            else:
+                value = self.value(doc, name, path, kind)
+            values[name] = value
+            ok = ok and value is not None
+        if not ok:
+            return None
+        try:
+            return cls(**values)
+        except _FieldErrors as exc:
+            for key, message in exc.problems.items():
+                self.fail(f"{path}.{key}", message)
+        except ValueError as exc:
+            self.fail(path, str(exc))
         return None
 
-
-def _parse_pair(value, path: str, schema: _Schema, default=None):
-    if value is None:
-        return default
-    pair = tuple(map(_finite, value)) if isinstance(value, (list, tuple)) else ()
-    if len(pair) != 2 or None in pair:
-        schema.fail(path, f"expected [d1, d2] of finite numbers, got {value!r}")
-        return default
-    return pair
+    def read_list(self, cls, doc: dict, key: str) -> list:
+        """The required non-empty list ``doc[key]``, each entry read as a ``cls``."""
+        if key not in doc:
+            self.fail("$", f"missing required section {key!r}")
+            return []
+        entries = doc[key]
+        if not isinstance(entries, list) or not entries:
+            self.fail(f"$.{key}", f"expected a non-empty list of {key}")
+            return []
+        return [self.read(cls, e, f"$.{key}[{i}]") for i, e in enumerate(entries)]
 
 
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
@@ -187,31 +228,16 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
 
     schema = _Schema()
     schema.check_keys(doc, _TOP_KEYS, "$")
-    name = schema.string(doc, "name", "$", default="scenario")
-    altitude = schema.number(doc, "altitude", "$", default=1.0)
+    name = schema.value(doc, "name", "$", _KINDS["str"]) if "name" in doc else "scenario"
+    altitude = schema.value(doc, "altitude", "$") if "altitude" in doc else 1.0
 
-    agents: list[Agent] = []
-    if "agents" not in doc:
-        schema.fail("$", "missing required section 'agents'")
-    elif not isinstance(doc["agents"], list) or not doc["agents"]:
-        schema.fail("$.agents", "expected a non-empty list of agents")
-    else:
-        for i, entry in enumerate(doc["agents"]):
-            path = f"$.agents[{i}]"
-            if not isinstance(entry, dict):
-                schema.fail(path, "expected an object")
-                continue
-            schema.check_keys(entry, {"id", "role", "x", "y"}, path)
-            aid = schema.string(entry, "id", path, required=True)
-            role = schema.string(entry, "role", path, required=True)
-            x = schema.number(entry, "x", path, required=True)
-            y = schema.number(entry, "y", path, required=True)
-            if None in (aid, role, x, y):
-                continue
-            if role not in ("leader", "follower"):
-                schema.fail(f"{path}.role", f"must be 'leader' or 'follower', got {role!r}")
-                continue
-            agents.append(Agent(id=aid, role=role, x=x, y=y))
+    agents = schema.read_list(Agent, doc, "agents")
+    for i, agent in enumerate(agents):
+        if agent is not None and agent.role not in ("leader", "follower"):
+            schema.fail(
+                f"$.agents[{i}].role",
+                f"must be 'leader' or 'follower', got {agent.role!r}",
+            )
 
     graph: dict[str, tuple[str, ...]] = {}
     if "graph" not in doc:
@@ -228,90 +254,20 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
                 continue
             graph[fid] = tuple(nbrs)
 
-    phases: list[Phase] = []
-    if "phases" not in doc:
-        schema.fail("$", "missing required section 'phases'")
-    elif not isinstance(doc["phases"], list) or not doc["phases"]:
-        schema.fail("$.phases", "expected a non-empty list of phases")
-    else:
-        for i, entry in enumerate(doc["phases"]):
-            path = f"$.phases[{i}]"
-            if not isinstance(entry, dict):
-                schema.fail(path, "expected an object")
-                continue
-            schema.check_keys(entry, {"name", "t0", "tf", "start", "end"}, path)
-            t0 = schema.number(entry, "t0", path, required=True)
-            tf = schema.number(entry, "tf", path, required=True)
-            pname = schema.string(entry, "name", path, default="")
-            start = _parse_coords(entry.get("start", {}), f"{path}.start", schema)
-            end = _parse_coords(entry.get("end", {}), f"{path}.end", schema)
-            if None in (t0, tf) or start is None or end is None:
-                continue
-            phases.append(Phase(t0=t0, tf=tf, start=start, end=end, name=pname))
+    phases = schema.read_list(Phase, doc, "phases")
 
     translation = None
-    tr_doc = schema.section(doc, "translation", "$")
-    if tr_doc is not None:
-        schema.check_keys(tr_doc, {"t0", "tf", "start", "end"}, "$.translation")
-        t0 = schema.number(tr_doc, "t0", "$.translation", required=True)
-        tf = schema.number(tr_doc, "tf", "$.translation", required=True)
-        start = _parse_pair(
-            tr_doc.get("start"), "$.translation.start", schema, default=(0.0, 0.0)
-        )
-        end = _parse_pair(tr_doc.get("end"), "$.translation.end", schema)
-        if end is None and "end" not in tr_doc:
+    if "translation" in doc:
+        translation = schema.read(TranslationRamp, doc["translation"], "$.translation")
+        # A ramp's end defaults to no offset in code, but a scenario must give it.
+        if isinstance(doc["translation"], dict) and "end" not in doc["translation"]:
             schema.fail("$.translation", "missing required key 'end'")
-        if None not in (t0, tf) and start is not None and end is not None:
-            translation = TranslationRamp(t0=t0, tf=tf, start=start, end=end)
 
-    safety = SafetyParams()
-    sf_doc = schema.section(doc, "safety", "$")
-    if sf_doc is not None:
-        schema.check_keys(sf_doc, {"agent_radius", "delta_budget"}, "$.safety")
-        values = {}
-        for key, default in (("agent_radius", 0.065), ("delta_budget", 0.01)):
-            values[key] = schema.number(sf_doc, key, "$.safety", default=default)
-            if values[key] < 0.0:
-                schema.fail(f"$.safety.{key}", f"must be >= 0, got {values[key]!r}")
-        safety = SafetyParams(**values)
-
-    params = SimParams()
-    sim_doc = schema.section(doc, "sim", "$")
-    if sim_doc is not None:
-        schema.check_keys(
-            sim_doc,
-            {"dt", "control_rate", "kp", "kd", "delay_ticks", "duration"},
-            "$.sim",
-        )
-        kwargs = dict(
-            dt=schema.number(sim_doc, "dt", "$.sim", default=0.001),
-            control_rate=schema.number(sim_doc, "control_rate", "$.sim", default=100.0),
-            kp=schema.number(sim_doc, "kp", "$.sim", default=25.0),
-            kd=schema.number(sim_doc, "kd", "$.sim", default=10.0),
-            duration=schema.number(sim_doc, "duration", "$.sim", default=None),
-            delay_ticks=schema.integer(sim_doc, "delay_ticks", "$.sim", default=1),
-        )
-        if all(v is not None for k, v in kwargs.items() if k != "duration"):
-            try:
-                params = SimParams(**kwargs)
-            except ValueError as exc:
-                schema.fail("$.sim", str(exc))
-
+    safety = schema.read(SafetyParams, doc.get("safety", {}), "$.safety")
+    params = schema.read(SimParams, doc.get("sim", {}), "$.sim")
     corridor = None
-    co_doc = schema.section(doc, "corridor", "$")
-    if co_doc is not None:
-        schema.check_keys(
-            co_doc, {"x_start", "x_end", "width", "center_y"}, "$.corridor"
-        )
-        xs = schema.number(co_doc, "x_start", "$.corridor", required=True)
-        xe = schema.number(co_doc, "x_end", "$.corridor", required=True)
-        width = schema.number(co_doc, "width", "$.corridor", required=True)
-        cy = schema.number(co_doc, "center_y", "$.corridor", default=0.0)
-        if None not in (xs, xe, width, cy):
-            try:
-                corridor = Corridor(x_start=xs, x_end=xe, width=width, center_y=cy)
-            except ValueError as exc:
-                schema.fail("$.corridor", str(exc))
+    if "corridor" in doc:
+        corridor = schema.read(Corridor, doc["corridor"], "$.corridor")
 
     if schema.errors:
         raise ScenarioError(schema.errors)
@@ -353,67 +309,30 @@ def load_default_scenario() -> Scenario:
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    """Canonical document for a scenario model (parses back to an equal model)."""
+    """Canonical document for a scenario model (parses back to an equal model).
+
+    Each section holds its dataclass's fields. ``sim.duration`` is left out
+    when it is None, and the translation pairs are lists.
+    """
     doc: dict = {
         "name": s.name,
         "altitude": s.config.z,
-        "agents": [
-            {"id": a.id, "role": a.role, "x": a.x, "y": a.y} for a in s.config.agents
-        ],
+        "agents": [asdict(a) for a in s.config.agents],
         "graph": {
             fid: list(nbrs) for fid, nbrs in sorted(s.config.in_neighbors.items())
         },
-        "phases": [
-            {
-                "name": ph.name,
-                "t0": ph.t0,
-                "tf": ph.tf,
-                "start": _coords_dict(ph.start),
-                "end": _coords_dict(ph.end),
-            }
-            for ph in s.schedule.phases
-        ],
-        "safety": {
-            "agent_radius": s.safety.agent_radius,
-            "delta_budget": s.safety.delta_budget,
-        },
-        "sim": {
-            "dt": s.params.dt,
-            "control_rate": s.params.control_rate,
-            "kp": s.params.kp,
-            "kd": s.params.kd,
-            "delay_ticks": s.params.delay_ticks,
-        },
+        "phases": [asdict(ph) for ph in s.schedule.phases],
+        "safety": asdict(s.safety),
+        "sim": asdict(s.params),
     }
-    if s.params.duration is not None:
-        doc["sim"]["duration"] = s.params.duration
+    if s.params.duration is None:
+        del doc["sim"]["duration"]
     if s.schedule.translation is not None:
         tr = s.schedule.translation
-        doc["translation"] = {
-            "t0": tr.t0,
-            "tf": tr.tf,
-            "start": list(tr.start),
-            "end": list(tr.end),
-        }
+        doc["translation"] = asdict(tr) | {"start": list(tr.start), "end": list(tr.end)}
     if s.corridor is not None:
-        doc["corridor"] = {
-            "x_start": s.corridor.x_start,
-            "x_end": s.corridor.x_end,
-            "width": s.corridor.width,
-            "center_y": s.corridor.center_y,
-        }
+        doc["corridor"] = asdict(s.corridor)
     return doc
-
-
-def _coords_dict(c: AtCoordinates) -> dict:
-    return {
-        "lambda1": c.lambda1,
-        "lambda2": c.lambda2,
-        "psi_d": c.psi_d,
-        "psi_r": c.psi_r,
-        "d1": c.d1,
-        "d2": c.d2,
-    }
 
 
 def serialize_scenario(s: Scenario) -> str:

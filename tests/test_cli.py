@@ -1,13 +1,16 @@
 """Command-line surface: subcommands, exit codes, output documents."""
 
+import dataclasses
 import json
+import re
 import shutil
 import subprocess
 import sys
 
 import pytest
 
-from affineswarm.cli import main
+from affineswarm import SimParams
+from affineswarm.cli import build_parser, main
 from affineswarm.scenario import default_scenario_text
 
 
@@ -64,6 +67,9 @@ def scenario_with(tmp_path, path_keys, value):
         ("check", ("corridor", "width"), float("nan"), "$.corridor.width"),
         ("check", ("phases", 1, "end", "psi_r"), float("nan"), "$.phases[1].end.psi_r"),
         ("plan", ("translation", "end"), [float("-inf"), 0.0], "$.translation.end"),
+        # null is no value: it must not drop the ramp or read as its default.
+        ("plan", ("translation", "end"), None, "$.translation.end"),
+        ("plan", ("translation", "start"), None, "$.translation.start"),
     ],
 )
 def test_non_finite_number_is_schema_error(
@@ -320,6 +326,31 @@ class TestUsage:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["check", str(path)]) == 2
+
+    def test_simulate_has_one_flag_per_sim_param(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        flags = re.findall(r"^  (?:-\w, )?(--[\w-]+)", help_text, re.MULTILINE)
+        fields = dataclasses.fields(SimParams)
+        params = [f"--{f.name.replace('_', '-')}" for f in fields]
+        others = ["--help", "--scenario", "--out", "--skip-safety-check"]
+        assert sorted(flags) == sorted(params + others)
+
+    def test_simulate_flag_types(self, capsys):
+        argv = ["simulate", "s.json", "--dt", "0.002", "--control-rate", "50",
+                "--kp", "4", "--kd", "4", "--duration", "3", "--delay-ticks", "2"]
+        args = build_parser().parse_args(argv)
+        expected = dict(dt=0.002, control_rate=50.0, kp=4.0, kd=4.0, duration=3.0,
+                        delay_ticks=2)
+        assert {k: (vars(args)[k], type(vars(args)[k])) for k in expected} == {
+            k: (v, type(v)) for k, v in expected.items()
+        }
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "s.json", "--delay-ticks", "1.5"])
+        assert exc.value.code == 2
+        assert "--delay-ticks: invalid int value: '1.5'" in capsys.readouterr().err
 
     def test_module_entry_point(self, default_path):
         result = subprocess.run(

@@ -113,6 +113,18 @@ class TestCorridorClearance:
         with pytest.raises(ValueError):
             Corridor(x_start=1.0, x_end=0.0, width=1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(x_start=0.0, x_end=1.0, width=math.nan), "width must be positive"),
+            (dict(x_start=0.0, x_end=math.nan, width=1.0), "x_end must exceed"),
+            (dict(x_start=math.nan, x_end=1.0, width=1.0), "x_end must exceed"),
+        ],
+    )
+    def test_rejects_nan_geometry(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Corridor(**kwargs)
+
 
 class TestTrackingErrorMetrics:
     def test_perfect_tracking_is_zero(self, default_scenario):

@@ -23,6 +23,11 @@ from affineswarm import (
 )
 
 
+def coords_at(schedule, t):
+    """The blended coordinates at one time, read from the array evaluator."""
+    return AtCoordinates(*schedule.coordinates([t])[0].tolist())
+
+
 def blend_oracle(s):
     return 6.0 * s**5 - 15.0 * s**4 + 10.0 * s**3
 
@@ -153,37 +158,37 @@ class TestPhaseScheduleValidation:
 class TestCoordsAt:
     def test_default_schedule_endpoints(self, default_scenario):
         sched = default_scenario.schedule
-        c0 = sched.coords_at(0.0)
+        c0 = coords_at(sched, 0.0)
         assert (c0.lambda1, c0.lambda2) == (1.0, 1.0)
-        c10 = sched.coords_at(10.0)
+        c10 = coords_at(sched, 10.0)
         assert (c10.lambda1, c10.lambda2) == (0.5, 0.5)
-        c30 = sched.coords_at(30.0)
+        c30 = coords_at(sched, 30.0)
         assert (c30.lambda1, c30.lambda2) == (0.6, 0.9)
         assert c30.psi_d == 0.25
         assert c30.psi_r == 0.5
 
     def test_halfway_blend(self, default_scenario):
-        c5 = default_scenario.schedule.coords_at(5.0)
+        c5 = coords_at(default_scenario.schedule, 5.0)
         assert c5.lambda1 == pytest.approx(0.75, abs=1e-15)
         assert c5.lambda2 == pytest.approx(0.75, abs=1e-15)
 
     def test_held_before_start(self, default_scenario):
-        before = default_scenario.schedule.coords_at(-3.0)
+        before = coords_at(default_scenario.schedule, -3.0)
         assert (before.lambda1, before.lambda2) == (1.0, 1.0)
         assert before.d1 == 0.0
 
     def test_hold_after_final_is_exact(self, default_scenario):
         sched = default_scenario.schedule
-        ref = sched.coords_at(sched.t_end)
+        ref = coords_at(sched, sched.t_end)
         for t in (30.0, 33.3, 40.0, 400.0):
-            assert sched.coords_at(t) == ref
+            assert coords_at(sched, t) == ref
 
     def test_translation_ramp_superimposes(self, default_scenario):
         sched = default_scenario.schedule
-        assert sched.coords_at(0.0).d1 == 0.0
-        assert sched.coords_at(15.0).d1 == pytest.approx(2.0, abs=1e-12)
-        assert sched.coords_at(30.0).d1 == pytest.approx(4.0, abs=1e-12)
-        assert sched.coords_at(12.0).d1 == pytest.approx(
+        assert coords_at(sched, 0.0).d1 == 0.0
+        assert coords_at(sched, 15.0).d1 == pytest.approx(2.0, abs=1e-12)
+        assert coords_at(sched, 30.0).d1 == pytest.approx(4.0, abs=1e-12)
+        assert coords_at(sched, 12.0).d1 == pytest.approx(
             4.0 * blend_oracle(12.0 / 30.0), abs=1e-12
         )
 
@@ -200,23 +205,23 @@ class TestCoordsAt:
             z=1.0,
             translation=TranslationRamp(t0=0.0, tf=8.0, end=(2.0, 0.0)),
         )
-        mid = sched.coords_at(6.0)
+        mid = coords_at(sched, 6.0)
         assert mid.lambda1 == 0.5  # shape held after the phase ends
         assert mid.d1 == pytest.approx(2.0 * blend_oracle(0.75), abs=1e-12)
-        assert sched.coords_at(9.0).d1 == pytest.approx(2.0, abs=1e-12)
+        assert coords_at(sched, 9.0).d1 == pytest.approx(2.0, abs=1e-12)
 
     def test_interior_blend_matches_oracle(self):
         sched = two_phase_schedule()
         t = 13.7
         s = (t - 10.0) / 10.0
-        c = sched.coords_at(t)
+        c = coords_at(sched, t)
         assert c.psi_r == pytest.approx(0.5 * blend_oracle(s), abs=1e-15)
         assert c.lambda1 == 0.5
 
     def test_blended_strain_stays_in_range(self):
         sched = two_phase_schedule()
         for t in np.linspace(0.0, 10.0, 200):
-            lam = sched.coords_at(float(t)).lambda1
+            lam = coords_at(sched, float(t)).lambda1
             assert 0.5 <= lam <= 1.0
 
 
@@ -286,12 +291,12 @@ class TestSample:
         assert coords.tobytes() == np.array([e[0] for e in expected]).tobytes()
         assert q.tobytes() == np.array([e[1] for e in expected]).tobytes()
         assert d.tobytes() == np.array([e[2] for e in expected]).tobytes()
-        # The one-time accessors are one-row views of the same evaluator.
+        # One time on its own gives the same row as in the full stack.
         t = float(times[0])
-        assert np.array(astuple(schedule.coords_at(t))).tobytes() == (
+        assert np.array(astuple(coords_at(schedule, t))).tobytes() == (
             np.array(expected[0][0]).tobytes()
         )
-        q0, d0 = schedule.jacobian_at(t)
+        _, (q0,), (d0,) = schedule.sample([t])
         assert q0.tobytes() == expected[0][1].tobytes()
         assert d0.tobytes() == expected[0][2].tobytes()
 
@@ -430,7 +435,7 @@ class TestCheckScheduleSafety:
         )
         report = check_schedule_safety(sched, 0.3, tick_rate=10.0)
         times = np.arange(301) / 10.0
-        bad = [sched.coords_at(float(t)).lambda1 < 0.3 for t in times]
+        bad = [coords_at(sched, float(t)).lambda1 < 0.3 for t in times]
         runs, first = [], None
         for k, flag in enumerate(bad + [False]):
             if flag and first is None:

@@ -1,12 +1,18 @@
 """Scenario schema: parsing, validation, canonical round trip."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affineswarm import (
+    AtCoordinates,
     ConfigError,
+    SafetyParams,
     ScenarioError,
+    SimParams,
     load_default_scenario,
     parse_scenario,
     scenario_sha256,
@@ -137,3 +143,117 @@ class TestParseErrors:
         doc["sim"]["dt"] = 0.003  # not an integer divisor of the period
         with pytest.raises(ScenarioError, match="integer multiple"):
             parse_scenario(json.dumps(doc))
+
+    def test_corridor_errors_accumulate(self):
+        doc = minimal_doc()
+        del doc["corridor"]["x_start"]
+        doc["corridor"]["width"] = "wide"
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(json.dumps(doc))
+        assert exc.value.errors == [
+            "$.corridor: missing required key 'x_start'",
+            "$.corridor.width: expected a finite number, got 'wide'",
+        ]
+
+
+class TestDataclassDefaults:
+    """An omitted key or section takes its dataclass's default."""
+
+    def test_empty_sections_take_defaults(self):
+        doc = minimal_doc()
+        doc["sim"] = {}
+        doc["safety"] = {}
+        doc["phases"][0]["start"] = {}
+        del doc["corridor"]["center_y"]
+        s = parse_scenario(json.dumps(doc))
+        assert s.params == SimParams()
+        assert s.safety == SafetyParams()
+        assert s.schedule.phases[0].start == AtCoordinates()
+        assert s.corridor.center_y == 0.0
+        del doc["sim"], doc["safety"], doc["phases"][0]["start"]
+        assert parse_scenario(json.dumps(doc)) == s
+
+    def test_default_scenario_hash_is_pinned(self):
+        assert scenario_sha256(load_default_scenario()) == (
+            "2ed9874fb2e66c629914998a7fc7d808bd81e1c9301df4729e6207d62b218c76"
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(agent_radius=-1), "agent_radius: must be >= 0, got -1"),
+            (dict(delta_budget=-0.5), "delta_budget: must be >= 0, got -0.5"),
+            (dict(agent_radius=math.nan), "agent_radius: must be >= 0, got nan"),
+            (dict(delta_budget=math.nan), "delta_budget: must be >= 0, got nan"),
+        ],
+    )
+    def test_safety_params_reject_negative_and_nan(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SafetyParams(**kwargs)
+
+
+_number = st.floats(-50.0, 50.0, allow_nan=False)
+_positive = st.floats(0.01, 50.0)
+
+
+@st.composite
+def _optional(draw, entries):
+    """A dict holding each of ``entries``' drawn values, or leaving it out."""
+    return {k: draw(v) for k, v in entries.items() if draw(st.booleans())}
+
+
+@st.composite
+def scenario_docs(draw):
+    """The default layout and graph, moved and renamed, with random sections."""
+    doc = minimal_doc()
+    ids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=6, max_size=6,
+                        unique=True))
+    rename = dict(zip((a["id"] for a in doc["agents"]), ids))
+    dx, dy = draw(_number), draw(_number)
+    for a in doc["agents"]:
+        a.update(id=rename[a["id"]], x=a["x"] + dx, y=a["y"] + dy)
+    doc["graph"] = {rename[f]: [rename[j] for j in nbrs]
+                    for f, nbrs in doc["graph"].items()}
+    coords = dict(d1=_number, d2=_number, lambda1=_positive, lambda2=_positive,
+                  psi_d=_number, psi_r=_number)
+    bounds = [draw(_optional(coords)) for _ in range(4)]
+    for k, phase in enumerate(doc["phases"]):
+        phase.update(start=bounds[k], end=bounds[k + 1])
+        if draw(st.booleans()):
+            del phase["name"]
+    # Every rate divides 1 kHz, so the default dt fits it too.
+    rate = draw(st.sampled_from([50.0, 100.0, 125.0, 200.0, 250.0, 500.0]))
+    doc["sim"] = draw(_optional(dict(
+        dt=st.integers(1, 20).map(lambda s: 1.0 / (rate * s)),
+        kp=_positive,
+        kd=_positive,
+        delay_ticks=st.integers(0, 5),
+        duration=st.floats(1.0, 100.0),
+    )))
+    if rate != SimParams().control_rate or draw(st.booleans()):
+        doc["sim"]["control_rate"] = rate
+    doc["safety"] = draw(_optional(dict(agent_radius=st.floats(0.0, 1.0),
+                                        delta_budget=st.floats(0.0, 1.0))))
+    x_start = draw(_number)
+    doc["corridor"] = dict(
+        x_start=x_start, x_end=x_start + draw(_positive), width=draw(_positive)
+    ) | draw(_optional({"center_y": _number}))
+    pair = st.lists(_number, min_size=2, max_size=2)
+    doc["translation"] = dict(t0=draw(_number), tf=draw(_number), end=draw(pair)) | (
+        draw(_optional({"start": pair})))
+    for section in ("sim", "safety", "translation"):
+        if draw(st.booleans()):
+            del doc[section]
+    del doc["name"], doc["altitude"]
+    return doc | draw(_optional({"name": st.text(), "altitude": _number}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario_docs())
+def test_serialize_round_trips_random_sections(doc):
+    s = parse_scenario(json.dumps(doc))
+    text = serialize_scenario(s)
+    again = parse_scenario(text)
+    assert again == s
+    assert serialize_scenario(again) == text
+    assert scenario_sha256(again) == scenario_sha256(s)
