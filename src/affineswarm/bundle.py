@@ -9,6 +9,7 @@ rerun from the manifest reproduces the CSVs exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,10 +21,11 @@ from .formation import FormationMatrices, SpectralReport
 from .metrics import RunMetrics
 from .phases import LeaderTrajectory
 from .scenario import Scenario, scenario_sha256, scenario_to_dict
-from .simulation import SimTrace
+from .simulation import SimTrace, tick_times
 
 TRACE_COLUMNS = ("t", "x", "y", "z", "x_ref", "y_ref", "z_ref", "x_des", "y_des", "z_des")
 PLAN_COLUMNS = ("t", "agent_id", "x_d", "y_d", "z_d")
+SETTLING_TOL = 1e-4
 
 
 def _csv(header: tuple[str, ...], row: str, table: np.ndarray) -> str:
@@ -65,9 +67,17 @@ def dumps_json(doc) -> str:
 
 
 def matrices_document(
-    matrices: FormationMatrices, spectrum: SpectralReport | None = None
+    matrices: FormationMatrices,
+    spectrum: SpectralReport | None = None,
+    rho: float | None = None,
 ) -> dict:
-    """Row-major JSON document with W, L, H, alpha, and per-follower w."""
+    """Row-major JSON document with W, L, H, alpha, and per-follower w.
+
+    With ``rho`` (``closed_loop_radius``), ``closed_loop`` holds it (null
+    when it overflowed, as JSON has no infinity) and the ticks a tracking
+    error takes to shrink by ``SETTLING_TOL``,
+    ``ceil(log(SETTLING_TOL) / log(rho))`` (null when ``rho >= 1``).
+    """
     followers = matrices.agent_ids[3:]
     weights = np.take_along_axis(matrices.W[3:], matrices.neighbors, axis=1)
     doc = {
@@ -88,6 +98,17 @@ def matrices_document(
             "hurwitz": spectrum.hurwitz,
             "ok": spectrum.ok,
             "tolerance": spectrum.tolerance,
+        }
+    if rho is not None:
+        if rho >= 1.0:
+            settling = None
+        elif rho == 0.0:
+            settling = 0
+        else:
+            settling = math.ceil(math.log(SETTLING_TOL) / math.log(rho))
+        doc["closed_loop"] = {
+            "spectral_radius": rho if math.isfinite(rho) else None,
+            "settling_ticks": settling,
         }
     return doc
 
@@ -120,6 +141,7 @@ def emit_bundle(
     metrics: RunMetrics,
     matrices: FormationMatrices,
     spectrum: SpectralReport | None = None,
+    rho: float | None = None,
 ) -> RunBundle:
     """Write trace CSVs, metrics and matrices JSON, and the manifest.
 
@@ -141,7 +163,7 @@ def emit_bundle(
         metrics_path.write_text(dumps_json(metrics.to_dict()), newline="\n")
         matrices_path = out / "matrices.json"
         matrices_path.write_text(
-            dumps_json(matrices_document(matrices, spectrum)), newline="\n"
+            dumps_json(matrices_document(matrices, spectrum, rho)), newline="\n"
         )
         manifest = {
             "tool": {"name": "affineswarm", "version": __version__},
@@ -195,22 +217,24 @@ def read_manifest(bundle_dir) -> dict:
     return doc
 
 
-def read_trace(bundle_dir, manifest: dict) -> SimTrace:
+def read_trace(bundle_dir, manifest: dict, scenario: Scenario) -> SimTrace:
     """Rebuild a trace from a bundle's per-agent CSVs.
 
-    Values carry the CSV's 9-significant-digit precision, which is ample
-    for every recomputed metric. A CSV with a short or non-numeric row, or
-    with a different row count than the first agent's, raises
-    ``ScenarioError`` naming the file, as does a missing or unreadable CSV
-    or a manifest key that is absent.
+    ``scenario`` is the manifest's, parsed: it gives each agent's role and
+    the tick grid (``tick_times``) every CSV must hold one row of. Values
+    carry the CSV's 9-significant-digit precision, which is ample for
+    every recomputed metric. A CSV with a row of the wrong field count,
+    the wrong number of rows or a non-numeric value raises
+    ``ScenarioError`` naming the file, as does a missing or unreadable CSV,
+    an agent the scenario lacks or a manifest key that is absent.
     """
     out = Path(bundle_dir)
     manifest_path = out / "manifest.json"
     agent_ids = tuple(_lookup(manifest, manifest_path, "agent_order"))
-    agents = _lookup(manifest, manifest_path, "scenario", "agents")
-    roles = {a["id"]: a["role"] for a in agents}
+    roles = {a.id: a.role for a in scenario.config.agents}
+    rows = len(tick_times(scenario.schedule, scenario.params))
+    cols = len(TRACE_COLUMNS)
     data = []
-    times = None
     for aid in agent_ids:
         if aid not in roles:
             raise ScenarioError(
@@ -223,26 +247,31 @@ def read_trace(bundle_dir, manifest: dict) -> SimTrace:
             raise ScenarioError(
                 [f"{path}: cannot read trace CSV: {exc.strerror}"]
             ) from None
-        rows = [line.split(",") for line in text.strip().splitlines()[1:]]
-        try:
-            arr = np.array([[float(v) for v in r] for r in rows], ndmin=2)
-        except ValueError as exc:
-            raise ScenarioError([f"{path}: damaged trace CSV: {exc}"]) from None
-        expected = (len(arr) if times is None else len(times), len(TRACE_COLUMNS))
-        if arr.shape != expected:
+        body = text.strip().partition("\n")[2]
+        lines = body.split("\n") if body else []
+        for number, line in enumerate(lines, start=2):
+            if line.count(",") != cols - 1:
+                raise ScenarioError(
+                    [
+                        f"{path}: damaged trace CSV: line {number} has "
+                        f"{line.count(',') + 1} fields, expected {cols}"
+                    ]
+                )
+        if len(lines) != rows:
             raise ScenarioError(
                 [
-                    f"{path}: damaged trace CSV: {arr.shape[0]} rows of "
-                    f"{arr.shape[1]} fields, expected {expected[0]} rows of "
-                    f"{expected[1]}"
+                    f"{path}: damaged trace CSV: {len(lines)} rows of {cols} "
+                    f"fields, expected {rows} rows of {cols}"
                 ]
             )
-        if times is None:
-            times = arr[:, 0]
-        data.append(arr[:, 1:])
-    stacked = np.stack(data, axis=1)  # (T, N, 9)
+        try:
+            values = np.array(body.replace("\n", ",").split(","), dtype=float)
+        except ValueError as exc:
+            raise ScenarioError([f"{path}: damaged trace CSV: {exc}"]) from None
+        data.append(values.reshape(rows, cols))
+    stacked = np.stack([arr[:, 1:] for arr in data], axis=1)  # (T, N, 9)
     return SimTrace(
-        times=times,
+        times=data[0][:, 0],
         agent_ids=agent_ids,
         roles=tuple(roles[a] for a in agent_ids),
         positions=stacked[:, :, 0:3],

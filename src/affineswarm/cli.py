@@ -30,12 +30,12 @@ from .bundle import (
     read_trace,
     safety_document,
 )
-from .errors import AffineSwarmError, SafetyError, ScenarioError
+from .errors import AffineSwarmError, SafetyError, ScenarioError, SimulationError
 from .formation import FormationMatrices, min_reference_distance, verify_spectrum
 from .metrics import validate_run
 from .phases import check_schedule_safety, leader_trajectory
 from .scenario import Scenario, load_scenario, parse_scenario
-from .simulation import SimParams, run_simulation
+from .simulation import SimParams, closed_loop_radius, run_simulation
 from .transform import min_scaling_bound
 
 ENV_OUT = "AFFINESWARM_OUT"
@@ -110,15 +110,16 @@ def _cmd_plan(args) -> int:
 
 
 def _graph_doc(scenario: Scenario):
+    """The matrices, their spectrum report and the closed loop's ``rho``."""
     matrices = FormationMatrices.from_config(scenario.config)
     spectrum = verify_spectrum(matrices)
-    return matrices, spectrum
+    return matrices, spectrum, closed_loop_radius(matrices, scenario.params)
 
 
 def _cmd_graph(args) -> int:
     scenario = load_scenario(args.scenario)
-    matrices, spectrum = _graph_doc(scenario)
-    _emit(dumps_json(matrices_document(matrices, spectrum)), args.out)
+    matrices, spectrum, rho = _graph_doc(scenario)
+    _emit(dumps_json(matrices_document(matrices, spectrum, rho)), args.out)
     return 0 if spectrum.ok else 1
 
 
@@ -180,7 +181,7 @@ def _cmd_simulate(args) -> int:
         root = os.environ.get(ENV_OUT, "runs")
         out_dir = str(Path(root) / scenario.name)
 
-    matrices, spectrum = _graph_doc(scenario)
+    matrices, spectrum, rho = _graph_doc(scenario)
     if not spectrum.ok:
         print(
             f"error: consensus matrices fail the spectrum check "
@@ -189,6 +190,13 @@ def _cmd_simulate(args) -> int:
             file=sys.stderr,
         )
         return 1
+    if not rho < 1.0:
+        raise SimulationError(
+            f"closed loop is unstable: spectral radius rho={rho:.6g} >= 1 at "
+            f"kp={params.kp:g}, kd={params.kd:g}, dt={params.dt:g}, "
+            f"delay_ticks={params.delay_ticks}; lower dt or the delay, or retune "
+            f"kp and kd"
+        )
     if not args.skip_safety_check:
         safety, _ = _strain_check(scenario)
         if not safety.passed:
@@ -206,7 +214,7 @@ def _cmd_simulate(args) -> int:
         corridor=scenario.corridor,
         matrices=matrices,
     )
-    bundle = emit_bundle(out_dir, scenario, trace, metrics, matrices, spectrum)
+    bundle = emit_bundle(out_dir, scenario, trace, metrics, matrices, spectrum, rho)
     print(f"bundle written to {bundle.out_dir}")
     print(dumps_json(metrics.to_dict()), end="")
     return 0
@@ -221,7 +229,7 @@ def _cmd_validate(args) -> int:
         raise ScenarioError(
             [f"{source}: agent_order {order!r} is not the scenario's matrix order {ids!r}"]
         )
-    trace = read_trace(args.bundle, manifest)
+    trace = read_trace(args.bundle, manifest, scenario)
     corridor = scenario.corridor
     metrics = validate_run(
         trace,

@@ -8,7 +8,7 @@ corridor clearance is surface-to-wall (agent radius subtracted).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,6 +34,10 @@ class Corridor:
             raise ValueError("corridor width must be positive")
         if not (self.x_end > self.x_start):
             raise ValueError("corridor x_end must exceed x_start")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"corridor {f.name} must be finite, got {value!r}")
 
     @property
     def half_width(self) -> float:

@@ -74,6 +74,8 @@ class SafetyParams:
             value = getattr(self, f.name)
             if not (value >= 0.0):
                 problems[f.name] = f"must be >= 0, got {value!r}"
+            elif not math.isfinite(value):
+                problems[f.name] = f"must be finite, got {value!r}"
         if problems:
             raise _FieldErrors(problems)
 

@@ -9,9 +9,15 @@ never see the commanded map; their global desired positions are computed
 (for every tick at once, before the run) for logging and error
 measurement only.
 
-The engine advances at a fixed integration step ``dt`` with references
-held constant between control ticks, so identical inputs always produce
-bit-identical traces.
+References are held constant between control ticks, so the ``substeps``
+semi-implicit Euler steps of size ``dt`` within one tick are one fixed
+linear map of each axis' tracking error and velocity, ``tick_map``. The
+engine applies that map once per tick, so identical inputs always produce
+bit-identical traces. The same map, with the followers' weights and the
+delay, gives the closed loop's discrete spectral radius
+(``closed_loop_radius``): the run converges when it is below 1, which the
+continuous ``W``-Hurwitz check alone cannot show, since it sees neither
+the gains nor ``dt`` nor the delay.
 """
 
 from __future__ import annotations
@@ -109,6 +115,71 @@ class SimTrace:
         return 1.0 / float(self.times[1] - self.times[0])
 
 
+def tick_times(schedule: PhaseSchedule, params: SimParams) -> np.ndarray:
+    """Control tick times of a run: ``round(duration * control_rate)`` ticks.
+
+    A ``duration`` of None covers the schedule span plus a 10 s hold. The
+    grid starts at the schedule's start and holds one more time than
+    ticks (the initial state).
+    """
+    duration = params.duration
+    if duration is None:
+        duration = schedule.t_end - schedule.t_start + 10.0
+    ticks = int(round(duration * params.control_rate))
+    return schedule.t_start + np.arange(ticks + 1) / params.control_rate
+
+
+def tick_map(params: SimParams) -> np.ndarray:
+    """The (2, 2) map ``A_s`` of one control tick on ``[p - r; v]`` per axis.
+
+    One semi-implicit Euler substep, ``v += dt (kp (r - p) - kd v)`` then
+    ``p += dt v``, maps the tracking error ``e = p - r`` and velocity ``v``
+    by ``A = [[1 - dt² kp, dt - dt² kd], [-dt kp, 1 - dt kd]]``; with ``r``
+    held for the tick, ``A_s = A^substeps``. Entries that overflow are
+    inf or nan, never a warning.
+    """
+    dt, kp, kd = params.dt, params.kp, params.kd
+    a = np.array([[1.0 - dt * dt * kp, dt - dt * dt * kd], [-dt * kp, 1.0 - dt * kd]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.matrix_power(a, params.substeps)
+
+
+def closed_loop_radius(matrices: FormationMatrices, params: SimParams) -> float:
+    """Spectral radius ``rho`` of the tick-to-tick closed loop.
+
+    Per axis, one tick maps ``[p; v] <- A_s [p; v] + b_s r`` with
+    ``b_s = (I - A_s) e1``. A follower's reference is its row of ``W``
+    applied to positions ``delay_ticks = d`` ticks old, so the loop splits
+    into one mode per eigenvalue ``mu`` of the follower block
+    ``G = W[3:, 3:] + I``, with characteristic polynomial
+    ``z^d (z² - tr(A_s) z + det A_s) - mu (b_s0 z + A_s01 b_s1 - A_s11 b_s0)``;
+    leaders contribute ``eig(A_s)``. ``rho`` is the largest root modulus
+    (inf when ``A_s`` overflows). Tracking errors decay like ``rho^k``, so
+    the loop converges exactly when ``rho < 1``.
+    """
+    a_s = tick_map(params)
+    if not np.isfinite(a_s).all():
+        return math.inf
+    b = np.eye(2)[:, 0] - a_s[:, 0]
+    d = params.delay_ticks
+    f = len(matrices.agent_ids) - 3
+    mu = np.linalg.eigvals(matrices.W[3:, 3:] + np.eye(f))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.zeros((f, d + 3), dtype=complex)  # highest power first
+        coeffs[:, 0] = 1.0
+        coeffs[:, 1] = -np.trace(a_s)
+        coeffs[:, 2] += np.linalg.det(a_s)
+        coeffs[:, d + 1] -= mu * b[0]
+        coeffs[:, d + 2] -= mu * (a_s[0, 1] * b[1] - a_s[1, 1] * b[0])
+    if not np.isfinite(coeffs).all():
+        return math.inf
+    companion = np.zeros((f, d + 2, d + 2), dtype=complex)
+    companion[:, 0, :] = -coeffs[:, 1:]
+    companion[:, 1:, :-1] = np.eye(d + 1)
+    roots = np.concatenate([np.linalg.eigvals(companion).ravel(), np.linalg.eigvals(a_s)])
+    return float(np.abs(roots).max())
+
+
 def run_simulation(
     cfg: ReferenceConfig,
     matrices: FormationMatrices,
@@ -123,7 +194,9 @@ def run_simulation(
     Agents start at their reference positions (override per id with
     ``initial_positions``/``initial_velocities``). The schedule is not
     checked against the strain floor here; ``check_schedule_safety`` does
-    that.
+    that. Nor is the closed loop checked for stability
+    (``closed_loop_radius``); a trace that holds a non-finite position
+    raises ``SimulationError`` naming its first such tick and agents.
     """
     report, neighbors, _, _ = _audit(cfg)
     report.raise_if_invalid()
@@ -141,12 +214,6 @@ def run_simulation(
     n = len(cfg.agents)
     ids = cfg.ids
     roles = tuple(a.role for a in cfg.agents)
-    duration = params.duration
-    if duration is None:
-        duration = schedule.t_end - schedule.t_start + 10.0
-    ticks = int(round(duration * params.control_rate))
-    if ticks < 1:
-        raise ValueError("duration must cover at least one control tick")
 
     pos = cfg.reference_positions()
     vel = np.zeros((n, 3))
@@ -163,34 +230,37 @@ def run_simulation(
     nbr = matrices.neighbors
     w = matrices.W[rows[:, None], nbr]
 
-    times = schedule.t_start + np.arange(ticks + 1) / params.control_rate
+    times = tick_times(schedule, params)
+    ticks = len(times) - 1
     trace_pos = np.empty((ticks + 1, n, 3))
     trace_des = desired_positions(cfg, schedule, times)
     trace_ref = np.empty((ticks + 1, n, 3))
     trace_ref[:, :3] = trace_des[:, :3]
 
-    dt = params.dt
-    kp, kd = params.kp, params.kd
-    substeps = params.substeps
+    (a00, a01), (a10, a11) = tick_map(params).tolist()
+    delay = params.delay_ticks
+    trace_pos[0] = pos
+    # An unstable loop overflows to inf and nan; that is reported once,
+    # after the loop, not warned about on every tick.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(ticks + 1):
+            refs = trace_ref[k]
+            snap = trace_pos[max(k - delay, 0)]
+            refs[rows] = np.matmul(w[:, None, :], snap[nbr])[:, 0, :]
+            if k < ticks:
+                err = pos - refs
+                pos = trace_pos[k + 1]
+                np.add(refs, a00 * err + a01 * vel, out=pos)
+                vel = a10 * err + a11 * vel
 
-    for k in range(ticks + 1):
-        t_k = float(times[k])
-        if not np.all(np.isfinite(pos)) or not np.all(np.isfinite(vel)):
-            bad = np.where(~np.isfinite(pos).all(axis=1))[0]
-            names = [ids[i] for i in bad] if len(bad) else ids
-            raise SimulationError(
-                f"state diverged at t={t_k:.3f}s (tick {k}); non-finite agents: "
-                f"{names}"
-            )
-        trace_pos[k] = pos
-        refs = trace_ref[k]
-        snap = trace_pos[max(k - params.delay_ticks, 0)]
-        refs[rows] = np.matmul(w[:, None, :], snap[nbr])[:, 0, :]
-
-        if k < ticks:
-            for _ in range(substeps):
-                vel = vel + dt * (kp * (refs - pos) - kd * vel)
-                pos = pos + dt * vel
+    finite = np.isfinite(trace_pos).all(axis=(1, 2))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        names = [ids[i] for i in np.flatnonzero(~np.isfinite(trace_pos[k]).all(axis=1))]
+        raise SimulationError(
+            f"state diverged at t={float(times[k]):.3f}s (tick {k}); non-finite "
+            f"agents: {names}"
+        )
 
     return SimTrace(
         times=times,

@@ -15,9 +15,11 @@ from affineswarm import (
     Phase,
     PhaseSchedule,
     ReferenceConfig,
+    desired_positions,
     load_default_scenario,
     quintic_blend,
 )
+from affineswarm.simulation import tick_map, tick_times
 
 
 @pytest.fixture(scope="session")
@@ -219,3 +221,62 @@ def schedule_oracle(schedule: PhaseSchedule, t: float):
     r_r, r_d = yaw(psi_r), yaw(psi_d)
     q = r_r @ r_d @ np.diag([lambda1, lambda2, 1.0]) @ r_d.T
     return base, q, np.array([d1, d2, 0.0])
+
+
+def euler_oracle(cfg, matrices, schedule, params, initial_positions=None):
+    """(T, N, 3) positions from ``substeps`` semi-implicit Euler substeps a tick.
+
+    A restatement of the per-substep loop the engine's one-map-per-tick
+    update (``tick_map``) must match within rounding: each tick, every
+    follower's reference is its row of ``W`` over its in-neighbors'
+    positions ``delay_ticks`` ticks old, leaders track the commanded map,
+    and ``v += dt (kp (r - p) - kd v); p += dt v`` runs ``substeps`` times
+    with the reference held.
+    """
+    n = len(cfg.agents)
+    times = tick_times(schedule, params)
+    refs_all = desired_positions(cfg, schedule, times)
+    pos = cfg.reference_positions()
+    for aid, p in (initial_positions or {}).items():
+        pos[cfg.index_of(aid)] = p
+    vel = np.zeros((n, 3))
+    out = np.empty((len(times), n, 3))
+    for k in range(len(times)):
+        out[k] = pos
+        refs = refs_all[k].copy()
+        snap = out[max(k - params.delay_ticks, 0)]
+        for f, fid in enumerate(cfg.follower_ids):
+            row, nbrs = cfg.index_of(fid), matrices.neighbors[f]
+            refs[row] = matrices.W[row, nbrs] @ snap[nbrs]
+        if k < len(times) - 1:
+            for _ in range(params.substeps):
+                vel = vel + params.dt * (params.kp * (refs - pos) - params.kd * vel)
+                pos = pos + params.dt * vel
+    return out
+
+
+def lifted_tick_matrix(matrices, params):
+    """The whole team's one-tick map on ``[p; v; p_(k-1); ...; p_(k-d)]``, one axis.
+
+    Leaders' references are exogenous (zero here); follower ``k``'s is
+    row ``3 + k`` of ``W + I`` applied to positions ``d = delay_ticks``
+    ticks old. Its eigenvalues are the closed loop's, found without
+    splitting it into modes.
+    """
+    a = tick_map(params)
+    b = np.eye(2)[:, 0] - a[:, 0]
+    n, d = len(matrices.agent_ids), params.delay_ticks
+    m = matrices.W + np.eye(n)
+    m[:3] = 0.0
+    size = (d + 2) * n
+    lifted = np.zeros((size, size))
+    delayed = slice(0, n) if d == 0 else slice((d + 1) * n, (d + 2) * n)
+    for row, (a0, a1, b_i) in enumerate(zip(a[:, 0], a[:, 1], b)):
+        block = slice(row * n, (row + 1) * n)
+        lifted[block, 0:n] += a0 * np.eye(n)
+        lifted[block, n : 2 * n] += a1 * np.eye(n)
+        lifted[block, delayed] += b_i * m
+    for j in range(2, d + 2):  # p_(k+1-j) moves up one slot; p_k enters at 2
+        source = 0 if j == 2 else j - 1
+        lifted[j * n : (j + 1) * n, source * n : (source + 1) * n] = np.eye(n)
+    return lifted

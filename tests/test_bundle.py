@@ -1,6 +1,7 @@
 """Bundle serialization: CSV formats, manifest, reproducibility."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -186,11 +187,19 @@ class TestEmitBundle:
         scenario, matrices, trace, metrics = short_run
         bundle = emit_bundle(tmp_path / "run", scenario, trace, metrics, matrices)
         manifest = read_manifest(bundle.out_dir)
-        loaded = read_trace(bundle.out_dir, manifest)
+        loaded = read_trace(bundle.out_dir, manifest, scenario)
         assert loaded.agent_ids == trace.agent_ids
         # CSV carries 9 significant digits.
         np.testing.assert_allclose(loaded.positions, trace.positions, rtol=1e-8, atol=1e-12)
         np.testing.assert_allclose(loaded.desired, trace.desired, rtol=1e-8, atol=1e-12)
+        # The bulk parse gives the values one float() per field gives.
+        for i, aid in enumerate(loaded.agent_ids):
+            lines = bundle.trace_paths[aid].read_text().splitlines()[1:]
+            table = np.array([[float(v) for v in line.split(",")] for line in lines])
+            assert np.array_equal(loaded.times, table[:, 0])
+            assert np.array_equal(loaded.positions[:, i], table[:, 1:4])
+            assert np.array_equal(loaded.references[:, i], table[:, 4:7])
+            assert np.array_equal(loaded.desired[:, i], table[:, 7:10])
 
     def test_rerun_from_manifest_is_byte_identical(self, short_run, tmp_path):
         scenario, matrices, trace, metrics = short_run
@@ -254,6 +263,23 @@ class TestMatricesDocument:
         np.testing.assert_array_equal(np.array(doc["W"]), matrices.W)
         np.testing.assert_array_equal(np.array(doc["H"]), matrices.H)
         assert doc["w"]["cf2"] == [0.5, 0.25, 0.25]
+
+    @pytest.mark.parametrize(
+        "rho, expected",
+        [
+            (0.768, {"spectral_radius": 0.768, "settling_ticks": 35}),
+            (0.5, {"spectral_radius": 0.5, "settling_ticks": 14}),
+            (0.0, {"spectral_radius": 0.0, "settling_ticks": 0}),
+            (1.0, {"spectral_radius": 1.0, "settling_ticks": None}),
+            (math.inf, {"spectral_radius": None, "settling_ticks": None}),
+        ],
+    )
+    def test_closed_loop(self, short_run, rho, expected):
+        _, matrices, _, _ = short_run
+        assert "closed_loop" not in matrices_document(matrices)
+        doc = matrices_document(matrices, rho=rho)
+        assert doc["closed_loop"] == expected
+        json.loads(json.dumps(doc, allow_nan=False))
 
     def test_serialization_round_trip_of_scenario(self, default_scenario):
         text = serialize_scenario(default_scenario)

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from affineswarm import SimParams
+from affineswarm import cli
 from affineswarm.cli import build_parser, main
 from affineswarm.scenario import default_scenario_text
 
@@ -129,6 +130,8 @@ class TestGraph:
         assert doc["spectrum"]["ok"] is True
         assert doc["spectrum"]["max_real_part"] < 0.0
         assert doc["spectrum"]["h_deviation"] <= 1e-9
+        assert doc["closed_loop"]["spectral_radius"] == pytest.approx(0.768, abs=1e-3)
+        assert doc["closed_loop"]["settling_ticks"] == 35  # 0.768**35 < 1e-4
 
     def test_degenerate_graph_is_validation_failure(self, tmp_path, capsys):
         doc = json.loads(default_scenario_text())
@@ -162,6 +165,11 @@ class TestSimulate:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["safety_pass"] is True
         assert metrics["converged"] is True
+        capsys.readouterr()
+        assert main(["graph", fast_path]) == 0
+        graph = json.loads(capsys.readouterr().out)
+        matrices = json.loads((out / "matrices.json").read_text())
+        assert matrices["closed_loop"] == graph["closed_loop"]
 
     def test_scenario_flag_alias(self, fast_path, tmp_path):
         out = tmp_path / "bundle2"
@@ -208,6 +216,30 @@ class TestSimulate:
             )
             == 0
         )
+
+    @pytest.mark.parametrize("skip", [[], ["--skip-safety-check"]])
+    @pytest.mark.parametrize(
+        "flags, rho",
+        [
+            (["--kd", "5", "--delay-ticks", "3"], "rho=1.00924"),
+            (["--kp", "1e6", "--kd", "2000"], "rho=123.031"),
+        ],
+    )
+    def test_unstable_closed_loop_refused(
+        self, default_path, tmp_path, capsys, monkeypatch, flags, rho, skip
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("an unstable loop must not be integrated")
+
+        monkeypatch.setattr(cli, "run_simulation", never)
+        out = tmp_path / "bundle"
+        argv = ["simulate", default_path, "--out", str(out), *flags, *skip]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: closed loop is unstable: spectral radius {rho} >= 1" in err
+        for name in ("kp=", "kd=", "dt=0.001", "delay_ticks="):
+            assert name in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -267,6 +299,35 @@ class TestValidate:
         assert main(["validate", str(out)]) == 2
         assert f"{trace}: damaged trace CSV" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            # Cut at a row end: five rows short of the scenario's tick grid.
+            lambda lines: (lines[:-5], f"{len(lines) - 6} rows of 10 fields, "
+                           f"expected {len(lines) - 1} rows of 10"),
+            lambda lines: (lines[:7] + [lines[7].replace(",", ",,", 1)] + lines[8:],
+                           "line 8 has 11 fields, expected 10"),
+            lambda lines: (lines[:3] + [lines[3].replace(",", ",x", 1)] + lines[4:],
+                           "could not convert string to float: 'x"),
+        ],
+        ids=["cut-at-row-end", "extra-field", "non-numeric"],
+    )
+    @pytest.mark.parametrize("agent", ["cf1", "cf4"])
+    def test_damaged_trace_is_the_file_named(
+        self, fast_bundle, tmp_path, capsys, agent, damage
+    ):
+        # Every CSV is held to the scenario's tick grid, so the damaged
+        # file is the one named, whichever agent's it is.
+        out = tmp_path / "bundle"
+        shutil.copytree(fast_bundle, out)
+        trace = out / f"trace_{agent}.csv"
+        lines, message = damage(trace.read_text().splitlines())
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["validate", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trace}: damaged trace CSV: {message}")
+        assert err.count("\n") == 1
 
     def test_manifest_without_keys_is_parse_error(self, tmp_path, capsys):
         bundle = tmp_path / "bundle"

@@ -119,6 +119,14 @@ class TestCorridorClearance:
             (dict(x_start=0.0, x_end=1.0, width=math.nan), "width must be positive"),
             (dict(x_start=0.0, x_end=math.nan, width=1.0), "x_end must exceed"),
             (dict(x_start=math.nan, x_end=1.0, width=1.0), "x_end must exceed"),
+            (
+                dict(x_start=0.0, x_end=1.0, width=1.0, center_y=math.nan),
+                "corridor center_y must be finite, got nan",
+            ),
+            (
+                dict(x_start=0.0, x_end=math.inf, width=math.inf),
+                "corridor x_end must be finite, got inf",
+            ),
         ],
     )
     def test_rejects_nan_geometry(self, kwargs, message):

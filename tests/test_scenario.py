@@ -185,6 +185,8 @@ class TestDataclassDefaults:
             (dict(delta_budget=-0.5), "delta_budget: must be >= 0, got -0.5"),
             (dict(agent_radius=math.nan), "agent_radius: must be >= 0, got nan"),
             (dict(delta_budget=math.nan), "delta_budget: must be >= 0, got nan"),
+            (dict(agent_radius=math.inf), "agent_radius: must be finite, got inf"),
+            (dict(delta_budget=math.inf), "delta_budget: must be finite, got inf"),
         ],
     )
     def test_safety_params_reject_negative_and_nan(self, kwargs, message):

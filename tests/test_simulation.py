@@ -1,7 +1,12 @@
 """Tracking dynamics, decentralized references, and the simulation engine."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from affineswarm import (
     AtCoordinates,
@@ -14,9 +19,17 @@ from affineswarm import (
     SimulationError,
     check_schedule_safety,
     hold_schedule,
+    load_default_scenario,
     run_simulation,
 )
-from conftest import consensus_fixed_point, random_config
+from affineswarm.simulation import closed_loop_radius, tick_map, tick_times
+from conftest import (
+    consensus_fixed_point,
+    euler_oracle,
+    lifted_tick_matrix,
+    random_config,
+    random_schedule,
+)
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +289,15 @@ class TestRunSimulation:
                 params,
             )
 
+    def test_divergence_names_first_non_finite_tick(self, default_setup):
+        cfg, matrices = default_setup
+        start = {"cf3": np.array([np.nan, 0.0, 1.0])}
+        with pytest.raises(SimulationError) as info:
+            hold_run(cfg, matrices, SimParams(duration=0.5), start)
+        assert str(info.value) == (
+            "state diverged at t=0.000s (tick 0); non-finite agents: ['cf3']"
+        )
+
     def test_safety_precheck_blocks_unsafe_schedule(self, default_setup):
         # The strain precheck is check_schedule_safety, run by the caller
         # (the simulate command) before the engine; the engine itself runs
@@ -353,3 +375,153 @@ class TestRunSimulation:
                 hold_schedule(AtCoordinates(), cfg.z, 1.0),
                 SimParams(dt=0.01, duration=1.0),
             )
+
+
+class TestTickMap:
+    """One map per tick in place of ``substeps`` Euler substeps."""
+
+    def test_is_the_substep_matrix_to_the_substeps(self):
+        params = SimParams(dt=0.001, kp=2500.0, kd=100.0)
+        dt, kp, kd = params.dt, params.kp, params.kd
+        a = np.array([[1 - dt**2 * kp, dt - dt**2 * kd], [-dt * kp, 1 - dt * kd]])
+        np.testing.assert_array_equal(tick_map(params), np.linalg.matrix_power(a, 10))
+        e, v = 0.3, -0.2  # one substep, as the Euler loop writes it
+        v1 = v + dt * (kp * (0.0 - e) - kd * v)
+        np.testing.assert_allclose(a @ [e, v], [e + dt * v1, v1], rtol=0, atol=1e-16)
+
+    def test_overflow_is_inf_not_a_warning(self):
+        a_s = tick_map(SimParams(dt=1e-4, kp=1e12, kd=1.0))
+        assert not np.isfinite(a_s).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_followers=st.integers(0, 6),
+        kp=st.floats(1.0, 10_000.0),
+        kd=st.floats(0.5, 300.0),
+        substeps=st.sampled_from([1, 2, 5, 10, 20]),
+        delay=st.integers(0, 3),
+    )
+    def test_matches_euler_substeps(self, seed, n_followers, kp, kd, substeps, delay):
+        # 0 followers draws the default layout instead: its followers cf3
+        # and cf4 read each other, so the delay enters the loop's modes
+        # (random_config's followers read only earlier agents).
+        rng = np.random.default_rng(seed)
+        if n_followers == 0:
+            cfg = load_default_scenario().config
+        else:
+            cfg = random_config(rng, n_followers)
+        matrices = FormationMatrices.from_config(cfg)
+        params = SimParams(
+            dt=0.01 / substeps, kp=kp, kd=kd, delay_ticks=delay, duration=1.0
+        )
+        assume(closed_loop_radius(matrices, params) < 1.0)
+        schedule = random_schedule(rng)
+        start = {
+            fid: cfg.reference_positions()[cfg.index_of(fid)]
+            + np.append(rng.uniform(-0.3, 0.3, 2), 0.0)
+            for fid in cfg.follower_ids
+        }
+        trace = run_simulation(
+            cfg, matrices, schedule, params, initial_positions=start
+        )
+        oracle = euler_oracle(cfg, matrices, schedule, params, start)
+        # Rounding differs, so the match is to 1e-12 of the trace's scale
+        # (a lightly damped loop can swing to tens of metres).
+        scale = max(1.0, float(np.abs(oracle).max()))
+        np.testing.assert_allclose(trace.positions, oracle, rtol=0, atol=1e-12 * scale)
+
+    def test_tick_grid(self, default_scenario):
+        schedule = default_scenario.schedule
+        times = tick_times(schedule, SimParams(duration=2.0))
+        assert len(times) == 201 and times[0] == schedule.t_start
+        assert times[-1] == pytest.approx(schedule.t_start + 2.0)
+        # None covers the schedule span plus a 10 s hold.
+        span = schedule.t_end - schedule.t_start
+        assert len(tick_times(schedule, SimParams())) == round((span + 10.0) * 100) + 1
+
+
+class TestClosedLoopRadius:
+    """The discrete stability certificate of the simulated loop."""
+
+    @pytest.mark.parametrize("delay", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "gains", [(2500.0, 100.0), (2500.0, 5.0), (900.0, 20.0), (1e6, 2000.0)]
+    )
+    def test_equals_lifted_tick_matrix(self, default_setup, delay, gains):
+        _, matrices = default_setup
+        params = SimParams(kp=gains[0], kd=gains[1], delay_ticks=delay)
+        lifted = np.abs(np.linalg.eigvals(lifted_tick_matrix(matrices, params))).max()
+        assert closed_loop_radius(matrices, params) == pytest.approx(lifted, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_lifted_tick_matrix_random_weights(self, seed):
+        # Random rows of W over any three other agents, so the follower
+        # block has generic, simple eigenvalues (a layout whose followers
+        # only read earlier agents makes it nilpotent, and the lifted
+        # matrix's repeated roots are then known only to about eps**(1/m)).
+        rng = np.random.default_rng(seed)
+        n = 3 + int(rng.integers(1, 7))
+        others = [np.delete(np.arange(n), row) for row in range(3, n)]
+        neighbors = np.array([rng.choice(o, 3, replace=False) for o in others])
+        w_mat = -np.eye(n)
+        w_mat[np.arange(3, n)[:, None], neighbors] = rng.dirichlet([1.0] * 3, n - 3)
+        matrices = FormationMatrices(
+            W=w_mat,
+            L=np.zeros((n, 3)),
+            H=np.zeros((n, 3)),
+            agent_ids=tuple(f"a{i}" for i in range(n)),
+            neighbors=neighbors,
+        )
+        for delay in (0, 1, 3):
+            kd = float(rng.uniform(5.0, 80.0))
+            params = SimParams(kp=900.0, kd=kd, delay_ticks=delay)
+            lifted = lifted_tick_matrix(matrices, params)
+            expected = np.abs(np.linalg.eigvals(lifted)).max()
+            assert closed_loop_radius(matrices, params) == pytest.approx(
+                expected, rel=1e-9
+            )
+
+    @pytest.mark.parametrize(
+        "overrides, rho",
+        [
+            ({}, 0.768),
+            ({"kd": 5.0, "delay_ticks": 3}, 1.009),
+            ({"kp": 1e6, "kd": 2000.0}, 123.0),
+        ],
+    )
+    def test_regression_cases(self, default_scenario, default_setup, overrides, rho):
+        _, matrices = default_setup
+        params = dataclasses.replace(default_scenario.params, **overrides)
+        assert closed_loop_radius(matrices, params) == pytest.approx(rho, abs=1e-3 * rho)
+
+    def test_leaders_only_is_the_tick_map(self):
+        cfg = random_config(np.random.default_rng(0), 0)
+        matrices = FormationMatrices.from_config(cfg)
+        params = SimParams(kp=25.0, kd=10.0)
+        expected = np.abs(np.linalg.eigvals(tick_map(params))).max()
+        assert closed_loop_radius(matrices, params) == expected
+
+    def test_overflowing_tick_map_is_infinite(self, default_setup):
+        _, matrices = default_setup
+        assert closed_loop_radius(matrices, SimParams(dt=1e-4, kp=1e12)) == math.inf
+
+    def test_unstable_run_grows_stable_run_settles(self, default_setup):
+        # Followers released 0.3 m off their targets under frozen leaders:
+        # with rho >= 1 the offset grows; with rho < 1 it decays at the
+        # rate rho per tick, neither faster nor slower.
+        cfg, matrices = default_setup
+        targets = matrices.H @ cfg.reference_positions()[:3]
+
+        def offsets(**gains):
+            trace = frozen_leader_trace(cfg, matrices, duration=4.0, **gains)
+            params = SimParams(duration=4.0, **gains)
+            error = np.abs(trace.positions - targets).max(axis=(1, 2))
+            return closed_loop_radius(matrices, params), error
+
+        rho, error = offsets(kp=2500.0, kd=5.0, delay_ticks=3)
+        assert rho > 1.0
+        assert error[-1] > 10 * error[-201] > 10 * error[0]
+        rho, error = offsets(kp=2500.0, kd=100.0)
+        assert rho < 1.0
+        assert 0.1 < error[60] / (rho**60 * error[0]) < 10.0
