@@ -40,12 +40,10 @@ print(f"simulated {trace.times[-1]:.0f} s at dt={scenario.params.dt} "
 
 err = np.linalg.norm(trace.positions - trace.desired, axis=-1)
 print("\nworst tracking error per agent [m]:")
-for i, aid in enumerate(trace.agent_ids):
-    print(f"  {aid} ({trace.roles[i]:8s}): {err[:, i].max():.4f}")
+for i, agent in enumerate(cfg.agents):
+    print(f"  {agent.id} ({agent.role:8s}): {err[:, i].max():.4f}")
 
-metrics = validate_run(trace, cfg, scenario.schedule,
-                       scenario.safety.agent_radius,
-                       corridor=scenario.corridor, matrices=matrices)
+metrics = validate_run(trace, scenario, matrices)
 print("\nrun metrics:")
 for key, value in metrics.to_dict().items():
     print(f"  {key}: {value}")

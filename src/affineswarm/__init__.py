@@ -30,7 +30,6 @@ from .formation import (
 )
 from .metrics import (
     ConvergenceResult,
-    Corridor,
     RunMetrics,
     TrackingErrors,
     convergence_check,
@@ -52,6 +51,7 @@ from .phases import (
     quintic_blend,
 )
 from .scenario import (
+    Corridor,
     SafetyParams,
     Scenario,
     load_default_scenario,

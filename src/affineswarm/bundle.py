@@ -3,14 +3,14 @@
 All numeric CSV fields use 9-significant-digit formatting and JSON uses
 sorted keys, so identical runs serialize byte-identically and golden
 files stay portable. The manifest embeds the fully resolved scenario; a
-rerun from the manifest reproduces the CSVs exactly.
+rerun from the manifest reproduces the CSVs exactly. ``read_bundle`` is
+the one reader of a bundle: it gives back the scenario and the trace.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from .errors import ScenarioError
 from .formation import FormationMatrices, SpectralReport
 from .metrics import RunMetrics
 from .phases import LeaderTrajectory
-from .scenario import Scenario, scenario_sha256, scenario_to_dict
+from .scenario import Scenario, parse_scenario, scenario_sha256, scenario_to_dict
 from .simulation import SimTrace, tick_times
 
 TRACE_COLUMNS = ("t", "x", "y", "z", "x_ref", "y_ref", "z_ref", "x_des", "y_des", "z_des")
@@ -125,15 +125,6 @@ def safety_document(report, d_min: float | None = None) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class RunBundle:
-    out_dir: Path
-    manifest_path: Path
-    trace_paths: dict[str, Path]
-    metrics_path: Path
-    matrices_path: Path
-
-
 def emit_bundle(
     out_dir,
     scenario: Scenario,
@@ -142,10 +133,11 @@ def emit_bundle(
     matrices: FormationMatrices,
     spectrum: SpectralReport | None = None,
     rho: float | None = None,
-) -> RunBundle:
+) -> Path:
     """Write trace CSVs, metrics and matrices JSON, and the manifest.
 
-    I/O failures are re-raised with the offending path in the message.
+    Returns the bundle directory. I/O failures are re-raised with the
+    offending path in the message.
     """
     out = Path(out_dir)
     try:
@@ -153,16 +145,12 @@ def emit_bundle(
     except OSError as exc:
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
 
-    trace_paths: dict[str, Path] = {}
+    traces = {aid: f"trace_{aid}.csv" for aid in trace.agent_ids}
     try:
-        for aid in trace.agent_ids:
-            path = out / f"trace_{aid}.csv"
-            path.write_text(trace_csv_text(trace, aid), newline="\n")
-            trace_paths[aid] = path
-        metrics_path = out / "metrics.json"
-        metrics_path.write_text(dumps_json(metrics.to_dict()), newline="\n")
-        matrices_path = out / "matrices.json"
-        matrices_path.write_text(
+        for aid, name in traces.items():
+            (out / name).write_text(trace_csv_text(trace, aid), newline="\n")
+        (out / "metrics.json").write_text(dumps_json(metrics.to_dict()), newline="\n")
+        (out / "matrices.json").write_text(
             dumps_json(matrices_document(matrices, spectrum, rho)), newline="\n"
         )
         manifest = {
@@ -172,22 +160,15 @@ def emit_bundle(
             "trace_columns": list(TRACE_COLUMNS),
             "agent_order": list(trace.agent_ids),
             "outputs": {
-                "traces": {aid: p.name for aid, p in trace_paths.items()},
-                "metrics": metrics_path.name,
-                "matrices": matrices_path.name,
+                "traces": traces,
+                "metrics": "metrics.json",
+                "matrices": "matrices.json",
             },
         }
-        manifest_path = out / "manifest.json"
-        manifest_path.write_text(dumps_json(manifest), newline="\n")
+        (out / "manifest.json").write_text(dumps_json(manifest), newline="\n")
     except OSError as exc:
         raise OSError(f"failed writing bundle under {out}: {exc}") from exc
-    return RunBundle(
-        out_dir=out,
-        manifest_path=manifest_path,
-        trace_paths=trace_paths,
-        metrics_path=metrics_path,
-        matrices_path=matrices_path,
-    )
+    return out
 
 
 def _lookup(doc, path: Path, *keys):
@@ -202,50 +183,52 @@ def _lookup(doc, path: Path, *keys):
     return value
 
 
-def read_manifest(bundle_dir) -> dict:
-    """Parse a bundle's manifest; it must hold the keys ``validate`` reads."""
-    path = Path(bundle_dir) / "manifest.json"
+def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
+    """The scenario a bundle's manifest embeds and the trace its CSVs hold.
+
+    The manifest's ``agent_order`` must be the scenario's matrix order.
+    Each agent's CSV must hold one row per time of the scenario's tick
+    grid (``tick_times``), and its ``t`` column must be that grid at
+    9 significant digits; the trace's times are the grid itself. Values
+    carry the CSV's 9-significant-digit precision, which is ample for
+    every recomputed metric. A missing or malformed manifest, a missing
+    key or trace file name, a wrong ``agent_order``, and a missing, unreadable or damaged
+    CSV (wrong field or row count, a non-numeric value, a time off the
+    grid) each raise ``ScenarioError`` naming the file.
+    """
+    out = Path(bundle_dir)
+    path = out / "manifest.json"
     if not path.exists():
         raise ScenarioError([f"{path}: no manifest found"])
-    text = path.read_text()
     try:
-        doc = json.loads(text)
+        doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"{path}: malformed manifest: {exc}"]) from None
     for keys in (("scenario",), ("agent_order",), ("outputs", "traces")):
         _lookup(doc, path, *keys)
-    return doc
+    scenario = parse_scenario(json.dumps(doc["scenario"]), source=str(path))
+    order, ids = doc["agent_order"], list(scenario.config.ids)
+    if order != ids:
+        raise ScenarioError(
+            [f"{path}: agent_order {order!r} is not the scenario's matrix order {ids!r}"]
+        )
 
-
-def read_trace(bundle_dir, manifest: dict, scenario: Scenario) -> SimTrace:
-    """Rebuild a trace from a bundle's per-agent CSVs.
-
-    ``scenario`` is the manifest's, parsed: it gives each agent's role and
-    the tick grid (``tick_times``) every CSV must hold one row of. Values
-    carry the CSV's 9-significant-digit precision, which is ample for
-    every recomputed metric. A CSV with a row of the wrong field count,
-    the wrong number of rows or a non-numeric value raises
-    ``ScenarioError`` naming the file, as does a missing or unreadable CSV,
-    an agent the scenario lacks or a manifest key that is absent.
-    """
-    out = Path(bundle_dir)
-    manifest_path = out / "manifest.json"
-    agent_ids = tuple(_lookup(manifest, manifest_path, "agent_order"))
-    roles = {a.id: a.role for a in scenario.config.agents}
-    rows = len(tick_times(scenario.schedule, scenario.params))
-    cols = len(TRACE_COLUMNS)
+    times = tick_times(scenario.schedule, scenario.params)
+    rows, cols = len(times), len(TRACE_COLUMNS)
+    grid = np.array(("%.9g\n" * rows % tuple(times.tolist())).split(), dtype=float)
     data = []
-    for aid in agent_ids:
-        if aid not in roles:
+    for aid in ids:
+        name = _lookup(doc, path, "outputs", "traces", aid)
+        if not isinstance(name, str):
             raise ScenarioError(
-                [f"{manifest_path}: agent {aid!r} is not in the scenario"]
+                [f"{path}: outputs.traces.{aid} is not a file name: {name!r}"]
             )
-        path = out / _lookup(manifest, manifest_path, "outputs", "traces", aid)
+        csv = out / name
         try:
-            text = path.read_text()
+            text = csv.read_text()
         except OSError as exc:
             raise ScenarioError(
-                [f"{path}: cannot read trace CSV: {exc.strerror}"]
+                [f"{csv}: cannot read trace CSV: {exc.strerror}"]
             ) from None
         body = text.strip().partition("\n")[2]
         lines = body.split("\n") if body else []
@@ -253,27 +236,36 @@ def read_trace(bundle_dir, manifest: dict, scenario: Scenario) -> SimTrace:
             if line.count(",") != cols - 1:
                 raise ScenarioError(
                     [
-                        f"{path}: damaged trace CSV: line {number} has "
+                        f"{csv}: damaged trace CSV: line {number} has "
                         f"{line.count(',') + 1} fields, expected {cols}"
                     ]
                 )
         if len(lines) != rows:
             raise ScenarioError(
                 [
-                    f"{path}: damaged trace CSV: {len(lines)} rows of {cols} "
+                    f"{csv}: damaged trace CSV: {len(lines)} rows of {cols} "
                     f"fields, expected {rows} rows of {cols}"
                 ]
             )
         try:
             values = np.array(body.replace("\n", ",").split(","), dtype=float)
         except ValueError as exc:
-            raise ScenarioError([f"{path}: damaged trace CSV: {exc}"]) from None
-        data.append(values.reshape(rows, cols))
-    stacked = np.stack([arr[:, 1:] for arr in data], axis=1)  # (T, N, 9)
-    return SimTrace(
-        times=data[0][:, 0],
-        agent_ids=agent_ids,
-        roles=tuple(roles[a] for a in agent_ids),
+            raise ScenarioError([f"{csv}: damaged trace CSV: {exc}"]) from None
+        table = values.reshape(rows, cols)
+        off = np.flatnonzero(table[:, 0] != grid)
+        if len(off):
+            k = off[0]
+            raise ScenarioError(
+                [
+                    f"{csv}: damaged trace CSV: line {k + 2} has t={table[k, 0]:.9g}, "
+                    f"expected the tick grid's {grid[k]:.9g}"
+                ]
+            )
+        data.append(table[:, 1:])
+    stacked = np.stack(data, axis=1)  # (T, N, 9)
+    return scenario, SimTrace(
+        times=times,
+        agent_ids=scenario.config.ids,
         positions=stacked[:, :, 0:3],
         references=stacked[:, :, 3:6],
         desired=stacked[:, :, 6:9],

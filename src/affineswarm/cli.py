@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -26,15 +25,14 @@ from .bundle import (
     emit_bundle,
     matrices_document,
     plan_csv_text,
-    read_manifest,
-    read_trace,
+    read_bundle,
     safety_document,
 )
 from .errors import AffineSwarmError, SafetyError, ScenarioError, SimulationError
 from .formation import FormationMatrices, min_reference_distance, verify_spectrum
 from .metrics import validate_run
 from .phases import check_schedule_safety, leader_trajectory
-from .scenario import Scenario, load_scenario, parse_scenario
+from .scenario import Scenario, load_scenario
 from .simulation import SimParams, closed_loop_radius, run_simulation
 from .transform import min_scaling_bound
 
@@ -206,41 +204,19 @@ def _cmd_simulate(args) -> int:
                 f"{safety.violations} (pass --skip-safety-check to run anyway)"
             )
     trace = run_simulation(scenario.config, matrices, scenario.schedule, params)
-    metrics = validate_run(
-        trace,
-        scenario.config,
-        scenario.schedule,
-        scenario.safety.agent_radius,
-        corridor=scenario.corridor,
-        matrices=matrices,
-    )
+    metrics = validate_run(trace, scenario, matrices)
     bundle = emit_bundle(out_dir, scenario, trace, metrics, matrices, spectrum, rho)
-    print(f"bundle written to {bundle.out_dir}")
+    print(f"bundle written to {bundle}")
     print(dumps_json(metrics.to_dict()), end="")
     return 0
 
 
 def _cmd_validate(args) -> int:
-    manifest = read_manifest(args.bundle)
-    source = f"{args.bundle}/manifest.json"
-    scenario = parse_scenario(json.dumps(manifest["scenario"]), source=source)
-    order, ids = manifest["agent_order"], list(scenario.config.ids)
-    if order != ids:
-        raise ScenarioError(
-            [f"{source}: agent_order {order!r} is not the scenario's matrix order {ids!r}"]
-        )
-    trace = read_trace(args.bundle, manifest, scenario)
-    corridor = scenario.corridor
-    metrics = validate_run(
-        trace,
-        scenario.config,
-        scenario.schedule,
-        scenario.safety.agent_radius,
-        corridor=corridor,
-    )
+    scenario, trace = read_bundle(args.bundle)
+    metrics = validate_run(trace, scenario)
     print(dumps_json(metrics.to_dict()), end="")
     ok = metrics.safety_pass and metrics.converged
-    if corridor is not None and metrics.min_corridor_clearance is not None:
+    if metrics.min_corridor_clearance is not None:
         ok = ok and metrics.min_corridor_clearance > 0.0
     return 0 if ok else 1
 

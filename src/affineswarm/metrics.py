@@ -8,40 +8,19 @@ corridor clearance is surface-to-wall (agent radius subtracted).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .formation import FormationMatrices, ReferenceConfig, min_reference_distance
-from .phases import PhaseSchedule, check_schedule_safety
+from .formation import FormationMatrices, min_reference_distance
+from .phases import check_schedule_safety
+from .scenario import Corridor, Scenario
 from .simulation import SimTrace
 from .transform import min_scaling_bound
 
 _CHUNK = 512
-
-
-@dataclass(frozen=True)
-class Corridor:
-    """Axis-aligned channel: open slab between two walls over an x-span."""
-
-    x_start: float
-    x_end: float
-    width: float
-    center_y: float = 0.0
-
-    def __post_init__(self):
-        if not (self.width > 0.0):
-            raise ValueError("corridor width must be positive")
-        if not (self.x_end > self.x_start):
-            raise ValueError("corridor x_end must exceed x_start")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"corridor {f.name} must be finite, got {value!r}")
-
-    @property
-    def half_width(self) -> float:
-        return self.width / 2.0
+CONVERGENCE_TOL = 1e-4  # follower residual a converged run stays within, m
+LEADER_DRIFT_TOL = 1e-9  # leader motion the convergence window tolerates, m
 
 
 def pairwise_min_distance(trace: SimTrace) -> float:
@@ -85,7 +64,6 @@ class TrackingErrors:
     """Distance of actual positions from the commanded-map images."""
 
     per_agent_max: dict[str, float]
-    per_agent_mean: dict[str, float]
     measured_delta: float
 
 
@@ -93,42 +71,35 @@ def tracking_error_metrics(trace: SimTrace) -> TrackingErrors:
     """Per-agent and global tracking-error statistics against desired positions."""
     err = np.linalg.norm(trace.positions - trace.desired, axis=-1)
     per_max = {aid: float(err[:, i].max()) for i, aid in enumerate(trace.agent_ids)}
-    per_mean = {aid: float(err[:, i].mean()) for i, aid in enumerate(trace.agent_ids)}
-    return TrackingErrors(
-        per_agent_max=per_max,
-        per_agent_mean=per_mean,
-        measured_delta=float(err.max()),
-    )
+    return TrackingErrors(per_agent_max=per_max, measured_delta=float(err.max()))
 
 
 @dataclass(frozen=True)
 class ConvergenceResult:
     converged: bool
     residual: float
-    window_start: float
 
 
 def convergence_check(
     trace: SimTrace,
     matrices: FormationMatrices,
-    tolerance: float = 1e-4,
+    tolerance: float = CONVERGENCE_TOL,
     window: float = 0.1,
-    leader_tol: float = 1e-9,
 ) -> ConvergenceResult:
     """Compare final-window follower positions to their containment targets.
 
     ``window`` is the trailing fraction of the trace to average over. The
-    leaders' desired positions must be constant throughout the window
-    (raises ``ValueError`` otherwise, e.g. for a run truncated
-    mid-maneuver). Targets are the follower rows of ``H`` applied to the
-    leaders' final desired positions.
+    leaders' desired positions must be constant throughout the window,
+    within ``LEADER_DRIFT_TOL`` (raises ``ValueError`` otherwise, e.g.
+    for a run truncated mid-maneuver). Targets are the follower rows of
+    ``H`` applied to the leaders' final desired positions.
     """
     times = trace.times
     t_cut = times[-1] - window * (times[-1] - times[0])
     mask = times >= t_cut
     des_leaders = trace.desired[mask][:, :3, :]
     drift = float(np.abs(des_leaders - des_leaders[-1]).max())
-    if drift > leader_tol:
+    if drift > LEADER_DRIFT_TOL:
         raise ValueError(
             f"leader desired positions move by {drift:.3e} inside the "
             f"convergence window (t >= {t_cut:.3f}); run was truncated "
@@ -137,12 +108,12 @@ def convergence_check(
     targets = matrices.H @ des_leaders[-1]
     follower_rows = np.arange(3, len(trace.agent_ids))
     if len(follower_rows) == 0:
-        return ConvergenceResult(True, 0.0, float(t_cut))
+        return ConvergenceResult(True, 0.0)
     mean_pos = trace.positions[mask][:, follower_rows, :].mean(axis=0)
     residual = float(
         np.linalg.norm(mean_pos - targets[follower_rows], axis=-1).max()
     )
-    return ConvergenceResult(residual <= tolerance, residual, float(t_cut))
+    return ConvergenceResult(residual <= tolerance, residual)
 
 
 @dataclass(frozen=True)
@@ -178,31 +149,29 @@ class RunMetrics:
 
 def validate_run(
     trace: SimTrace,
-    cfg: ReferenceConfig,
-    schedule: PhaseSchedule,
-    agent_radius: float,
-    corridor: Corridor | None = None,
+    scenario: Scenario,
     matrices: FormationMatrices | None = None,
-    convergence_tolerance: float = 1e-4,
 ) -> RunMetrics:
-    """Run the full safety-validation chain on a completed trace.
+    """Run the full safety-validation chain on a completed trace of ``scenario``.
 
     The measured tracking error bound feeds the minimum-strain formula;
-    the commanded schedule must stay at or above that bound, and when it
-    does the minimum center distance must be at least one agent diameter.
-    Both conditions fold into ``safety_pass``.
+    the commanded schedule, sampled at the scenario's control rate, must
+    stay at or above that bound, and when it does the minimum center
+    distance must be at least one agent diameter. Both conditions fold
+    into ``safety_pass``. ``matrices`` defaults to the config's.
     """
+    cfg, schedule = scenario.config, scenario.schedule
+    agent_radius = scenario.safety.agent_radius
     errors = tracking_error_metrics(trace)
     d_min = min_reference_distance(cfg)
     lam_required = min_scaling_bound(errors.measured_delta, agent_radius, d_min)
-    tick_rate = trace.tick_rate or 100.0
-    safety = check_schedule_safety(schedule, lam_required, tick_rate)
+    safety = check_schedule_safety(schedule, lam_required, scenario.params.control_rate)
     strain_ok = safety.min_strain_observed >= lam_required
 
     min_pairwise = pairwise_min_distance(trace)
     clearance = (
-        corridor_clearance(trace, corridor, agent_radius)
-        if corridor is not None
+        corridor_clearance(trace, scenario.corridor, agent_radius)
+        if scenario.corridor is not None
         else None
     )
 
@@ -217,9 +186,7 @@ def validate_run(
     else:
         window = 0.1
     try:
-        conv = convergence_check(
-            trace, matrices, tolerance=convergence_tolerance, window=window
-        )
+        conv = convergence_check(trace, matrices, window=window)
         converged, residual = conv.converged, conv.residual
     except ValueError:
         converged, residual = False, None

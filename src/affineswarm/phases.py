@@ -171,11 +171,14 @@ class PhaseSchedule:
         return coords, jacobian_stack(coords), d
 
 
-def tick_times(t_start: float, t_end: float, tick_rate: float) -> np.ndarray:
-    """Inclusive tick grid from ``t_start`` to ``t_end`` at ``tick_rate`` Hz."""
+def tick_grid(t_start: float, span: float, tick_rate: float) -> np.ndarray:
+    """Inclusive grid of ``round(span * tick_rate)`` ticks at ``tick_rate`` Hz.
+
+    It starts at ``t_start`` and holds one more time than ticks.
+    """
     if tick_rate <= 0.0:
         raise ValueError("tick_rate must be positive")
-    count = int(round((t_end - t_start) * tick_rate))
+    count = int(round(span * tick_rate))
     return t_start + np.arange(count + 1) / tick_rate
 
 
@@ -209,9 +212,8 @@ def leader_trajectory(
     Samples cover the schedule span (inclusive endpoints); pass ``t_end``
     beyond the final phase to record the constant hold.
     """
-    times = tick_times(
-        schedule.t_start, schedule.t_end if t_end is None else t_end, tick_rate
-    )
+    t_end = schedule.t_end if t_end is None else t_end
+    times = tick_grid(schedule.t_start, t_end - schedule.t_start, tick_rate)
     _, q, d = schedule.sample(times)
     positions = transform_points(q, d, cfg.reference_positions()[:3])
     return LeaderTrajectory(
@@ -241,7 +243,7 @@ def check_schedule_safety(
     the bound; violating intervals are reported as (t_first, t_last)
     tick pairs.
     """
-    times = tick_times(schedule.t_start, schedule.t_end, tick_rate)
+    times = tick_grid(schedule.t_start, schedule.t_end - schedule.t_start, tick_rate)
     coords = schedule.coordinates(times)
     strains = np.minimum(coords[:, 2], coords[:, 3])
     min_strain = float(strains.min())

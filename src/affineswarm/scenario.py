@@ -38,7 +38,6 @@ from pathlib import Path
 
 from .errors import ScenarioError, ScheduleError
 from .formation import Agent, ReferenceConfig, validate_config
-from .metrics import Corridor
 from .phases import Phase, PhaseSchedule, TranslationRamp
 from .simulation import SimParams
 
@@ -78,6 +77,30 @@ class SafetyParams:
                 problems[f.name] = f"must be finite, got {value!r}"
         if problems:
             raise _FieldErrors(problems)
+
+
+@dataclass(frozen=True)
+class Corridor:
+    """Axis-aligned channel: open slab between two walls over an x-span."""
+
+    x_start: float
+    x_end: float
+    width: float
+    center_y: float = 0.0
+
+    def __post_init__(self):
+        if not (self.width > 0.0):
+            raise ValueError("corridor width must be positive")
+        if not (self.x_end > self.x_start):
+            raise ValueError("corridor x_end must exceed x_start")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"corridor {f.name} must be finite, got {value!r}")
+
+    @property
+    def half_width(self) -> float:
+        return self.width / 2.0
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, SimulationError
 from .formation import FormationMatrices, ReferenceConfig, _audit
-from .phases import PhaseSchedule, desired_positions
+from .phases import PhaseSchedule, desired_positions, tick_grid
 
 
 @dataclass(frozen=True)
@@ -96,11 +96,13 @@ class SimParams:
 
 @dataclass
 class SimTrace:
-    """Per-tick record of a run, in config (matrix) agent order."""
+    """Per-tick record of a run, in config (matrix) agent order.
+
+    Leaders are the first three agents, as in the config.
+    """
 
     times: np.ndarray  # (T,)
     agent_ids: tuple[str, ...]
-    roles: tuple[str, ...]
     positions: np.ndarray  # (T, N, 3) actual
     references: np.ndarray  # (T, N, 3) control inputs
     desired: np.ndarray  # (T, N, 3) commanded-map images, logging only
@@ -108,25 +110,16 @@ class SimTrace:
     def agent_index(self, agent_id: str) -> int:
         return self.agent_ids.index(agent_id)
 
-    @property
-    def tick_rate(self) -> float:
-        if len(self.times) < 2:
-            return 0.0
-        return 1.0 / float(self.times[1] - self.times[0])
-
 
 def tick_times(schedule: PhaseSchedule, params: SimParams) -> np.ndarray:
-    """Control tick times of a run: ``round(duration * control_rate)`` ticks.
-
-    A ``duration`` of None covers the schedule span plus a 10 s hold. The
-    grid starts at the schedule's start and holds one more time than
-    ticks (the initial state).
+    """Control tick times of a run: ``tick_grid`` over ``duration`` from
+    the schedule's start; a ``duration`` of None covers the schedule span
+    plus a 10 s hold. The first time is the initial state's.
     """
     duration = params.duration
     if duration is None:
         duration = schedule.t_end - schedule.t_start + 10.0
-    ticks = int(round(duration * params.control_rate))
-    return schedule.t_start + np.arange(ticks + 1) / params.control_rate
+    return tick_grid(schedule.t_start, duration, params.control_rate)
 
 
 def tick_map(params: SimParams) -> np.ndarray:
@@ -187,12 +180,11 @@ def run_simulation(
     params: SimParams,
     *,
     initial_positions: Mapping[str, np.ndarray] | None = None,
-    initial_velocities: Mapping[str, np.ndarray] | None = None,
 ) -> SimTrace:
     """Run the decentralized acquisition loop and record a full trace.
 
-    Agents start at their reference positions (override per id with
-    ``initial_positions``/``initial_velocities``). The schedule is not
+    Agents start at rest at their reference positions (override per id
+    with ``initial_positions``). The schedule is not
     checked against the strain floor here; ``check_schedule_safety`` does
     that. Nor is the closed loop checked for stability
     (``closed_loop_radius``); a trace that holds a non-finite position
@@ -213,16 +205,12 @@ def run_simulation(
 
     n = len(cfg.agents)
     ids = cfg.ids
-    roles = tuple(a.role for a in cfg.agents)
 
     pos = cfg.reference_positions()
     vel = np.zeros((n, 3))
     if initial_positions:
         for aid, p in initial_positions.items():
             pos[cfg.index_of(aid)] = np.asarray(p, dtype=float)
-    if initial_velocities:
-        for aid, v in initial_velocities.items():
-            vel[cfg.index_of(aid)] = np.asarray(v, dtype=float)
 
     # Follower rows, their in-neighbor rows (F, 3) and the matching
     # entries of W: the only nonzero off-diagonal entries of each row.
@@ -265,7 +253,6 @@ def run_simulation(
     return SimTrace(
         times=times,
         agent_ids=ids,
-        roles=roles,
         positions=trace_pos,
         references=trace_ref,
         desired=trace_des,

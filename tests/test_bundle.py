@@ -23,8 +23,7 @@ from affineswarm.bundle import (
     emit_bundle,
     matrices_document,
     plan_csv_text,
-    read_manifest,
-    read_trace,
+    read_bundle,
     trace_csv_text,
 )
 from affineswarm.scenario import Scenario, parse_scenario, serialize_scenario
@@ -55,10 +54,7 @@ def short_run(default_scenario):
     )
     matrices = FormationMatrices.from_config(s.config)
     trace = run_simulation(s.config, matrices, s.schedule, params)
-    metrics = validate_run(
-        trace, s.config, s.schedule, s.safety.agent_radius,
-        corridor=s.corridor, matrices=matrices,
-    )
+    metrics = validate_run(trace, scenario, matrices)
     return scenario, matrices, trace, metrics
 
 
@@ -100,7 +96,6 @@ class TestOnePassFormatting:
         trace = SimTrace(
             times=table[:, 0],
             agent_ids=("a",),
-            roles=("leader",),
             positions=table[:, None, 1:4],
             references=table[:, None, 4:7],
             desired=table[:, None, 7:10],
@@ -136,7 +131,6 @@ class TestOnePassFormatting:
         trace = SimTrace(
             times=np.empty(0),
             agent_ids=("a",),
-            roles=("leader",),
             positions=np.empty((0, 1, 3)),
             references=np.empty((0, 1, 3)),
             desired=np.empty((0, 1, 3)),
@@ -163,22 +157,23 @@ class TestEmitBundle:
             tmp_path / "run", scenario, trace, metrics, matrices,
             verify_spectrum(matrices),
         )
-        assert bundle.manifest_path.exists()
-        assert sorted(p.name for p in bundle.trace_paths.values()) == [
+        assert bundle == tmp_path / "run"
+        assert (bundle / "manifest.json").exists()
+        assert sorted(p.name for p in bundle.glob("trace_*.csv")) == [
             f"trace_{aid}.csv" for aid in sorted(trace.agent_ids)
         ]
-        doc = json.loads(bundle.matrices_path.read_text())
+        doc = json.loads((bundle / "matrices.json").read_text())
         assert set(doc) == {
             "agent_order", "follower_order", "alpha", "w", "W", "L", "H", "spectrum",
         }
         assert np.array(doc["W"]).shape == (6, 6)
-        metrics_doc = json.loads(bundle.metrics_path.read_text())
+        metrics_doc = json.loads((bundle / "metrics.json").read_text())
         assert metrics_doc["safety_pass"] is True
 
     def test_manifest_hash_matches_reserialized_scenario(self, short_run, tmp_path):
         scenario, matrices, trace, metrics = short_run
         bundle = emit_bundle(tmp_path / "run", scenario, trace, metrics, matrices)
-        manifest = read_manifest(bundle.out_dir)
+        manifest = json.loads((bundle / "manifest.json").read_text())
         reparsed = parse_scenario(json.dumps(manifest["scenario"]))
         assert scenario_sha256(reparsed) == manifest["scenario_sha256"]
         assert reparsed == scenario
@@ -186,15 +181,17 @@ class TestEmitBundle:
     def test_round_trip_read_trace(self, short_run, tmp_path):
         scenario, matrices, trace, metrics = short_run
         bundle = emit_bundle(tmp_path / "run", scenario, trace, metrics, matrices)
-        manifest = read_manifest(bundle.out_dir)
-        loaded = read_trace(bundle.out_dir, manifest, scenario)
+        read_scenario, loaded = read_bundle(bundle)
+        assert read_scenario == scenario
         assert loaded.agent_ids == trace.agent_ids
+        # The times are the scenario's tick grid itself.
+        assert np.array_equal(loaded.times, trace.times)
         # CSV carries 9 significant digits.
         np.testing.assert_allclose(loaded.positions, trace.positions, rtol=1e-8, atol=1e-12)
         np.testing.assert_allclose(loaded.desired, trace.desired, rtol=1e-8, atol=1e-12)
         # The bulk parse gives the values one float() per field gives.
         for i, aid in enumerate(loaded.agent_ids):
-            lines = bundle.trace_paths[aid].read_text().splitlines()[1:]
+            lines = (bundle / f"trace_{aid}.csv").read_text().splitlines()[1:]
             table = np.array([[float(v) for v in line.split(",")] for line in lines])
             assert np.array_equal(loaded.times, table[:, 0])
             assert np.array_equal(loaded.positions[:, i], table[:, 1:4])
@@ -204,20 +201,14 @@ class TestEmitBundle:
     def test_rerun_from_manifest_is_byte_identical(self, short_run, tmp_path):
         scenario, matrices, trace, metrics = short_run
         first = emit_bundle(tmp_path / "a", scenario, trace, metrics, matrices)
-        manifest = read_manifest(first.out_dir)
-        replay = parse_scenario(json.dumps(manifest["scenario"]))
+        replay, _ = read_bundle(first)
         m2 = FormationMatrices.from_config(replay.config)
         trace2 = run_simulation(replay.config, m2, replay.schedule, replay.params)
-        metrics2 = validate_run(
-            trace2, replay.config, replay.schedule, replay.safety.agent_radius,
-            corridor=replay.corridor, matrices=m2,
-        )
+        metrics2 = validate_run(trace2, replay, m2)
         second = emit_bundle(tmp_path / "b", replay, trace2, metrics2, m2)
         for aid in trace.agent_ids:
-            assert (
-                first.trace_paths[aid].read_bytes()
-                == second.trace_paths[aid].read_bytes()
-            )
+            name = f"trace_{aid}.csv"
+            assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_unwritable_target_reports_path(self, short_run, tmp_path):
         scenario, matrices, trace, metrics = short_run

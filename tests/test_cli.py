@@ -329,6 +329,45 @@ class TestValidate:
         assert err.startswith(f"error: {trace}: damaged trace CSV: {message}")
         assert err.count("\n") == 1
 
+    def test_time_off_the_grid_is_the_line_named(self, fast_bundle, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        shutil.copytree(fast_bundle, out)
+        trace = out / "trace_cf4.csv"
+        lines = trace.read_text().splitlines()
+        assert lines[10].startswith("0.09,")
+        lines[10] = "0.091" + lines[10][len("0.09"):]
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["validate", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {trace}: damaged trace CSV: line 11 has t=0.091, "
+            "expected the tick grid's 0.09\n"
+        )
+
+    def test_late_start_judged_as_simulate_judges(self, tmp_path, capsys):
+        # At t0 = 1.2e7 s the CSV's 9-digit times repeat for ten ticks at
+        # a time; validate reads the grid from the scenario, not the CSV.
+        doc = json.loads(default_scenario_text())
+        doc["sim"]["dt"] = 0.01
+        doc["sim"]["duration"] = 32.0
+        for section in doc["phases"] + [doc["translation"]]:
+            section["t0"] += 1.2e7
+            section["tf"] += 1.2e7
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "bundle"
+        assert main(["simulate", str(path), "--out", str(out)]) == 0
+        simulated = json.loads(capsys.readouterr().out.partition("\n")[2])
+        times = [line.partition(",")[0] for line in
+                 (out / "trace_cf1.csv").read_text().splitlines()[1:]]
+        assert len(times) == 3201 and len(set(times)) == 321
+        assert main(["validate", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        validated = json.loads(captured.out)
+        for key in ("safety_pass", "converged"):
+            assert validated[key] is simulated[key] is True
+
     def test_manifest_without_keys_is_parse_error(self, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         bundle.mkdir()
@@ -336,6 +375,17 @@ class TestValidate:
         assert main(["validate", str(bundle)]) == 2
         err = capsys.readouterr().err
         assert f"{bundle / 'manifest.json'}: missing key 'scenario'" in err
+
+    def test_trace_name_not_a_string_is_parse_error(self, fast_bundle, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        shutil.copytree(fast_bundle, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["outputs"]["traces"]["cf3"] = 5
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["validate", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out}/manifest.json: outputs.traces.cf3 is not a file name: 5\n"
+        )
 
     def test_missing_trace_is_parse_error(self, fast_path, tmp_path, capsys):
         out = tmp_path / "bundle"

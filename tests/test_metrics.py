@@ -1,5 +1,6 @@
 """Run metrics: separation, clearance, tracking error, convergence, validation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -34,7 +35,6 @@ def static_trace(positions, ticks=5, tick_rate=100.0, desired=None):
     return SimTrace(
         times=np.arange(ticks) / tick_rate,
         agent_ids=tuple(f"a{i}" for i in range(n)),
-        roles=("leader",) * min(n, 3) + ("follower",) * max(n - 3, 0),
         positions=stack,
         references=stack.copy(),
         desired=des,
@@ -60,7 +60,6 @@ class TestPairwiseMinDistance:
         trace = SimTrace(
             times=np.arange(3) / 100.0,
             agent_ids=("a", "b"),
-            roles=("leader", "leader"),
             positions=pos,
             references=pos.copy(),
             desired=pos.copy(),
@@ -148,7 +147,6 @@ class TestTrackingErrorMetrics:
         trace = SimTrace(
             times=np.arange(4) / 100.0,
             agent_ids=("a", "b"),
-            roles=("leader", "leader"),
             positions=pos,
             references=pos.copy(),
             desired=des,
@@ -226,12 +224,12 @@ class TestValidateRun:
         trace = SimTrace(
             times=np.arange(ticks) / 100.0,
             agent_ids=cfg.ids,
-            roles=tuple(a.role for a in cfg.agents),
             positions=pos,
             references=np.repeat(refs[None], ticks, axis=0),
             desired=np.repeat(refs[None], ticks, axis=0),
         )
-        metrics = validate_run(trace, cfg, default_scenario.schedule, 0.065)
+        scenario = dataclasses.replace(default_scenario, corridor=None)
+        metrics = validate_run(trace, scenario)
         assert metrics.measured_delta == pytest.approx(0.01, abs=1e-15)
         assert metrics.lambda_min_required == pytest.approx(0.3, abs=1e-12)
         assert metrics.min_strain_commanded == 0.5
@@ -256,12 +254,14 @@ class TestValidateRun:
         bumped = SimTrace(
             times=trace.times,
             agent_ids=cfg.ids,
-            roles=tuple(a.role for a in cfg.agents),
             positions=pos,
             references=trace.references,
             desired=trace.desired,
         )
-        metrics = validate_run(bumped, cfg, schedule, 0.065)
+        scenario = dataclasses.replace(
+            default_scenario, schedule=schedule, corridor=None
+        )
+        metrics = validate_run(bumped, scenario)
         assert metrics.min_strain_commanded == pytest.approx(0.25, abs=1e-12)
         assert metrics.lambda_min_required == pytest.approx(0.3, abs=1e-12)
         assert not metrics.safety_pass
@@ -272,41 +272,39 @@ class TestValidateRun:
         trace = SimTrace(
             times=np.arange(6) / 100.0,
             agent_ids=cfg.ids,
-            roles=tuple(a.role for a in cfg.agents),
             positions=np.repeat(refs[None], 6, axis=0),
             references=np.repeat(refs[None], 6, axis=0),
             desired=np.repeat(refs[None], 6, axis=0),
         )
-        metrics = validate_run(
-            trace, cfg, hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0), 0.065
+        scenario = dataclasses.replace(
+            default_scenario,
+            schedule=hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0),
+            corridor=None,
         )
+        metrics = validate_run(trace, scenario)
         assert metrics.safety_pass
         assert metrics.converged
         assert metrics.min_corridor_clearance is None
 
-    def test_corridor_metric_included(self, settled_run):
+    def test_corridor_metric_included(self, default_scenario, settled_run):
         cfg, matrices, trace = settled_run
-        corridor = Corridor(x_start=-1.0, x_end=1.0, width=4.0)
-        metrics = validate_run(
-            trace,
-            cfg,
-            hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0),
-            0.065,
-            corridor=corridor,
-            matrices=matrices,
+        scenario = dataclasses.replace(
+            default_scenario,
+            schedule=hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0),
+            corridor=Corridor(x_start=-1.0, x_end=1.0, width=4.0),
         )
+        metrics = validate_run(trace, scenario, matrices)
         assert metrics.min_corridor_clearance is not None
         assert metrics.min_corridor_clearance > 0.0
 
-    def test_metrics_dict_schema(self, settled_run):
+    def test_metrics_dict_schema(self, default_scenario, settled_run):
         cfg, matrices, trace = settled_run
-        metrics = validate_run(
-            trace,
-            cfg,
-            hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0),
-            0.065,
-            matrices=matrices,
+        scenario = dataclasses.replace(
+            default_scenario,
+            schedule=hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0),
+            corridor=None,
         )
+        metrics = validate_run(trace, scenario, matrices)
         assert set(metrics.to_dict()) == {
             "measured_delta",
             "min_pairwise_distance",
