@@ -11,29 +11,20 @@ import time
 import numpy as np
 
 from affineswarm import (
-    FormationMatrices,
-    check_schedule_safety,
     load_default_scenario,
-    min_reference_distance,
-    min_scaling_bound,
     run_simulation,
+    strain_check,
     validate_run,
 )
 
 scenario = load_default_scenario()
 cfg = scenario.config
-matrices = FormationMatrices.from_config(cfg)
-bound = min_scaling_bound(
-    scenario.safety.delta_budget,
-    scenario.safety.agent_radius,
-    min_reference_distance(cfg),
-)
-safety = check_schedule_safety(scenario.schedule, bound, scenario.params.control_rate)
+safety, _ = strain_check(scenario, scenario.safety.delta_budget)
 print(f"strain precheck: commanded min {safety.min_strain_observed} vs "
-      f"bound {bound:.3f} -> {'pass' if safety.passed else 'FAIL'}")
+      f"bound {safety.lambda_min_bound:.3f} -> {'pass' if safety.passed else 'FAIL'}")
 
 start = time.perf_counter()
-trace = run_simulation(cfg, matrices, scenario.schedule, scenario.params)
+trace = run_simulation(scenario)
 wall = time.perf_counter() - start
 print(f"simulated {trace.times[-1]:.0f} s at dt={scenario.params.dt} "
       f"in {wall:.2f} s wall time ({len(trace.times)} control ticks)")
@@ -43,7 +34,7 @@ print("\nworst tracking error per agent [m]:")
 for i, agent in enumerate(cfg.agents):
     print(f"  {agent.id} ({agent.role:8s}): {err[:, i].max():.4f}")
 
-metrics = validate_run(trace, scenario, matrices)
+metrics = validate_run(trace, scenario)
 print("\nrun metrics:")
 for key, value in metrics.to_dict().items():
     print(f"  {key}: {value}")

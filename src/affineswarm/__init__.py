@@ -24,7 +24,6 @@ from .formation import (
     ReferenceConfig,
     SpectralReport,
     ValidationReport,
-    min_reference_distance,
     validate_config,
     verify_spectrum,
 )
@@ -34,7 +33,9 @@ from .metrics import (
     TrackingErrors,
     convergence_check,
     corridor_clearance,
+    min_reference_distance,
     pairwise_min_distance,
+    strain_check,
     tracking_error_metrics,
     validate_run,
 )
@@ -54,6 +55,7 @@ from .scenario import (
     Corridor,
     SafetyParams,
     Scenario,
+    SimParams,
     load_default_scenario,
     load_scenario,
     parse_scenario,
@@ -61,7 +63,6 @@ from .scenario import (
     serialize_scenario,
 )
 from .simulation import (
-    SimParams,
     SimTrace,
     run_simulation,
 )
@@ -119,6 +120,7 @@ __all__ = [
     "run_simulation",
     "scenario_sha256",
     "serialize_scenario",
+    "strain_check",
     "tracking_error_metrics",
     "transform_points",
     "validate_config",

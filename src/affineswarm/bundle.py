@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ScenarioError
-from .formation import FormationMatrices, SpectralReport
+from .formation import SPECTRUM_TOL, FormationMatrices, SpectralReport
 from .metrics import RunMetrics
 from .phases import LeaderTrajectory
 from .scenario import Scenario, parse_scenario, scenario_sha256, scenario_to_dict
@@ -97,7 +97,7 @@ def matrices_document(
             "h_deviation": spectrum.h_deviation,
             "hurwitz": spectrum.hurwitz,
             "ok": spectrum.ok,
-            "tolerance": spectrum.tolerance,
+            "tolerance": SPECTRUM_TOL,
         }
     if rho is not None:
         if rho >= 1.0:
@@ -130,11 +130,10 @@ def emit_bundle(
     scenario: Scenario,
     trace: SimTrace,
     metrics: RunMetrics,
-    matrices: FormationMatrices,
     spectrum: SpectralReport | None = None,
     rho: float | None = None,
 ) -> Path:
-    """Write trace CSVs, metrics and matrices JSON, and the manifest.
+    """Write trace CSVs, metrics and the scenario's matrices JSON, and the manifest.
 
     Returns the bundle directory. I/O failures are re-raised with the
     offending path in the message.
@@ -151,7 +150,8 @@ def emit_bundle(
             (out / name).write_text(trace_csv_text(trace, aid), newline="\n")
         (out / "metrics.json").write_text(dumps_json(metrics.to_dict()), newline="\n")
         (out / "matrices.json").write_text(
-            dumps_json(matrices_document(matrices, spectrum, rho)), newline="\n"
+            dumps_json(matrices_document(scenario.matrices, spectrum, rho)),
+            newline="\n",
         )
         manifest = {
             "tool": {"name": "affineswarm", "version": __version__},

@@ -29,12 +29,11 @@ from .bundle import (
     safety_document,
 )
 from .errors import AffineSwarmError, SafetyError, ScenarioError, SimulationError
-from .formation import FormationMatrices, min_reference_distance, verify_spectrum
-from .metrics import validate_run
-from .phases import check_schedule_safety, leader_trajectory
-from .scenario import Scenario, load_scenario
-from .simulation import SimParams, closed_loop_radius, run_simulation
-from .transform import min_scaling_bound
+from .formation import verify_spectrum
+from .metrics import strain_check, validate_run
+from .phases import leader_trajectory
+from .scenario import Scenario, SimParams, load_scenario
+from .simulation import closed_loop_radius, run_simulation
 
 ENV_OUT = "AFFINESWARM_OUT"
 
@@ -108,37 +107,21 @@ def _cmd_plan(args) -> int:
 
 
 def _graph_doc(scenario: Scenario):
-    """The matrices, their spectrum report and the closed loop's ``rho``."""
-    matrices = FormationMatrices.from_config(scenario.config)
-    spectrum = verify_spectrum(matrices)
-    return matrices, spectrum, closed_loop_radius(matrices, scenario.params)
+    """The spectrum report of the matrices and the closed loop's ``rho``."""
+    spectrum = verify_spectrum(scenario.matrices)
+    return spectrum, closed_loop_radius(scenario.matrices, scenario.params)
 
 
 def _cmd_graph(args) -> int:
     scenario = load_scenario(args.scenario)
-    matrices, spectrum, rho = _graph_doc(scenario)
-    _emit(dumps_json(matrices_document(matrices, spectrum, rho)), args.out)
+    spectrum, rho = _graph_doc(scenario)
+    _emit(dumps_json(matrices_document(scenario.matrices, spectrum, rho)), args.out)
     return 0 if spectrum.ok else 1
-
-
-def _strain_check(scenario: Scenario):
-    """The schedule's strains at the control rate against the paper's floor.
-
-    Returns the report and the reference spacing ``d_min`` behind the floor.
-    """
-    d_min = min_reference_distance(scenario.config)
-    bound = min_scaling_bound(
-        scenario.safety.delta_budget, scenario.safety.agent_radius, d_min
-    )
-    report = check_schedule_safety(
-        scenario.schedule, bound, scenario.params.control_rate
-    )
-    return report, d_min
 
 
 def _cmd_check(args) -> int:
     scenario = load_scenario(args.scenario)
-    report, d_min = _strain_check(scenario)
+    report, d_min = strain_check(scenario, scenario.safety.delta_budget)
     _emit(dumps_json(safety_document(report, d_min=d_min)), args.out)
     return 0 if report.passed else 1
 
@@ -179,7 +162,7 @@ def _cmd_simulate(args) -> int:
         root = os.environ.get(ENV_OUT, "runs")
         out_dir = str(Path(root) / scenario.name)
 
-    matrices, spectrum, rho = _graph_doc(scenario)
+    spectrum, rho = _graph_doc(scenario)
     if not spectrum.ok:
         print(
             f"error: consensus matrices fail the spectrum check "
@@ -196,16 +179,16 @@ def _cmd_simulate(args) -> int:
             f"kp and kd"
         )
     if not args.skip_safety_check:
-        safety, _ = _strain_check(scenario)
+        safety, _ = strain_check(scenario, scenario.safety.delta_budget)
         if not safety.passed:
             raise SafetyError(
                 f"commanded min strain {safety.min_strain_observed:.6g} is below "
                 f"the bound {safety.lambda_min_bound:.6g}; violating intervals "
                 f"{safety.violations} (pass --skip-safety-check to run anyway)"
             )
-    trace = run_simulation(scenario.config, matrices, scenario.schedule, params)
-    metrics = validate_run(trace, scenario, matrices)
-    bundle = emit_bundle(out_dir, scenario, trace, metrics, matrices, spectrum, rho)
+    trace = run_simulation(scenario)
+    metrics = validate_run(trace, scenario)
+    bundle = emit_bundle(out_dir, scenario, trace, metrics, spectrum, rho)
     print(f"bundle written to {bundle}")
     print(dumps_json(metrics.to_dict()), end="")
     return 0

@@ -44,6 +44,9 @@ COLLINEAR_TOL = 1e-12
 # well before renormalization.
 PARTITION_TOL = 1e-12
 
+# Largest entry of |H - (-W^-1 L)| that verify_spectrum accepts.
+SPECTRUM_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Agent:
@@ -250,6 +253,16 @@ def _audit(cfg: ReferenceConfig):
             )
 
     xy = cfg.planar_positions().reshape(-1, 2)
+    # Exact equality, so -0.0 meets 0.0; NaN equals nothing and fails the
+    # geometric checks below.
+    first_at: dict[tuple[float, float], int] = {}
+    for i, point in enumerate(map(tuple, xy.tolist())):
+        j = first_at.setdefault(point, i)
+        if j != i:
+            pair = f"agents {ids[j]!r} and {ids[i]!r}"
+            violations.append(
+                Violation("coincident", f"{pair} share the reference position {point}")
+            )
     rows = np.array([cfg.index_of(fid) for fid in followers_ok], dtype=int)
     neighbors = np.array(
         [[cfg.index_of(j) for j in cfg.in_neighbors[fid]] for fid in followers_ok],
@@ -320,9 +333,9 @@ def validate_config(cfg: ReferenceConfig) -> ValidationReport:
 
     Returns a report listing all violations found; an empty report means
     the configuration is usable. Checks: role counts and ordering, unique
-    ids, leader independence, in-neighbor cardinality, leader
-    non-collinearity, strict containment of each follower in its
-    in-neighbor triangle (coordinates that sum to 1 within
+    ids, leader independence, in-neighbor cardinality, distinct reference
+    positions, leader non-collinearity, strict containment of each
+    follower in its in-neighbor triangle (coordinates that sum to 1 within
     ``PARTITION_TOL``), and reachability of every follower from every
     leader. Every geometric check is written so that NaN fails it.
     """
@@ -379,14 +392,13 @@ class SpectralReport:
     h_deviation: float
     hurwitz: bool
     ok: bool
-    tolerance: float
 
 
-def verify_spectrum(m: FormationMatrices, tol: float = 1e-9) -> SpectralReport:
+def verify_spectrum(m: FormationMatrices) -> SpectralReport:
     """Check the stability and steady-state identity of the weight matrix.
 
     All eigenvalues of ``W`` must have negative real part and the
-    max-entry deviation ``|H - (-W^{-1} L)|`` must stay within ``tol``.
+    max-entry deviation ``|H - (-W^{-1} L)|`` must stay within ``SPECTRUM_TOL``.
     A singular ``W`` (e.g. a follower cluster unreachable from the
     leaders) is reported with infinite deviation rather than raised.
     """
@@ -404,18 +416,6 @@ def verify_spectrum(m: FormationMatrices, tol: float = 1e-9) -> SpectralReport:
         max_real_part=max_real,
         h_deviation=deviation,
         hurwitz=hurwitz,
-        ok=bool(hurwitz and deviation <= tol),
-        tolerance=tol,
+        ok=bool(hurwitz and deviation <= SPECTRUM_TOL),
     )
-
-
-def min_reference_distance(cfg: ReferenceConfig) -> float:
-    """Minimum pairwise distance between initial positions [m]."""
-    pts = cfg.planar_positions()
-    if len(pts) < 2:
-        raise ValueError("need at least 2 agents for a pairwise distance")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    iu = np.triu_indices(len(pts), k=1)
-    return float(dist[iu].min())
 

@@ -3,6 +3,7 @@
 All metrics are pure functions of an immutable trace; recomputing them
 yields identical values. Distances between agents are center-to-center;
 corridor clearance is surface-to-wall (agent radius subtracted).
+``strain_check`` is the paper's certificate, before and after a run.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formation import FormationMatrices, min_reference_distance
-from .phases import check_schedule_safety
+from .formation import FormationMatrices, ReferenceConfig
+from .phases import SafetyReport, check_schedule_safety
 from .scenario import Corridor, Scenario
 from .simulation import SimTrace
 from .transform import min_scaling_bound
@@ -23,23 +24,37 @@ CONVERGENCE_TOL = 1e-4  # follower residual a converged run stays within, m
 LEADER_DRIFT_TOL = 1e-9  # leader motion the convergence window tolerates, m
 
 
+def _min_pair_distance(frames: np.ndarray) -> float:
+    """Minimum distance between two agents of one frame of (T, N, D) ``frames``.
+
+    Works through ``_CHUNK`` frames at a time; needs ``N >= 2``.
+    """
+    t_count, n, _ = frames.shape
+    iu = np.triu_indices(n, k=1)
+    best = math.inf
+    for lo in range(0, t_count, _CHUNK):
+        p = frames[lo : lo + _CHUNK]
+        diff = p[:, :, None, :] - p[:, None, :, :]
+        dist = np.linalg.norm(diff, axis=-1)
+        best = min(best, float(dist[:, iu[0], iu[1]].min()))
+    return best
+
+
+def min_reference_distance(cfg: ReferenceConfig) -> float:
+    """Minimum pairwise distance between initial positions [m]."""
+    if len(cfg.agents) < 2:
+        raise ValueError("need at least 2 agents for a pairwise distance")
+    return _min_pair_distance(cfg.planar_positions()[None])
+
+
 def pairwise_min_distance(trace: SimTrace) -> float:
     """Minimum center-to-center distance over all ticks and agent pairs.
 
     Returns +inf when the trace has fewer than two agents.
     """
-    pos = trace.positions
-    t_count, n, _ = pos.shape
-    if n < 2:
+    if trace.positions.shape[1] < 2:
         return math.inf
-    iu = np.triu_indices(n, k=1)
-    best = math.inf
-    for lo in range(0, t_count, _CHUNK):
-        p = pos[lo : lo + _CHUNK]
-        diff = p[:, :, None, :] - p[:, None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        best = min(best, float(dist[:, iu[0], iu[1]].min()))
-    return best
+    return _min_pair_distance(trace.positions)
 
 
 def corridor_clearance(
@@ -81,10 +96,7 @@ class ConvergenceResult:
 
 
 def convergence_check(
-    trace: SimTrace,
-    matrices: FormationMatrices,
-    tolerance: float = CONVERGENCE_TOL,
-    window: float = 0.1,
+    trace: SimTrace, matrices: FormationMatrices, window: float = 0.1
 ) -> ConvergenceResult:
     """Compare final-window follower positions to their containment targets.
 
@@ -92,7 +104,8 @@ def convergence_check(
     leaders' desired positions must be constant throughout the window,
     within ``LEADER_DRIFT_TOL`` (raises ``ValueError`` otherwise, e.g.
     for a run truncated mid-maneuver). Targets are the follower rows of
-    ``H`` applied to the leaders' final desired positions.
+    ``H`` applied to the leaders' final desired positions; a run converges
+    when its residual is within ``CONVERGENCE_TOL``.
     """
     times = trace.times
     t_cut = times[-1] - window * (times[-1] - times[0])
@@ -113,7 +126,7 @@ def convergence_check(
     residual = float(
         np.linalg.norm(mean_pos - targets[follower_rows], axis=-1).max()
     )
-    return ConvergenceResult(residual <= tolerance, residual)
+    return ConvergenceResult(residual <= CONVERGENCE_TOL, residual)
 
 
 @dataclass(frozen=True)
@@ -147,26 +160,33 @@ class RunMetrics:
         }
 
 
-def validate_run(
-    trace: SimTrace,
-    scenario: Scenario,
-    matrices: FormationMatrices | None = None,
-) -> RunMetrics:
+def strain_check(scenario: Scenario, delta: float) -> tuple[SafetyReport, float]:
+    """The schedule's strains at the control rate against the paper's floor.
+
+    The floor is ``min_scaling_bound``'s ``2 (delta + r) / d_min``, with
+    ``delta`` a bound on every agent's tracking error (the safety budget
+    before a run, the measured error after one). Returns the report and
+    the reference spacing ``d_min`` behind the floor.
+    """
+    d_min = min_reference_distance(scenario.config)
+    bound = min_scaling_bound(delta, scenario.safety.agent_radius, d_min)
+    report = check_schedule_safety(
+        scenario.schedule, bound, scenario.params.control_rate
+    )
+    return report, d_min
+
+
+def validate_run(trace: SimTrace, scenario: Scenario) -> RunMetrics:
     """Run the full safety-validation chain on a completed trace of ``scenario``.
 
-    The measured tracking error bound feeds the minimum-strain formula;
-    the commanded schedule, sampled at the scenario's control rate, must
-    stay at or above that bound, and when it does the minimum center
-    distance must be at least one agent diameter. Both conditions fold
-    into ``safety_pass``. ``matrices`` defaults to the config's.
+    The measured tracking error bound feeds ``strain_check``: the
+    commanded schedule must stay at or above the floor it gives, and when
+    it does the minimum center distance must be at least one agent
+    diameter. Both conditions fold into ``safety_pass``.
     """
-    cfg, schedule = scenario.config, scenario.schedule
     agent_radius = scenario.safety.agent_radius
     errors = tracking_error_metrics(trace)
-    d_min = min_reference_distance(cfg)
-    lam_required = min_scaling_bound(errors.measured_delta, agent_radius, d_min)
-    safety = check_schedule_safety(schedule, lam_required, scenario.params.control_rate)
-    strain_ok = safety.min_strain_observed >= lam_required
+    safety, _ = strain_check(scenario, errors.measured_delta)
 
     min_pairwise = pairwise_min_distance(trace)
     clearance = (
@@ -175,18 +195,16 @@ def validate_run(
         else None
     )
 
-    if matrices is None:
-        matrices = FormationMatrices.from_config(cfg)
     # Average over the final 10% of the hold period (the span after the
     # last phase ends); fall back to 10% of the trace when there is none.
     span = float(trace.times[-1] - trace.times[0])
-    hold = float(trace.times[-1]) - schedule.t_end
+    hold = float(trace.times[-1]) - scenario.schedule.t_end
     if span > 0.0 and hold > 0.0:
         window = max(0.1 * hold / span, 1.0 / max(len(trace.times) - 1, 1))
     else:
         window = 0.1
     try:
-        conv = convergence_check(trace, matrices, window=window)
+        conv = convergence_check(trace, scenario.matrices, window=window)
         converged, residual = conv.converged, conv.residual
     except ValueError:
         converged, residual = False, None
@@ -197,7 +215,7 @@ def validate_run(
         min_corridor_clearance=clearance,
         converged=converged,
         residual=residual,
-        lambda_min_required=lam_required,
+        lambda_min_required=safety.lambda_min_bound,
         min_strain_commanded=safety.min_strain_observed,
-        safety_pass=bool(strain_ok and min_pairwise >= 2.0 * agent_radius),
+        safety_pass=bool(safety.passed and min_pairwise >= 2.0 * agent_radius),
     )

@@ -204,7 +204,7 @@ class LeaderTrajectory:
 def leader_trajectory(
     schedule: PhaseSchedule,
     cfg: ReferenceConfig,
-    tick_rate: float = 100.0,
+    tick_rate: float,
     t_end: float | None = None,
 ) -> LeaderTrajectory:
     """Sample the leaders' desired trajectories at the control tick rate.
@@ -229,11 +229,10 @@ class SafetyReport:
     min_strain_observed: float
     passed: bool
     violations: list[tuple[float, float]]
-    tick_rate: float
 
 
 def check_schedule_safety(
-    schedule: PhaseSchedule, bound: float, tick_rate: float = 100.0
+    schedule: PhaseSchedule, bound: float, tick_rate: float
 ) -> SafetyReport:
     """Sample min(lambda1, lambda2) over the schedule and compare to ``bound``.
 
@@ -257,7 +256,6 @@ def check_schedule_safety(
         min_strain_observed=min_strain,
         passed=min_strain >= bound,
         violations=violations,
-        tick_rate=float(tick_rate),
     )
 
 

@@ -37,9 +37,8 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ScenarioError, ScheduleError
-from .formation import Agent, ReferenceConfig, validate_config
+from .formation import Agent, FormationMatrices, ReferenceConfig, validate_config
 from .phases import Phase, PhaseSchedule, TranslationRamp
-from .simulation import SimParams
 
 _TOP_KEYS = {
     "name",
@@ -104,13 +103,81 @@ class Corridor:
 
 
 @dataclass(frozen=True)
+class SimParams:
+    """Integration and tracker parameters.
+
+    The control period must be an integer multiple of ``dt``. With the
+    default gains the tracker is critically damped (kd = 2 sqrt(kp)).
+    ``duration`` of None means "schedule span plus a 10 s settling hold";
+    a given duration must cover at least one control tick. Every check is
+    written so that NaN fails it.
+    ``delay_ticks`` is the staleness, in control ticks, of the neighbor
+    positions a follower reads (1 mimics a motion-capture pipeline that
+    delivers the previous sample).
+    """
+
+    dt: float = 0.001
+    control_rate: float = 100.0
+    kp: float = 25.0
+    kd: float = 10.0
+    duration: float | None = None
+    delay_ticks: int = 1
+
+    def __post_init__(self):
+        def positive(v):
+            return math.isfinite(v) and v > 0.0
+
+        if not positive(self.dt):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not positive(self.control_rate):
+            raise ValueError(
+                f"control_rate must be positive and finite, got {self.control_rate}"
+            )
+        if not (positive(self.kp) and positive(self.kd)):
+            raise ValueError(
+                f"tracker gains must be positive and finite, got kp={self.kp}, "
+                f"kd={self.kd}"
+            )
+        if self.delay_ticks < 0:
+            raise ValueError("delay_ticks must be >= 0")
+        substeps = 1.0 / (self.dt * self.control_rate)
+        if not (
+            math.isfinite(substeps)
+            and round(substeps) >= 1
+            and abs(substeps - round(substeps)) <= 1e-9
+        ):
+            raise ValueError(
+                f"control period 1/{self.control_rate} Hz is not an integer "
+                f"multiple of dt={self.dt}"
+            )
+        # round(x) >= 1 exactly when x > 0.5; tick_grid rounds the same way.
+        if self.duration is not None and not (
+            math.isfinite(self.duration) and self.duration * self.control_rate > 0.5
+        ):
+            raise ValueError(
+                f"duration must cover at least one control tick, got {self.duration}"
+            )
+
+    @property
+    def substeps(self) -> int:
+        return int(round(1.0 / (self.dt * self.control_rate)))
+
+
+@dataclass(frozen=True)
 class Scenario:
+    """One run's inputs: the layout and graph, schedule, parameters and safety."""
+
     name: str
     config: ReferenceConfig
     schedule: PhaseSchedule
     params: SimParams
     safety: SafetyParams
     corridor: Corridor | None = None
+
+    @functools.cached_property
+    def matrices(self) -> FormationMatrices:
+        """The config's matrices, built once; ``dataclasses.replace`` drops them."""
+        return FormationMatrices.from_config(self.config)
 
 
 def _finite(value) -> float | None:

@@ -28,70 +28,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, SimulationError
-from .formation import FormationMatrices, ReferenceConfig, _audit
+from .errors import SimulationError
+from .formation import FormationMatrices
 from .phases import PhaseSchedule, desired_positions, tick_grid
-
-
-@dataclass(frozen=True)
-class SimParams:
-    """Integration and tracker parameters.
-
-    The control period must be an integer multiple of ``dt``. With the
-    default gains the tracker is critically damped (kd = 2 sqrt(kp)).
-    ``duration`` of None means "schedule span plus a 10 s settling hold";
-    a given duration must cover at least one control tick. Every check is
-    written so that NaN fails it.
-    ``delay_ticks`` is the staleness, in control ticks, of the neighbor
-    positions a follower reads (1 mimics a motion-capture pipeline that
-    delivers the previous sample).
-    """
-
-    dt: float = 0.001
-    control_rate: float = 100.0
-    kp: float = 25.0
-    kd: float = 10.0
-    duration: float | None = None
-    delay_ticks: int = 1
-
-    def __post_init__(self):
-        def positive(v):
-            return math.isfinite(v) and v > 0.0
-
-        if not positive(self.dt):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not positive(self.control_rate):
-            raise ValueError(
-                f"control_rate must be positive and finite, got {self.control_rate}"
-            )
-        if not (positive(self.kp) and positive(self.kd)):
-            raise ValueError(
-                f"tracker gains must be positive and finite, got kp={self.kp}, "
-                f"kd={self.kd}"
-            )
-        if self.delay_ticks < 0:
-            raise ValueError("delay_ticks must be >= 0")
-        substeps = 1.0 / (self.dt * self.control_rate)
-        if not (
-            math.isfinite(substeps)
-            and round(substeps) >= 1
-            and abs(substeps - round(substeps)) <= 1e-9
-        ):
-            raise ValueError(
-                f"control period 1/{self.control_rate} Hz is not an integer "
-                f"multiple of dt={self.dt}"
-            )
-        # round(x) >= 1 exactly when x > 0.5; run_simulation rounds the same way.
-        if self.duration is not None and not (
-            math.isfinite(self.duration) and self.duration * self.control_rate > 0.5
-        ):
-            raise ValueError(
-                f"duration must cover at least one control tick, got {self.duration}"
-            )
-
-    @property
-    def substeps(self) -> int:
-        return int(round(1.0 / (self.dt * self.control_rate)))
+from .scenario import Scenario, SimParams
 
 
 @dataclass
@@ -174,35 +114,21 @@ def closed_loop_radius(matrices: FormationMatrices, params: SimParams) -> float:
 
 
 def run_simulation(
-    cfg: ReferenceConfig,
-    matrices: FormationMatrices,
-    schedule: PhaseSchedule,
-    params: SimParams,
+    scenario: Scenario,
     *,
     initial_positions: Mapping[str, np.ndarray] | None = None,
 ) -> SimTrace:
-    """Run the decentralized acquisition loop and record a full trace.
+    """Run ``scenario``'s decentralized acquisition loop and record a full trace.
 
     Agents start at rest at their reference positions (override per id
-    with ``initial_positions``). The schedule is not
-    checked against the strain floor here; ``check_schedule_safety`` does
-    that. Nor is the closed loop checked for stability
-    (``closed_loop_radius``); a trace that holds a non-finite position
-    raises ``SimulationError`` naming its first such tick and agents.
+    with ``initial_positions``). An invalid config raises ``ConfigError``
+    from ``scenario.matrices``. The strain floor is not checked here
+    (``metrics.strain_check`` does that), nor is the closed loop's
+    stability (``closed_loop_radius``); a trace that holds a non-finite
+    position raises ``SimulationError`` naming its first such tick and agents.
     """
-    report, neighbors, _, _ = _audit(cfg)
-    report.raise_if_invalid()
-    if matrices.agent_ids != cfg.ids:
-        raise ConfigError(
-            "matrices were built for a different configuration "
-            f"({matrices.agent_ids} vs {cfg.ids})"
-        )
-    if not np.array_equal(matrices.neighbors, neighbors):
-        raise ConfigError(
-            "matrices were built for a different communication graph "
-            "than the configuration's in_neighbors"
-        )
-
+    cfg, schedule, params = scenario.config, scenario.schedule, scenario.params
+    matrices = scenario.matrices
     n = len(cfg.agents)
     ids = cfg.ids
 

@@ -15,6 +15,8 @@ from affineswarm import (
     Phase,
     PhaseSchedule,
     ReferenceConfig,
+    SafetyParams,
+    Scenario,
     desired_positions,
     load_default_scenario,
     quintic_blend,
@@ -30,6 +32,17 @@ def default_scenario():
 @pytest.fixture(scope="session")
 def default_matrices(default_scenario):
     return FormationMatrices.from_config(default_scenario.config)
+
+
+def make_scenario(cfg, schedule, params) -> Scenario:
+    """A ``Scenario`` of ``cfg``, ``schedule`` and ``params`` with default safety."""
+    return Scenario(
+        name="test",
+        config=cfg,
+        schedule=schedule,
+        params=params,
+        safety=SafetyParams(),
+    )
 
 
 def barycentric_oracle(point, triangle):

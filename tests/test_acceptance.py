@@ -18,7 +18,6 @@ from affineswarm import (
     PhaseSchedule,
     SimParams,
     assemble_jacobian,
-    check_schedule_safety,
     decompose_jacobian,
     hold_schedule,
     load_default_scenario,
@@ -27,13 +26,19 @@ from affineswarm import (
     pairwise_min_distance,
     quintic_blend,
     run_simulation,
+    strain_check,
     tracking_error_metrics,
     transform_points,
     verify_spectrum,
 )
 from affineswarm.cli import main
 from affineswarm.scenario import default_scenario_text
-from conftest import consensus_fixed_point, random_config, random_schedule
+from conftest import (
+    consensus_fixed_point,
+    make_scenario,
+    random_config,
+    random_schedule,
+)
 
 AGENT_RADIUS = 0.065
 
@@ -57,8 +62,7 @@ def test_criterion_1_strain_bound_arithmetic(scenario):
     start = time.perf_counter()
     assert abs(min_scaling_bound(0.01, 0.065, 0.5) - 0.3) <= 1e-12
     assert min_reference_distance(scenario.config) == 0.5
-    bound = min_scaling_bound(0.01, 0.065, min_reference_distance(scenario.config))
-    safety = check_schedule_safety(scenario.schedule, bound)
+    safety, _ = strain_check(scenario, 0.01)
     assert safety.min_strain_observed == 0.5
     assert safety.passed
     assert time.perf_counter() - start < 1.0
@@ -118,10 +122,11 @@ def test_criterion_4_decentralized_convergence(scenario, matrices):
         for fid in cfg.follower_ids
     }
     trace = run_simulation(
-        cfg,
-        matrices,
-        hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0),
-        SimParams(duration=5.0),  # default gains
+        make_scenario(
+            cfg,
+            hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0),
+            SimParams(duration=5.0),  # default gains
+        ),
         initial_positions=initial,
     )
     targets = matrices.H @ cfg.reference_positions()[:3]
@@ -148,38 +153,36 @@ def _contraction_hold_schedule(z):
     )
 
 
-def test_criterion_5_safety_embodiment(scenario, matrices):
+def test_criterion_5_safety_embodiment(scenario):
     cfg = scenario.config
-    d_min = min_reference_distance(cfg)
     sim_kw = dict(
         dt=0.005, control_rate=100.0,
         kp=scenario.params.kp, kd=scenario.params.kd,
     )
 
-    runs = []
-    # The default scenario itself (full fidelity run).
-    default_trace = run_simulation(cfg, matrices, scenario.schedule, scenario.params)
-    runs.append((scenario.schedule, default_trace))
+    # The default scenario itself (full fidelity run), then random schedules
+    # with the default agent radius.
+    runs = [scenario]
     rng = np.random.default_rng(5)
     for _ in range(50):
         schedule = random_schedule(rng, z=cfg.z)
         params = SimParams(duration=schedule.t_end + 3.0, **sim_kw)
-        trace = run_simulation(cfg, matrices, schedule, params)
-        runs.append((schedule, trace))
+        runs.append(make_scenario(cfg, schedule, params))
+    assert {s.safety.agent_radius for s in runs} == {AGENT_RADIUS}
 
-    for schedule, trace in runs:
+    for run in runs:
+        trace = run_simulation(run)
         delta = tracking_error_metrics(trace).measured_delta
-        bound = min_scaling_bound(delta, AGENT_RADIUS, d_min)
-        assert check_schedule_safety(schedule, bound).passed, (
-            f"schedule failed its own measured-delta bound {bound:.3f}"
-        )
+        safety, _ = strain_check(run, delta)
+        bound = safety.lambda_min_bound
+        assert safety.passed, f"schedule failed its own measured-delta bound {bound:.3f}"
         assert pairwise_min_distance(trace) >= 2.0 * AGENT_RADIUS
 
     # Pure contraction to half scale, then hold: closest approach is the
     # contracted reference separation, up to twice the tracking error.
     schedule = _contraction_hold_schedule(cfg.z)
     params = SimParams(duration=14.0, **sim_kw)
-    trace = run_simulation(cfg, matrices, schedule, params)
+    trace = run_simulation(make_scenario(cfg, schedule, params))
     delta = tracking_error_metrics(trace).measured_delta
     dist = pairwise_min_distance(trace)
     assert abs(dist - 0.25) <= 2.0 * delta + 1e-9

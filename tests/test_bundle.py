@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from affineswarm import (
-    FormationMatrices,
     LeaderTrajectory,
     SimParams,
     SimTrace,
@@ -31,9 +30,7 @@ from affineswarm.scenario import Scenario, parse_scenario, serialize_scenario
 
 @pytest.fixture(scope="module")
 def default_trace(default_scenario):
-    s = default_scenario
-    matrices = FormationMatrices.from_config(s.config)
-    return run_simulation(s.config, matrices, s.schedule, s.params)
+    return run_simulation(default_scenario)
 
 
 @pytest.fixture(scope="module")
@@ -52,15 +49,14 @@ def short_run(default_scenario):
         safety=s.safety,
         corridor=s.corridor,
     )
-    matrices = FormationMatrices.from_config(s.config)
-    trace = run_simulation(s.config, matrices, s.schedule, params)
-    metrics = validate_run(trace, scenario, matrices)
-    return scenario, matrices, trace, metrics
+    trace = run_simulation(scenario)
+    metrics = validate_run(trace, scenario)
+    return scenario, trace, metrics
 
 
 class TestTraceCsv:
     def test_header_and_shape(self, short_run):
-        _, _, trace, _ = short_run
+        _, trace, _ = short_run
         text = trace_csv_text(trace, "cf1")
         lines = text.strip().split("\n")
         assert lines[0] == ",".join(TRACE_COLUMNS)
@@ -68,12 +64,12 @@ class TestTraceCsv:
         assert all(len(line.split(",")) == 10 for line in lines[1:])
 
     def test_first_row_matches_reference_position(self, short_run):
-        _, _, trace, _ = short_run
+        _, trace, _ = short_run
         first = trace_csv_text(trace, "cf1").strip().split("\n")[1]
         assert first.startswith("0,0,0.75,1,")
 
     def test_nine_significant_digits(self, short_run):
-        _, _, trace, _ = short_run
+        _, trace, _ = short_run
         row = trace_csv_text(trace, "cf2").strip().split("\n")[-1]
         for field in row.split(","):
             mantissa = field.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
@@ -152,11 +148,9 @@ class TestPlanCsv:
 
 class TestEmitBundle:
     def test_bundle_contents(self, short_run, tmp_path):
-        scenario, matrices, trace, metrics = short_run
-        bundle = emit_bundle(
-            tmp_path / "run", scenario, trace, metrics, matrices,
-            verify_spectrum(matrices),
-        )
+        scenario, trace, metrics = short_run
+        spectrum = verify_spectrum(scenario.matrices)
+        bundle = emit_bundle(tmp_path / "run", scenario, trace, metrics, spectrum)
         assert bundle == tmp_path / "run"
         assert (bundle / "manifest.json").exists()
         assert sorted(p.name for p in bundle.glob("trace_*.csv")) == [
@@ -171,16 +165,16 @@ class TestEmitBundle:
         assert metrics_doc["safety_pass"] is True
 
     def test_manifest_hash_matches_reserialized_scenario(self, short_run, tmp_path):
-        scenario, matrices, trace, metrics = short_run
-        bundle = emit_bundle(tmp_path / "run", scenario, trace, metrics, matrices)
+        scenario, trace, metrics = short_run
+        bundle = emit_bundle(tmp_path / "run", scenario, trace, metrics)
         manifest = json.loads((bundle / "manifest.json").read_text())
         reparsed = parse_scenario(json.dumps(manifest["scenario"]))
         assert scenario_sha256(reparsed) == manifest["scenario_sha256"]
         assert reparsed == scenario
 
     def test_round_trip_read_trace(self, short_run, tmp_path):
-        scenario, matrices, trace, metrics = short_run
-        bundle = emit_bundle(tmp_path / "run", scenario, trace, metrics, matrices)
+        scenario, trace, metrics = short_run
+        bundle = emit_bundle(tmp_path / "run", scenario, trace, metrics)
         read_scenario, loaded = read_bundle(bundle)
         assert read_scenario == scenario
         assert loaded.agent_ids == trace.agent_ids
@@ -199,23 +193,22 @@ class TestEmitBundle:
             assert np.array_equal(loaded.desired[:, i], table[:, 7:10])
 
     def test_rerun_from_manifest_is_byte_identical(self, short_run, tmp_path):
-        scenario, matrices, trace, metrics = short_run
-        first = emit_bundle(tmp_path / "a", scenario, trace, metrics, matrices)
+        scenario, trace, metrics = short_run
+        first = emit_bundle(tmp_path / "a", scenario, trace, metrics)
         replay, _ = read_bundle(first)
-        m2 = FormationMatrices.from_config(replay.config)
-        trace2 = run_simulation(replay.config, m2, replay.schedule, replay.params)
-        metrics2 = validate_run(trace2, replay, m2)
-        second = emit_bundle(tmp_path / "b", replay, trace2, metrics2, m2)
+        trace2 = run_simulation(replay)
+        metrics2 = validate_run(trace2, replay)
+        second = emit_bundle(tmp_path / "b", replay, trace2, metrics2)
         for aid in trace.agent_ids:
             name = f"trace_{aid}.csv"
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_unwritable_target_reports_path(self, short_run, tmp_path):
-        scenario, matrices, trace, metrics = short_run
+        scenario, trace, metrics = short_run
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
         with pytest.raises(OSError, match="blocker"):
-            emit_bundle(blocker / "run", scenario, trace, metrics, matrices)
+            emit_bundle(blocker / "run", scenario, trace, metrics)
 
 
 class TestGoldenRows:
@@ -249,7 +242,7 @@ class TestGoldenRows:
 
 class TestMatricesDocument:
     def test_row_major_values(self, short_run):
-        _, matrices, _, _ = short_run
+        matrices = short_run[0].matrices
         doc = matrices_document(matrices)
         np.testing.assert_array_equal(np.array(doc["W"]), matrices.W)
         np.testing.assert_array_equal(np.array(doc["H"]), matrices.H)
@@ -266,7 +259,7 @@ class TestMatricesDocument:
         ],
     )
     def test_closed_loop(self, short_run, rho, expected):
-        _, matrices, _, _ = short_run
+        matrices = short_run[0].matrices
         assert "closed_loop" not in matrices_document(matrices)
         doc = matrices_document(matrices, rho=rho)
         assert doc["closed_loop"] == expected

@@ -92,6 +92,24 @@ def test_negative_safety_value_is_schema_error(tmp_path, capsys, key):
     assert f"error: $.safety.{key}: must be >= 0, got -1.0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "graph", "plan", "simulate"])
+def test_coincident_agents_are_validation_failure(tmp_path, capsys, command):
+    # cf7 on cf2's spot, strictly inside its own in-neighbor triangle: the
+    # scenario parses, but no command may reach the d_min = 0 strain floor.
+    doc = json.loads(default_scenario_text())
+    doc["agents"].append({"id": "cf7", "role": "follower", "x": 0.0, "y": 0.25})
+    doc["graph"]["cf7"] = ["cf1", "cf5", "cf6"]
+    path = tmp_path / "coincident.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid configuration: coincident: agents 'cf2' and 'cf7' share "
+        "the reference position (0.0, 0.25)\n"
+    )
+    assert not out.exists()
+
+
 class TestCheck:
     def test_default_passes(self, default_path, capsys):
         assert main(["check", default_path]) == 0

@@ -135,6 +135,18 @@ class TestValidateConfig:
         assert "unknown-neighbor" in codes
         assert_refused(cfg, "unknown-neighbor")
 
+    @pytest.mark.parametrize("x", [0.0, -0.0])
+    def test_coincident_reference_positions(self, default_scenario, x):
+        # cf7 sits on cf2 (-0.0 is 0.0) strictly inside its own in-neighbor
+        # triangle, so the coincidence is the only violation.
+        cfg = default_scenario.config
+        agents = cfg.agents + (Agent("cf7", "follower", x, 0.25),)
+        neighbors = dict(cfg.in_neighbors, cf7=("cf1", "cf5", "cf6"))
+        bad = ReferenceConfig(agents=agents, z=cfg.z, in_neighbors=neighbors)
+        report = assert_refused(bad, "coincident")
+        assert [v.code for v in report.violations] == ["coincident"]
+        assert "agents 'cf2' and 'cf7' share" in report.violations[0].message
+
 
 class TestComputeAlpha:
     def test_table_follower_exact_thirds(self, default_matrices):

@@ -19,9 +19,14 @@ from affineswarm import (
     hold_schedule,
     pairwise_min_distance,
     run_simulation,
+    serialize_scenario,
+    strain_check,
     tracking_error_metrics,
     validate_run,
 )
+from affineswarm.bundle import dumps_json, safety_document
+from affineswarm.cli import main
+from conftest import make_scenario
 
 
 def static_trace(positions, ticks=5, tick_rate=100.0, desired=None):
@@ -174,10 +179,11 @@ def settled_run(default_scenario):
         for fid in cfg.follower_ids
     }
     trace = run_simulation(
-        cfg,
-        matrices,
-        hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0),
-        SimParams(duration=6.0),
+        make_scenario(
+            cfg,
+            hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0),
+            SimParams(duration=6.0),
+        ),
         initial_positions=initial,
     )
     return cfg, matrices, trace
@@ -186,7 +192,7 @@ def settled_run(default_scenario):
 class TestConvergenceCheck:
     def test_settled_run_converges(self, settled_run):
         _, matrices, trace = settled_run
-        result = convergence_check(trace, matrices, tolerance=1e-4)
+        result = convergence_check(trace, matrices)
         assert result.converged
         assert result.residual <= 1e-4
 
@@ -194,10 +200,11 @@ class TestConvergenceCheck:
         cfg = default_scenario.config
         matrices = FormationMatrices.from_config(cfg)
         trace = run_simulation(
-            cfg,
-            matrices,
-            default_scenario.schedule,
-            SimParams(dt=0.01, duration=15.0),  # stops mid-maneuver
+            make_scenario(
+                cfg,
+                default_scenario.schedule,
+                SimParams(dt=0.01, duration=15.0),  # stops mid-maneuver
+            )
         )
         with pytest.raises(ValueError, match="window"):
             convergence_check(trace, matrices)
@@ -209,6 +216,28 @@ class TestConvergenceCheck:
         result = convergence_check(trace, matrices)
         assert result.converged
         assert result.residual <= 1e-12
+
+
+class TestStrainCheck:
+    """The one certificate behind ``check``, the simulate precheck and ``validate``."""
+
+    def test_budget_reproduces_check_document(self, default_scenario, tmp_path, capsys):
+        s = default_scenario
+        path = tmp_path / "default.json"
+        path.write_text(serialize_scenario(s))
+        assert main(["check", str(path)]) == 0
+        report, d_min = strain_check(s, s.safety.delta_budget)
+        assert capsys.readouterr().out == dumps_json(safety_document(report, d_min))
+
+    def test_measured_delta_reproduces_validate_run(self, default_scenario):
+        s = dataclasses.replace(default_scenario, params=SimParams(dt=0.01))
+        metrics = validate_run(run_simulation(s), s)
+        report, _ = strain_check(s, metrics.measured_delta)
+        assert metrics.lambda_min_required == report.lambda_min_bound
+        assert metrics.min_strain_commanded == report.min_strain_observed
+        assert metrics.safety_pass == (
+            report.passed and metrics.min_pairwise_distance >= 2 * s.safety.agent_radius
+        )
 
 
 class TestValidateRun:
@@ -287,24 +316,24 @@ class TestValidateRun:
         assert metrics.min_corridor_clearance is None
 
     def test_corridor_metric_included(self, default_scenario, settled_run):
-        cfg, matrices, trace = settled_run
+        cfg, _, trace = settled_run
         scenario = dataclasses.replace(
             default_scenario,
             schedule=hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0),
             corridor=Corridor(x_start=-1.0, x_end=1.0, width=4.0),
         )
-        metrics = validate_run(trace, scenario, matrices)
+        metrics = validate_run(trace, scenario)
         assert metrics.min_corridor_clearance is not None
         assert metrics.min_corridor_clearance > 0.0
 
     def test_metrics_dict_schema(self, default_scenario, settled_run):
-        cfg, matrices, trace = settled_run
+        cfg, _, trace = settled_run
         scenario = dataclasses.replace(
             default_scenario,
             schedule=hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0),
             corridor=None,
         )
-        metrics = validate_run(trace, scenario, matrices)
+        metrics = validate_run(trace, scenario)
         assert set(metrics.to_dict()) == {
             "measured_delta",
             "min_pairwise_distance",

@@ -311,7 +311,9 @@ class TestSample:
 
 class TestLeaderTrajectory:
     def test_initial_positions(self, default_scenario):
-        traj = leader_trajectory(default_scenario.schedule, default_scenario.config)
+        traj = leader_trajectory(
+            default_scenario.schedule, default_scenario.config, 100.0
+        )
         assert traj.agent_ids == ("cf1", "cf5", "cf6")
         np.testing.assert_allclose(traj.positions[0, 0], [0.0, 0.75, 1.0], atol=1e-15)
 
@@ -327,14 +329,14 @@ class TestLeaderTrajectory:
             ),
             z=1.0,
         )
-        traj = leader_trajectory(sched, default_scenario.config)
+        traj = leader_trajectory(sched, default_scenario.config, 100.0)
         np.testing.assert_allclose(traj.positions[-1, 0], [0.0, 0.375, 1.0], atol=1e-12)
 
     def test_final_translation_offsets_x_by_four(self, default_scenario):
         sched = default_scenario.schedule
         bare = PhaseSchedule(phases=sched.phases, z=sched.z, translation=None)
-        with_ramp = leader_trajectory(sched, default_scenario.config)
-        without = leader_trajectory(bare, default_scenario.config)
+        with_ramp = leader_trajectory(sched, default_scenario.config, 100.0)
+        without = leader_trajectory(bare, default_scenario.config, 100.0)
         shift = with_ramp.positions[-1, :, 0] - without.positions[-1, :, 0]
         np.testing.assert_allclose(shift, 4.0, atol=1e-12)
         np.testing.assert_allclose(
@@ -342,12 +344,14 @@ class TestLeaderTrajectory:
         )
 
     def test_altitude_constant(self, default_scenario):
-        traj = leader_trajectory(default_scenario.schedule, default_scenario.config)
+        traj = leader_trajectory(
+            default_scenario.schedule, default_scenario.config, 100.0
+        )
         np.testing.assert_array_equal(traj.positions[:, :, 2], 1.0)
 
     def test_hold_after_final_time(self, default_scenario):
         traj = leader_trajectory(
-            default_scenario.schedule, default_scenario.config, t_end=35.0
+            default_scenario.schedule, default_scenario.config, 100.0, t_end=35.0
         )
         hold = traj.positions[traj.times >= 30.0]
         assert np.array_equal(hold, np.repeat(hold[:1], len(hold), axis=0))
@@ -357,7 +361,9 @@ class TestLeaderTrajectory:
         # phase boundaries: a (hidden) acceleration step of size a would
         # show up as a second-difference jump of order a, independent of
         # the tick, while a C2 trajectory leaves only O(jerk * tick).
-        traj = leader_trajectory(default_scenario.schedule, default_scenario.config)
+        traj = leader_trajectory(
+            default_scenario.schedule, default_scenario.config, 100.0
+        )
         pos = traj.positions.reshape(len(traj.times), -1)
         acc = np.diff(pos, n=2, axis=0)
         jumps = np.abs(np.diff(acc, axis=0)).max(axis=1)
@@ -381,7 +387,7 @@ class TestDesiredPositions:
 
 class TestCheckScheduleSafety:
     def test_default_schedule_passes_reference_bound(self, default_scenario):
-        report = check_schedule_safety(default_scenario.schedule, 0.3)
+        report = check_schedule_safety(default_scenario.schedule, 0.3, 100.0)
         assert report.min_strain_observed == 0.5
         assert report.passed
         assert report.violations == []
@@ -398,7 +404,7 @@ class TestCheckScheduleSafety:
             ),
             z=1.0,
         )
-        report = check_schedule_safety(sched, 0.3)
+        report = check_schedule_safety(sched, 0.3, 100.0)
         assert not report.passed
         assert report.min_strain_observed == pytest.approx(0.2, abs=1e-12)
         assert len(report.violations) == 1
@@ -413,13 +419,13 @@ class TestCheckScheduleSafety:
 
     def test_identity_schedule_passes_any_unit_bound(self):
         sched = hold_schedule(AtCoordinates(), z=1.0, duration=2.0)
-        assert check_schedule_safety(sched, 1.0).passed
+        assert check_schedule_safety(sched, 1.0, 100.0).passed
 
     def test_boundary_equality_passes(self):
         sched = hold_schedule(
             AtCoordinates(lambda1=0.5, lambda2=0.5), z=1.0, duration=1.0
         )
-        report = check_schedule_safety(sched, 0.5)
+        report = check_schedule_safety(sched, 0.5, 100.0)
         assert report.passed
 
     def test_every_violating_run_is_reported(self):

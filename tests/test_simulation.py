@@ -20,13 +20,16 @@ from affineswarm import (
     check_schedule_safety,
     hold_schedule,
     load_default_scenario,
+    parse_scenario,
     run_simulation,
+    serialize_scenario,
 )
 from affineswarm.simulation import closed_loop_radius, tick_map, tick_times
 from conftest import (
     consensus_fixed_point,
     euler_oracle,
     lifted_tick_matrix,
+    make_scenario,
     random_config,
     random_schedule,
 )
@@ -39,22 +42,22 @@ def default_setup(default_scenario):
     return cfg, matrices
 
 
-def hold_run(cfg, matrices, params, initial_positions=None):
+def hold_run(cfg, params, initial_positions=None):
     """A run under the identity map held still, from the given start."""
     schedule = hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0)
     return run_simulation(
-        cfg, matrices, schedule, params, initial_positions=initial_positions
+        make_scenario(cfg, schedule, params), initial_positions=initial_positions
     )
 
 
-def leader_step_response(cfg, matrices, params):
+def leader_step_response(cfg, params):
     """x of the first leader released from rest 1 m short of its held reference.
 
     A leader tracks the commanded map directly, so this is the closed-loop
     response of one PD tracker to a 1 m step, from 0 to 1.
     """
     start = cfg.reference_positions()[0] - [1.0, 0.0, 0.0]
-    trace = hold_run(cfg, matrices, params, {cfg.leader_ids[0]: start})
+    trace = hold_run(cfg, params, {cfg.leader_ids[0]: start})
     return trace.times, trace.positions[:, 0, 0] - start[0]
 
 
@@ -62,8 +65,8 @@ class TestAgentStep:
     """Step response of one agent's PD tracker, observed through the engine."""
 
     def test_equilibrium_is_fixed(self, default_setup):
-        cfg, matrices = default_setup
-        trace = hold_run(cfg, matrices, SimParams(duration=1.0))
+        cfg, _ = default_setup
+        trace = hold_run(cfg, SimParams(duration=1.0))
         leaders = np.broadcast_to(
             cfg.reference_positions()[:3], trace.positions[:, :3].shape
         )
@@ -73,22 +76,22 @@ class TestAgentStep:
     def test_converges_to_constant_reference(self, default_setup):
         # Default gains give a double pole at -5 (time constant 0.2 s);
         # the 1 m step residual (1 + 5t) e^{-5t} drops below 1e-4 by ~2.5 s.
-        cfg, matrices = default_setup
-        times, x = leader_step_response(cfg, matrices, SimParams(duration=4.0))
+        cfg, _ = default_setup
+        times, x = leader_step_response(cfg, SimParams(duration=4.0))
         assert abs(x[-1] - 1.0) < 1e-4
         assert abs(x[-1] - x[-2]) / (times[-1] - times[-2]) < 1e-4
 
     def test_critically_damped_no_overshoot(self, default_setup):
-        cfg, matrices = default_setup
+        cfg, _ = default_setup
         params = SimParams(kp=25.0, kd=10.0, dt=0.001, duration=3.0)
-        _, x = leader_step_response(cfg, matrices, params)
+        _, x = leader_step_response(cfg, params)
         assert x.max() <= 1.0 + 1e-6
 
     def test_matches_closed_form_response(self, default_setup):
         # x(t) = 1 - (1 + 5 t) e^{-5 t} for the critically damped pair.
-        cfg, matrices = default_setup
+        cfg, _ = default_setup
         params = SimParams(kp=25.0, kd=10.0, dt=0.0001, duration=0.5)
-        times, x = leader_step_response(cfg, matrices, params)
+        times, x = leader_step_response(cfg, params)
         expected = 1.0 - (1.0 + 5.0 * times) * np.exp(-5.0 * times)
         np.testing.assert_allclose(x, expected, rtol=0, atol=1e-3)
 
@@ -109,9 +112,9 @@ class TestSimParams:
         assert SimParams(dt=0.01, control_rate=100.0).substeps == 1
 
 
-def first_tick_references(cfg, matrices, initial_positions=None):
+def first_tick_references(cfg, initial_positions=None):
     """Follower references the engine computes from the starting positions."""
-    trace = hold_run(cfg, matrices, SimParams(dt=0.01, duration=0.01), initial_positions)
+    trace = hold_run(cfg, SimParams(dt=0.01, duration=0.01), initial_positions)
     rows = [trace.agent_index(fid) for fid in cfg.follower_ids]
     return trace.references[0, rows]
 
@@ -125,12 +128,12 @@ class TestFollowerReference:
         off_diagonal = matrices.W[rows].sum(axis=1) - matrices.W[rows, rows]
         np.testing.assert_allclose(off_diagonal, 1.0, rtol=0, atol=1e-15)
         point = np.array([0.3, -0.2, 1.0])
-        refs = first_tick_references(cfg, matrices, {aid: point for aid in cfg.ids})
+        refs = first_tick_references(cfg, {aid: point for aid in cfg.ids})
         np.testing.assert_allclose(refs, np.broadcast_to(point, refs.shape), atol=1e-15)
 
     def test_weighted_sum_reproduces_reference_position(self, default_setup):
-        cfg, matrices = default_setup
-        refs = first_tick_references(cfg, matrices)
+        cfg, _ = default_setup
+        refs = first_tick_references(cfg)
         rows = [cfg.index_of(fid) for fid in cfg.follower_ids]
         np.testing.assert_allclose(
             refs, cfg.reference_positions()[rows], rtol=0, atol=1e-12
@@ -138,23 +141,21 @@ class TestFollowerReference:
         np.testing.assert_allclose(refs[0], [0.0, 0.25, 1.0], rtol=0, atol=1e-12)
 
     def test_common_offset_passes_through(self, default_setup):
-        cfg, matrices = default_setup
+        cfg, _ = default_setup
         rng = np.random.default_rng(0)
         base = {aid: rng.uniform(-1, 1, 3) for aid in cfg.ids}
         v = np.array([0.7, -0.2, 0.1])
-        ref0 = first_tick_references(cfg, matrices, base)
-        ref1 = first_tick_references(
-            cfg, matrices, {aid: p + v for aid, p in base.items()}
-        )
+        ref0 = first_tick_references(cfg, base)
+        ref1 = first_tick_references(cfg, {aid: p + v for aid, p in base.items()})
         np.testing.assert_allclose(ref1, ref0 + v, rtol=0, atol=1e-15)
 
     def test_missing_neighbor_is_integrity_error(self, default_setup):
-        cfg, matrices = default_setup
+        cfg, _ = default_setup
         neighbors = dict(cfg.in_neighbors)
         neighbors["cf2"] = ("cf1", "cf3", "ghost")
         bad = ReferenceConfig(agents=cfg.agents, z=cfg.z, in_neighbors=neighbors)
         with pytest.raises(ConfigError, match="ghost"):
-            first_tick_references(bad, matrices)
+            first_tick_references(bad)
 
 
 def assert_references_mix_neighbors(trace, cfg, matrices, delay):
@@ -169,20 +170,20 @@ def assert_references_mix_neighbors(trace, cfg, matrices, delay):
             np.testing.assert_array_equal(trace.references[k, row], expected)
 
 
-def frozen_leader_trace(cfg, matrices, perturb=0.3, duration=5.0, **kwargs):
+def frozen_leader_trace(cfg, perturb=0.3, duration=5.0, **kwargs):
     rng = np.random.default_rng(42)
     initial = {
         fid: cfg.reference_positions()[cfg.index_of(fid)]
         + np.append(rng.uniform(-perturb, perturb, 2), 0.0)
         for fid in cfg.follower_ids
     }
-    return hold_run(cfg, matrices, SimParams(duration=duration, **kwargs), initial)
+    return hold_run(cfg, SimParams(duration=duration, **kwargs), initial)
 
 
 class TestRunSimulation:
     def test_frozen_leaders_converge_to_containment_targets(self, default_setup):
         cfg, matrices = default_setup
-        trace = frozen_leader_trace(cfg, matrices)
+        trace = frozen_leader_trace(cfg)
         targets = matrices.H @ cfg.reference_positions()[:3]
         final = trace.positions[-1]
         residual = np.linalg.norm(final - targets, axis=1).max()
@@ -194,18 +195,16 @@ class TestRunSimulation:
         np.testing.assert_allclose(final, oracle, atol=2e-4)
 
     def test_stationary_hold_keeps_agents_at_references(self, default_setup):
-        cfg, matrices = default_setup
+        cfg, _ = default_setup
         schedule = hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0)
-        trace = run_simulation(
-            cfg, matrices, schedule, SimParams(duration=2.0)
-        )
+        trace = run_simulation(make_scenario(cfg, schedule, SimParams(duration=2.0)))
         drift = np.abs(trace.positions - cfg.reference_positions()).max()
         assert drift <= 1e-9
 
     def test_determinism_bit_identical(self, default_setup):
-        cfg, matrices = default_setup
-        t1 = frozen_leader_trace(cfg, matrices, duration=1.0)
-        t2 = frozen_leader_trace(cfg, matrices, duration=1.0)
+        cfg, _ = default_setup
+        t1 = frozen_leader_trace(cfg, duration=1.0)
+        t2 = frozen_leader_trace(cfg, duration=1.0)
         assert np.array_equal(t1.positions, t2.positions)
         assert np.array_equal(t1.references, t2.references)
         assert np.array_equal(t1.desired, t2.desired)
@@ -217,12 +216,12 @@ class TestRunSimulation:
         )
         results = {}
         for key, c in (("orig", cfg), ("shuffled", shuffled)):
-            m = FormationMatrices.from_config(c)
             trace = run_simulation(
-                c,
-                m,
-                default_scenario.schedule,
-                SimParams(dt=0.01, duration=3.0, kp=100.0, kd=20.0),
+                make_scenario(
+                    c,
+                    default_scenario.schedule,
+                    SimParams(dt=0.01, duration=3.0, kp=100.0, kd=20.0),
+                )
             )
             results[key] = {
                 aid: trace.positions[:, trace.agent_index(aid)]
@@ -234,13 +233,9 @@ class TestRunSimulation:
             )
 
     def test_altitude_invariance(self, default_scenario, default_setup):
-        cfg, matrices = default_setup
-        trace = run_simulation(
-            cfg,
-            matrices,
-            default_scenario.schedule,
-            SimParams(dt=0.01, duration=3.0),
-        )
+        cfg, _ = default_setup
+        params = SimParams(dt=0.01, duration=3.0)
+        trace = run_simulation(make_scenario(cfg, default_scenario.schedule, params))
         assert np.abs(trace.positions[:, :, 2] - cfg.z).max() == 0.0
 
     def test_snapshot_delay_semantics(self, default_setup, default_scenario):
@@ -249,10 +244,11 @@ class TestRunSimulation:
         cfg, matrices = default_setup
         for delay in (1, 3):
             trace = run_simulation(
-                cfg,
-                matrices,
-                default_scenario.schedule,
-                SimParams(dt=0.01, duration=2.0, delay_ticks=delay),
+                make_scenario(
+                    cfg,
+                    default_scenario.schedule,
+                    SimParams(dt=0.01, duration=2.0, delay_ticks=delay),
+                )
             )
             assert_references_mix_neighbors(trace, cfg, matrices, delay)
 
@@ -279,21 +275,17 @@ class TestRunSimulation:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_aborts_with_diagnostics(self, default_setup):
-        cfg, matrices = default_setup
+        cfg, _ = default_setup
         params = SimParams(dt=0.01, control_rate=100.0, kp=1e7, kd=0.01, duration=5.0)
+        schedule = hold_schedule(AtCoordinates(lambda1=0.5, lambda2=0.5), cfg.z, 1.0)
         with pytest.raises(SimulationError, match="diverged"):
-            run_simulation(
-                cfg,
-                matrices,
-                hold_schedule(AtCoordinates(lambda1=0.5, lambda2=0.5), cfg.z, 1.0),
-                params,
-            )
+            run_simulation(make_scenario(cfg, schedule, params))
 
     def test_divergence_names_first_non_finite_tick(self, default_setup):
-        cfg, matrices = default_setup
+        cfg, _ = default_setup
         start = {"cf3": np.array([np.nan, 0.0, 1.0])}
         with pytest.raises(SimulationError) as info:
-            hold_run(cfg, matrices, SimParams(duration=0.5), start)
+            hold_run(cfg, SimParams(duration=0.5), start)
         assert str(info.value) == (
             "state diverged at t=0.000s (tick 0); non-finite agents: ['cf3']"
         )
@@ -302,7 +294,7 @@ class TestRunSimulation:
         # The strain precheck is check_schedule_safety, run by the caller
         # (the simulate command) before the engine; the engine itself runs
         # an unsafe schedule to the end.
-        cfg, matrices = default_setup
+        cfg, _ = default_setup
         unsafe = PhaseSchedule(
             phases=(
                 Phase(
@@ -314,67 +306,70 @@ class TestRunSimulation:
             ),
             z=cfg.z,
         )
-        report = check_schedule_safety(unsafe, 0.3)
+        report = check_schedule_safety(unsafe, 0.3, 100.0)
         assert not report.passed
         assert report.min_strain_observed == pytest.approx(0.2)
         assert report.violations and report.violations[-1][1] == pytest.approx(2.0)
         params = SimParams(dt=0.01, duration=2.0)
-        trace = run_simulation(cfg, matrices, unsafe, params)
+        trace = run_simulation(make_scenario(cfg, unsafe, params))
         assert len(trace.times) == 201
 
     def test_zero_delay_uses_same_tick_snapshot(self, default_setup, default_scenario):
         cfg, matrices = default_setup
         trace = run_simulation(
-            cfg,
-            matrices,
-            default_scenario.schedule,
-            SimParams(dt=0.01, duration=1.0, delay_ticks=0),
+            make_scenario(
+                cfg,
+                default_scenario.schedule,
+                SimParams(dt=0.01, duration=1.0, delay_ticks=0),
+            )
         )
         assert_references_mix_neighbors(trace, cfg, matrices, 0)
 
-    def test_mismatched_matrices_rejected(self, default_scenario, default_setup):
-        from affineswarm import ConfigError
-
+    def test_mismatched_matrices_rejected(self, default_scenario):
+        # The matrices belong to the scenario: a scenario whose config is
+        # replaced by a smaller one drops the old matrices, so matrices of a
+        # different configuration never reach a run.
         cfg = default_scenario.config
-        _, matrices = default_setup
         smaller = ReferenceConfig.from_agents(cfg.agents[:3], z=cfg.z, in_neighbors={})
-        with pytest.raises(ConfigError, match="different configuration"):
-            run_simulation(
-                smaller,
-                matrices,
-                hold_schedule(AtCoordinates(), cfg.z, 1.0),
-                SimParams(dt=0.01, duration=0.5),
-            )
+        scenario = make_scenario(
+            cfg,
+            hold_schedule(AtCoordinates(), cfg.z, 1.0),
+            SimParams(dt=0.01, duration=0.5),
+        )
+        assert scenario.matrices.W.shape == (len(cfg.agents),) * 2
+        replaced = dataclasses.replace(scenario, config=smaller)
+        assert replaced.matrices.W.shape == (3, 3)
+        trace = run_simulation(replaced)
+        assert trace.agent_ids == smaller.ids
+        assert trace.positions.shape[1] == 3
 
-    def test_matrices_of_another_graph_rejected(self, default_setup):
-        cfg, matrices = default_setup
+    def test_matrices_of_another_graph_rejected(self, default_scenario):
+        # A scenario whose config is replaced by one of another graph runs
+        # the new config's graph, never the old one's.
+        cfg = default_scenario.config
         neighbors = dict(cfg.in_neighbors)
         neighbors["cf3"] = ("cf1", "cf5", "cf6")  # valid, but not the default's
         other = ReferenceConfig(agents=cfg.agents, z=cfg.z, in_neighbors=neighbors)
-        FormationMatrices.from_config(other)
-        with pytest.raises(ConfigError, match="different communication graph"):
-            run_simulation(
-                other,
-                matrices,
-                hold_schedule(AtCoordinates(), cfg.z, 1.0),
-                SimParams(dt=0.01, duration=0.5),
-            )
+        scenario = make_scenario(
+            cfg, default_scenario.schedule, SimParams(dt=0.01, duration=0.5)
+        )
+        assert scenario.matrices.neighbors[1].tolist() == [0, 5, 1]
+        replaced = dataclasses.replace(scenario, config=other)
+        parsed = parse_scenario(serialize_scenario(replaced))
+        assert parsed.config == other
+        run = run_simulation(replaced)
+        assert np.array_equal(run.references, run_simulation(parsed).references)
+        assert not np.array_equal(run.references, run_simulation(scenario).references)
 
-    def test_invalid_config_rejected(self, default_scenario, default_setup):
+    def test_invalid_config_rejected(self, default_scenario):
         cfg = default_scenario.config
-        _, matrices = default_setup
         neighbors = dict(cfg.in_neighbors)
         neighbors["cf3"] = ("cf2", "cf4", "cf5")  # degenerate triple
         bad = ReferenceConfig(agents=cfg.agents, z=cfg.z, in_neighbors=neighbors)
-        from affineswarm import ConfigError
-
+        schedule = hold_schedule(AtCoordinates(), cfg.z, 1.0)
+        params = SimParams(dt=0.01, duration=1.0)
         with pytest.raises(ConfigError, match="containment"):
-            run_simulation(
-                bad,
-                matrices,
-                hold_schedule(AtCoordinates(), cfg.z, 1.0),
-                SimParams(dt=0.01, duration=1.0),
-            )
+            run_simulation(make_scenario(bad, schedule, params))
 
 
 class TestTickMap:
@@ -423,7 +418,7 @@ class TestTickMap:
             for fid in cfg.follower_ids
         }
         trace = run_simulation(
-            cfg, matrices, schedule, params, initial_positions=start
+            make_scenario(cfg, schedule, params), initial_positions=start
         )
         oracle = euler_oracle(cfg, matrices, schedule, params, start)
         # Rounding differs, so the match is to 1e-12 of the trace's scale
@@ -514,7 +509,7 @@ class TestClosedLoopRadius:
         targets = matrices.H @ cfg.reference_positions()[:3]
 
         def offsets(**gains):
-            trace = frozen_leader_trace(cfg, matrices, duration=4.0, **gains)
+            trace = frozen_leader_trace(cfg, duration=4.0, **gains)
             params = SimParams(duration=4.0, **gains)
             error = np.abs(trace.positions - targets).max(axis=(1, 2))
             return closed_loop_radius(matrices, params), error
