@@ -42,7 +42,6 @@ aggressive = PhaseSchedule(
         Phase(0.0, 10.0, AtCoordinates(),
               AtCoordinates(lambda1=0.2, lambda2=0.2)),
     ),
-    z=scenario.config.z,
 )
 report, _ = strain_check(dataclasses.replace(scenario, schedule=aggressive), delta)
 print(f"\ncontraction to 0.2: min strain {report.min_strain_observed} "

@@ -67,20 +67,24 @@ def dumps_json(doc) -> str:
 
 
 def matrices_document(
-    matrices: FormationMatrices,
-    spectrum: SpectralReport | None = None,
-    rho: float | None = None,
+    matrices: FormationMatrices, spectrum: SpectralReport, rho: float
 ) -> dict:
-    """Row-major JSON document with W, L, H, alpha, and per-follower w.
+    """Row-major JSON document with W, L, H, alpha, per-follower w and the spectrum.
 
-    With ``rho`` (``closed_loop_radius``), ``closed_loop`` holds it (null
-    when it overflowed, as JSON has no infinity) and the ticks a tracking
-    error takes to shrink by ``SETTLING_TOL``,
+    ``closed_loop`` holds ``rho`` (``closed_loop_radius``; null when it
+    overflowed, as JSON has no infinity) and the ticks a tracking error
+    takes to shrink by ``SETTLING_TOL``,
     ``ceil(log(SETTLING_TOL) / log(rho))`` (null when ``rho >= 1``).
     """
+    if rho >= 1.0:
+        settling = None
+    elif rho == 0.0:
+        settling = 0
+    else:
+        settling = math.ceil(math.log(SETTLING_TOL) / math.log(rho))
     followers = matrices.agent_ids[3:]
     weights = np.take_along_axis(matrices.W[3:], matrices.neighbors, axis=1)
-    doc = {
+    return {
         "agent_order": list(matrices.agent_ids),
         "follower_order": list(followers),
         "alpha": [list(map(float, row)) for row in matrices.H[3:]],
@@ -88,9 +92,7 @@ def matrices_document(
         "W": [list(map(float, row)) for row in matrices.W],
         "L": [list(map(float, row)) for row in matrices.L],
         "H": [list(map(float, row)) for row in matrices.H],
-    }
-    if spectrum is not None:
-        doc["spectrum"] = {
+        "spectrum": {
             "eigenvalues_real": [float(v) for v in spectrum.eigenvalues.real],
             "eigenvalues_imag": [float(v) for v in spectrum.eigenvalues.imag],
             "max_real_part": spectrum.max_real_part,
@@ -98,22 +100,15 @@ def matrices_document(
             "hurwitz": spectrum.hurwitz,
             "ok": spectrum.ok,
             "tolerance": SPECTRUM_TOL,
-        }
-    if rho is not None:
-        if rho >= 1.0:
-            settling = None
-        elif rho == 0.0:
-            settling = 0
-        else:
-            settling = math.ceil(math.log(SETTLING_TOL) / math.log(rho))
-        doc["closed_loop"] = {
+        },
+        "closed_loop": {
             "spectral_radius": rho if math.isfinite(rho) else None,
             "settling_ticks": settling,
-        }
-    return doc
+        },
+    }
 
 
-def safety_document(report, d_min: float | None = None) -> dict:
+def safety_document(report, d_min: float) -> dict:
     return {
         "d_min": d_min,
         "lambda_min_bound": report.lambda_min_bound,
@@ -130,8 +125,8 @@ def emit_bundle(
     scenario: Scenario,
     trace: SimTrace,
     metrics: RunMetrics,
-    spectrum: SpectralReport | None = None,
-    rho: float | None = None,
+    spectrum: SpectralReport,
+    rho: float,
 ) -> Path:
     """Write trace CSVs, metrics and the scenario's matrices JSON, and the manifest.
 
@@ -193,8 +188,8 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
     carry the CSV's 9-significant-digit precision, which is ample for
     every recomputed metric. A missing or malformed manifest, a missing
     key or trace file name, a wrong ``agent_order``, and a missing, unreadable or damaged
-    CSV (wrong field or row count, a non-numeric value, a time off the
-    grid) each raise ``ScenarioError`` naming the file.
+    CSV (wrong field or row count, a non-numeric or non-finite value, a
+    time off the grid) each raise ``ScenarioError`` naming the file.
     """
     out = Path(bundle_dir)
     path = out / "manifest.json"
@@ -252,6 +247,11 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
         except ValueError as exc:
             raise ScenarioError([f"{csv}: damaged trace CSV: {exc}"]) from None
         table = values.reshape(rows, cols)
+        bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+        if len(bad):
+            raise ScenarioError(
+                [f"{csv}: damaged trace CSV: line {bad[0] + 2} has a non-finite value"]
+            )
         off = np.flatnonzero(table[:, 0] != grid)
         if len(off):
             k = off[0]

@@ -6,9 +6,11 @@ matrices plus spectrum report), ``check`` (schedule safety report),
 existing bundle). Exit codes: 0 success, 1 validation failure, 2 usage
 or parse error.
 
-The simulator is deterministic; ``--seed`` is reserved and rejected so
-nobody assumes stochasticity. ``AFFINESWARM_OUT`` sets the default
-output directory root for ``simulate``.
+Every command but ``validate`` takes the scenario file as its one
+positional argument. The simulator is deterministic; ``--seed`` is
+reserved and rejected so nobody assumes stochasticity. Without
+``--out``, ``simulate`` writes its bundle to ``<root>/<scenario name>``,
+where ``AFFINESWARM_OUT`` sets the root (default ``runs``).
 """
 
 from __future__ import annotations
@@ -66,9 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--out", default=None, help="JSON path (default stdout)")
 
     p_sim = sub.add_parser("simulate", help="run the full simulation and emit a bundle")
-    p_sim.add_argument("scenario", nargs="?", default=None)
-    p_sim.add_argument("--scenario", dest="scenario_flag", default=None,
-                       help="alternative to the positional scenario path")
+    p_sim.add_argument("scenario")
     p_sim.add_argument("--out", default=None, help="bundle output directory")
     for f in dataclasses.fields(SimParams):  # overrides, see _resolved_params
         p_sim.add_argument(
@@ -98,9 +98,7 @@ def _emit(text: str, out: str | None):
 def _cmd_plan(args) -> int:
     scenario = load_scenario(args.scenario)
     traj = leader_trajectory(
-        scenario.schedule,
-        scenario.config,
-        tick_rate=scenario.params.control_rate,
+        scenario.schedule, scenario.config, scenario.params.control_rate
     )
     _emit(plan_csv_text(traj), args.out)
     return 0
@@ -122,7 +120,7 @@ def _cmd_graph(args) -> int:
 def _cmd_check(args) -> int:
     scenario = load_scenario(args.scenario)
     report, d_min = strain_check(scenario, scenario.safety.delta_budget)
-    _emit(dumps_json(safety_document(report, d_min=d_min)), args.out)
+    _emit(dumps_json(safety_document(report, d_min)), args.out)
     return 0 if report.passed else 1
 
 
@@ -146,15 +144,7 @@ def _resolved_params(scenario: Scenario, args) -> SimParams:
 
 
 def _cmd_simulate(args) -> int:
-    if args.scenario and args.scenario_flag:
-        print("error: pass the scenario positionally or via --scenario, not both",
-              file=sys.stderr)
-        return 2
-    path = args.scenario or args.scenario_flag
-    if path is None:
-        print("error: a scenario file is required", file=sys.stderr)
-        return 2
-    scenario = load_scenario(path)
+    scenario = load_scenario(args.scenario)
     params = _resolved_params(scenario, args)
     scenario = dataclasses.replace(scenario, params=params)
     out_dir = args.out

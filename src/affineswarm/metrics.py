@@ -9,7 +9,7 @@ corridor clearance is surface-to-wall (agent radius subtracted).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -143,20 +143,10 @@ class RunMetrics:
     safety_pass: bool
 
     def to_dict(self) -> dict:
-        def _num(v):
-            if v is None or (isinstance(v, float) and not math.isfinite(v)):
-                return None
-            return v
-
+        """The fields by name; a non-finite float is null, as JSON has no infinity."""
         return {
-            "measured_delta": self.measured_delta,
-            "min_pairwise_distance": _num(self.min_pairwise_distance),
-            "min_corridor_clearance": _num(self.min_corridor_clearance),
-            "converged": self.converged,
-            "residual": _num(self.residual),
-            "lambda_min_required": self.lambda_min_required,
-            "min_strain_commanded": self.min_strain_commanded,
-            "safety_pass": self.safety_pass,
+            k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in asdict(self).items()
         }
 
 

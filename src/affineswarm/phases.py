@@ -91,10 +91,9 @@ class TranslationRamp:
 
 @dataclass(frozen=True)
 class PhaseSchedule:
-    """Contiguous, boundary-continuous phases plus the plane altitude."""
+    """Contiguous, boundary-continuous phases."""
 
     phases: tuple[Phase, ...]
-    z: float
     translation: TranslationRamp | None = None
 
     def __post_init__(self):
@@ -202,18 +201,13 @@ class LeaderTrajectory:
 
 
 def leader_trajectory(
-    schedule: PhaseSchedule,
-    cfg: ReferenceConfig,
-    tick_rate: float,
-    t_end: float | None = None,
+    schedule: PhaseSchedule, cfg: ReferenceConfig, tick_rate: float
 ) -> LeaderTrajectory:
     """Sample the leaders' desired trajectories at the control tick rate.
 
-    Samples cover the schedule span (inclusive endpoints); pass ``t_end``
-    beyond the final phase to record the constant hold.
+    Samples cover the schedule span, endpoints included.
     """
-    t_end = schedule.t_end if t_end is None else t_end
-    times = tick_grid(schedule.t_start, t_end - schedule.t_start, tick_rate)
+    times = tick_grid(schedule.t_start, schedule.t_end - schedule.t_start, tick_rate)
     _, q, d = schedule.sample(times)
     positions = transform_points(q, d, cfg.reference_positions()[:3])
     return LeaderTrajectory(
@@ -259,9 +253,7 @@ def check_schedule_safety(
     )
 
 
-def hold_schedule(
-    coords: AtCoordinates, z: float, duration: float = 1.0
-) -> PhaseSchedule:
+def hold_schedule(coords: AtCoordinates, duration: float = 1.0) -> PhaseSchedule:
     """A schedule that holds fixed coordinates (useful for settling runs)."""
     ph = Phase(t0=0.0, tf=max(duration, math.ulp(1.0)), start=coords, end=coords)
-    return PhaseSchedule(phases=(ph,), z=z)
+    return PhaseSchedule(phases=(ph,))

@@ -3,9 +3,13 @@
 A scenario is a single JSON object with these sections (unknown keys are
 rejected everywhere):
 
-``name``        optional string label.
+``name``        optional string label; it names the bundle directory, so it
+                is one file-name component (not empty, ``.`` or ``..``, and
+                without ``/``, ``\\`` or non-printable characters).
 ``altitude``    optional flight-plane height in meters.
 ``agents``      list of ``Agent`` objects; ``role`` is "leader" or "follower".
+                An ``id`` names a trace file and is a CSV field, so it
+                follows the name's rule and also has no ``,`` or ``"``.
 ``graph``       map follower-id -> list of exactly 3 in-neighbor ids.
 ``phases``      list of ``Phase`` objects, whose ``start`` and ``end`` are
                 ``AtCoordinates`` objects.
@@ -197,6 +201,16 @@ def _pair(value) -> tuple[float, float] | None:
     return pair if len(pair) == 2 and None not in pair else None
 
 
+def _component_problem(text: str, forbidden: str) -> str | None:
+    """Why ``text`` is not one file-name component free of ``forbidden``, or None."""
+    if text in ("", ".", ".."):
+        return f"must be one file-name component, got {text!r}"
+    for c in text:
+        if c in forbidden or not c.isprintable():
+            return f"must not contain {c!r}, got {text!r}"
+    return None
+
+
 def _integer(value) -> int | None:
     return value if isinstance(value, int) and not isinstance(value, bool) else None
 
@@ -321,15 +335,24 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     schema = _Schema()
     schema.check_keys(doc, _TOP_KEYS, "$")
     name = schema.value(doc, "name", "$", _KINDS["str"]) if "name" in doc else "scenario"
+    # The name is the bundle directory, an id a trace file name and a CSV field.
+    problem = name is not None and _component_problem(name, "/\\")
+    if problem:
+        schema.fail("$.name", problem)
     altitude = schema.value(doc, "altitude", "$") if "altitude" in doc else 1.0
 
     agents = schema.read_list(Agent, doc, "agents")
     for i, agent in enumerate(agents):
-        if agent is not None and agent.role not in ("leader", "follower"):
+        if agent is None:
+            continue
+        if agent.role not in ("leader", "follower"):
             schema.fail(
                 f"$.agents[{i}].role",
                 f"must be 'leader' or 'follower', got {agent.role!r}",
             )
+        problem = _component_problem(agent.id, '/\\,"')
+        if problem:
+            schema.fail(f"$.agents[{i}].id", problem)
 
     graph: dict[str, tuple[str, ...]] = {}
     if "graph" not in doc:
@@ -367,9 +390,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     cfg = ReferenceConfig.from_agents(agents, z=altitude, in_neighbors=graph)
     validate_config(cfg).raise_if_invalid()
     try:
-        schedule = PhaseSchedule(
-            phases=tuple(phases), z=altitude, translation=translation
-        )
+        schedule = PhaseSchedule(phases=tuple(phases), translation=translation)
     except ScheduleError as exc:
         raise ScenarioError([f"$.phases: {exc}"]) from exc
 

@@ -22,7 +22,7 @@ to ``delta``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,15 +105,6 @@ class AtCoordinates:
             psi = _wrap_half_pi(psi)
         return AtCoordinates(self.d1, self.d2, l1, l2, psi, self.psi_r)
 
-    def translation(self, z: float = 0.0) -> np.ndarray:
-        """Translation vector (d1, d2, z).
-
-        The altitude offset is zero by default: reference positions carry
-        the flight-plane height themselves, so a planar map leaves it
-        untouched.
-        """
-        return np.array([self.d1, self.d2, z])
-
 
 @dataclass(frozen=True)
 class JacobianDecomposition:
@@ -132,8 +123,11 @@ class JacobianDecomposition:
     psi_d: float
     psi_r: float
 
-    def coordinates(self, d1: float = 0.0, d2: float = 0.0) -> AtCoordinates:
-        return AtCoordinates(d1, d2, self.lambda1, self.lambda2, self.psi_d, self.psi_r)
+    def coordinates(self) -> AtCoordinates:
+        """The strains and angles, with zero translation."""
+        return AtCoordinates(
+            0.0, 0.0, self.lambda1, self.lambda2, self.psi_d, self.psi_r
+        )
 
 
 def _factors(lambda1, lambda2, psi_d, psi_r):
@@ -183,8 +177,7 @@ def decompose_jacobian(q: np.ndarray) -> JacobianDecomposition:
     """Polar-decompose a planar Jacobian into rotation and principal strains.
 
     Factors ``q`` as ``R_r U`` with ``U = R_D Lambda R_D^T`` symmetric
-    positive definite, then canonicalizes so ``lambda1 >= lambda2`` and
-    ``psi_d`` lies in (-pi/2, pi/2] (zero when the strains coincide).
+    positive definite; the strains and axis are ``AtCoordinates.canonical``.
 
     Raises ``ValueError`` when ``q`` is not (3, 3), when its third
     row/column deviates from (0, 0, 1) by more than ``PLANAR_TOL``, or
@@ -211,24 +204,14 @@ def decompose_jacobian(q: np.ndarray) -> JacobianDecomposition:
         )
     u_svd, s, vt = np.linalg.svd(block)
     rot = u_svd @ vt  # proper rotation because det > 0
-    psi_r = math.atan2(rot[1, 0], rot[0, 0])
-    lambda1, lambda2 = float(s[0]), float(s[1])
-    if lambda1 - lambda2 <= UNIFORM_STRAIN_TOL:
-        psi_d = 0.0
-    else:
-        # Right singular vector of the larger strain = first principal axis.
-        psi_d = _wrap_half_pi(math.atan2(vt[0, 1], vt[0, 0]))
-    _, r_r, r_d, lam = _factors(lambda1, lambda2, psi_d, psi_r)
-    return JacobianDecomposition(
-        Q=q,
-        R_r=r_r,
-        R_D=r_d,
-        Lambda=lam,
-        lambda1=lambda1,
-        lambda2=lambda2,
-        psi_d=psi_d,
-        psi_r=psi_r,
-    )
+    # Right singular vector of the larger strain = first principal axis.
+    coords = AtCoordinates(
+        lambda1=float(s[0]),
+        lambda2=float(s[1]),
+        psi_d=math.atan2(vt[0, 1], vt[0, 0]),
+        psi_r=math.atan2(rot[1, 0], rot[0, 0]),
+    ).canonical()
+    return replace(assemble_jacobian(coords), Q=q)
 
 
 def transform_points(q: np.ndarray, d: np.ndarray, points: np.ndarray) -> np.ndarray:

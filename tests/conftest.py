@@ -162,7 +162,7 @@ def random_config(rng: np.random.Generator, n_followers: int) -> ReferenceConfig
     return ReferenceConfig.from_agents(agents, z=1.0, in_neighbors=graph)
 
 
-def random_schedule(rng: np.random.Generator, z: float = 1.0) -> PhaseSchedule:
+def random_schedule(rng: np.random.Generator) -> PhaseSchedule:
     """A random gentle schedule starting from identity coordinates.
 
     Strains stay in [0.55, 1.05] and per-phase translations below 0.6 m
@@ -186,7 +186,7 @@ def random_schedule(rng: np.random.Generator, z: float = 1.0) -> PhaseSchedule:
         phases.append(Phase(t0=t, tf=t + dt, start=prev, end=end))
         t += dt
         prev = end
-    return PhaseSchedule(phases=tuple(phases), z=z)
+    return PhaseSchedule(phases=tuple(phases))
 
 
 def schedule_oracle(schedule: PhaseSchedule, t: float):

@@ -102,7 +102,7 @@ def test_criterion_3_affine_consistency(scenario, matrices):
             psi_r=rng.uniform(-math.pi, math.pi),
         )
         q = assemble_jacobian(coords).Q
-        d = coords.translation()
+        d = np.array([coords.d1, coords.d2, 0.0])
         images = transform_points(q, d, refs)
         for fid in cfg.follower_ids:
             gap = np.linalg.norm(
@@ -124,7 +124,7 @@ def test_criterion_4_decentralized_convergence(scenario, matrices):
     trace = run_simulation(
         make_scenario(
             cfg,
-            hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0),
+            hold_schedule(AtCoordinates(), duration=1.0),
             SimParams(duration=5.0),  # default gains
         ),
         initial_positions=initial,
@@ -139,7 +139,7 @@ def test_criterion_4_decentralized_convergence(scenario, matrices):
     report(4, f"follower convergence in 5 s, residual {residual:.2e} m")
 
 
-def _contraction_hold_schedule(z):
+def _contraction_hold_schedule():
     return PhaseSchedule(
         phases=(
             Phase(
@@ -149,7 +149,6 @@ def _contraction_hold_schedule(z):
                 AtCoordinates(lambda1=0.5, lambda2=0.5),
             ),
         ),
-        z=z,
     )
 
 
@@ -165,7 +164,7 @@ def test_criterion_5_safety_embodiment(scenario):
     runs = [scenario]
     rng = np.random.default_rng(5)
     for _ in range(50):
-        schedule = random_schedule(rng, z=cfg.z)
+        schedule = random_schedule(rng)
         params = SimParams(duration=schedule.t_end + 3.0, **sim_kw)
         runs.append(make_scenario(cfg, schedule, params))
     assert {s.safety.agent_radius for s in runs} == {AGENT_RADIUS}
@@ -180,7 +179,7 @@ def test_criterion_5_safety_embodiment(scenario):
 
     # Pure contraction to half scale, then hold: closest approach is the
     # contracted reference separation, up to twice the tracking error.
-    schedule = _contraction_hold_schedule(cfg.z)
+    schedule = _contraction_hold_schedule()
     params = SimParams(duration=14.0, **sim_kw)
     trace = run_simulation(make_scenario(cfg, schedule, params))
     delta = tracking_error_metrics(trace).measured_delta

@@ -26,6 +26,15 @@ from affineswarm.bundle import (
     trace_csv_text,
 )
 from affineswarm.scenario import Scenario, parse_scenario, serialize_scenario
+from affineswarm.simulation import closed_loop_radius
+
+
+def graph_parts(scenario):
+    """The spectrum report and closed-loop radius that ``simulate`` passes."""
+    return (
+        verify_spectrum(scenario.matrices),
+        closed_loop_radius(scenario.matrices, scenario.params),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -149,8 +158,9 @@ class TestPlanCsv:
 class TestEmitBundle:
     def test_bundle_contents(self, short_run, tmp_path):
         scenario, trace, metrics = short_run
-        spectrum = verify_spectrum(scenario.matrices)
-        bundle = emit_bundle(tmp_path / "run", scenario, trace, metrics, spectrum)
+        bundle = emit_bundle(
+            tmp_path / "run", scenario, trace, metrics, *graph_parts(scenario)
+        )
         assert bundle == tmp_path / "run"
         assert (bundle / "manifest.json").exists()
         assert sorted(p.name for p in bundle.glob("trace_*.csv")) == [
@@ -159,6 +169,7 @@ class TestEmitBundle:
         doc = json.loads((bundle / "matrices.json").read_text())
         assert set(doc) == {
             "agent_order", "follower_order", "alpha", "w", "W", "L", "H", "spectrum",
+            "closed_loop",
         }
         assert np.array(doc["W"]).shape == (6, 6)
         metrics_doc = json.loads((bundle / "metrics.json").read_text())
@@ -166,7 +177,9 @@ class TestEmitBundle:
 
     def test_manifest_hash_matches_reserialized_scenario(self, short_run, tmp_path):
         scenario, trace, metrics = short_run
-        bundle = emit_bundle(tmp_path / "run", scenario, trace, metrics)
+        bundle = emit_bundle(
+            tmp_path / "run", scenario, trace, metrics, *graph_parts(scenario)
+        )
         manifest = json.loads((bundle / "manifest.json").read_text())
         reparsed = parse_scenario(json.dumps(manifest["scenario"]))
         assert scenario_sha256(reparsed) == manifest["scenario_sha256"]
@@ -174,7 +187,9 @@ class TestEmitBundle:
 
     def test_round_trip_read_trace(self, short_run, tmp_path):
         scenario, trace, metrics = short_run
-        bundle = emit_bundle(tmp_path / "run", scenario, trace, metrics)
+        bundle = emit_bundle(
+            tmp_path / "run", scenario, trace, metrics, *graph_parts(scenario)
+        )
         read_scenario, loaded = read_bundle(bundle)
         assert read_scenario == scenario
         assert loaded.agent_ids == trace.agent_ids
@@ -194,11 +209,15 @@ class TestEmitBundle:
 
     def test_rerun_from_manifest_is_byte_identical(self, short_run, tmp_path):
         scenario, trace, metrics = short_run
-        first = emit_bundle(tmp_path / "a", scenario, trace, metrics)
+        first = emit_bundle(
+            tmp_path / "a", scenario, trace, metrics, *graph_parts(scenario)
+        )
         replay, _ = read_bundle(first)
         trace2 = run_simulation(replay)
         metrics2 = validate_run(trace2, replay)
-        second = emit_bundle(tmp_path / "b", replay, trace2, metrics2)
+        second = emit_bundle(
+            tmp_path / "b", replay, trace2, metrics2, *graph_parts(replay)
+        )
         for aid in trace.agent_ids:
             name = f"trace_{aid}.csv"
             assert (first / name).read_bytes() == (second / name).read_bytes()
@@ -208,7 +227,9 @@ class TestEmitBundle:
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
         with pytest.raises(OSError, match="blocker"):
-            emit_bundle(blocker / "run", scenario, trace, metrics)
+            emit_bundle(
+                blocker / "run", scenario, trace, metrics, *graph_parts(scenario)
+            )
 
 
 class TestGoldenRows:
@@ -243,7 +264,7 @@ class TestGoldenRows:
 class TestMatricesDocument:
     def test_row_major_values(self, short_run):
         matrices = short_run[0].matrices
-        doc = matrices_document(matrices)
+        doc = matrices_document(matrices, *graph_parts(short_run[0]))
         np.testing.assert_array_equal(np.array(doc["W"]), matrices.W)
         np.testing.assert_array_equal(np.array(doc["H"]), matrices.H)
         assert doc["w"]["cf2"] == [0.5, 0.25, 0.25]
@@ -260,8 +281,7 @@ class TestMatricesDocument:
     )
     def test_closed_loop(self, short_run, rho, expected):
         matrices = short_run[0].matrices
-        assert "closed_loop" not in matrices_document(matrices)
-        doc = matrices_document(matrices, rho=rho)
+        doc = matrices_document(matrices, verify_spectrum(matrices), rho)
         assert doc["closed_loop"] == expected
         json.loads(json.dumps(doc, allow_nan=False))
 

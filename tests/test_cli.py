@@ -110,6 +110,61 @@ def test_coincident_agents_are_validation_failure(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def renamed_scenario(tmp_path, agent_id, name):
+    """The default scenario file with ``cf1`` renamed everywhere and a new name."""
+    doc = json.loads(default_scenario_text())
+    doc["name"] = name
+    doc["agents"][0]["id"] = agent_id
+    doc["graph"] = {
+        fid: [agent_id if j == "cf1" else j for j in nbrs]
+        for fid, nbrs in doc["graph"].items()
+    }
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["plan", "check", "simulate"])
+@pytest.mark.parametrize(
+    "agent_id, name, where",
+    [
+        ("c,f1", "default", "$.agents[0].id"),
+        ('c"f1', "default", "$.agents[0].id"),
+        ("a/b", "default", "$.agents[0].id"),
+        ("a\\b", "default", "$.agents[0].id"),
+        ("..", "default", "$.agents[0].id"),
+        ("", "default", "$.agents[0].id"),
+        ("cf\t1", "default", "$.agents[0].id"),
+        ("cf1", "a/b", "$.name"),
+        ("cf1", "..", "$.name"),
+        ("cf1", "line\nbreak", "$.name"),
+        ("cf1", None, "$.name"),  # an absolute path, which would escape the root
+    ],
+)
+def test_id_or_name_not_a_file_name_is_schema_error(
+    tmp_path, capsys, monkeypatch, command, agent_id, name, where
+):
+    # Ids name trace files and fill a plan CSV field; the name is the bundle
+    # directory under AFFINESWARM_OUT.
+    escaped = tmp_path / "escaped_bundle"
+    path = renamed_scenario(tmp_path, agent_id, str(escaped) if name is None else name)
+    monkeypatch.setenv("AFFINESWARM_OUT", str(tmp_path / "root"))
+    monkeypatch.chdir(tmp_path)
+    argv = [command, path] + ([] if command == "simulate" else ["--out", "out"])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}: must ")
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "root").exists()
+    assert not escaped.exists()
+
+
+@pytest.mark.parametrize("agent_id", ["cf%1", "cf 1", "é1"])
+def test_id_that_is_a_file_name_runs(tmp_path, capsys, agent_id):
+    path = renamed_scenario(tmp_path, agent_id, "renamed")
+    assert main(["plan", path]) == 0
+    assert capsys.readouterr().out.split("\n")[1].split(",")[1] == agent_id
+
+
 class TestCheck:
     def test_default_passes(self, default_path, capsys):
         assert main(["check", default_path]) == 0
@@ -189,12 +244,10 @@ class TestSimulate:
         matrices = json.loads((out / "matrices.json").read_text())
         assert matrices["closed_loop"] == graph["closed_loop"]
 
-    def test_scenario_flag_alias(self, fast_path, tmp_path):
-        out = tmp_path / "bundle2"
-        assert main(["simulate", "--scenario", fast_path, "--out", str(out)]) == 0
-
     def test_missing_scenario_is_usage_error(self, capsys):
-        assert main(["simulate"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate"])
+        assert exc.value.code == 2
 
     def test_override_flags_change_params(self, fast_path, tmp_path):
         out = tmp_path / "bundle3"
@@ -328,8 +381,13 @@ class TestValidate:
                            "line 8 has 11 fields, expected 10"),
             lambda lines: (lines[:3] + [lines[3].replace(",", ",x", 1)] + lines[4:],
                            "could not convert string to float: 'x"),
+            # An x value simulate never writes.
+            lambda lines: (lines[:5] + [re.sub(",[^,]*", ",nan", lines[5], count=1)]
+                           + lines[6:], "line 6 has a non-finite value"),
+            lambda lines: (lines[:5] + [re.sub(",[^,]*", ",inf", lines[5], count=1)]
+                           + lines[6:], "line 6 has a non-finite value"),
         ],
-        ids=["cut-at-row-end", "extra-field", "non-numeric"],
+        ids=["cut-at-row-end", "extra-field", "non-numeric", "nan", "inf"],
     )
     @pytest.mark.parametrize("agent", ["cf1", "cf4"])
     def test_damaged_trace_is_the_file_named(
@@ -464,7 +522,7 @@ class TestUsage:
         flags = re.findall(r"^  (?:-\w, )?(--[\w-]+)", help_text, re.MULTILINE)
         fields = dataclasses.fields(SimParams)
         params = [f"--{f.name.replace('_', '-')}" for f in fields]
-        others = ["--help", "--scenario", "--out", "--skip-safety-check"]
+        others = ["--help", "--out", "--skip-safety-check"]
         assert sorted(flags) == sorted(params + others)
 
     def test_simulate_flag_types(self, capsys):

@@ -181,7 +181,7 @@ def settled_run(default_scenario):
     trace = run_simulation(
         make_scenario(
             cfg,
-            hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0),
+            hold_schedule(AtCoordinates(), duration=1.0),
             SimParams(duration=6.0),
         ),
         initial_positions=initial,
@@ -275,7 +275,6 @@ class TestValidateRun:
                     AtCoordinates(lambda1=0.25, lambda2=0.25),
                 ),
             ),
-            z=cfg.z,
         )
         trace = static_trace(cfg.reference_positions())
         pos = trace.positions.copy()
@@ -307,7 +306,7 @@ class TestValidateRun:
         )
         scenario = dataclasses.replace(
             default_scenario,
-            schedule=hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0),
+            schedule=hold_schedule(AtCoordinates(), duration=1.0),
             corridor=None,
         )
         metrics = validate_run(trace, scenario)
@@ -319,7 +318,7 @@ class TestValidateRun:
         cfg, _, trace = settled_run
         scenario = dataclasses.replace(
             default_scenario,
-            schedule=hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0),
+            schedule=hold_schedule(AtCoordinates(), duration=1.0),
             corridor=Corridor(x_start=-1.0, x_end=1.0, width=4.0),
         )
         metrics = validate_run(trace, scenario)
@@ -330,7 +329,7 @@ class TestValidateRun:
         cfg, _, trace = settled_run
         scenario = dataclasses.replace(
             default_scenario,
-            schedule=hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0),
+            schedule=hold_schedule(AtCoordinates(), duration=1.0),
             corridor=None,
         )
         metrics = validate_run(trace, scenario)

@@ -119,7 +119,6 @@ def two_phase_schedule():
             Phase(0.0, 10.0, identity, contracted),
             Phase(10.0, 20.0, contracted, rotated),
         ),
-        z=1.0,
     )
 
 
@@ -128,23 +127,23 @@ class TestPhaseScheduleValidation:
         a = Phase(0.0, 1.0, AtCoordinates(), AtCoordinates())
         b = Phase(2.0, 3.0, AtCoordinates(), AtCoordinates())
         with pytest.raises(ScheduleError, match="starts at"):
-            PhaseSchedule(phases=(a, b), z=1.0)
+            PhaseSchedule(phases=(a, b))
 
     def test_reversed_phase_rejected(self):
         with pytest.raises(ScheduleError, match="tf <= t0"):
             PhaseSchedule(
-                phases=(Phase(1.0, 1.0, AtCoordinates(), AtCoordinates()),), z=1.0
+                phases=(Phase(1.0, 1.0, AtCoordinates(), AtCoordinates()),)
             )
 
     def test_boundary_discontinuity_rejected(self):
         a = Phase(0.0, 1.0, AtCoordinates(), AtCoordinates(lambda1=0.5))
         b = Phase(1.0, 2.0, AtCoordinates(lambda1=0.6), AtCoordinates(lambda1=0.6))
         with pytest.raises(ScheduleError, match="lambda1 jumps"):
-            PhaseSchedule(phases=(a, b), z=1.0)
+            PhaseSchedule(phases=(a, b))
 
     def test_empty_rejected(self):
         with pytest.raises(ScheduleError):
-            PhaseSchedule(phases=(), z=1.0)
+            PhaseSchedule(phases=())
 
     def test_phase_out_of_time_order_rejected(self):
         # A phase shorter than the boundary tolerance lets the next one
@@ -152,7 +151,7 @@ class TestPhaseScheduleValidation:
         a = Phase(0.0, 5e-10, AtCoordinates(), AtCoordinates())
         b = Phase(-4e-10, 1.0, AtCoordinates(), AtCoordinates())
         with pytest.raises(ScheduleError, match="start and end after phase 0"):
-            PhaseSchedule(phases=(a, b), z=1.0)
+            PhaseSchedule(phases=(a, b))
 
 
 class TestCoordsAt:
@@ -202,7 +201,6 @@ class TestCoordsAt:
                     AtCoordinates(lambda1=0.5, lambda2=0.5),
                 ),
             ),
-            z=1.0,
             translation=TranslationRamp(t0=0.0, tf=8.0, end=(2.0, 0.0)),
         )
         mid = coords_at(sched, 6.0)
@@ -262,7 +260,7 @@ def schedules(draw):
             start=(draw(_coord), draw(_coord)),
             end=(draw(_coord), draw(_coord)),
         )
-    return PhaseSchedule(phases=tuple(phases), z=1.0, translation=ramp)
+    return PhaseSchedule(phases=tuple(phases), translation=ramp)
 
 
 def sample_times(schedule, extra):
@@ -327,14 +325,13 @@ class TestLeaderTrajectory:
                     AtCoordinates(lambda1=0.5, lambda2=0.5),
                 ),
             ),
-            z=1.0,
         )
         traj = leader_trajectory(sched, default_scenario.config, 100.0)
         np.testing.assert_allclose(traj.positions[-1, 0], [0.0, 0.375, 1.0], atol=1e-12)
 
     def test_final_translation_offsets_x_by_four(self, default_scenario):
         sched = default_scenario.schedule
-        bare = PhaseSchedule(phases=sched.phases, z=sched.z, translation=None)
+        bare = PhaseSchedule(phases=sched.phases, translation=None)
         with_ramp = leader_trajectory(sched, default_scenario.config, 100.0)
         without = leader_trajectory(bare, default_scenario.config, 100.0)
         shift = with_ramp.positions[-1, :, 0] - without.positions[-1, :, 0]
@@ -350,10 +347,8 @@ class TestLeaderTrajectory:
         np.testing.assert_array_equal(traj.positions[:, :, 2], 1.0)
 
     def test_hold_after_final_time(self, default_scenario):
-        traj = leader_trajectory(
-            default_scenario.schedule, default_scenario.config, 100.0, t_end=35.0
-        )
-        hold = traj.positions[traj.times >= 30.0]
+        cfg, sched = default_scenario.config, default_scenario.schedule
+        hold = desired_positions(cfg, sched, np.linspace(30.0, 35.0, 501))
         assert np.array_equal(hold, np.repeat(hold[:1], len(hold), axis=0))
 
     def test_c2_continuity_across_boundaries(self, default_scenario):
@@ -402,7 +397,6 @@ class TestCheckScheduleSafety:
                     AtCoordinates(lambda1=0.2, lambda2=0.2),
                 ),
             ),
-            z=1.0,
         )
         report = check_schedule_safety(sched, 0.3, 100.0)
         assert not report.passed
@@ -418,12 +412,12 @@ class TestCheckScheduleSafety:
         assert 1.0 - 0.8 * (6 * s**5 - 15 * s**4 + 10 * s**3) <= 0.3 + 1e-9
 
     def test_identity_schedule_passes_any_unit_bound(self):
-        sched = hold_schedule(AtCoordinates(), z=1.0, duration=2.0)
+        sched = hold_schedule(AtCoordinates(), duration=2.0)
         assert check_schedule_safety(sched, 1.0, 100.0).passed
 
     def test_boundary_equality_passes(self):
         sched = hold_schedule(
-            AtCoordinates(lambda1=0.5, lambda2=0.5), z=1.0, duration=1.0
+            AtCoordinates(lambda1=0.5, lambda2=0.5), duration=1.0
         )
         report = check_schedule_safety(sched, 0.5, 100.0)
         assert report.passed
@@ -437,7 +431,6 @@ class TestCheckScheduleSafety:
                 Phase(10.0, 20.0, low, full),
                 Phase(20.0, 30.0, full, low),
             ),
-            z=1.0,
         )
         report = check_schedule_safety(sched, 0.3, tick_rate=10.0)
         times = np.arange(301) / 10.0

@@ -198,6 +198,16 @@ _number = st.floats(-50.0, 50.0, allow_nan=False)
 _positive = st.floats(0.01, 50.0)
 
 
+def _file_name(forbidden):
+    """Text the schema takes as one file-name component without ``forbidden``."""
+    chars = st.characters(
+        blacklist_categories=("C", "Z"), blacklist_characters=forbidden
+    )
+    return st.text(chars, min_size=1, max_size=4).filter(
+        lambda t: t not in ("", ".", "..")
+    )
+
+
 @st.composite
 def _optional(draw, entries):
     """A dict holding each of ``entries``' drawn values, or leaving it out."""
@@ -208,8 +218,7 @@ def _optional(draw, entries):
 def scenario_docs(draw):
     """The default layout and graph, moved and renamed, with random sections."""
     doc = minimal_doc()
-    ids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=6, max_size=6,
-                        unique=True))
+    ids = draw(st.lists(_file_name('/\\,"'), min_size=6, max_size=6, unique=True))
     rename = dict(zip((a["id"] for a in doc["agents"]), ids))
     dx, dy = draw(_number), draw(_number)
     for a in doc["agents"]:
@@ -247,7 +256,7 @@ def scenario_docs(draw):
         if draw(st.booleans()):
             del doc[section]
     del doc["name"], doc["altitude"]
-    return doc | draw(_optional({"name": st.text(), "altitude": _number}))
+    return doc | draw(_optional({"name": _file_name("/\\"), "altitude": _number}))
 
 
 @settings(max_examples=100, deadline=None)

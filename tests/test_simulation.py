@@ -44,7 +44,7 @@ def default_setup(default_scenario):
 
 def hold_run(cfg, params, initial_positions=None):
     """A run under the identity map held still, from the given start."""
-    schedule = hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0)
+    schedule = hold_schedule(AtCoordinates(), duration=1.0)
     return run_simulation(
         make_scenario(cfg, schedule, params), initial_positions=initial_positions
     )
@@ -196,7 +196,7 @@ class TestRunSimulation:
 
     def test_stationary_hold_keeps_agents_at_references(self, default_setup):
         cfg, _ = default_setup
-        schedule = hold_schedule(AtCoordinates(), z=cfg.z, duration=1.0)
+        schedule = hold_schedule(AtCoordinates(), duration=1.0)
         trace = run_simulation(make_scenario(cfg, schedule, SimParams(duration=2.0)))
         drift = np.abs(trace.positions - cfg.reference_positions()).max()
         assert drift <= 1e-9
@@ -277,7 +277,7 @@ class TestRunSimulation:
     def test_divergence_aborts_with_diagnostics(self, default_setup):
         cfg, _ = default_setup
         params = SimParams(dt=0.01, control_rate=100.0, kp=1e7, kd=0.01, duration=5.0)
-        schedule = hold_schedule(AtCoordinates(lambda1=0.5, lambda2=0.5), cfg.z, 1.0)
+        schedule = hold_schedule(AtCoordinates(lambda1=0.5, lambda2=0.5), 1.0)
         with pytest.raises(SimulationError, match="diverged"):
             run_simulation(make_scenario(cfg, schedule, params))
 
@@ -304,7 +304,6 @@ class TestRunSimulation:
                     AtCoordinates(lambda1=0.2, lambda2=0.2),
                 ),
             ),
-            z=cfg.z,
         )
         report = check_schedule_safety(unsafe, 0.3, 100.0)
         assert not report.passed
@@ -333,7 +332,7 @@ class TestRunSimulation:
         smaller = ReferenceConfig.from_agents(cfg.agents[:3], z=cfg.z, in_neighbors={})
         scenario = make_scenario(
             cfg,
-            hold_schedule(AtCoordinates(), cfg.z, 1.0),
+            hold_schedule(AtCoordinates(), 1.0),
             SimParams(dt=0.01, duration=0.5),
         )
         assert scenario.matrices.W.shape == (len(cfg.agents),) * 2
@@ -366,7 +365,7 @@ class TestRunSimulation:
         neighbors = dict(cfg.in_neighbors)
         neighbors["cf3"] = ("cf2", "cf4", "cf5")  # degenerate triple
         bad = ReferenceConfig(agents=cfg.agents, z=cfg.z, in_neighbors=neighbors)
-        schedule = hold_schedule(AtCoordinates(), cfg.z, 1.0)
+        schedule = hold_schedule(AtCoordinates(), 1.0)
         params = SimParams(dt=0.01, duration=1.0)
         with pytest.raises(ConfigError, match="containment"):
             run_simulation(make_scenario(bad, schedule, params))

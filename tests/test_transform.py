@@ -222,7 +222,7 @@ class TestApplyAt:
                 psi_r=rng.uniform(-3, 3),
             )
             q = assemble_jacobian(c).Q
-            d = c.translation()
+            d = np.array([c.d1, c.d2, 0.0])
             images = transform_points(q, d, refs)
             for fid in cfg.follower_ids:
                 follower = images[cfg.index_of(fid)]
