@@ -33,7 +33,7 @@ print(f"required strain floor = 2 (delta + radius) / d_min = "
 
 print(f"\nbundled schedule: min strain {report.min_strain_observed} "
       f"-> {'PASS' if report.passed else 'FAIL'}")
-closest = pairwise_min_distance(trace)
+closest = pairwise_min_distance(trace, scenario)
 print(f"closest approach in the run: {closest:.4f} m "
       f"(two radii = {2 * radius} m)")
 

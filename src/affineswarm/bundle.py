@@ -187,9 +187,10 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
     9 significant digits; the trace's times are the grid itself. Values
     carry the CSV's 9-significant-digit precision, which is ample for
     every recomputed metric. A missing or malformed manifest, a missing
-    key or trace file name, a wrong ``agent_order``, and a missing, unreadable or damaged
-    CSV (wrong field or row count, a non-numeric or non-finite value, a
-    time off the grid) each raise ``ScenarioError`` naming the file.
+    key or trace file name, an embedded scenario the schema rejects, a
+    wrong ``agent_order``, and a missing, unreadable or damaged CSV (wrong
+    field or row count, a non-numeric or non-finite value, a time off the
+    grid) each raise ``ScenarioError`` naming the file.
     """
     out = Path(bundle_dir)
     path = out / "manifest.json"
@@ -201,7 +202,10 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
         raise ScenarioError([f"{path}: malformed manifest: {exc}"]) from None
     for keys in (("scenario",), ("agent_order",), ("outputs", "traces")):
         _lookup(doc, path, *keys)
-    scenario = parse_scenario(json.dumps(doc["scenario"]), source=str(path))
+    try:
+        scenario = parse_scenario(json.dumps(doc["scenario"]), source="scenario")
+    except ScenarioError as exc:
+        raise ScenarioError([f"{path}: {line}" for line in exc.errors]) from None
     order, ids = doc["agent_order"], list(scenario.config.ids)
     if order != ids:
         raise ScenarioError(

@@ -17,26 +17,42 @@ from .formation import FormationMatrices, ReferenceConfig
 from .phases import SafetyReport, check_schedule_safety
 from .scenario import Corridor, Scenario
 from .simulation import SimTrace
-from .transform import min_scaling_bound
+from .transform import min_scaling_bound, transform_points
 
-_CHUNK = 512
+_CELLS = 1 << 13  # (tick, pair) cells the pair search evaluates at once
 CONVERGENCE_TOL = 1e-4  # follower residual a converged run stays within, m
 LEADER_DRIFT_TOL = 1e-9  # leader motion the convergence window tolerates, m
+_PAD_ULPS = 64  # rounding allowance of the pair search's bound
 
 
-def _min_pair_distance(frames: np.ndarray) -> float:
-    """Minimum distance between two agents of one frame of (T, N, D) ``frames``.
+def _pair_table(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of rows of ``points``: distances (P,) and row indices (2, P)."""
+    pairs = np.stack(np.triu_indices(len(points), k=1))
+    return np.linalg.norm(points[pairs[0]] - points[pairs[1]], axis=-1), pairs
 
-    Works through ``_CHUNK`` frames at a time; needs ``N >= 2``.
+
+def _cells_min(
+    positions: np.ndarray, pairs: np.ndarray, lo: int, hi: np.ndarray
+) -> float:
+    """Minimum distance over the cells ``(k, pairs[:, q])`` with ``lo <= q < hi[k]``.
+
+    ``positions`` is a C-contiguous (T, N, 3) array. Evaluates ``_CELLS``
+    cells at a time; +inf when there are none.
     """
-    t_count, n, _ = frames.shape
-    iu = np.triu_indices(n, k=1)
+    n = positions.shape[1]
+    flat = positions.reshape(-1, 3)
+    counts = np.maximum(hi - lo, 0)
+    ends = np.cumsum(counts)
+    shift = lo + counts - ends  # cell c of tick k is pair c + shift[k]
+    total = int(ends[-1])
     best = math.inf
-    for lo in range(0, t_count, _CHUNK):
-        p = frames[lo : lo + _CHUNK]
-        diff = p[:, :, None, :] - p[:, None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        best = min(best, float(dist[:, iu[0], iu[1]].min()))
+    for start in range(0, total, _CELLS):
+        cell = np.arange(start, min(start + _CELLS, total))
+        k = np.searchsorted(ends, cell, side="right")
+        q = cell + shift.take(k)
+        diff = flat.take(k * n + pairs[0].take(q), axis=0)
+        diff -= flat.take(k * n + pairs[1].take(q), axis=0)
+        best = min(best, float(np.linalg.norm(diff, axis=-1).min()))
     return best
 
 
@@ -44,17 +60,53 @@ def min_reference_distance(cfg: ReferenceConfig) -> float:
     """Minimum pairwise distance between initial positions [m]."""
     if len(cfg.agents) < 2:
         raise ValueError("need at least 2 agents for a pairwise distance")
-    return _min_pair_distance(cfg.planar_positions()[None])
+    return float(_pair_table(cfg.planar_positions())[0].min())
 
 
-def pairwise_min_distance(trace: SimTrace) -> float:
+def pairwise_min_distance(trace: SimTrace, scenario: Scenario) -> float:
     """Minimum center-to-center distance over all ticks and agent pairs.
 
+    ``trace`` holds ``scenario``'s agents in matrix order, at any positions.
+    The result is the float an all-pairs search returns, found from fewer
+    pairs by the paper's bound: when every agent is within ``e_k`` of its
+    commanded image ``Q_k a + d_k`` at tick ``k``,
+    ``|p_i - p_j| >= s_k |a_i - a_j| - 2 e_k`` with
+    ``s_k = min(lambda1, lambda2)``. The ``3N`` pairs nearest in the
+    reference layout give an upper bound ``ub`` on the minimum (they are
+    all the pairs when ``N <= 7``, and the search ends there). At tick
+    ``k`` only the pairs with ``|a_i - a_j| <= (ub + 2 e_k + pad) / s_k``
+    can come closer than ``ub``; ``pad`` is ``_PAD_ULPS`` ulps of the
+    largest value involved, so rounding cannot skip the closest pair.
     Returns +inf when the trace has fewer than two agents.
     """
-    if trace.positions.shape[1] < 2:
+    t_count, n, _ = trace.positions.shape
+    if n < 2:
         return math.inf
-    return _min_pair_distance(trace.positions)
+    positions = np.ascontiguousarray(trace.positions)
+    ref_dist, pairs = _pair_table(scenario.config.planar_positions())
+    near = 3 * n
+    if near >= len(ref_dist):
+        return _cells_min(positions, pairs, 0, np.full(t_count, len(ref_dist)))
+    order = np.argsort(ref_dist, kind="stable")
+    ref_dist, pairs = ref_dist[order], pairs[:, order]
+    ub = _cells_min(positions, pairs, 0, np.full(t_count, near))
+
+    coords, q, d = scenario.schedule.sample(trace.times)
+    refs = scenario.config.reference_positions()
+    err = np.empty(t_count)
+    scale = max(float(np.abs(d).max()), float(coords[:, 2:4].max() * ref_dist[-1]))
+    step = max(_CELLS // n, 1)
+    for lo in range(0, t_count, step):
+        ticks = slice(lo, lo + step)
+        images = transform_points(q[ticks], d[ticks], refs)
+        err[ticks] = np.linalg.norm(positions[ticks] - images, axis=-1).max(axis=1)
+        scale = max(
+            scale, float(np.abs(images).max()), float(np.abs(positions[ticks]).max())
+        )
+    pad = _PAD_ULPS * np.finfo(float).eps * scale
+    reach = (ub + 2.0 * err + pad) / coords[:, 2:4].min(axis=1)
+    survivors = np.searchsorted(ref_dist, reach, side="right")
+    return min(ub, _cells_min(positions, pairs, near, survivors))
 
 
 def corridor_clearance(
@@ -178,7 +230,7 @@ def validate_run(trace: SimTrace, scenario: Scenario) -> RunMetrics:
     errors = tracking_error_metrics(trace)
     safety, _ = strain_check(scenario, errors.measured_delta)
 
-    min_pairwise = pairwise_min_distance(trace)
+    min_pairwise = pairwise_min_distance(trace, scenario)
     clearance = (
         corridor_clearance(trace, scenario.corridor, agent_radius)
         if scenario.corridor is not None

@@ -189,6 +189,23 @@ def random_schedule(rng: np.random.Generator) -> PhaseSchedule:
     return PhaseSchedule(phases=tuple(phases))
 
 
+def min_pair_distance_oracle(frames: np.ndarray) -> float:
+    """Minimum distance between two agents of one frame of (T, N, D) ``frames``.
+
+    The dense search over every tick and pair, 512 frames at a time, which
+    ``metrics.pairwise_min_distance`` must match bit for bit; needs ``N >= 2``.
+    """
+    t_count, n, _ = frames.shape
+    iu = np.triu_indices(n, k=1)
+    best = math.inf
+    for lo in range(0, t_count, 512):
+        p = frames[lo : lo + 512]
+        diff = p[:, :, None, :] - p[:, None, :, :]
+        dist = np.linalg.norm(diff, axis=-1)
+        best = min(best, float(dist[:, iu[0], iu[1]].min()))
+    return best
+
+
 def schedule_oracle(schedule: PhaseSchedule, t: float):
     """Coordinates (6-tuple), ``Q`` and ``d`` of a schedule at one time.
 

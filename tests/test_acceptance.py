@@ -175,15 +175,16 @@ def test_criterion_5_safety_embodiment(scenario):
         safety, _ = strain_check(run, delta)
         bound = safety.lambda_min_bound
         assert safety.passed, f"schedule failed its own measured-delta bound {bound:.3f}"
-        assert pairwise_min_distance(trace) >= 2.0 * AGENT_RADIUS
+        assert pairwise_min_distance(trace, run) >= 2.0 * AGENT_RADIUS
 
     # Pure contraction to half scale, then hold: closest approach is the
     # contracted reference separation, up to twice the tracking error.
     schedule = _contraction_hold_schedule()
     params = SimParams(duration=14.0, **sim_kw)
-    trace = run_simulation(make_scenario(cfg, schedule, params))
+    contraction = make_scenario(cfg, schedule, params)
+    trace = run_simulation(contraction)
     delta = tracking_error_metrics(trace).measured_delta
-    dist = pairwise_min_distance(trace)
+    dist = pairwise_min_distance(trace, contraction)
     assert abs(dist - 0.25) <= 2.0 * delta + 1e-9
     report(5, f"51 safe runs kept {2 * AGENT_RADIUS:.2f} m separation; "
               f"contraction hold min distance {dist:.4f} m")

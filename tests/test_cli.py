@@ -452,6 +452,30 @@ class TestValidate:
         err = capsys.readouterr().err
         assert f"{bundle / 'manifest.json'}: missing key 'scenario'" in err
 
+    @pytest.mark.parametrize(
+        "edit, lines",
+        [
+            (lambda sc: sc["sim"].update(kp=float("nan")),
+             ["$.sim.kp: expected a finite number, got nan"]),
+            (lambda sc: sc["sim"].update(kp=float("nan"), kd="x"),
+             ["$.sim.kp: expected a finite number, got nan",
+              "$.sim.kd: expected a finite number, got 'x'"]),
+        ],
+        ids=["one-error", "two-errors"],
+    )
+    def test_embedded_scenario_errors_name_the_manifest(
+        self, fast_bundle, tmp_path, capsys, edit, lines
+    ):
+        out = tmp_path / "bundle"
+        shutil.copytree(fast_bundle, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        edit(manifest["scenario"])
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["validate", str(out)]) == 2
+        assert capsys.readouterr().err == "".join(
+            f"error: {out}/manifest.json: {line}\n" for line in lines
+        )
+
     def test_trace_name_not_a_string_is_parse_error(self, fast_bundle, tmp_path, capsys):
         out = tmp_path / "bundle"
         shutil.copytree(fast_bundle, out)

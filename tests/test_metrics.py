@@ -2,16 +2,22 @@
 
 import dataclasses
 import math
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affineswarm import (
+    Agent,
     AtCoordinates,
     Corridor,
     FormationMatrices,
     Phase,
     PhaseSchedule,
+    ReferenceConfig,
     SimParams,
     SimTrace,
     convergence_check,
@@ -23,10 +29,18 @@ from affineswarm import (
     strain_check,
     tracking_error_metrics,
     validate_run,
+    verify_spectrum,
 )
-from affineswarm.bundle import dumps_json, safety_document
+from affineswarm import metrics
+from affineswarm.bundle import dumps_json, emit_bundle, read_bundle, safety_document
 from affineswarm.cli import main
-from conftest import make_scenario
+from affineswarm.simulation import closed_loop_radius
+from conftest import (
+    make_scenario,
+    min_pair_distance_oracle,
+    random_config,
+    random_schedule,
+)
 
 
 def static_trace(positions, ticks=5, tick_rate=100.0, desired=None):
@@ -46,18 +60,29 @@ def static_trace(positions, ticks=5, tick_rate=100.0, desired=None):
     )
 
 
+def layout_scenario(points):
+    """A scenario holding one agent at each planar point; the first three lead."""
+    agents = [
+        Agent(id=f"a{i}", role="leader" if i < 3 else "follower", x=x, y=y)
+        for i, (x, y) in enumerate(points)
+    ]
+    cfg = ReferenceConfig.from_agents(agents, z=1.0, in_neighbors={})
+    return make_scenario(cfg, hold_schedule(AtCoordinates()), SimParams())
+
+
 class TestPairwiseMinDistance:
     def test_static_reference_layout(self, default_scenario):
         trace = static_trace(default_scenario.config.reference_positions())
-        assert pairwise_min_distance(trace) == 0.5
+        assert pairwise_min_distance(trace, default_scenario) == 0.5
 
     def test_contracted_layout_is_half(self, default_scenario):
         pos = default_scenario.config.reference_positions().copy()
         pos[:, :2] *= 0.5
-        assert pairwise_min_distance(static_trace(pos)) == 0.25
+        assert pairwise_min_distance(static_trace(pos), default_scenario) == 0.25
 
     def test_single_agent_sentinel(self):
-        assert pairwise_min_distance(static_trace([[0.0, 0.0, 1.0]])) == math.inf
+        trace = static_trace([[0.0, 0.0, 1.0]])
+        assert pairwise_min_distance(trace, layout_scenario([(0.0, 0.0)])) == math.inf
 
     def test_minimum_over_time(self):
         pos = np.zeros((3, 2, 3))
@@ -69,7 +94,80 @@ class TestPairwiseMinDistance:
             references=pos.copy(),
             desired=pos.copy(),
         )
-        assert pairwise_min_distance(trace) == 1.0
+        scenario = layout_scenario([(0.0, 0.0), (2.0, 0.0)])
+        assert pairwise_min_distance(trace, scenario) == 1.0
+
+
+def oracle_run(seed, n_followers, offset):
+    """A random layout and schedule, run from starts up to ``offset`` m off."""
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, n_followers)
+    schedule = random_schedule(rng)
+    params = SimParams(dt=0.005, duration=schedule.t_end + 1.0)
+    scenario = make_scenario(cfg, schedule, params)
+    start = {
+        aid: p + np.append(rng.uniform(-offset, offset, 2), 0.0)
+        for aid, p in zip(cfg.ids, cfg.reference_positions())
+    }
+    return scenario, run_simulation(scenario, initial_positions=start)
+
+
+class TestPairSearchOracle:
+    """The certificate-pruned search returns the dense search's float."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), n_followers=st.integers(1, 37))
+    def test_plain_run(self, seed, n_followers):
+        scenario, trace = oracle_run(seed, n_followers, 0.0)
+        # Every run spans more than one chunk of the first pass alone.
+        assert len(trace.times) * 3 * (n_followers + 3) > metrics._CELLS
+        expected = min_pair_distance_oracle(trace.positions)
+        assert pairwise_min_distance(trace, scenario) == expected
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10_000), n_followers=st.integers(5, 37))
+    def test_far_starts_prune_little(self, seed, n_followers):
+        # Starts metres off their images: the bound rules out few cells.
+        scenario, trace = oracle_run(seed, n_followers, 3.0)
+        expected = min_pair_distance_oracle(trace.positions)
+        assert pairwise_min_distance(trace, scenario) == expected
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_followers=st.integers(5, 37),
+        offset=st.sampled_from([0.0, 0.3, 3.0]),
+        cells=st.sampled_from([3, 64]),
+    )
+    def test_chunk_boundaries(self, seed, n_followers, offset, cells):
+        # Budgets of a few cells split ticks between chunks.
+        scenario, trace = oracle_run(seed, n_followers, offset)
+        head = dataclasses.replace(
+            trace, times=trace.times[:12], positions=trace.positions[:12]
+        )
+        expected = min_pair_distance_oracle(head.positions)
+        with mock.patch.object(metrics, "_CELLS", cells):
+            assert pairwise_min_distance(head, scenario) == expected
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_followers=st.integers(1, 37),
+        offset=st.sampled_from([0.0, 3.0]),
+    )
+    def test_read_back_bundle(self, seed, n_followers, offset):
+        scenario, trace = oracle_run(seed, n_followers, offset)
+        spectrum = verify_spectrum(scenario.matrices)
+        rho = closed_loop_radius(scenario.matrices, scenario.params)
+        run_metrics = validate_run(trace, scenario)
+        with tempfile.TemporaryDirectory() as out:
+            emit_bundle(out, scenario, trace, run_metrics, spectrum, rho)
+            reread, reread_trace = read_bundle(out)
+        expected = min_pair_distance_oracle(reread_trace.positions)
+        assert pairwise_min_distance(reread_trace, reread) == expected
+        assert run_metrics.min_pairwise_distance == min_pair_distance_oracle(
+            trace.positions
+        )
 
 
 class TestCorridorClearance:
