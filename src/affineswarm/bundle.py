@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ScenarioError
+from .errors import ConfigError, ScenarioError
 from .formation import SPECTRUM_TOL, FormationMatrices, SpectralReport
 from .metrics import RunMetrics
 from .phases import LeaderTrajectory
@@ -38,17 +38,40 @@ def _csv(header: tuple[str, ...], row: str, table: np.ndarray) -> str:
     return ",".join(header) + "\n" + body
 
 
-def trace_csv_text(trace: SimTrace, agent_id: str) -> str:
-    idx = trace.agent_index(agent_id)
+def time_fields(times: np.ndarray) -> list[str]:
+    """``times`` at ``%.9g``: the ``t`` column every trace CSV of a run shares."""
+    return ("%.9g\n" * len(times) % tuple(times.tolist())).split()
+
+
+def trace_csv_text(trace: SimTrace, index: int, times: list[str]) -> str:
+    """The trace CSV of agent ``trace.agent_ids[index]``.
+
+    ``times`` is ``time_fields(trace.times)``, formatted once per bundle
+    and joined into the row template. A column whose float64 bits are the
+    same on every row (``z``, ``z_ref`` and ``z_des`` at a fixed altitude)
+    is formatted once, into the template too; bits, not values, so ``-0.0``
+    stays apart from ``0.0``. Only the varying columns go through the one
+    ``%``.
+    """
+    header = ",".join(TRACE_COLUMNS) + "\n"
     table = np.column_stack(
         (
-            trace.times,
-            trace.positions[:, idx],
-            trace.references[:, idx],
-            trace.desired[:, idx],
+            trace.positions[:, index],
+            trace.references[:, index],
+            trace.desired[:, index],
         )
     )
-    return _csv(TRACE_COLUMNS, ",".join(["%.9g"] * len(TRACE_COLUMNS)), table)
+    if not len(table):
+        return header
+    bits = table.view(np.uint64)
+    constant = (bits == bits[0]).all(axis=0)
+    row = ",".join(
+        "%.9g" % v if c else "%.9g"
+        for c, v in zip(constant.tolist(), table[0].tolist())
+    )
+    end = "," + row + "\n"  # what follows each row's time field
+    values = tuple(table[:, ~constant].ravel().tolist())
+    return header + (end.join(times) + end) % values
 
 
 def plan_csv_text(traj: LeaderTrajectory) -> str:
@@ -140,9 +163,10 @@ def emit_bundle(
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
 
     traces = {aid: f"trace_{aid}.csv" for aid in trace.agent_ids}
+    times = time_fields(trace.times)
     try:
-        for aid, name in traces.items():
-            (out / name).write_text(trace_csv_text(trace, aid), newline="\n")
+        for index, name in enumerate(traces.values()):
+            (out / name).write_text(trace_csv_text(trace, index, times), newline="\n")
         (out / "metrics.json").write_text(dumps_json(metrics.to_dict()), newline="\n")
         (out / "matrices.json").write_text(
             dumps_json(matrices_document(scenario.matrices, spectrum, rho)),
@@ -178,6 +202,49 @@ def _lookup(doc, path: Path, *keys):
     return value
 
 
+def _line_damage(lines: list[str], rows: int, cols: int) -> str | None:
+    """The first damage a line-by-line read of a trace CSV's body ``lines`` finds.
+
+    Field counts first, then the row count, then each value; None when
+    every check passes.
+    """
+    for number, line in enumerate(lines, start=2):
+        if line.count(",") != cols - 1:
+            return f"line {number} has {line.count(',') + 1} fields, expected {cols}"
+    if len(lines) != rows:
+        return f"{len(lines)} rows of {cols} fields, expected {rows} rows of {cols}"
+    try:
+        np.array(",".join(lines).split(","), dtype=float)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _trace_table(csv: Path, text: str, rows: int, cols: int) -> np.ndarray:
+    """The ``(rows, cols)`` values of the trace CSV ``text`` read from ``csv``.
+
+    numpy's C parser reads the lines in one call; they are passed as a
+    list, since an ``io.StringIO`` of the text holds four bytes a
+    character. Its result counts only when there are ``rows`` lines after
+    the header, since ``loadtxt`` skips blank ones. Otherwise
+    ``ScenarioError`` names the damage ``_line_damage`` locates, or gives
+    ``loadtxt``'s message when the line checks pass (``1_0``, which
+    ``float`` accepts).
+    """
+    lines = text.strip().split("\n")
+    failure = f"expected {rows} rows of {cols} fields"
+    if len(lines) == rows + 1:
+        try:
+            table = np.loadtxt(lines, delimiter=",", skiprows=1, comments=None, ndmin=2)
+        except ValueError as exc:
+            failure = str(exc)
+        else:
+            if table.shape == (rows, cols):
+                return table
+    damage = _line_damage(lines[1:], rows, cols) or failure
+    raise ScenarioError([f"{csv}: damaged trace CSV: {damage}"])
+
+
 def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
     """The scenario a bundle's manifest embeds and the trace its CSVs hold.
 
@@ -190,7 +257,9 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
     key or trace file name, an embedded scenario the schema rejects, a
     wrong ``agent_order``, and a missing, unreadable or damaged CSV (wrong
     field or row count, a non-numeric or non-finite value, a time off the
-    grid) each raise ``ScenarioError`` naming the file.
+    grid) each raise ``ScenarioError`` naming the file. An embedded
+    scenario whose configuration breaks an invariant raises
+    ``ConfigError`` naming the manifest.
     """
     out = Path(bundle_dir)
     path = out / "manifest.json"
@@ -206,6 +275,8 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
         scenario = parse_scenario(json.dumps(doc["scenario"]), source="scenario")
     except ScenarioError as exc:
         raise ScenarioError([f"{path}: {line}" for line in exc.errors]) from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     order, ids = doc["agent_order"], list(scenario.config.ids)
     if order != ids:
         raise ScenarioError(
@@ -214,7 +285,7 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
 
     times = tick_times(scenario.schedule, scenario.params)
     rows, cols = len(times), len(TRACE_COLUMNS)
-    grid = np.array(("%.9g\n" * rows % tuple(times.tolist())).split(), dtype=float)
+    grid = np.array(time_fields(times), dtype=float)
     data = []
     for aid in ids:
         name = _lookup(doc, path, "outputs", "traces", aid)
@@ -229,28 +300,7 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
             raise ScenarioError(
                 [f"{csv}: cannot read trace CSV: {exc.strerror}"]
             ) from None
-        body = text.strip().partition("\n")[2]
-        lines = body.split("\n") if body else []
-        for number, line in enumerate(lines, start=2):
-            if line.count(",") != cols - 1:
-                raise ScenarioError(
-                    [
-                        f"{csv}: damaged trace CSV: line {number} has "
-                        f"{line.count(',') + 1} fields, expected {cols}"
-                    ]
-                )
-        if len(lines) != rows:
-            raise ScenarioError(
-                [
-                    f"{csv}: damaged trace CSV: {len(lines)} rows of {cols} "
-                    f"fields, expected {rows} rows of {cols}"
-                ]
-            )
-        try:
-            values = np.array(body.replace("\n", ",").split(","), dtype=float)
-        except ValueError as exc:
-            raise ScenarioError([f"{csv}: damaged trace CSV: {exc}"]) from None
-        table = values.reshape(rows, cols)
+        table = _trace_table(csv, text, rows, cols)
         bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
         if len(bad):
             raise ScenarioError(

@@ -12,7 +12,6 @@ hold forever.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import astuple, dataclass, fields
 
@@ -22,8 +21,6 @@ from .errors import ScheduleError
 from .formation import ReferenceConfig
 from .transform import AtCoordinates, jacobian_stack, transform_points
 
-logger = logging.getLogger(__name__)
-
 _BOUNDARY_TOL = 1e-12
 
 
@@ -32,11 +29,10 @@ def quintic_blend(s):
 
     beta(0) = 0, beta(1) = 1 and the first and second derivatives vanish
     at both endpoints. Accepts scalars or arrays; out-of-range inputs are
-    clamped with a debug diagnostic.
+    clamped.
     """
     arr = np.asarray(s, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
-        logger.debug("quintic_blend input outside [0, 1]; clamping")
         arr = np.clip(arr, 0.0, 1.0)
     out = arr * arr * arr * (10.0 + arr * (-15.0 + 6.0 * arr))
     # Float evaluation can overshoot the exact range by ~1e-15 near s=1;

@@ -47,9 +47,6 @@ class SimTrace:
     references: np.ndarray  # (T, N, 3) control inputs
     desired: np.ndarray  # (T, N, 3) commanded-map images, logging only
 
-    def agent_index(self, agent_id: str) -> int:
-        return self.agent_ids.index(agent_id)
-
 
 def tick_times(schedule: PhaseSchedule, params: SimParams) -> np.ndarray:
     """Control tick times of a run: ``tick_grid`` over ``duration`` from

@@ -21,6 +21,8 @@ from affineswarm import (
     load_default_scenario,
     quintic_blend,
 )
+from affineswarm.bundle import TRACE_COLUMNS
+from affineswarm.errors import ScenarioError
 from affineswarm.simulation import tick_map, tick_times
 
 
@@ -204,6 +206,68 @@ def min_pair_distance_oracle(frames: np.ndarray) -> float:
         dist = np.linalg.norm(diff, axis=-1)
         best = min(best, float(dist[:, iu[0], iu[1]].min()))
     return best
+
+
+def trace_csv_oracle(trace, index: int) -> str:
+    """Agent ``index``'s trace CSV with one ``%.9g`` per cell of all ten columns.
+
+    ``bundle.trace_csv_text``, which formats the shared time column and
+    the constant columns once, must give the same bytes.
+    """
+    table = np.column_stack(
+        (
+            trace.times,
+            trace.positions[:, index],
+            trace.references[:, index],
+            trace.desired[:, index],
+        )
+    )
+    row = ",".join(["%.9g"] * len(TRACE_COLUMNS))
+    body = (row + "\n") * len(table) % tuple(table.ravel().tolist())
+    return ",".join(TRACE_COLUMNS) + "\n" + body
+
+
+def trace_table_oracle(csv, text: str, times: np.ndarray) -> np.ndarray:
+    """The (rows, 10) values of one trace CSV, read one Python ``float`` per field.
+
+    ``times`` is the scenario's tick grid. Line by line: the field count of
+    every line, then the row count, then each value, then finiteness and
+    the ``t`` column against the grid at 9 significant digits. Damage
+    raises ``ScenarioError`` with the message ``read_bundle`` must give.
+    """
+    rows, cols = len(times), len(TRACE_COLUMNS)
+    grid = np.array([float(format(t, ".9g")) for t in times.tolist()])
+    body = text.strip().partition("\n")[2]
+    lines = body.split("\n") if body else []
+
+    def damaged(message):
+        return ScenarioError([f"{csv}: damaged trace CSV: {message}"])
+
+    for number, line in enumerate(lines, start=2):
+        if line.count(",") != cols - 1:
+            raise damaged(
+                f"line {number} has {line.count(',') + 1} fields, expected {cols}"
+            )
+    if len(lines) != rows:
+        raise damaged(
+            f"{len(lines)} rows of {cols} fields, expected {rows} rows of {cols}"
+        )
+    try:
+        values = np.array(body.replace("\n", ",").split(","), dtype=float)
+    except ValueError as exc:
+        raise damaged(exc) from None
+    table = values.reshape(rows, cols)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if len(bad):
+        raise damaged(f"line {bad[0] + 2} has a non-finite value")
+    off = np.flatnonzero(table[:, 0] != grid)
+    if len(off):
+        k = off[0]
+        raise damaged(
+            f"line {k + 2} has t={table[k, 0]:.9g}, "
+            f"expected the tick grid's {grid[k]:.9g}"
+        )
+    return table
 
 
 def schedule_oracle(schedule: PhaseSchedule, t: float):

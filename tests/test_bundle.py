@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import trace_csv_oracle, trace_table_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affineswarm import (
     LeaderTrajectory,
@@ -23,10 +26,18 @@ from affineswarm.bundle import (
     matrices_document,
     plan_csv_text,
     read_bundle,
+    time_fields,
     trace_csv_text,
 )
+from affineswarm.errors import ScenarioError
 from affineswarm.scenario import Scenario, parse_scenario, serialize_scenario
-from affineswarm.simulation import closed_loop_radius
+from affineswarm.simulation import closed_loop_radius, tick_times
+
+
+def csv_of(trace, agent_id):
+    """``agent_id``'s trace CSV, as ``emit_bundle`` writes it."""
+    index = trace.agent_ids.index(agent_id)
+    return trace_csv_text(trace, index, time_fields(trace.times))
 
 
 def graph_parts(scenario):
@@ -66,7 +77,7 @@ def short_run(default_scenario):
 class TestTraceCsv:
     def test_header_and_shape(self, short_run):
         _, trace, _ = short_run
-        text = trace_csv_text(trace, "cf1")
+        text = csv_of(trace, "cf1")
         lines = text.strip().split("\n")
         assert lines[0] == ",".join(TRACE_COLUMNS)
         assert len(lines) == len(trace.times) + 1
@@ -74,12 +85,12 @@ class TestTraceCsv:
 
     def test_first_row_matches_reference_position(self, short_run):
         _, trace, _ = short_run
-        first = trace_csv_text(trace, "cf1").strip().split("\n")[1]
+        first = csv_of(trace, "cf1").strip().split("\n")[1]
         assert first.startswith("0,0,0.75,1,")
 
     def test_nine_significant_digits(self, short_run):
         _, trace, _ = short_run
-        row = trace_csv_text(trace, "cf2").strip().split("\n")[-1]
+        row = csv_of(trace, "cf2").strip().split("\n")[-1]
         for field in row.split(","):
             mantissa = field.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
             assert len(mantissa) <= 9
@@ -105,7 +116,7 @@ class TestOnePassFormatting:
             references=table[:, None, 4:7],
             desired=table[:, None, 7:10],
         )
-        lines = trace_csv_text(trace, "a").split("\n")
+        lines = csv_of(trace, "a").split("\n")
         assert lines[0] == ",".join(TRACE_COLUMNS)
         assert lines[-1] == ""
         expected = [",".join(format(float(v), ".9g") for v in row) for row in table]
@@ -140,7 +151,152 @@ class TestOnePassFormatting:
             references=np.empty((0, 1, 3)),
             desired=np.empty((0, 1, 3)),
         )
-        assert trace_csv_text(trace, "a") == ",".join(TRACE_COLUMNS) + "\n"
+        assert csv_of(trace, "a") == ",".join(TRACE_COLUMNS) + "\n"
+
+
+@st.composite
+def trace_column(draw, rows):
+    """``rows`` floats: constant, constant but one cell's last bit, mixed
+    ``0.0`` and ``-0.0``, or free."""
+    floats = st.sampled_from(EDGE_VALUES + (0.0, 9.999999995)) | st.floats()
+    value = draw(floats)
+    kind = draw(st.sampled_from(("constant", "last-bit", "signed-zero", "free")))
+    column = np.full(rows, value)
+    if kind == "last-bit" and rows:
+        k = draw(st.integers(0, rows - 1))
+        with np.errstate(over="ignore"):
+            column[k] = np.nextafter(value, draw(st.sampled_from((-np.inf, np.inf))))
+    elif kind == "signed-zero":
+        signs = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+        column = np.where(signs, 0.0, -0.0)
+    elif kind == "free":
+        column = np.array(draw(st.lists(floats, min_size=rows, max_size=rows)))
+    return column
+
+
+def trace_of(times, table):
+    """A ``SimTrace`` of ``times`` and the (T, N, 9) ``table``."""
+    return SimTrace(
+        times=times,
+        agent_ids=tuple(f"a{i}" for i in range(table.shape[1])),
+        positions=table[:, :, 0:3],
+        references=table[:, :, 3:6],
+        desired=table[:, :, 6:9],
+    )
+
+
+class TestTraceCsvOracle:
+    """``trace_csv_text`` gives the bytes of one ``%.9g`` per cell."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bytes_equal_the_oracle(self, data):
+        rows = data.draw(st.integers(0, 8))
+        agents = data.draw(st.integers(1, 2))
+        columns = [data.draw(trace_column(rows)) for _ in range(1 + 9 * agents)]
+        table = np.column_stack(columns[1:]).reshape(rows, agents, 9)
+        trace = trace_of(columns[0], table)
+        times = time_fields(trace.times)
+        for index in range(agents):
+            assert trace_csv_text(trace, index, times) == trace_csv_oracle(trace, index)
+
+    def test_constant_columns_compare_bits(self):
+        # Equal values with different bits (0.0 and -0.0), and a last bit
+        # that moves 9.999999995 across a rounding boundary at 9 digits.
+        table = np.ones((4, 1, 9))
+        table[:, 0, 2] = (0.0, -0.0, 0.0, 0.0)
+        table[:, 0, 5] = 9.999999995
+        table[3, 0, 5] = np.nextafter(9.999999995, 10.0)
+        trace = trace_of(np.arange(4) * 0.1, table)
+        text = trace_csv_text(trace, 0, time_fields(trace.times))
+        assert text == trace_csv_oracle(trace, 0)
+        rows = [line.split(",") for line in text.split("\n")[1:-1]]
+        assert [row[3] for row in rows] == ["0", "-0", "0", "0"]
+        assert [row[6] for row in rows] == ["9.99999999"] * 3 + ["10"]
+
+
+EDITS = (
+    "blank", "whitespace", "extra-comma", "drop-comma", "cut-line", "cut-file",
+    "hash", "1_0", "nan", "inf", "no-final-newline",
+)
+
+
+def damage(data, text, edit):
+    """``text`` with one ``edit`` at a place ``data`` draws."""
+    if edit == "cut-file":
+        return text[: data.draw(st.integers(0, len(text)))]
+    if edit == "hash":
+        at = data.draw(st.integers(0, len(text)))
+        return text[:at] + "#" + text[at:]
+    if edit == "no-final-newline":
+        return text.rstrip("\n")
+    lines = text.split("\n")
+    k = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[k]
+    if edit in ("blank", "whitespace"):
+        blank = "" if edit == "blank" else data.draw(st.sampled_from((" ", "\t", "  ")))
+        lines.insert(k, blank)
+    elif edit == "extra-comma":
+        at = data.draw(st.integers(0, len(line)))
+        lines[k] = line[:at] + "," + line[at:]
+    elif edit == "drop-comma" and "," in line:
+        at = data.draw(st.sampled_from([i for i, c in enumerate(line) if c == ","]))
+        lines[k] = line[:at] + line[at + 1 :]
+    elif edit == "cut-line":
+        lines[k] = line[: data.draw(st.integers(0, len(line)))]
+    elif edit in ("1_0", "nan", "inf"):
+        fields = line.split(",")
+        token = data.draw(st.sampled_from(("inf", "-inf"))) if edit == "inf" else edit
+        fields[data.draw(st.integers(0, len(fields) - 1))] = token
+        lines[k] = ",".join(fields)
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def short_bundle(short_run, tmp_path_factory):
+    scenario, trace, metrics = short_run
+    out = tmp_path_factory.mktemp("codec") / "run"
+    return emit_bundle(out, scenario, trace, metrics, *graph_parts(scenario)), scenario
+
+
+class TestTraceReaderOracle:
+    """``read_bundle`` reaches a one-``float``-per-field reader's verdict."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_edit_is_judged_as_the_oracle_judges(self, short_bundle, data):
+        out, scenario = short_bundle
+        index = data.draw(st.integers(0, len(scenario.config.ids) - 1))
+        csv = out / f"trace_{scenario.config.ids[index]}.csv"
+        original = csv.read_text()
+        edit = data.draw(st.sampled_from(EDITS))
+        text = damage(data, original, edit)
+        csv.write_text(text)
+        try:
+            _, trace = read_bundle(out)
+            got = np.concatenate(
+                [trace.positions[:, index], trace.references[:, index],
+                 trace.desired[:, index]],
+                axis=1,
+            )
+        except ScenarioError as exc:
+            got = exc.errors
+        finally:
+            csv.write_text(original)
+        try:
+            table = trace_table_oracle(
+                csv, text, tick_times(scenario.schedule, scenario.params)
+            )
+            expected = table[:, 1:]
+        except ScenarioError as exc:
+            expected = exc.errors
+        if edit == "1_0" and isinstance(got, list) and "'1_0'" in got[0]:
+            return  # float() accepts "1_0"; numpy's parser refuses it.
+        if isinstance(expected, list):
+            assert got == expected
+        else:
+            assert isinstance(got, np.ndarray)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestPlanCsv:
@@ -255,7 +411,7 @@ class TestGoldenRows:
 
     @pytest.mark.parametrize("agent_id", sorted(GOLDEN))
     def test_default_scenario_rows(self, default_trace, agent_id):
-        lines = trace_csv_text(default_trace, agent_id).strip().split("\n")
+        lines = csv_of(default_trace, agent_id).strip().split("\n")
         first, last = self.GOLDEN[agent_id]
         assert lines[1] == first
         assert lines[-1] == last

@@ -386,8 +386,15 @@ class TestValidate:
                            + lines[6:], "line 6 has a non-finite value"),
             lambda lines: (lines[:5] + [re.sub(",[^,]*", ",inf", lines[5], count=1)]
                            + lines[6:], "line 6 has a non-finite value"),
+            # numpy's parser skips blank lines; the reader still counts them.
+            lambda lines: (lines[:5] + [""] + lines[5:],
+                           "line 6 has 1 fields, expected 10"),
+            # float() accepts "1_0"; numpy's parser, and so validate, refuse it.
+            lambda lines: (lines[:5] + [re.sub(",[^,]*", ",1_0", lines[5], count=1)]
+                           + lines[6:], "could not convert string '1_0' to float64"),
         ],
-        ids=["cut-at-row-end", "extra-field", "non-numeric", "nan", "inf"],
+        ids=["cut-at-row-end", "extra-field", "non-numeric", "nan", "inf", "blank-line",
+             "underscore"],
     )
     @pytest.mark.parametrize("agent", ["cf1", "cf4"])
     def test_damaged_trace_is_the_file_named(
@@ -475,6 +482,24 @@ class TestValidate:
         assert capsys.readouterr().err == "".join(
             f"error: {out}/manifest.json: {line}\n" for line in lines
         )
+
+    def test_embedded_config_error_names_the_manifest(
+        self, fast_bundle, tmp_path, capsys
+    ):
+        # The embedded scenario parses, but cf3 sits on cf2's reference spot.
+        out = tmp_path / "bundle"
+        shutil.copytree(fast_bundle, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        agents = {a["id"]: a for a in manifest["scenario"]["agents"]}
+        agents["cf3"].update(x=agents["cf2"]["x"], y=agents["cf2"]["y"])
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["validate", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: {out}/manifest.json: invalid configuration: coincident: "
+            "agents 'cf2' and 'cf3' share the reference position (0.0, 0.25); "
+        )
+        assert err.count("\n") == 1
 
     def test_trace_name_not_a_string_is_parse_error(self, fast_bundle, tmp_path, capsys):
         out = tmp_path / "bundle"

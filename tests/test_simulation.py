@@ -115,7 +115,7 @@ class TestSimParams:
 def first_tick_references(cfg, initial_positions=None):
     """Follower references the engine computes from the starting positions."""
     trace = hold_run(cfg, SimParams(dt=0.01, duration=0.01), initial_positions)
-    rows = [trace.agent_index(fid) for fid in cfg.follower_ids]
+    rows = [trace.agent_ids.index(fid) for fid in cfg.follower_ids]
     return trace.references[0, rows]
 
 
@@ -162,8 +162,8 @@ def assert_references_mix_neighbors(trace, cfg, matrices, delay):
     """Every follower's reference at every tick is ``w @`` its neighbors' positions,
     with ``w`` its row of ``W`` at the in-neighbor columns."""
     for fid in cfg.follower_ids:
-        row = trace.agent_index(fid)
-        nbr_rows = [trace.agent_index(j) for j in cfg.in_neighbors[fid]]
+        row = trace.agent_ids.index(fid)
+        nbr_rows = [trace.agent_ids.index(j) for j in cfg.in_neighbors[fid]]
         w = matrices.W[row, nbr_rows]
         for k in range(len(trace.times)):
             expected = w @ trace.positions[max(k - delay, 0)][nbr_rows]
@@ -224,7 +224,7 @@ class TestRunSimulation:
                 )
             )
             results[key] = {
-                aid: trace.positions[:, trace.agent_index(aid)]
+                aid: trace.positions[:, trace.agent_ids.index(aid)]
                 for aid in trace.agent_ids
             }
         for aid in results["orig"]:
