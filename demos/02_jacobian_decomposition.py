@@ -12,8 +12,8 @@ from affineswarm import (
     assemble_jacobian,
     decompose_jacobian,
     load_default_scenario,
-    min_reference_distance,
     min_scaling_bound,
+    strain_check,
 )
 
 np.set_printoptions(precision=6, suppress=True)
@@ -40,7 +40,7 @@ print("\n|Q v| / |v| =", np.linalg.norm(dec.Q @ v) / np.linalg.norm(v))
 print("min strain   =", min(recovered.lambda1, recovered.lambda2))
 
 scenario = load_default_scenario()
-d_min = min_reference_distance(scenario.config)
+_, d_min = strain_check(scenario, 0.01)
 bound = min_scaling_bound(0.01, 0.065, d_min)
 print(f"\nreference separation d_min = {d_min} m")
 print(f"strain floor for delta=0.01 m, radius=0.065 m: {bound}")

@@ -14,15 +14,14 @@ from affineswarm import (
     Phase,
     PhaseSchedule,
     load_default_scenario,
-    pairwise_min_distance,
     run_simulation,
     strain_check,
-    tracking_error_metrics,
+    validate_run,
 )
 
 scenario = load_default_scenario()
-trace = run_simulation(scenario)
-delta = tracking_error_metrics(trace).measured_delta
+metrics = validate_run(run_simulation(scenario), scenario)
+delta = metrics.measured_delta
 radius = scenario.safety.agent_radius
 report, d_min = strain_check(scenario, delta)
 
@@ -33,7 +32,7 @@ print(f"required strain floor = 2 (delta + radius) / d_min = "
 
 print(f"\nbundled schedule: min strain {report.min_strain_observed} "
       f"-> {'PASS' if report.passed else 'FAIL'}")
-closest = pairwise_min_distance(trace, scenario)
+closest = metrics.min_pairwise_distance
 print(f"closest approach in the run: {closest:.4f} m "
       f"(two radii = {2 * radius} m)")
 

@@ -28,15 +28,10 @@ from .formation import (
     verify_spectrum,
 )
 from .metrics import (
-    ConvergenceResult,
     RunMetrics,
-    TrackingErrors,
-    convergence_check,
     corridor_clearance,
-    min_reference_distance,
     pairwise_min_distance,
     strain_check,
-    tracking_error_metrics,
     validate_run,
 )
 from .phases import (
@@ -47,7 +42,6 @@ from .phases import (
     TranslationRamp,
     check_schedule_safety,
     desired_positions,
-    hold_schedule,
     leader_trajectory,
     quintic_blend,
 )
@@ -60,7 +54,6 @@ from .scenario import (
     load_scenario,
     parse_scenario,
     scenario_sha256,
-    serialize_scenario,
 )
 from .simulation import (
     SimTrace,
@@ -80,7 +73,6 @@ __all__ = [
     "AffineSwarmError",
     "AtCoordinates",
     "ConfigError",
-    "ConvergenceResult",
     "Corridor",
     "FormationMatrices",
     "JacobianDecomposition",
@@ -99,29 +91,23 @@ __all__ = [
     "SimTrace",
     "SimulationError",
     "SpectralReport",
-    "TrackingErrors",
     "TranslationRamp",
     "ValidationReport",
     "assemble_jacobian",
     "check_schedule_safety",
-    "convergence_check",
     "corridor_clearance",
     "decompose_jacobian",
     "desired_positions",
-    "hold_schedule",
     "leader_trajectory",
     "load_default_scenario",
     "load_scenario",
-    "min_reference_distance",
     "min_scaling_bound",
     "pairwise_min_distance",
     "parse_scenario",
     "quintic_blend",
     "run_simulation",
     "scenario_sha256",
-    "serialize_scenario",
     "strain_check",
-    "tracking_error_metrics",
     "transform_points",
     "validate_config",
     "validate_run",

@@ -24,18 +24,9 @@ from .scenario import Scenario, parse_scenario, scenario_sha256, scenario_to_dic
 from .simulation import SimTrace, tick_times
 
 TRACE_COLUMNS = ("t", "x", "y", "z", "x_ref", "y_ref", "z_ref", "x_des", "y_des", "z_des")
+TRACE_HEADER = ",".join(TRACE_COLUMNS)
 PLAN_COLUMNS = ("t", "agent_id", "x_d", "y_d", "z_d")
 SETTLING_TOL = 1e-4
-
-
-def _csv(header: tuple[str, ...], row: str, table: np.ndarray) -> str:
-    """Header plus one ``row % values`` line per row of ``table``.
-
-    ``row`` holds one ``%.9g`` per column (``'%.9g' % x`` is
-    ``format(x, '.9g')``); the whole body is formatted in one pass.
-    """
-    body = (row + "\n") * len(table) % tuple(table.ravel().tolist())
-    return ",".join(header) + "\n" + body
 
 
 def time_fields(times: np.ndarray) -> list[str]:
@@ -53,7 +44,7 @@ def trace_csv_text(trace: SimTrace, index: int, times: list[str]) -> str:
     stays apart from ``0.0``. Only the varying columns go through the one
     ``%``.
     """
-    header = ",".join(TRACE_COLUMNS) + "\n"
+    header = TRACE_HEADER + "\n"
     table = np.column_stack(
         (
             trace.positions[:, index],
@@ -75,14 +66,20 @@ def trace_csv_text(trace: SimTrace, index: int, times: list[str]) -> str:
 
 
 def plan_csv_text(traj: LeaderTrajectory) -> str:
-    """One row per tick and leader: time, leader id, desired position."""
+    """One row per tick and leader: time, leader id, desired position.
+
+    One tick's rows are one template with a ``%.9g`` per value
+    (``'%.9g' % x`` is ``format(x, '.9g')``); the whole body is
+    formatted in one pass.
+    """
     row = "\n".join(
         "%.9g," + aid.replace("%", "%%") + ",%.9g,%.9g,%.9g" for aid in traj.agent_ids
     )
     table = np.column_stack(
         (np.repeat(traj.times, len(traj.agent_ids)), traj.positions.reshape(-1, 3))
-    ).reshape(len(traj.times), -1)
-    return _csv(PLAN_COLUMNS, row, table)
+    )
+    body = (row + "\n") * len(traj.times) % tuple(table.ravel().tolist())
+    return ",".join(PLAN_COLUMNS) + "\n" + body
 
 
 def dumps_json(doc) -> str:
@@ -202,21 +199,34 @@ def _lookup(doc, path: Path, *keys):
     return value
 
 
-def _line_damage(lines: list[str], rows: int, cols: int) -> str | None:
-    """The first damage a line-by-line read of a trace CSV's body ``lines`` finds.
+def _parse(lines: list[str], **kwargs) -> np.ndarray:
+    """``lines`` of comma-separated numbers through numpy's C parser."""
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, **kwargs)
 
-    Field counts first, then the row count, then each value; None when
-    every check passes.
+
+def _line_damage(lines: list[str], rows: int, cols: int) -> str | None:
+    """The first damage a line-by-line read of the trace CSV ``lines`` finds.
+
+    The header first, then field counts, then the row count, then each
+    value through ``_parse``, one line at a time; None when every check
+    passes, which a text ``_parse`` refused as a whole never does.
     """
-    for number, line in enumerate(lines, start=2):
+    if lines[0] != TRACE_HEADER:
+        return f"line 1 is {lines[0]!r}, expected the header {TRACE_HEADER!r}"
+    for number, line in enumerate(lines[1:], start=2):
         if line.count(",") != cols - 1:
             return f"line {number} has {line.count(',') + 1} fields, expected {cols}"
-    if len(lines) != rows:
-        return f"{len(lines)} rows of {cols} fields, expected {rows} rows of {cols}"
-    try:
-        np.array(",".join(lines).split(","), dtype=float)
-    except ValueError as exc:
-        return str(exc)
+    if len(lines) - 1 != rows:
+        return f"{len(lines) - 1} rows of {cols} fields, expected {rows} rows of {cols}"
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            _parse([line])
+        except ValueError:
+            for col, value in enumerate(line.split(",")):
+                try:
+                    _parse([line], usecols=col)
+                except ValueError:
+                    return f"line {number} has a value that is not a number: {value!r}"
     return None
 
 
@@ -225,23 +235,21 @@ def _trace_table(csv: Path, text: str, rows: int, cols: int) -> np.ndarray:
 
     numpy's C parser reads the lines in one call; they are passed as a
     list, since an ``io.StringIO`` of the text holds four bytes a
-    character. Its result counts only when there are ``rows`` lines after
-    the header, since ``loadtxt`` skips blank ones. Otherwise
-    ``ScenarioError`` names the damage ``_line_damage`` locates, or gives
-    ``loadtxt``'s message when the line checks pass (``1_0``, which
-    ``float`` accepts).
+    character. Its result counts only when line 1 is the header and
+    there are ``rows`` lines after it, since ``loadtxt`` skips blank
+    ones. Otherwise ``ScenarioError`` names the damage ``_line_damage``
+    locates.
     """
     lines = text.strip().split("\n")
-    failure = f"expected {rows} rows of {cols} fields"
-    if len(lines) == rows + 1:
+    if lines[0] == TRACE_HEADER and len(lines) == rows + 1:
         try:
-            table = np.loadtxt(lines, delimiter=",", skiprows=1, comments=None, ndmin=2)
-        except ValueError as exc:
-            failure = str(exc)
+            table = _parse(lines[1:])
+        except ValueError:
+            pass
         else:
             if table.shape == (rows, cols):
                 return table
-    damage = _line_damage(lines[1:], rows, cols) or failure
+    damage = _line_damage(lines, rows, cols)
     raise ScenarioError([f"{csv}: damaged trace CSV: {damage}"])
 
 

@@ -13,7 +13,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .formation import FormationMatrices, ReferenceConfig
 from .phases import SafetyReport, check_schedule_safety
 from .scenario import Corridor, Scenario
 from .simulation import SimTrace
@@ -54,13 +53,6 @@ def _cells_min(
         diff -= flat.take(k * n + pairs[1].take(q), axis=0)
         best = min(best, float(np.linalg.norm(diff, axis=-1).min()))
     return best
-
-
-def min_reference_distance(cfg: ReferenceConfig) -> float:
-    """Minimum pairwise distance between initial positions [m]."""
-    if len(cfg.agents) < 2:
-        raise ValueError("need at least 2 agents for a pairwise distance")
-    return float(_pair_table(cfg.planar_positions())[0].min())
 
 
 def pairwise_min_distance(trace: SimTrace, scenario: Scenario) -> float:
@@ -126,59 +118,32 @@ def corridor_clearance(
     return float(wall_gap[inside].min() - agent_radius)
 
 
-@dataclass(frozen=True)
-class TrackingErrors:
-    """Distance of actual positions from the commanded-map images."""
+def _final_residual(trace: SimTrace, scenario: Scenario) -> float | None:
+    """Followers' worst distance from their containment targets, settled.
 
-    per_agent_max: dict[str, float]
-    measured_delta: float
-
-
-def tracking_error_metrics(trace: SimTrace) -> TrackingErrors:
-    """Per-agent and global tracking-error statistics against desired positions."""
-    err = np.linalg.norm(trace.positions - trace.desired, axis=-1)
-    per_max = {aid: float(err[:, i].max()) for i, aid in enumerate(trace.agent_ids)}
-    return TrackingErrors(per_agent_max=per_max, measured_delta=float(err.max()))
-
-
-@dataclass(frozen=True)
-class ConvergenceResult:
-    converged: bool
-    residual: float
-
-
-def convergence_check(
-    trace: SimTrace, matrices: FormationMatrices, window: float = 0.1
-) -> ConvergenceResult:
-    """Compare final-window follower positions to their containment targets.
-
-    ``window`` is the trailing fraction of the trace to average over. The
-    leaders' desired positions must be constant throughout the window,
-    within ``LEADER_DRIFT_TOL`` (raises ``ValueError`` otherwise, e.g.
-    for a run truncated mid-maneuver). Targets are the follower rows of
-    ``H`` applied to the leaders' final desired positions; a run converges
-    when its residual is within ``CONVERGENCE_TOL``.
+    Averages each follower over the final 10% of the hold period (the span
+    after the last phase ends; 10% of the trace when there is none) and
+    compares it with ``H`` applied to the leaders' final desired positions.
+    None when the leaders' desired positions move by more than
+    ``LEADER_DRIFT_TOL`` inside that window (a run truncated mid-maneuver,
+    or a hold too short); 0.0 when there are no followers.
     """
     times = trace.times
-    t_cut = times[-1] - window * (times[-1] - times[0])
-    mask = times >= t_cut
-    des_leaders = trace.desired[mask][:, :3, :]
-    drift = float(np.abs(des_leaders - des_leaders[-1]).max())
-    if drift > LEADER_DRIFT_TOL:
-        raise ValueError(
-            f"leader desired positions move by {drift:.3e} inside the "
-            f"convergence window (t >= {t_cut:.3f}); run was truncated "
-            "mid-maneuver or the hold is too short"
-        )
-    targets = matrices.H @ des_leaders[-1]
-    follower_rows = np.arange(3, len(trace.agent_ids))
-    if len(follower_rows) == 0:
-        return ConvergenceResult(True, 0.0)
-    mean_pos = trace.positions[mask][:, follower_rows, :].mean(axis=0)
-    residual = float(
-        np.linalg.norm(mean_pos - targets[follower_rows], axis=-1).max()
-    )
-    return ConvergenceResult(residual <= CONVERGENCE_TOL, residual)
+    span = float(times[-1] - times[0])
+    hold = float(times[-1]) - scenario.schedule.t_end
+    if span > 0.0 and hold > 0.0:
+        window = max(0.1 * hold / span, 1.0 / max(len(times) - 1, 1))
+    else:
+        window = 0.1
+    mask = times >= times[-1] - window * (times[-1] - times[0])
+    leaders = trace.desired[mask][:, :3, :]
+    if float(np.abs(leaders - leaders[-1]).max()) > LEADER_DRIFT_TOL:
+        return None
+    if len(trace.agent_ids) <= 3:
+        return 0.0
+    targets = (scenario.matrices.H @ leaders[-1])[3:]
+    mean_pos = trace.positions[mask][:, 3:, :].mean(axis=0)
+    return float(np.linalg.norm(mean_pos - targets, axis=-1).max())
 
 
 @dataclass(frozen=True)
@@ -208,9 +173,11 @@ def strain_check(scenario: Scenario, delta: float) -> tuple[SafetyReport, float]
     The floor is ``min_scaling_bound``'s ``2 (delta + r) / d_min``, with
     ``delta`` a bound on every agent's tracking error (the safety budget
     before a run, the measured error after one). Returns the report and
-    the reference spacing ``d_min`` behind the floor.
+    the reference spacing ``d_min`` behind the floor, the minimum distance
+    between two agents of the reference layout (``ValueError`` for fewer
+    than two agents).
     """
-    d_min = min_reference_distance(scenario.config)
+    d_min = float(_pair_table(scenario.config.planar_positions())[0].min())
     bound = min_scaling_bound(delta, scenario.safety.agent_radius, d_min)
     report = check_schedule_safety(
         scenario.schedule, bound, scenario.params.control_rate
@@ -221,14 +188,17 @@ def strain_check(scenario: Scenario, delta: float) -> tuple[SafetyReport, float]
 def validate_run(trace: SimTrace, scenario: Scenario) -> RunMetrics:
     """Run the full safety-validation chain on a completed trace of ``scenario``.
 
-    The measured tracking error bound feeds ``strain_check``: the
-    commanded schedule must stay at or above the floor it gives, and when
-    it does the minimum center distance must be at least one agent
-    diameter. Both conditions fold into ``safety_pass``.
+    The measured tracking error, every agent's largest distance from its
+    desired position, feeds ``strain_check``: the commanded schedule must
+    stay at or above the floor it gives, and when it does the minimum
+    center distance must be at least one agent diameter. Both conditions
+    fold into ``safety_pass``. The run converged when ``_final_residual``
+    is within ``CONVERGENCE_TOL``; a null residual (leaders still moving
+    at the end) does not converge.
     """
     agent_radius = scenario.safety.agent_radius
-    errors = tracking_error_metrics(trace)
-    safety, _ = strain_check(scenario, errors.measured_delta)
+    measured_delta = float(np.linalg.norm(trace.positions - trace.desired, axis=-1).max())
+    safety, _ = strain_check(scenario, measured_delta)
 
     min_pairwise = pairwise_min_distance(trace, scenario)
     clearance = (
@@ -236,26 +206,13 @@ def validate_run(trace: SimTrace, scenario: Scenario) -> RunMetrics:
         if scenario.corridor is not None
         else None
     )
-
-    # Average over the final 10% of the hold period (the span after the
-    # last phase ends); fall back to 10% of the trace when there is none.
-    span = float(trace.times[-1] - trace.times[0])
-    hold = float(trace.times[-1]) - scenario.schedule.t_end
-    if span > 0.0 and hold > 0.0:
-        window = max(0.1 * hold / span, 1.0 / max(len(trace.times) - 1, 1))
-    else:
-        window = 0.1
-    try:
-        conv = convergence_check(trace, scenario.matrices, window=window)
-        converged, residual = conv.converged, conv.residual
-    except ValueError:
-        converged, residual = False, None
+    residual = _final_residual(trace, scenario)
 
     return RunMetrics(
-        measured_delta=errors.measured_delta,
+        measured_delta=measured_delta,
         min_pairwise_distance=min_pairwise,
         min_corridor_clearance=clearance,
-        converged=converged,
+        converged=residual is not None and residual <= CONVERGENCE_TOL,
         residual=residual,
         lambda_min_required=safety.lambda_min_bound,
         min_strain_commanded=safety.min_strain_observed,

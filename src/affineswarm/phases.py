@@ -12,7 +12,6 @@ hold forever.
 
 from __future__ import annotations
 
-import math
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -248,8 +247,3 @@ def check_schedule_safety(
         violations=violations,
     )
 
-
-def hold_schedule(coords: AtCoordinates, duration: float = 1.0) -> PhaseSchedule:
-    """A schedule that holds fixed coordinates (useful for settling runs)."""
-    ph = Phase(t0=0.0, tf=max(duration, math.ulp(1.0)), start=coords, end=coords)
-    return PhaseSchedule(phases=(ph,))

@@ -448,10 +448,6 @@ def scenario_to_dict(s: Scenario) -> dict:
     return doc
 
 
-def serialize_scenario(s: Scenario) -> str:
-    return json.dumps(scenario_to_dict(s), sort_keys=True, indent=2) + "\n"
-
-
 def scenario_sha256(s: Scenario) -> str:
     blob = json.dumps(scenario_to_dict(s), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

@@ -21,8 +21,9 @@ from affineswarm import (
     load_default_scenario,
     quintic_blend,
 )
-from affineswarm.bundle import TRACE_COLUMNS
+from affineswarm.bundle import TRACE_COLUMNS, dumps_json
 from affineswarm.errors import ScenarioError
+from affineswarm.scenario import scenario_to_dict
 from affineswarm.simulation import tick_map, tick_times
 
 
@@ -45,6 +46,17 @@ def make_scenario(cfg, schedule, params) -> Scenario:
         params=params,
         safety=SafetyParams(),
     )
+
+
+def serialize_scenario(s: Scenario) -> str:
+    """The scenario document as text, as a bundle's manifest embeds it."""
+    return dumps_json(scenario_to_dict(s))
+
+
+def hold_schedule(coords: AtCoordinates, duration: float = 1.0) -> PhaseSchedule:
+    """A schedule that holds fixed coordinates (useful for settling runs)."""
+    ph = Phase(t0=0.0, tf=max(duration, math.ulp(1.0)), start=coords, end=coords)
+    return PhaseSchedule(phases=(ph,))
 
 
 def barycentric_oracle(point, triangle):
@@ -230,19 +242,23 @@ def trace_csv_oracle(trace, index: int) -> str:
 def trace_table_oracle(csv, text: str, times: np.ndarray) -> np.ndarray:
     """The (rows, 10) values of one trace CSV, read one Python ``float`` per field.
 
-    ``times`` is the scenario's tick grid. Line by line: the field count of
-    every line, then the row count, then each value, then finiteness and
-    the ``t`` column against the grid at 9 significant digits. Damage
-    raises ``ScenarioError`` with the message ``read_bundle`` must give.
+    ``times`` is the scenario's tick grid. Line by line: the header, the
+    field count of every line, then the row count, then each value, then
+    finiteness and the ``t`` column against the grid at 9 significant
+    digits. Damage raises ``ScenarioError`` with the message
+    ``read_bundle`` must give.
     """
     rows, cols = len(times), len(TRACE_COLUMNS)
     grid = np.array([float(format(t, ".9g")) for t in times.tolist()])
-    body = text.strip().partition("\n")[2]
+    head, _, body = text.strip().partition("\n")
     lines = body.split("\n") if body else []
 
     def damaged(message):
         return ScenarioError([f"{csv}: damaged trace CSV: {message}"])
 
+    header = ",".join(TRACE_COLUMNS)
+    if head != header:
+        raise damaged(f"line 1 is {head!r}, expected the header {header!r}")
     for number, line in enumerate(lines, start=2):
         if line.count(",") != cols - 1:
             raise damaged(
@@ -252,11 +268,16 @@ def trace_table_oracle(csv, text: str, times: np.ndarray) -> np.ndarray:
         raise damaged(
             f"{len(lines)} rows of {cols} fields, expected {rows} rows of {cols}"
         )
-    try:
-        values = np.array(body.replace("\n", ",").split(","), dtype=float)
-    except ValueError as exc:
-        raise damaged(exc) from None
-    table = values.reshape(rows, cols)
+    values = []
+    for number, line in enumerate(lines, start=2):
+        for field in line.split(","):
+            try:
+                values.append(float(field))
+            except ValueError:
+                raise damaged(
+                    f"line {number} has a value that is not a number: {field!r}"
+                ) from None
+    table = np.array(values).reshape(rows, cols)
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if len(bad):
         raise damaged(f"line {bad[0] + 2} has a non-finite value")

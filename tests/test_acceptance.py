@@ -19,22 +19,21 @@ from affineswarm import (
     SimParams,
     assemble_jacobian,
     decompose_jacobian,
-    hold_schedule,
     load_default_scenario,
-    min_reference_distance,
     min_scaling_bound,
     pairwise_min_distance,
     quintic_blend,
     run_simulation,
     strain_check,
-    tracking_error_metrics,
     transform_points,
+    validate_run,
     verify_spectrum,
 )
 from affineswarm.cli import main
 from affineswarm.scenario import default_scenario_text
 from conftest import (
     consensus_fixed_point,
+    hold_schedule,
     make_scenario,
     random_config,
     random_schedule,
@@ -61,8 +60,8 @@ def matrices(scenario):
 def test_criterion_1_strain_bound_arithmetic(scenario):
     start = time.perf_counter()
     assert abs(min_scaling_bound(0.01, 0.065, 0.5) - 0.3) <= 1e-12
-    assert min_reference_distance(scenario.config) == 0.5
-    safety, _ = strain_check(scenario, 0.01)
+    safety, d_min = strain_check(scenario, 0.01)
+    assert d_min == 0.5
     assert safety.min_strain_observed == 0.5
     assert safety.passed
     assert time.perf_counter() - start < 1.0
@@ -171,7 +170,7 @@ def test_criterion_5_safety_embodiment(scenario):
 
     for run in runs:
         trace = run_simulation(run)
-        delta = tracking_error_metrics(trace).measured_delta
+        delta = validate_run(trace, run).measured_delta
         safety, _ = strain_check(run, delta)
         bound = safety.lambda_min_bound
         assert safety.passed, f"schedule failed its own measured-delta bound {bound:.3f}"
@@ -183,7 +182,7 @@ def test_criterion_5_safety_embodiment(scenario):
     params = SimParams(duration=14.0, **sim_kw)
     contraction = make_scenario(cfg, schedule, params)
     trace = run_simulation(contraction)
-    delta = tracking_error_metrics(trace).measured_delta
+    delta = validate_run(trace, contraction).measured_delta
     dist = pairwise_min_distance(trace, contraction)
     assert abs(dist - 0.25) <= 2.0 * delta + 1e-9
     report(5, f"51 safe runs kept {2 * AGENT_RADIUS:.2f} m separation; "

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import trace_csv_oracle, trace_table_oracle
+from conftest import serialize_scenario, trace_csv_oracle, trace_table_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +30,7 @@ from affineswarm.bundle import (
     trace_csv_text,
 )
 from affineswarm.errors import ScenarioError
-from affineswarm.scenario import Scenario, parse_scenario, serialize_scenario
+from affineswarm.scenario import Scenario, parse_scenario
 from affineswarm.simulation import closed_loop_radius, tick_times
 
 

@@ -380,7 +380,7 @@ class TestValidate:
             lambda lines: (lines[:7] + [lines[7].replace(",", ",,", 1)] + lines[8:],
                            "line 8 has 11 fields, expected 10"),
             lambda lines: (lines[:3] + [lines[3].replace(",", ",x", 1)] + lines[4:],
-                           "could not convert string to float: 'x"),
+                           "line 4 has a value that is not a number: 'x"),
             # An x value simulate never writes.
             lambda lines: (lines[:5] + [re.sub(",[^,]*", ",nan", lines[5], count=1)]
                            + lines[6:], "line 6 has a non-finite value"),
@@ -391,10 +391,17 @@ class TestValidate:
                            "line 6 has 1 fields, expected 10"),
             # float() accepts "1_0"; numpy's parser, and so validate, refuse it.
             lambda lines: (lines[:5] + [re.sub(",[^,]*", ",1_0", lines[5], count=1)]
-                           + lines[6:], "could not convert string '1_0' to float64"),
+                           + lines[6:], "line 6 has a value that is not a number: '1_0'\n"),
+            # Columns in another order, and no header at all.
+            lambda lines: (["t,x_des,y_des,z_des,x_ref,y_ref,z_ref,x,y,z"] + lines[1:],
+                           "line 1 is 't,x_des,y_des,z_des,x_ref,y_ref,z_ref,x,y,z', "
+                           "expected the header 't,x,y,z,x_ref,y_ref,z_ref,x_des,y_des,"
+                           "z_des'\n"),
+            lambda lines: (["garbage"] + lines[1:],
+                           "line 1 is 'garbage', expected the header 't,x,y,z,"),
         ],
         ids=["cut-at-row-end", "extra-field", "non-numeric", "nan", "inf", "blank-line",
-             "underscore"],
+             "underscore", "header", "header-garbage"],
     )
     @pytest.mark.parametrize("agent", ["cf1", "cf4"])
     def test_damaged_trace_is_the_file_named(

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from affineswarm import (
     Agent,
+    AtCoordinates,
     ConfigError,
     FormationMatrices,
     ReferenceConfig,
-    min_reference_distance,
+    SimParams,
+    strain_check,
     validate_config,
     verify_spectrum,
 )
@@ -20,6 +22,8 @@ from affineswarm.formation import _audit
 from conftest import (
     barycentric_oracle,
     consensus_fixed_point,
+    hold_schedule,
+    make_scenario,
     matrices_oracle,
     random_config,
 )
@@ -353,14 +357,20 @@ class TestFixedPointOracle:
         np.testing.assert_allclose(x, default_matrices.H @ leaders, atol=1e-6)
 
 
+def reference_spacing(cfg: ReferenceConfig) -> float:
+    """The ``d_min`` behind the strain floor of a holding scenario of ``cfg``."""
+    scenario = make_scenario(cfg, hold_schedule(AtCoordinates()), SimParams())
+    return strain_check(scenario, 0.0)[1]
+
+
 class TestMinReferenceDistance:
     def test_default_layout(self, default_scenario):
-        assert min_reference_distance(default_scenario.config) == 0.5
+        assert strain_check(default_scenario, 0.0)[1] == 0.5
 
     def test_two_agents(self):
         agents = [Agent("a", "leader", 0.0, 0.0), Agent("b", "leader", 1.0, 0.0)]
         cfg = ReferenceConfig.from_agents(agents, z=1.0, in_neighbors={})
-        assert min_reference_distance(cfg) == 1.0
+        assert reference_spacing(cfg) == 1.0
 
     def test_moved_follower(self, default_scenario):
         cfg = default_scenario.config
@@ -369,12 +379,12 @@ class TestMinReferenceDistance:
             for a in cfg.agents
         ]
         moved = ReferenceConfig(agents=tuple(agents), z=cfg.z, in_neighbors=cfg.in_neighbors)
-        assert min_reference_distance(moved) == pytest.approx(0.35, abs=1e-12)
+        assert reference_spacing(moved) == pytest.approx(0.35, abs=1e-12)
 
     def test_single_agent_rejected(self):
         cfg = ReferenceConfig.from_agents([Agent("a", "leader", 0, 0)], 1.0, {})
         with pytest.raises(ValueError):
-            min_reference_distance(cfg)
+            reference_spacing(cfg)
 
 
 @settings(max_examples=60, deadline=None)

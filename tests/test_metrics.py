@@ -14,20 +14,15 @@ from affineswarm import (
     Agent,
     AtCoordinates,
     Corridor,
-    FormationMatrices,
     Phase,
     PhaseSchedule,
     ReferenceConfig,
     SimParams,
     SimTrace,
-    convergence_check,
     corridor_clearance,
-    hold_schedule,
     pairwise_min_distance,
     run_simulation,
-    serialize_scenario,
     strain_check,
-    tracking_error_metrics,
     validate_run,
     verify_spectrum,
 )
@@ -36,10 +31,12 @@ from affineswarm.bundle import dumps_json, emit_bundle, read_bundle, safety_docu
 from affineswarm.cli import main
 from affineswarm.simulation import closed_loop_radius
 from conftest import (
+    hold_schedule,
     make_scenario,
     min_pair_distance_oracle,
     random_config,
     random_schedule,
+    serialize_scenario,
 )
 
 
@@ -239,81 +236,64 @@ class TestCorridorClearance:
 class TestTrackingErrorMetrics:
     def test_perfect_tracking_is_zero(self, default_scenario):
         trace = static_trace(default_scenario.config.reference_positions())
-        errors = tracking_error_metrics(trace)
-        assert errors.measured_delta == 0.0
-        assert all(v == 0.0 for v in errors.per_agent_max.values())
+        assert validate_run(trace, default_scenario).measured_delta == 0.0
 
-    def test_single_excursion(self):
-        pos = np.zeros((4, 2, 3))
-        des = pos.copy()
-        pos[2, 1, 0] = 0.005
-        trace = SimTrace(
-            times=np.arange(4) / 100.0,
-            agent_ids=("a", "b"),
-            positions=pos,
-            references=pos.copy(),
-            desired=des,
-        )
-        errors = tracking_error_metrics(trace)
-        assert errors.measured_delta == pytest.approx(0.005)
-        assert errors.per_agent_max["b"] == pytest.approx(0.005)
-        assert errors.per_agent_max["a"] == 0.0
+    def test_single_excursion(self, default_scenario):
+        trace = static_trace(default_scenario.config.reference_positions())
+        pos = trace.positions.copy()
+        pos[2, 4, 0] += 0.005
+        bumped = dataclasses.replace(trace, positions=pos)
+        metrics = validate_run(bumped, default_scenario)
+        assert metrics.measured_delta == pytest.approx(0.005, abs=1e-15)
 
     def test_recomputation_is_identical(self, default_scenario):
         trace = static_trace(default_scenario.config.reference_positions())
-        first = tracking_error_metrics(trace)
-        second = tracking_error_metrics(trace)
+        first = validate_run(trace, default_scenario)
+        second = validate_run(trace, default_scenario)
         assert first == second
 
 
 @pytest.fixture(scope="module")
 def settled_run(default_scenario):
+    """A hold of the default layout from perturbed starts: its scenario and trace."""
     cfg = default_scenario.config
-    matrices = FormationMatrices.from_config(cfg)
     rng = np.random.default_rng(9)
     initial = {
         fid: cfg.reference_positions()[cfg.index_of(fid)]
         + np.append(rng.uniform(-0.2, 0.2, 2), 0.0)
         for fid in cfg.follower_ids
     }
-    trace = run_simulation(
-        make_scenario(
-            cfg,
-            hold_schedule(AtCoordinates(), duration=1.0),
-            SimParams(duration=6.0),
-        ),
-        initial_positions=initial,
+    scenario = make_scenario(
+        cfg,
+        hold_schedule(AtCoordinates(), duration=1.0),
+        SimParams(duration=6.0),
     )
-    return cfg, matrices, trace
+    return scenario, run_simulation(scenario, initial_positions=initial)
 
 
 class TestConvergenceCheck:
-    def test_settled_run_converges(self, settled_run):
-        _, matrices, trace = settled_run
-        result = convergence_check(trace, matrices)
-        assert result.converged
-        assert result.residual <= 1e-4
+    """``validate_run``'s convergence to ``H x_L`` over the final hold."""
 
-    def test_truncated_run_raises(self, default_scenario):
-        cfg = default_scenario.config
-        matrices = FormationMatrices.from_config(cfg)
-        trace = run_simulation(
-            make_scenario(
-                cfg,
-                default_scenario.schedule,
-                SimParams(dt=0.01, duration=15.0),  # stops mid-maneuver
-            )
+    def test_settled_run_converges(self, settled_run):
+        scenario, trace = settled_run
+        metrics = validate_run(trace, scenario)
+        assert metrics.converged
+        assert metrics.residual <= 1e-4
+
+    def test_truncated_run_does_not_converge(self, default_scenario):
+        scenario = dataclasses.replace(
+            default_scenario,
+            params=SimParams(dt=0.01, duration=15.0),  # stops mid-maneuver
         )
-        with pytest.raises(ValueError, match="window"):
-            convergence_check(trace, matrices)
+        metrics = validate_run(run_simulation(scenario), scenario)
+        assert metrics.converged is False
+        assert metrics.residual is None
 
     def test_already_at_targets_gives_zero_residual(self, default_scenario):
-        cfg = default_scenario.config
-        matrices = FormationMatrices.from_config(cfg)
-        trace = static_trace(cfg.reference_positions())
-        result = convergence_check(trace, matrices)
-        assert result.converged
-        assert result.residual <= 1e-12
+        trace = static_trace(default_scenario.config.reference_positions())
+        metrics = validate_run(trace, default_scenario)
+        assert metrics.converged
+        assert metrics.residual <= 1e-12
 
 
 class TestStrainCheck:
@@ -413,7 +393,7 @@ class TestValidateRun:
         assert metrics.min_corridor_clearance is None
 
     def test_corridor_metric_included(self, default_scenario, settled_run):
-        cfg, _, trace = settled_run
+        _, trace = settled_run
         scenario = dataclasses.replace(
             default_scenario,
             schedule=hold_schedule(AtCoordinates(), duration=1.0),
@@ -424,7 +404,7 @@ class TestValidateRun:
         assert metrics.min_corridor_clearance > 0.0
 
     def test_metrics_dict_schema(self, default_scenario, settled_run):
-        cfg, _, trace = settled_run
+        _, trace = settled_run
         scenario = dataclasses.replace(
             default_scenario,
             schedule=hold_schedule(AtCoordinates(), duration=1.0),

@@ -4,7 +4,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from conftest import schedule_oracle
+from conftest import hold_schedule, schedule_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +16,6 @@ from affineswarm import (
     TranslationRamp,
     check_schedule_safety,
     desired_positions,
-    hold_schedule,
     leader_trajectory,
     quintic_blend,
 )

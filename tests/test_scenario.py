@@ -16,9 +16,9 @@ from affineswarm import (
     load_default_scenario,
     parse_scenario,
     scenario_sha256,
-    serialize_scenario,
 )
 from affineswarm.scenario import default_scenario_text
+from conftest import serialize_scenario
 
 
 class TestDefaultScenario:

@@ -18,20 +18,20 @@ from affineswarm import (
     SimParams,
     SimulationError,
     check_schedule_safety,
-    hold_schedule,
     load_default_scenario,
     parse_scenario,
     run_simulation,
-    serialize_scenario,
 )
 from affineswarm.simulation import closed_loop_radius, tick_map, tick_times
 from conftest import (
     consensus_fixed_point,
     euler_oracle,
+    hold_schedule,
     lifted_tick_matrix,
     make_scenario,
     random_config,
     random_schedule,
+    serialize_scenario,
 )
 
 
