@@ -86,6 +86,13 @@ def dumps_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _write_json(path: Path, doc) -> None:
+    """``dumps_json(doc)`` streamed to ``path``, never held whole in memory."""
+    with path.open("w", newline="\n") as f:
+        json.dump(doc, f, sort_keys=True, indent=2)
+        f.write("\n")
+
+
 def matrices_document(
     matrices: FormationMatrices, spectrum: SpectralReport, rho: float
 ) -> dict:
@@ -164,10 +171,9 @@ def emit_bundle(
     try:
         for index, name in enumerate(traces.values()):
             (out / name).write_text(trace_csv_text(trace, index, times), newline="\n")
-        (out / "metrics.json").write_text(dumps_json(metrics.to_dict()), newline="\n")
-        (out / "matrices.json").write_text(
-            dumps_json(matrices_document(scenario.matrices, spectrum, rho)),
-            newline="\n",
+        _write_json(out / "metrics.json", metrics.to_dict())
+        _write_json(
+            out / "matrices.json", matrices_document(scenario.matrices, spectrum, rho)
         )
         manifest = {
             "tool": {"name": "affineswarm", "version": __version__},
@@ -181,7 +187,7 @@ def emit_bundle(
                 "matrices": "matrices.json",
             },
         }
-        (out / "manifest.json").write_text(dumps_json(manifest), newline="\n")
+        _write_json(out / "manifest.json", manifest)
     except OSError as exc:
         raise OSError(f"failed writing bundle under {out}: {exc}") from exc
     return out
@@ -261,13 +267,20 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
     grid (``tick_times``), and its ``t`` column must be that grid at
     9 significant digits; the trace's times are the grid itself. Values
     carry the CSV's 9-significant-digit precision, which is ample for
-    every recomputed metric. A missing or malformed manifest, a missing
-    key or trace file name, an embedded scenario the schema rejects, a
-    wrong ``agent_order``, and a missing, unreadable or damaged CSV (wrong
-    field or row count, a non-numeric or non-finite value, a time off the
-    grid) each raise ``ScenarioError`` naming the file. An embedded
-    scenario whose configuration breaks an invariant raises
-    ``ConfigError`` naming the manifest.
+    every recomputed metric.
+
+    The trace's three arrays are allocated up front, each a C-contiguous
+    float64 ``(T, N, 3)`` array as ``SimTrace`` states, and the CSVs are
+    read one at a time: each is copied into its agent's column once its
+    checks pass, so the read holds the trace plus one agent's CSV.
+
+    A missing or malformed manifest, a missing key or trace file name, an
+    embedded scenario the schema rejects, a wrong ``agent_order``, and a
+    missing, unreadable or damaged CSV (wrong field or row count, a
+    non-numeric or non-finite value, a time off the grid) each raise
+    ``ScenarioError`` naming the file. An embedded scenario whose
+    configuration breaks an invariant raises ``ConfigError`` naming the
+    manifest.
     """
     out = Path(bundle_dir)
     path = out / "manifest.json"
@@ -294,8 +307,8 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
     times = tick_times(scenario.schedule, scenario.params)
     rows, cols = len(times), len(TRACE_COLUMNS)
     grid = np.array(time_fields(times), dtype=float)
-    data = []
-    for aid in ids:
+    positions, references, desired = (np.empty((rows, len(ids), 3)) for _ in range(3))
+    for index, aid in enumerate(ids):
         name = _lookup(doc, path, "outputs", "traces", aid)
         if not isinstance(name, str):
             raise ScenarioError(
@@ -323,12 +336,13 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
                     f"expected the tick grid's {grid[k]:.9g}"
                 ]
             )
-        data.append(table[:, 1:])
-    stacked = np.stack(data, axis=1)  # (T, N, 9)
+        positions[:, index] = table[:, 1:4]
+        references[:, index] = table[:, 4:7]
+        desired[:, index] = table[:, 7:10]
     return scenario, SimTrace(
         times=times,
         agent_ids=scenario.config.ids,
-        positions=stacked[:, :, 0:3],
-        references=stacked[:, :, 3:6],
-        desired=stacked[:, :, 6:9],
+        positions=positions,
+        references=references,
+        desired=desired,
     )

@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the full simulation and emit a bundle")
     p_sim.add_argument("scenario")
     p_sim.add_argument("--out", default=None, help="bundle output directory")
-    for f in dataclasses.fields(SimParams):  # overrides, see _resolved_params
+    for f in dataclasses.fields(SimParams):  # overrides, see _resolved_scenario
         p_sim.add_argument(
             f"--{f.name.replace('_', '-')}",
             type=int if f.type == "int" else float,
@@ -124,10 +124,11 @@ def _cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def _resolved_params(scenario: Scenario, args) -> SimParams:
-    """The scenario's parameters with every ``simulate`` flag that was given.
+def _resolved_scenario(scenario: Scenario, args) -> Scenario:
+    """The scenario with every ``simulate`` flag that was given.
 
-    Values ``SimParams`` rejects raise ``ScenarioError`` naming the flags.
+    Values ``SimParams`` rejects, and a run they put over the memory
+    budget, raise ``ScenarioError`` naming the flags.
     """
     overrides = {
         f.name: getattr(args, f.name)
@@ -135,7 +136,8 @@ def _resolved_params(scenario: Scenario, args) -> SimParams:
         if getattr(args, f.name) is not None
     }
     try:
-        return dataclasses.replace(scenario.params, **overrides)
+        params = dataclasses.replace(scenario.params, **overrides)
+        return dataclasses.replace(scenario, params=params)
     except ValueError as exc:
         flags = " ".join(
             f"--{name.replace('_', '-')} {value}" for name, value in overrides.items()
@@ -144,9 +146,8 @@ def _resolved_params(scenario: Scenario, args) -> SimParams:
 
 
 def _cmd_simulate(args) -> int:
-    scenario = load_scenario(args.scenario)
-    params = _resolved_params(scenario, args)
-    scenario = dataclasses.replace(scenario, params=params)
+    scenario = _resolved_scenario(load_scenario(args.scenario), args)
+    params = scenario.params
     out_dir = args.out
     if out_dir is None:
         root = os.environ.get(ENV_OUT, "runs")

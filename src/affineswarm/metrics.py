@@ -24,6 +24,17 @@ LEADER_DRIFT_TOL = 1e-9  # leader motion the convergence window tolerates, m
 _PAD_ULPS = 64  # rounding allowance of the pair search's bound
 
 
+def _tick_chunks(t_count: int, n: int) -> list[slice]:
+    """Slices of ``_CELLS // n`` ticks (at least one) covering ``t_count`` ticks.
+
+    A reduction over a trace's ``(T, N, ...)`` arrays runs one slice at a
+    time, so its temporaries stay near ``_CELLS`` agent rows whatever the
+    trace's size.
+    """
+    step = max(_CELLS // max(n, 1), 1)
+    return [slice(lo, lo + step) for lo in range(0, t_count, step)]
+
+
 def _pair_table(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every pair of rows of ``points``: distances (P,) and row indices (2, P)."""
     pairs = np.stack(np.triu_indices(len(points), k=1))
@@ -35,8 +46,9 @@ def _cells_min(
 ) -> float:
     """Minimum distance over the cells ``(k, pairs[:, q])`` with ``lo <= q < hi[k]``.
 
-    ``positions`` is a C-contiguous (T, N, 3) array. Evaluates ``_CELLS``
-    cells at a time; +inf when there are none.
+    ``positions`` is a (T, N, 3) array, C-contiguous as ``SimTrace`` holds
+    it, so its flat view copies nothing. Evaluates ``_CELLS`` cells at a
+    time; +inf when there are none.
     """
     n = positions.shape[1]
     flat = positions.reshape(-1, 3)
@@ -74,7 +86,7 @@ def pairwise_min_distance(trace: SimTrace, scenario: Scenario) -> float:
     t_count, n, _ = trace.positions.shape
     if n < 2:
         return math.inf
-    positions = np.ascontiguousarray(trace.positions)
+    positions = trace.positions
     ref_dist, pairs = _pair_table(scenario.config.planar_positions())
     near = 3 * n
     if near >= len(ref_dist):
@@ -83,20 +95,23 @@ def pairwise_min_distance(trace: SimTrace, scenario: Scenario) -> float:
     ref_dist, pairs = ref_dist[order], pairs[:, order]
     ub = _cells_min(positions, pairs, 0, np.full(t_count, near))
 
-    coords, q, d = scenario.schedule.sample(trace.times)
     refs = scenario.config.reference_positions()
-    err = np.empty(t_count)
-    scale = max(float(np.abs(d).max()), float(coords[:, 2:4].max() * ref_dist[-1]))
-    step = max(_CELLS // n, 1)
-    for lo in range(0, t_count, step):
-        ticks = slice(lo, lo + step)
-        images = transform_points(q[ticks], d[ticks], refs)
+    err, strain = np.empty(t_count), np.empty(t_count)
+    scale = 0.0
+    for ticks in _tick_chunks(t_count, n):
+        coords, q, d = scenario.schedule.sample(trace.times[ticks])
+        strain[ticks] = coords[:, 2:4].min(axis=1)
+        images = transform_points(q, d, refs)
         err[ticks] = np.linalg.norm(positions[ticks] - images, axis=-1).max(axis=1)
         scale = max(
-            scale, float(np.abs(images).max()), float(np.abs(positions[ticks]).max())
+            scale,
+            float(np.abs(d).max()),
+            float(coords[:, 2:4].max() * ref_dist[-1]),
+            float(np.abs(images).max()),
+            float(np.abs(positions[ticks]).max()),
         )
     pad = _PAD_ULPS * np.finfo(float).eps * scale
-    reach = (ub + 2.0 * err + pad) / coords[:, 2:4].min(axis=1)
+    reach = (ub + 2.0 * err + pad) / strain
     survivors = np.searchsorted(ref_dist, reach, side="right")
     return min(ub, _cells_min(positions, pairs, near, survivors))
 
@@ -109,13 +124,14 @@ def corridor_clearance(
     Negative values mean an agent surface crossed a wall. Returns +inf when
     no agent center ever enters the corridor's x-span.
     """
-    x = trace.positions[:, :, 0]
-    y = trace.positions[:, :, 1]
-    inside = (x >= corridor.x_start) & (x <= corridor.x_end)
-    if not inside.any():
-        return math.inf
-    wall_gap = corridor.half_width - np.abs(y - corridor.center_y)
-    return float(wall_gap[inside].min() - agent_radius)
+    gap = math.inf
+    for ticks in _tick_chunks(*trace.positions.shape[:2]):
+        x, y = trace.positions[ticks, :, 0], trace.positions[ticks, :, 1]
+        y = y[(x >= corridor.x_start) & (x <= corridor.x_end)]
+        if len(y):
+            wall_gap = corridor.half_width - np.abs(y - corridor.center_y)
+            gap = min(gap, float(wall_gap.min()))
+    return gap - agent_radius
 
 
 def _final_residual(trace: SimTrace, scenario: Scenario) -> float | None:
@@ -136,13 +152,13 @@ def _final_residual(trace: SimTrace, scenario: Scenario) -> float | None:
     else:
         window = 0.1
     mask = times >= times[-1] - window * (times[-1] - times[0])
-    leaders = trace.desired[mask][:, :3, :]
+    leaders = trace.desired[mask, :3]
     if float(np.abs(leaders - leaders[-1]).max()) > LEADER_DRIFT_TOL:
         return None
     if len(trace.agent_ids) <= 3:
         return 0.0
     targets = (scenario.matrices.H @ leaders[-1])[3:]
-    mean_pos = trace.positions[mask][:, 3:, :].mean(axis=0)
+    mean_pos = trace.positions[mask, 3:].mean(axis=0)
     return float(np.linalg.norm(mean_pos - targets, axis=-1).max())
 
 
@@ -197,7 +213,10 @@ def validate_run(trace: SimTrace, scenario: Scenario) -> RunMetrics:
     at the end) does not converge.
     """
     agent_radius = scenario.safety.agent_radius
-    measured_delta = float(np.linalg.norm(trace.positions - trace.desired, axis=-1).max())
+    measured_delta = max(
+        float(np.linalg.norm(trace.positions[k] - trace.desired[k], axis=-1).max())
+        for k in _tick_chunks(*trace.positions.shape[:2])
+    )
     safety, _ = strain_check(scenario, measured_delta)
 
     min_pairwise = pairwise_min_distance(trace, scenario)

@@ -12,6 +12,7 @@ hold forever.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -165,6 +166,15 @@ class PhaseSchedule:
         return coords, jacobian_stack(coords), d
 
 
+def grid_size(span: float, tick_rate: float) -> int | float:
+    """The number of times ``tick_grid`` gives over ``span`` at ``tick_rate`` Hz.
+
+    inf when ``span * tick_rate`` overflows; nothing is allocated.
+    """
+    ticks = span * tick_rate
+    return round(ticks) + 1 if math.isfinite(ticks) else math.inf
+
+
 def tick_grid(t_start: float, span: float, tick_rate: float) -> np.ndarray:
     """Inclusive grid of ``round(span * tick_rate)`` ticks at ``tick_rate`` Hz.
 
@@ -172,8 +182,7 @@ def tick_grid(t_start: float, span: float, tick_rate: float) -> np.ndarray:
     """
     if tick_rate <= 0.0:
         raise ValueError("tick_rate must be positive")
-    count = int(round(span * tick_rate))
-    return t_start + np.arange(count + 1) / tick_rate
+    return t_start + np.arange(grid_size(span, tick_rate)) / tick_rate
 
 
 def desired_positions(cfg: ReferenceConfig, schedule: PhaseSchedule, t) -> np.ndarray:

@@ -25,7 +25,9 @@ default is a required key and an omitted optional key takes the field's
 default (``parse_scenario`` holds those of ``name`` and ``altitude``).
 ``null`` is never a valid value. Parsing accumulates every schema problem
 (with key paths, and line/column for syntax errors) before failing, then
-validates the configuration invariants. Serialization is canonical
+validates the configuration invariants, then refuses a run whose trace
+or schedule sampling exceeds ``MEMORY_BUDGET`` (``Scenario``), before
+anything of that size is allocated. Serialization is canonical
 (sorted keys), so a parsed scenario round-trips to an identical model and
 a stable content hash.
 """
@@ -42,7 +44,13 @@ from pathlib import Path
 
 from .errors import ScenarioError, ScheduleError
 from .formation import Agent, FormationMatrices, ReferenceConfig, validate_config
-from .phases import Phase, PhaseSchedule, TranslationRamp
+from .phases import Phase, PhaseSchedule, TranslationRamp, grid_size
+
+# The most one run's trace, or one sampling of its schedule, may hold, in bytes.
+MEMORY_BUDGET = 1 << 30
+# What ``plan`` holds for each schedule sample, at most: about 0.75 KiB of
+# CSV text and Python floats for three leaders.
+SAMPLE_BYTES = 1 << 10
 
 _TOP_KEYS = {
     "name",
@@ -166,6 +174,12 @@ class SimParams:
     def substeps(self) -> int:
         return int(round(1.0 / (self.dt * self.control_rate)))
 
+    def run_duration(self, schedule: PhaseSchedule) -> float:
+        """``duration``, or ``schedule``'s span plus a 10 s hold when it is None."""
+        if self.duration is None:
+            return schedule.t_end - schedule.t_start + 10.0
+        return self.duration
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -177,6 +191,35 @@ class Scenario:
     params: SimParams
     safety: SafetyParams
     corridor: Corridor | None = None
+
+    def __post_init__(self):
+        """Refuse a run whose trace, or whose schedule sampling, is over budget.
+
+        The trace holds ``72 * T * N`` bytes for ``T`` tick times of ``N``
+        agents; ``plan`` and ``check`` take ``SAMPLE_BYTES`` for each
+        control-rate sample of the schedule span. Either one above
+        ``MEMORY_BUDGET`` raises before anything is allocated, naming the
+        key that sets its length.
+        """
+        schedule, params = self.schedule, self.params
+        rate, n = params.control_rate, len(self.config.agents)
+        ticks = grid_size(params.run_duration(schedule), rate)
+        samples = grid_size(schedule.t_end - schedule.t_start, rate)
+        over = f"over the {MEMORY_BUDGET:,}-byte budget"
+        if 72 * ticks * n > MEMORY_BUDGET:
+            key = "phases" if params.duration is None else "sim.duration"
+            message = (
+                f"a run of {ticks:,} ticks at {rate:g} Hz of {n} agents needs a "
+                f"{72 * ticks * n:,}-byte trace, {over}"
+            )
+        elif SAMPLE_BYTES * samples > MEMORY_BUDGET:
+            key, message = "phases", (
+                f"sampling the schedule at {rate:g} Hz takes {samples:,} samples "
+                f"of {SAMPLE_BYTES:,} bytes, {over}"
+            )
+        else:
+            return
+        raise _FieldErrors({key: message})
 
     @functools.cached_property
     def matrices(self) -> FormationMatrices:
@@ -394,14 +437,19 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     except ScheduleError as exc:
         raise ScenarioError([f"$.phases: {exc}"]) from exc
 
-    return Scenario(
-        name=name,
-        config=cfg,
-        schedule=schedule,
-        params=params,
-        safety=safety,
-        corridor=corridor,
-    )
+    try:
+        return Scenario(
+            name=name,
+            config=cfg,
+            schedule=schedule,
+            params=params,
+            safety=safety,
+            corridor=corridor,
+        )
+    except _FieldErrors as exc:
+        raise ScenarioError(
+            [f"$.{key}: {message}" for key, message in exc.problems.items()]
+        ) from None
 
 
 def load_scenario(path) -> Scenario:

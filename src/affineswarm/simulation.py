@@ -38,7 +38,10 @@ from .scenario import Scenario, SimParams
 class SimTrace:
     """Per-tick record of a run, in config (matrix) agent order.
 
-    Leaders are the first three agents, as in the config.
+    Leaders are the first three agents, as in the config. ``run_simulation``
+    and ``bundle.read_bundle`` give each of the three arrays as its own
+    C-contiguous float64 ``(T, N, 3)`` array, 72·T·N bytes in all, so the
+    metrics read them without a copy.
     """
 
     times: np.ndarray  # (T,)
@@ -49,14 +52,12 @@ class SimTrace:
 
 
 def tick_times(schedule: PhaseSchedule, params: SimParams) -> np.ndarray:
-    """Control tick times of a run: ``tick_grid`` over ``duration`` from
-    the schedule's start; a ``duration`` of None covers the schedule span
-    plus a 10 s hold. The first time is the initial state's.
+    """Control tick times of a run: ``tick_grid`` over ``params.run_duration``
+    from the schedule's start. The first time is the initial state's.
     """
-    duration = params.duration
-    if duration is None:
-        duration = schedule.t_end - schedule.t_start + 10.0
-    return tick_grid(schedule.t_start, duration, params.control_rate)
+    return tick_grid(
+        schedule.t_start, params.run_duration(schedule), params.control_rate
+    )
 
 
 def tick_map(params: SimParams) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -57,6 +58,17 @@ def hold_schedule(coords: AtCoordinates, duration: float = 1.0) -> PhaseSchedule
     """A schedule that holds fixed coordinates (useful for settling runs)."""
     ph = Phase(t0=0.0, tf=max(duration, math.ulp(1.0)), start=coords, end=coords)
     return PhaseSchedule(phases=(ph,))
+
+
+def traced_peak(call) -> int:
+    """The most memory ``call()`` held beyond what was held when it began."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def barycentric_oracle(point, triangle):

@@ -5,7 +5,15 @@ import math
 
 import numpy as np
 import pytest
-from conftest import serialize_scenario, trace_csv_oracle, trace_table_oracle
+from conftest import (
+    make_scenario,
+    random_config,
+    random_schedule,
+    serialize_scenario,
+    trace_csv_oracle,
+    trace_table_oracle,
+    traced_peak,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -444,3 +452,48 @@ class TestMatricesDocument:
     def test_serialization_round_trip_of_scenario(self, default_scenario):
         text = serialize_scenario(default_scenario)
         assert parse_scenario(text) == default_scenario
+
+
+@pytest.fixture(scope="module")
+def wide_bundle(tmp_path_factory):
+    """A bundle of 40 agents and 2,001 ticks (a trace of 5.8 MB)."""
+    rng = np.random.default_rng(3)
+    scenario = make_scenario(
+        random_config(rng, 37), random_schedule(rng), SimParams(dt=0.005, duration=20.0)
+    )
+    trace = run_simulation(scenario)
+    out = tmp_path_factory.mktemp("wide")
+    metrics = validate_run(trace, scenario)
+    emit_bundle(out, scenario, trace, metrics, *graph_parts(scenario))
+    return out
+
+
+class TestOneTraceInMemory:
+    """``validate`` holds one trace and scratch bounded by one agent or tick chunk."""
+
+    def test_read_holds_the_trace_and_one_csv(self, wide_bundle):
+        read = []
+        peak = traced_peak(lambda: read.append(read_bundle(wide_bundle)))
+        _, trace = read[0]
+        t_count, n, _ = trace.positions.shape
+        assert (t_count, n) == (2001, 40)
+        # One agent's CSV at a time: its text, its lines and its table.
+        csv = max(path.stat().st_size for path in wide_bundle.glob("trace_*.csv"))
+        assert peak <= 72 * t_count * n + 8 * csv
+
+    def test_validate_run_scratch_is_well_under_one_array(self, wide_bundle):
+        scenario, trace = read_bundle(wide_bundle)
+        validate_run(trace, scenario)  # builds the cached matrices
+        scratch = traced_peak(lambda: validate_run(trace, scenario))
+        assert scratch <= 0.75 * trace.positions.nbytes
+
+    def test_arrays_are_separate_c_contiguous_float64(self, wide_bundle, short_run):
+        scenario, trace = read_bundle(wide_bundle)
+        for run in (trace, run_simulation(scenario), short_run[1]):
+            arrays = (run.positions, run.references, run.desired)
+            for array in arrays:
+                assert array.dtype == np.float64
+                assert array.shape == (len(run.times), len(run.agent_ids), 3)
+                assert array.flags.c_contiguous
+            for a, b in ((0, 1), (0, 2), (1, 2)):
+                assert not np.shares_memory(arrays[a], arrays[b])

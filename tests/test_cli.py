@@ -555,6 +555,71 @@ class TestValidate:
         assert f"matrix order {order!r}" in err
 
 
+def never(*args, **kwargs):
+    raise AssertionError("a run over the memory budget must not be allocated")
+
+
+class TestMemoryBudget:
+    """Every command refuses, with exit 2, a run the memory budget does not fit.
+
+    The allocating call is replaced, so a lost cap fails the test instead
+    of allocating the run.
+    """
+
+    TRACE = (
+        "a run of 100,000,000,001 ticks at 100 Hz of 6 agents needs a "
+        "43,200,000,000,432-byte trace, over the 1,073,741,824-byte budget"
+    )
+
+    @pytest.mark.parametrize("command", ["graph", "check", "plan", "simulate"])
+    def test_scenario_over_budget(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "run_simulation", never)
+        monkeypatch.setattr("affineswarm.phases.tick_grid", never)
+        path = scenario_with(tmp_path, ("sim", "duration"), 1e9)
+        out = tmp_path / "out"
+        assert main([command, path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: $.sim.duration: {self.TRACE}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["check", "plan"])
+    def test_schedule_sampling_over_budget(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        monkeypatch.setattr("affineswarm.phases.tick_grid", never)
+        path = scenario_with(tmp_path, ("phases", 2, "tf"), 1e9)
+        out = tmp_path / "out"
+        assert main([command, path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: $.phases: sampling the schedule at 100 Hz takes ")
+        assert not out.exists()
+
+    def test_simulate_flag_names_the_flag(
+        self, default_path, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "run_simulation", never)
+        out = tmp_path / "bundle"
+        argv = ["simulate", default_path, "--out", str(out), "--duration", "1e9"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: --duration 1000000000.0: sim.duration: {self.TRACE}\n"
+        )
+        assert not out.exists()
+
+    def test_validate_names_the_manifest(
+        self, fast_bundle, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("affineswarm.bundle.tick_times", never)
+        out = tmp_path / "bundle"
+        shutil.copytree(fast_bundle, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["scenario"]["sim"]["duration"] = 1e9
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["validate", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out}/manifest.json: $.sim.duration: {self.TRACE}\n"
+        )
+
+
 class TestUsage:
     def test_seed_rejected(self, default_path, capsys):
         assert main(["--seed", "7", "check", default_path]) == 2

@@ -167,6 +167,57 @@ class TestPairSearchOracle:
         )
 
 
+class TestChunkedReductions:
+    """``measured_delta`` and the corridor clearance, reduced in tick chunks,
+    are the floats the whole-trace formulas give."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_followers=st.integers(25, 37),
+        offset=st.sampled_from([0.0, 0.3]),
+        half_span=st.floats(0.01, 1.0),
+        y_shift=st.floats(-0.5, 0.5),
+    )
+    def test_equal_to_whole_trace_formulas(
+        self, seed, n_followers, offset, half_span, y_shift
+    ):
+        scenario, trace = oracle_run(seed, n_followers, offset)
+        t_count, n, _ = trace.positions.shape
+        step = metrics._CELLS // n
+        if t_count % step == 0:  # keep a partial last chunk
+            t_count -= 1
+            trace = dataclasses.replace(
+                trace,
+                times=trace.times[:t_count],
+                positions=trace.positions[:t_count],
+                references=trace.references[:t_count],
+                desired=trace.desired[:t_count],
+            )
+        assert t_count > 2 * step and t_count % step
+        # Around one agent's x at mid-run, so some tick is inside the span.
+        x_mid, y_mid, _ = trace.positions[t_count // 2, 3]
+        corridor = Corridor(
+            x_start=x_mid - half_span,
+            x_end=x_mid + half_span,
+            width=1.0,
+            center_y=y_mid + y_shift,
+        )
+        scenario = dataclasses.replace(scenario, corridor=corridor)
+        radius = scenario.safety.agent_radius
+
+        x, y = trace.positions[..., 0], trace.positions[..., 1]
+        inside = (x >= corridor.x_start) & (x <= corridor.x_end)
+        wall_gap = corridor.half_width - np.abs(y - corridor.center_y)
+        clearance = float(wall_gap[inside].min() - radius)
+        delta = float(np.linalg.norm(trace.positions - trace.desired, axis=-1).max())
+
+        run = validate_run(trace, scenario)
+        assert run.measured_delta == delta
+        assert run.min_corridor_clearance == clearance
+        assert corridor_clearance(trace, corridor, radius) == clearance
+
+
 class TestCorridorClearance:
     def test_centered_agent(self):
         corridor = Corridor(x_start=0.0, x_end=1.0, width=1.2)

@@ -1,5 +1,6 @@
 """Scenario schema: parsing, validation, canonical round trip."""
 
+import dataclasses
 import json
 import math
 
@@ -17,8 +18,10 @@ from affineswarm import (
     parse_scenario,
     scenario_sha256,
 )
-from affineswarm.scenario import default_scenario_text
-from conftest import serialize_scenario
+from affineswarm.cli import main
+from affineswarm.phases import grid_size
+from affineswarm.scenario import MEMORY_BUDGET, SAMPLE_BYTES, default_scenario_text
+from conftest import serialize_scenario, traced_peak
 
 
 class TestDefaultScenario:
@@ -154,6 +157,94 @@ class TestParseErrors:
             "$.corridor: missing required key 'x_start'",
             "$.corridor.width: expected a finite number, got 'wide'",
         ]
+
+
+def default_with(edit) -> str:
+    """The default scenario document after ``edit(doc)``, as text."""
+    doc = json.loads(default_scenario_text())
+    edit(doc)
+    return json.dumps(doc)
+
+
+class TestMemoryBudget:
+    """A trace (72 T N bytes) or schedule sampling over budget is refused at parse.
+
+    Nothing here allocates a trace: the refused runs are never started.
+    """
+
+    BUDGET = "over the 1,073,741,824-byte budget"
+
+    def test_trace_just_under_parses_just_over_is_refused(self):
+        # 6 agents: 432 bytes a tick time, so 2**30 bytes lies between
+        # 2,485,513 and 2,485,514 times (24,855.12 and 24,855.13 s at 100 Hz).
+        def lasting(duration):
+            return default_with(lambda d: d["sim"].update(duration=duration))
+
+        under = parse_scenario(lasting(24855.12))
+        assert 72 * 6 * grid_size(under.params.duration, 100.0) <= MEMORY_BUDGET
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(lasting(24855.13))
+        assert exc.value.errors == [
+            "$.sim.duration: a run of 2,485,514 ticks at 100 Hz of 6 agents needs a "
+            f"1,073,742,048-byte trace, {self.BUDGET}"
+        ]
+
+    def test_trace_of_the_schedule_span_names_the_phases(self):
+        def edit(doc):
+            del doc["sim"]["duration"]  # the run spans the phases plus a 10 s hold
+            doc["phases"][2]["tf"] = 30000.0
+
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(default_with(edit))
+        assert exc.value.errors == [
+            "$.phases: a run of 3,001,001 ticks at 100 Hz of 6 agents needs a "
+            f"1,296,432,432-byte trace, {self.BUDGET}"
+        ]
+
+    def test_schedule_sampling_is_capped_with_a_short_run(self):
+        def edit(doc):
+            doc["phases"][2]["tf"] = 1e9
+
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(default_with(edit))
+        assert exc.value.errors == [
+            "$.phases: sampling the schedule at 100 Hz takes 100,000,000,001 "
+            f"samples of 1,024 bytes, {self.BUDGET}"
+        ]
+
+    def test_overflowing_span_is_refused_not_raised(self):
+        def edit(doc):
+            doc["phases"][0]["t0"] = -1e308
+            doc["phases"][2]["tf"] = 1e308
+
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(default_with(edit))
+        assert exc.value.errors == [
+            f"$.phases: sampling the schedule at 100 Hz takes inf samples of "
+            f"1,024 bytes, {self.BUDGET}"
+        ]
+
+    def test_a_scenario_built_in_code_is_refused_too(self):
+        scenario = load_default_scenario()
+        with pytest.raises(ValueError, match="sim.duration: a run of 100,000,000,001"):
+            dataclasses.replace(scenario, params=SimParams(duration=1e9))
+        with pytest.raises(ValueError, match="a run of 10,000,001 ticks at 1e"):
+            dataclasses.replace(
+                scenario, params=SimParams(dt=1e-6, control_rate=1e6, duration=10.0)
+            )
+
+    @pytest.mark.parametrize("command", ["check", "plan"])
+    def test_sample_bytes_bound_what_a_sample_costs(self, tmp_path, command):
+        # A 200 s schedule: 20,001 samples at 100 Hz.
+        def edit(doc):
+            for phase in doc["phases"]:
+                phase["t0"] *= 20.0 / 3.0
+                phase["tf"] *= 20.0 / 3.0
+
+        path = tmp_path / "long.json"
+        path.write_text(default_with(edit))
+        argv = [command, str(path), "--out", str(tmp_path / "out")]
+        assert traced_peak(lambda: main(argv)) <= SAMPLE_BYTES * 20_001
 
 
 class TestDataclassDefaults:

@@ -22,6 +22,7 @@ from affineswarm import (
     parse_scenario,
     run_simulation,
 )
+from affineswarm.phases import grid_size, tick_grid
 from affineswarm.simulation import closed_loop_radius, tick_map, tick_times
 from conftest import (
     consensus_fixed_point,
@@ -433,6 +434,16 @@ class TestTickMap:
         # None covers the schedule span plus a 10 s hold.
         span = schedule.t_end - schedule.t_start
         assert len(tick_times(schedule, SimParams())) == round((span + 10.0) * 100) + 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        span=st.floats(0.0, 50.0),
+        rate=st.floats(1.0, 1000.0),
+        t_start=st.floats(-1e7, 1e7),
+    )
+    def test_grid_size_counts_the_grid(self, span, rate, t_start):
+        # The memory budget counts ticks with grid_size, allocating nothing.
+        assert grid_size(span, rate) == len(tick_grid(t_start, span, rate))
 
 
 class TestClosedLoopRadius:
