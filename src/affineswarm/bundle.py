@@ -30,18 +30,36 @@ SETTLING_TOL = 1e-4
 
 
 def time_fields(times: np.ndarray) -> list[str]:
-    """``times`` at ``%.9g``: the ``t`` column every trace CSV of a run shares."""
+    """``times`` at ``%.9g``: the ``t`` column of a run's trace CSVs and plan CSV."""
     return ("%.9g\n" * len(times) % tuple(times.tolist())).split()
+
+
+def _template_fields(table: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The ``%`` template fields of one row of ``table`` and its constant columns.
+
+    ``table`` holds one row per index of its first axis; the fields run
+    over the rest in C order. A column whose float64 bits are the same on
+    every row (``z`` at a fixed altitude) is formatted once, into its
+    field; bits, not values, so ``-0.0`` stays apart from ``0.0``. Every
+    other field is ``%.9g``, and takes ``table[:, ~constant]``, row after
+    row. Callers build the template before they list those values, so the
+    two are not held at once with the template's pieces.
+    """
+    bits = table.view(np.uint64)
+    constant = (bits == bits[0]).all(axis=0)
+    fields = [
+        "%.9g" % v if c else "%.9g"
+        for c, v in zip(constant.ravel().tolist(), table[0].ravel().tolist())
+    ]
+    return fields, constant
 
 
 def trace_csv_text(trace: SimTrace, index: int, times: list[str]) -> str:
     """The trace CSV of agent ``trace.agent_ids[index]``.
 
     ``times`` is ``time_fields(trace.times)``, formatted once per bundle
-    and joined into the row template. A column whose float64 bits are the
-    same on every row (``z``, ``z_ref`` and ``z_des`` at a fixed altitude)
-    is formatted once, into the template too; bits, not values, so ``-0.0``
-    stays apart from ``0.0``. Only the varying columns go through the one
+    and joined into the row template with the constant columns of
+    ``_template_fields``. Only the varying columns go through the one
     ``%``.
     """
     header = TRACE_HEADER + "\n"
@@ -54,32 +72,27 @@ def trace_csv_text(trace: SimTrace, index: int, times: list[str]) -> str:
     )
     if not len(table):
         return header
-    bits = table.view(np.uint64)
-    constant = (bits == bits[0]).all(axis=0)
-    row = ",".join(
-        "%.9g" % v if c else "%.9g"
-        for c, v in zip(constant.tolist(), table[0].tolist())
-    )
-    end = "," + row + "\n"  # what follows each row's time field
-    values = tuple(table[:, ~constant].ravel().tolist())
-    return header + (end.join(times) + end) % values
+    fields, constant = _template_fields(table)
+    end = "," + ",".join(fields) + "\n"  # what follows each row's time field
+    template = end.join(times) + end
+    return header + template % tuple(table[:, ~constant].ravel().tolist())
 
 
 def plan_csv_text(traj: LeaderTrajectory) -> str:
     """One row per tick and leader: time, leader id, desired position.
 
-    One tick's rows are one template with a ``%.9g`` per value
-    (``'%.9g' % x`` is ``format(x, '.9g')``); the whole body is
-    formatted in one pass.
+    Each tick time is formatted once, by ``time_fields``, and each
+    leader's constant columns (``z_d`` at a fixed altitude) once, by
+    ``_template_fields``; the varying values go through the one ``%``.
     """
-    row = "\n".join(
-        "%.9g," + aid.replace("%", "%%") + ",%.9g,%.9g,%.9g" for aid in traj.agent_ids
-    )
-    table = np.column_stack(
-        (np.repeat(traj.times, len(traj.agent_ids)), traj.positions.reshape(-1, 3))
-    )
-    body = (row + "\n") * len(traj.times) % tuple(table.ravel().tolist())
-    return ",".join(PLAN_COLUMNS) + "\n" + body
+    fields, constant = _template_fields(traj.positions)
+    rows = [
+        "," + aid.replace("%", "%%") + "," + ",".join(fields[3 * i : 3 * i + 3]) + "\n"
+        for i, aid in enumerate(traj.agent_ids)
+    ]
+    template = "".join(t + row for t in time_fields(traj.times) for row in rows)
+    values = tuple(traj.positions[:, ~constant].ravel().tolist())
+    return ",".join(PLAN_COLUMNS) + "\n" + template % values
 
 
 def dumps_json(doc) -> str:
@@ -322,8 +335,8 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
                 [f"{csv}: cannot read trace CSV: {exc.strerror}"]
             ) from None
         table = _trace_table(csv, text, rows, cols)
-        bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
-        if len(bad):
+        if not np.isfinite(table).all():
+            bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
             raise ScenarioError(
                 [f"{csv}: damaged trace CSV: line {bad[0] + 2} has a non-finite value"]
             )

@@ -75,25 +75,25 @@ def pairwise_min_distance(trace: SimTrace, scenario: Scenario) -> float:
     pairs by the paper's bound: when every agent is within ``e_k`` of its
     commanded image ``Q_k a + d_k`` at tick ``k``,
     ``|p_i - p_j| >= s_k |a_i - a_j| - 2 e_k`` with
-    ``s_k = min(lambda1, lambda2)``. The ``3N`` pairs nearest in the
-    reference layout give an upper bound ``ub`` on the minimum (they are
-    all the pairs when ``N <= 7``, and the search ends there). At tick
-    ``k`` only the pairs with ``|a_i - a_j| <= (ub + 2 e_k + pad) / s_k``
-    can come closer than ``ub``; ``pad`` is ``_PAD_ULPS`` ulps of the
-    largest value involved, so rounding cannot skip the closest pair.
-    Returns +inf when the trace has fewer than two agents.
+    ``s_k = min(lambda1, lambda2)``. When ``N <= 7`` every pair is
+    searched. Otherwise the pair nearest in the reference layout, the one
+    behind ``d_min``, gives an upper bound ``ub`` on the minimum over its
+    ``T`` ticks. At tick ``k`` only the pairs with
+    ``|a_i - a_j| <= (ub + 2 e_k + pad) / s_k`` can come closer than
+    ``ub``; ``pad`` is ``_PAD_ULPS`` ulps of the largest value involved,
+    so rounding cannot skip the closest pair. Returns +inf when the trace
+    has fewer than two agents.
     """
     t_count, n, _ = trace.positions.shape
     if n < 2:
         return math.inf
     positions = trace.positions
     ref_dist, pairs = _pair_table(scenario.config.planar_positions())
-    near = 3 * n
-    if near >= len(ref_dist):
+    if 3 * n >= len(ref_dist):
         return _cells_min(positions, pairs, 0, np.full(t_count, len(ref_dist)))
     order = np.argsort(ref_dist, kind="stable")
     ref_dist, pairs = ref_dist[order], pairs[:, order]
-    ub = _cells_min(positions, pairs, 0, np.full(t_count, near))
+    ub = _cells_min(positions, pairs, 0, np.ones(t_count, dtype=int))
 
     refs = scenario.config.reference_positions()
     err, strain = np.empty(t_count), np.empty(t_count)
@@ -113,7 +113,7 @@ def pairwise_min_distance(trace: SimTrace, scenario: Scenario) -> float:
     pad = _PAD_ULPS * np.finfo(float).eps * scale
     reach = (ub + 2.0 * err + pad) / strain
     survivors = np.searchsorted(ref_dist, reach, side="right")
-    return min(ub, _cells_min(positions, pairs, near, survivors))
+    return min(ub, _cells_min(positions, pairs, 1, survivors))
 
 
 def corridor_clearance(

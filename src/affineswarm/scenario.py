@@ -25,11 +25,11 @@ default is a required key and an omitted optional key takes the field's
 default (``parse_scenario`` holds those of ``name`` and ``altitude``).
 ``null`` is never a valid value. Parsing accumulates every schema problem
 (with key paths, and line/column for syntax errors) before failing, then
-validates the configuration invariants, then refuses a run whose trace
-or schedule sampling exceeds ``MEMORY_BUDGET`` (``Scenario``), before
-anything of that size is allocated. Serialization is canonical
-(sorted keys), so a parsed scenario round-trips to an identical model and
-a stable content hash.
+validates the configuration invariants, then refuses a run whose trace,
+schedule sampling or loop spectrum exceeds ``MEMORY_BUDGET``
+(``Scenario``), before anything of that size is allocated. Serialization
+is canonical (sorted keys), so a parsed scenario round-trips to an
+identical model and a stable content hash.
 """
 
 from __future__ import annotations
@@ -46,9 +46,10 @@ from .errors import ScenarioError, ScheduleError
 from .formation import Agent, FormationMatrices, ReferenceConfig, validate_config
 from .phases import Phase, PhaseSchedule, TranslationRamp, grid_size
 
-# The most one run's trace, or one sampling of its schedule, may hold, in bytes.
+# The most one run's trace, one sampling of its schedule, or its loop
+# spectrum's companion matrices may hold, in bytes.
 MEMORY_BUDGET = 1 << 30
-# What ``plan`` holds for each schedule sample, at most: about 0.75 KiB of
+# What ``plan`` holds for each schedule sample, at most: about 0.6 KiB of
 # CSV text and Python floats for three leaders.
 SAMPLE_BYTES = 1 << 10
 
@@ -193,18 +194,22 @@ class Scenario:
     corridor: Corridor | None = None
 
     def __post_init__(self):
-        """Refuse a run whose trace, or whose schedule sampling, is over budget.
+        """Refuse a run whose trace, schedule sampling or loop spectrum is over budget.
 
         The trace holds ``72 * T * N`` bytes for ``T`` tick times of ``N``
         agents; ``plan`` and ``check`` take ``SAMPLE_BYTES`` for each
-        control-rate sample of the schedule span. Either one above
-        ``MEMORY_BUDGET`` raises before anything is allocated, naming the
-        key that sets its length.
+        control-rate sample of the schedule span; the closed loop's
+        spectrum (``closed_loop_radius``) holds ``16 * F * (d + 2)²`` bytes
+        of companion matrices for ``F`` followers at ``delay_ticks = d``.
+        Any one above ``MEMORY_BUDGET`` raises before anything is
+        allocated, naming the key that sets its size.
         """
         schedule, params = self.schedule, self.params
         rate, n = params.control_rate, len(self.config.agents)
         ticks = grid_size(params.run_duration(schedule), rate)
         samples = grid_size(schedule.t_end - schedule.t_start, rate)
+        delay = params.delay_ticks
+        companion = 16 * (n - 3) * (delay + 2) ** 2
         over = f"over the {MEMORY_BUDGET:,}-byte budget"
         if 72 * ticks * n > MEMORY_BUDGET:
             key = "phases" if params.duration is None else "sim.duration"
@@ -216,6 +221,11 @@ class Scenario:
             key, message = "phases", (
                 f"sampling the schedule at {rate:g} Hz takes {samples:,} samples "
                 f"of {SAMPLE_BYTES:,} bytes, {over}"
+            )
+        elif companion > MEMORY_BUDGET:
+            key, message = "sim.delay_ticks", (
+                f"a delay of {delay:,} ticks for {n - 3} followers needs "
+                f"{companion:,} bytes of companion matrices, {over}"
             )
         else:
             return

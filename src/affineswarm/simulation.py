@@ -86,7 +86,10 @@ def closed_loop_radius(matrices: FormationMatrices, params: SimParams) -> float:
     ``z^d (z² - tr(A_s) z + det A_s) - mu (b_s0 z + A_s01 b_s1 - A_s11 b_s0)``;
     leaders contribute ``eig(A_s)``. ``rho`` is the largest root modulus
     (inf when ``A_s`` overflows). Tracking errors decay like ``rho^k``, so
-    the loop converges exactly when ``rho < 1``.
+    the loop converges exactly when ``rho < 1``. The ``F`` companion
+    matrices of order ``d + 2`` hold ``16 F (d + 2)²`` bytes, which
+    ``Scenario`` keeps within ``MEMORY_BUDGET``; their eigenvalues take
+    ``O(F d³)`` time.
     """
     a_s = tick_map(params)
     if not np.isfinite(a_s).all():
@@ -136,11 +139,10 @@ def run_simulation(
         for aid, p in initial_positions.items():
             pos[cfg.index_of(aid)] = np.asarray(p, dtype=float)
 
-    # Follower rows, their in-neighbor rows (F, 3) and the matching
-    # entries of W: the only nonzero off-diagonal entries of each row.
-    rows = np.arange(3, n)
+    # Followers' in-neighbor rows (F, 3) and the matching entries of W:
+    # the only nonzero off-diagonal entries of each follower's row.
     nbr = matrices.neighbors
-    w = matrices.W[rows[:, None], nbr]
+    w = np.take_along_axis(matrices.W[3:], nbr, axis=1)
 
     times = tick_times(schedule, params)
     ticks = len(times) - 1
@@ -156,10 +158,10 @@ def run_simulation(
     # after the loop, not warned about on every tick.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(ticks + 1):
-            refs = trace_ref[k]
             snap = trace_pos[max(k - delay, 0)]
-            refs[rows] = np.matmul(w[:, None, :], snap[nbr])[:, 0, :]
+            np.matmul(w[:, None, :], snap[nbr], out=trace_ref[k, 3:, None, :])
             if k < ticks:
+                refs = trace_ref[k]
                 err = pos - refs
                 pos = trace_pos[k + 1]
                 np.add(refs, a00 * err + a01 * vel, out=pos)

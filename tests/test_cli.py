@@ -570,6 +570,11 @@ class TestMemoryBudget:
         "a run of 100,000,000,001 ticks at 100 Hz of 6 agents needs a "
         "43,200,000,000,432-byte trace, over the 1,073,741,824-byte budget"
     )
+    # 3 followers at 4,728 ticks of delay: 157,376 bytes over.
+    DELAY = (
+        "a delay of 4,728 ticks for 3 followers needs 1,073,899,200 bytes of "
+        "companion matrices, over the 1,073,741,824-byte budget"
+    )
 
     @pytest.mark.parametrize("command", ["graph", "check", "plan", "simulate"])
     def test_scenario_over_budget(self, tmp_path, capsys, monkeypatch, command):
@@ -579,6 +584,16 @@ class TestMemoryBudget:
         out = tmp_path / "out"
         assert main([command, path, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: $.sim.duration: {self.TRACE}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["graph", "check", "plan", "simulate"])
+    def test_delay_over_budget(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "closed_loop_radius", never)
+        monkeypatch.setattr(cli, "run_simulation", never)
+        path = scenario_with(tmp_path, ("sim", "delay_ticks"), 4728)
+        out = tmp_path / "out"
+        assert main([command, path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: $.sim.delay_ticks: {self.DELAY}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["check", "plan"])
@@ -602,6 +617,19 @@ class TestMemoryBudget:
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             f"error: --duration 1000000000.0: sim.duration: {self.TRACE}\n"
+        )
+        assert not out.exists()
+
+    def test_simulate_delay_flag_names_the_flag(
+        self, default_path, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "closed_loop_radius", never)
+        monkeypatch.setattr(cli, "run_simulation", never)
+        out = tmp_path / "bundle"
+        argv = ["simulate", default_path, "--out", str(out), "--delay-ticks", "4728"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: --delay-ticks 4728: sim.delay_ticks: {self.DELAY}\n"
         )
         assert not out.exists()
 

@@ -167,6 +167,57 @@ class TestPairSearchOracle:
         )
 
 
+def swarm_shape_run(n_followers=40, seed=0):
+    """A well-tracked team in the benchmark's swarm shape, and its trace.
+
+    Followers at least 0.5 m apart inside a 10 m leader triangle, each
+    listening to the leaders, under a slow uniform contraction to 0.875
+    with stiff gains.
+    """
+    rng = np.random.default_rng(seed)
+    angles = np.radians([90.0, 210.0, 330.0])
+    leaders = 10.0 / np.sqrt(3.0) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    points = list(leaders)
+    while len(points) < 3 + n_followers:
+        bary = rng.dirichlet([1.0, 1.0, 1.0])
+        p = bary @ leaders
+        if bary.min() > 0.05 and min(np.hypot(*(p - q)) for q in points) >= 0.5:
+            points.append(p)
+    agents = [
+        Agent(id=f"a{i}", role="leader" if i < 3 else "follower", x=x, y=y)
+        for i, (x, y) in enumerate(np.array(points).tolist())
+    ]
+    graph = {f"a{i}": ("a0", "a1", "a2") for i in range(3, len(points))}
+    cfg = ReferenceConfig.from_agents(agents, z=1.0, in_neighbors=graph)
+    contraction = Phase(
+        t0=0.0,
+        tf=2.5,
+        start=AtCoordinates(),
+        end=AtCoordinates(lambda1=0.875, lambda2=0.875),
+    )
+    params = SimParams(kp=2500.0, kd=100.0, duration=4.0)
+    scenario = make_scenario(cfg, PhaseSchedule(phases=(contraction,)), params)
+    return scenario, run_simulation(scenario)
+
+
+def test_pair_search_work_on_a_well_tracked_swarm():
+    # The d_min pair bounds the minimum so closely that few other cells
+    # are searched: under a quarter of the 3N T cells of the 3N nearest pairs.
+    scenario, trace = swarm_shape_run()
+    cells, cells_min = [], metrics._cells_min
+
+    def counting(positions, pairs, lo, hi):
+        cells.append(int(np.maximum(hi - lo, 0).sum()))
+        return cells_min(positions, pairs, lo, hi)
+
+    with mock.patch.object(metrics, "_cells_min", counting):
+        found = pairwise_min_distance(trace, scenario)
+    assert found == min_pair_distance_oracle(trace.positions)
+    t_count, n, _ = trace.positions.shape
+    assert n >= 40
+    assert sum(cells) < 3 * n * t_count / 4
+
+
 class TestChunkedReductions:
     """``measured_delta`` and the corridor clearance, reduced in tick chunks,
     are the floats the whole-trace formulas give."""

@@ -189,6 +189,21 @@ class TestMemoryBudget:
             f"1,073,742,048-byte trace, {self.BUDGET}"
         ]
 
+    def test_delay_just_under_parses_just_over_is_refused(self):
+        # 3 followers: 48 (d + 2)² bytes of companion matrices, so 2**30
+        # bytes lies between delays of 4,727 and 4,728 ticks.
+        def delayed(ticks):
+            return default_with(lambda d: d["sim"].update(delay_ticks=ticks))
+
+        under = parse_scenario(delayed(4727))
+        assert 48 * (under.params.delay_ticks + 2) ** 2 <= MEMORY_BUDGET
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(delayed(4728))
+        assert exc.value.errors == [
+            "$.sim.delay_ticks: a delay of 4,728 ticks for 3 followers needs "
+            f"1,073,899,200 bytes of companion matrices, {self.BUDGET}"
+        ]
+
     def test_trace_of_the_schedule_span_names_the_phases(self):
         def edit(doc):
             del doc["sim"]["duration"]  # the run spans the phases plus a 10 s hold
@@ -232,6 +247,8 @@ class TestMemoryBudget:
             dataclasses.replace(
                 scenario, params=SimParams(dt=1e-6, control_rate=1e6, duration=10.0)
             )
+        with pytest.raises(ValueError, match="sim.delay_ticks: a delay of 1,000,000 "):
+            dataclasses.replace(scenario, params=SimParams(delay_ticks=10**6))
 
     @pytest.mark.parametrize("command", ["check", "plan"])
     def test_sample_bytes_bound_what_a_sample_costs(self, tmp_path, command):
