@@ -10,10 +10,11 @@ bound.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AffineSwarmError,
     ConfigError,
-    SafetyError,
     ScenarioError,
     ScheduleError,
     SimulationError,
@@ -68,48 +69,10 @@ from .transform import (
     transform_points,
 )
 
-__all__ = [
-    "Agent",
-    "AffineSwarmError",
-    "AtCoordinates",
-    "ConfigError",
-    "Corridor",
-    "FormationMatrices",
-    "JacobianDecomposition",
-    "LeaderTrajectory",
-    "Phase",
-    "PhaseSchedule",
-    "ReferenceConfig",
-    "RunMetrics",
-    "SafetyError",
-    "SafetyParams",
-    "SafetyReport",
-    "Scenario",
-    "ScenarioError",
-    "ScheduleError",
-    "SimParams",
-    "SimTrace",
-    "SimulationError",
-    "SpectralReport",
-    "TranslationRamp",
-    "ValidationReport",
-    "assemble_jacobian",
-    "check_schedule_safety",
-    "corridor_clearance",
-    "decompose_jacobian",
-    "desired_positions",
-    "leader_trajectory",
-    "load_default_scenario",
-    "load_scenario",
-    "min_scaling_bound",
-    "pairwise_min_distance",
-    "parse_scenario",
-    "quintic_blend",
-    "run_simulation",
-    "scenario_sha256",
-    "strain_check",
-    "transform_points",
-    "validate_config",
-    "validate_run",
-    "verify_spectrum",
-]
+# Every public name imported above, and only those: the submodules the
+# imports bind stay out.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -30,7 +30,7 @@ from .bundle import (
     read_bundle,
     safety_document,
 )
-from .errors import AffineSwarmError, SafetyError, ScenarioError, SimulationError
+from .errors import AffineSwarmError, ScenarioError, SimulationError
 from .formation import verify_spectrum
 from .metrics import strain_check, validate_run
 from .phases import leader_trajectory
@@ -172,7 +172,7 @@ def _cmd_simulate(args) -> int:
     if not args.skip_safety_check:
         safety, _ = strain_check(scenario, scenario.safety.delta_budget)
         if not safety.passed:
-            raise SafetyError(
+            raise AffineSwarmError(
                 f"commanded min strain {safety.min_strain_observed:.6g} is below "
                 f"the bound {safety.lambda_min_bound:.6g}; violating intervals "
                 f"{safety.violations} (pass --skip-safety-check to run anyway)"

@@ -27,9 +27,5 @@ class ScheduleError(AffineSwarmError):
     """A phase schedule is malformed (gaps, overlaps, or discontinuities)."""
 
 
-class SafetyError(AffineSwarmError):
-    """A schedule fails the principal-strain safety bound precheck."""
-
-
 class SimulationError(AffineSwarmError):
     """The simulation engine hit an integrity failure (a diverged state)."""

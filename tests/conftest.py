@@ -235,8 +235,8 @@ def min_pair_distance_oracle(frames: np.ndarray) -> float:
 def trace_csv_oracle(trace, index: int) -> str:
     """Agent ``index``'s trace CSV with one ``%.9g`` per cell of all ten columns.
 
-    ``bundle.trace_csv_text``, which formats the shared time column and
-    the constant columns once, must give the same bytes.
+    ``bundle.trace_csv_text``, which formats the shared time column once
+    and each column's settled tail once, must give the same bytes.
     """
     table = np.column_stack(
         (
@@ -380,6 +380,41 @@ def euler_oracle(cfg, matrices, schedule, params, initial_positions=None):
                 vel = vel + params.dt * (params.kp * (refs - pos) - params.kd * vel)
                 pos = pos + params.dt * vel
     return out
+
+
+def tick_loop_oracle(scenario, initial_positions=None):
+    """(T, N, 3) positions and references from the tick loop, restated plainly.
+
+    The engine's loop with a fancy-indexed neighbour gather and the tick
+    map's entries as Python floats: the same ufuncs in the same order, so
+    ``run_simulation`` must reproduce both arrays bit for bit.
+    """
+    cfg, matrices, params = scenario.config, scenario.matrices, scenario.params
+    n = len(cfg.agents)
+    pos = cfg.reference_positions()
+    for aid, p in (initial_positions or {}).items():
+        pos[cfg.index_of(aid)] = p
+    vel = np.zeros((n, 3))
+    nbr = matrices.neighbors
+    w = np.take_along_axis(matrices.W[3:], nbr, axis=1)
+    times = tick_times(scenario.schedule, params)
+    ticks = len(times) - 1
+    trace_pos = np.empty((ticks + 1, n, 3))
+    trace_ref = np.empty((ticks + 1, n, 3))
+    trace_ref[:, :3] = desired_positions(cfg, scenario.schedule, times)[:, :3]
+    (a00, a01), (a10, a11) = tick_map(params).tolist()
+    trace_pos[0] = pos
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(ticks + 1):
+            snap = trace_pos[max(k - params.delay_ticks, 0)]
+            np.matmul(w[:, None, :], snap[nbr], out=trace_ref[k, 3:, None, :])
+            if k < ticks:
+                refs = trace_ref[k]
+                err = pos - refs
+                pos = trace_pos[k + 1]
+                np.add(refs, a00 * err + a01 * vel, out=pos)
+                vel = a10 * err + a11 * vel
+    return trace_pos, trace_ref
 
 
 def lifted_tick_matrix(matrices, params):

@@ -165,10 +165,13 @@ class TestOnePassFormatting:
 @st.composite
 def trace_column(draw, rows):
     """``rows`` floats: constant, constant but one cell's last bit, mixed
-    ``0.0`` and ``-0.0``, or free."""
+    ``0.0`` and ``-0.0``, free, or settled (free, then constant from a
+    drawn row on)."""
     floats = st.sampled_from(EDGE_VALUES + (0.0, 9.999999995)) | st.floats()
     value = draw(floats)
-    kind = draw(st.sampled_from(("constant", "last-bit", "signed-zero", "free")))
+    kind = draw(
+        st.sampled_from(("constant", "last-bit", "signed-zero", "free", "settled"))
+    )
     column = np.full(rows, value)
     if kind == "last-bit" and rows:
         k = draw(st.integers(0, rows - 1))
@@ -179,6 +182,9 @@ def trace_column(draw, rows):
         column = np.where(signs, 0.0, -0.0)
     elif kind == "free":
         column = np.array(draw(st.lists(floats, min_size=rows, max_size=rows)))
+    elif kind == "settled" and rows:
+        k = draw(st.integers(0, rows - 1))
+        column[:k] = draw(st.lists(floats, min_size=k, max_size=k))
     return column
 
 
@@ -199,7 +205,7 @@ class TestTraceCsvOracle:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_bytes_equal_the_oracle(self, data):
-        rows = data.draw(st.integers(0, 8))
+        rows = data.draw(st.integers(0, 16))
         agents = data.draw(st.integers(1, 2))
         columns = [data.draw(trace_column(rows)) for _ in range(1 + 9 * agents)]
         table = np.column_stack(columns[1:]).reshape(rows, agents, 9)
@@ -221,6 +227,31 @@ class TestTraceCsvOracle:
         rows = [line.split(",") for line in text.split("\n")[1:-1]]
         assert [row[3] for row in rows] == ["0", "-0", "0", "0"]
         assert [row[6] for row in rows] == ["9.99999999"] * 3 + ["10"]
+
+    def test_settled_tails(self):
+        # Columns that settle at different rows, one only on the last row,
+        # a -0.0 just before a 0.0 tail, and a last-bit neighbour of the
+        # tail's value just before it.
+        rows = 8
+        table = np.arange(1.0, rows * 9 + 1).reshape(rows, 1, 9) / 4
+        table[5:, 0, 0] = 2.5  # settles at row 5
+        table[2:, 0, 1] = 1e-300  # settles at row 2
+        table[7, 0, 3] = 7.0  # only the last row
+        table[4, 0, 4] = -0.0
+        table[5:, 0, 4] = 0.0  # settles at row 5, after a -0.0
+        table[:, 0, 6] = 9.999999995
+        table[5, 0, 6] = np.nextafter(9.999999995, 10.0)  # settles at row 6
+        table[:, 0, 8] = 1.0  # constant on every row
+        trace = trace_of(np.arange(rows) * 0.1, table)
+        text = trace_csv_text(trace, 0, time_fields(trace.times))
+        assert text == trace_csv_oracle(trace, 0)
+        fields = [line.split(",") for line in text.split("\n")[1:-1]]
+        assert [row[1] for row in fields][4:] == ["9.25", "2.5", "2.5", "2.5"]
+        assert [row[2] for row in fields][1:3] == ["2.75", "1e-300"]
+        assert [row[4] for row in fields][6:] == ["14.5", "7"]
+        assert [row[5] for row in fields][3:] == ["8", "-0", "0", "0", "0"]
+        assert [row[7] for row in fields][4:] == ["9.99999999", "10"] + ["9.99999999"] * 2
+        assert {row[9] for row in fields} == {"1"}
 
 
 EDITS = (

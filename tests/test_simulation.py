@@ -33,6 +33,7 @@ from conftest import (
     random_config,
     random_schedule,
     serialize_scenario,
+    tick_loop_oracle,
 )
 
 
@@ -425,6 +426,36 @@ class TestTickMap:
         # (a lightly damped loop can swing to tens of metres).
         scale = max(1.0, float(np.abs(oracle).max()))
         np.testing.assert_allclose(trace.positions, oracle, rtol=0, atol=1e-12 * scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_followers=st.integers(1, 37),
+        substeps=st.sampled_from([1, 2, 10, 100]),
+        delay=st.integers(0, 3),
+        offset=st.sampled_from([0.0, 0.3, 3.0]),
+    )
+    def test_bit_identical_to_the_plain_loop(
+        self, seed, n_followers, substeps, delay, offset
+    ):
+        # test_matches_euler_substeps matches to 1e-12 only; this pins every
+        # bit of both arrays, -0.0 apart from 0.0.
+        rng = np.random.default_rng(seed)
+        cfg = random_config(rng, n_followers)
+        schedule = random_schedule(rng)
+        params = SimParams(dt=0.01 / substeps, delay_ticks=delay, duration=4.0)
+        scenario = make_scenario(cfg, schedule, params)
+        assume(closed_loop_radius(scenario.matrices, params) < 1.0)
+        start = {
+            aid: p + np.append(rng.uniform(-offset, offset, 2), 0.0)
+            for aid, p in zip(cfg.ids, cfg.reference_positions())
+        }
+        trace = run_simulation(scenario, initial_positions=start)
+        positions, references = tick_loop_oracle(scenario, start)
+        assert np.array_equal(trace.positions.view(np.uint64), positions.view(np.uint64))
+        assert np.array_equal(
+            trace.references.view(np.uint64), references.view(np.uint64)
+        )
 
     def test_tick_grid(self, default_scenario):
         schedule = default_scenario.schedule
