@@ -31,7 +31,7 @@ report = validate_config(cfg)
 print("\nvalidation:", "ok" if report.ok else report.messages())
 
 m = FormationMatrices.from_config(cfg)
-followers = m.agent_ids[3:]
+followers = cfg.ids[3:]
 print("\nbarycentric coefficients over the leaders (rows of H):")
 for fid, a in zip(followers, m.H[3:]):
     print(f"  {fid}: {a}")

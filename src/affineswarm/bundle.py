@@ -3,8 +3,8 @@
 All numeric CSV fields use 9-significant-digit formatting and JSON uses
 sorted keys, so identical runs serialize byte-identically and golden
 files stay portable. The manifest embeds the fully resolved scenario; a
-rerun from the manifest reproduces the CSVs exactly. ``read_bundle`` is
-the one reader of a bundle: it gives back the scenario and the trace.
+rerun from the manifest reproduces the CSVs exactly, and its scenario
+fixes the files' layout (``_layout``), which ``read_bundle`` checks.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ScenarioError
-from .formation import SPECTRUM_TOL, FormationMatrices, SpectralReport
+from .formation import SPECTRUM_TOL, SpectralReport
 from .metrics import RunMetrics
 from .phases import LeaderTrajectory
 from .scenario import Scenario, parse_scenario, scenario_sha256, scenario_to_dict
@@ -56,7 +56,7 @@ def _template_fields(table: np.ndarray) -> tuple[list[str], np.ndarray]:
 
 
 def trace_csv_text(trace: SimTrace, index: int, times: list[str]) -> str:
-    """The trace CSV of agent ``trace.agent_ids[index]``.
+    """The trace CSV of the agent in column ``index`` of the trace.
 
     ``times`` is ``time_fields(trace.times)``, formatted once per bundle.
     A converged run settles to the last bit, so each column has a settle
@@ -117,9 +117,7 @@ def _write_json(path: Path, doc) -> None:
         f.write("\n")
 
 
-def matrices_document(
-    matrices: FormationMatrices, spectrum: SpectralReport, rho: float
-) -> dict:
+def matrices_document(scenario: Scenario, spectrum: SpectralReport, rho: float) -> dict:
     """Row-major JSON document with W, L, H, alpha, per-follower w and the spectrum.
 
     ``closed_loop`` holds ``rho`` (``closed_loop_radius``; null when it
@@ -133,10 +131,11 @@ def matrices_document(
         settling = 0
     else:
         settling = math.ceil(math.log(SETTLING_TOL) / math.log(rho))
-    followers = matrices.agent_ids[3:]
+    matrices, ids = scenario.matrices, scenario.config.ids
+    followers = ids[3:]
     weights = np.take_along_axis(matrices.W[3:], matrices.neighbors, axis=1)
     return {
-        "agent_order": list(matrices.agent_ids),
+        "agent_order": list(ids),
         "follower_order": list(followers),
         "alpha": [list(map(float, row)) for row in matrices.H[3:]],
         "w": {fid: list(map(float, w)) for fid, w in zip(followers, weights)},
@@ -171,6 +170,22 @@ def safety_document(report, d_min: float) -> dict:
     }
 
 
+def _layout(scenario: Scenario) -> dict:
+    """The manifest keys ``scenario`` fixes: the trace columns, the agent
+    order and each output's file name, ``trace_<id>.csv`` for each agent.
+    """
+    ids = scenario.config.ids
+    return {
+        "trace_columns": list(TRACE_COLUMNS),
+        "agent_order": list(ids),
+        "outputs": {
+            "traces": {aid: f"trace_{aid}.csv" for aid in ids},
+            "metrics": "metrics.json",
+            "matrices": "matrices.json",
+        },
+    }
+
+
 def emit_bundle(
     out_dir,
     scenario: Scenario,
@@ -190,43 +205,24 @@ def emit_bundle(
     except OSError as exc:
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
 
-    traces = {aid: f"trace_{aid}.csv" for aid in trace.agent_ids}
+    layout = _layout(scenario)
+    outputs = layout["outputs"]
     times = time_fields(trace.times)
     try:
-        for index, name in enumerate(traces.values()):
+        for index, name in enumerate(outputs["traces"].values()):
             (out / name).write_text(trace_csv_text(trace, index, times), newline="\n")
-        _write_json(out / "metrics.json", metrics.to_dict())
-        _write_json(
-            out / "matrices.json", matrices_document(scenario.matrices, spectrum, rho)
-        )
+        _write_json(out / outputs["metrics"], metrics.to_dict())
+        _write_json(out / outputs["matrices"], matrices_document(scenario, spectrum, rho))
         manifest = {
             "tool": {"name": "affineswarm", "version": __version__},
             "scenario": scenario_to_dict(scenario),
             "scenario_sha256": scenario_sha256(scenario),
-            "trace_columns": list(TRACE_COLUMNS),
-            "agent_order": list(trace.agent_ids),
-            "outputs": {
-                "traces": traces,
-                "metrics": "metrics.json",
-                "matrices": "matrices.json",
-            },
+            **layout,
         }
         _write_json(out / "manifest.json", manifest)
     except OSError as exc:
         raise OSError(f"failed writing bundle under {out}: {exc}") from exc
     return out
-
-
-def _lookup(doc, path: Path, *keys):
-    """``doc[k1][k2]...``; a missing key raises ``ScenarioError`` naming ``path``."""
-    value = doc
-    for depth, key in enumerate(keys):
-        try:
-            value = value[key]
-        except (KeyError, IndexError, TypeError):
-            where = ".".join(map(str, keys[: depth + 1]))
-            raise ScenarioError([f"{path}: missing key {where!r}"]) from None
-    return value
 
 
 def _parse(lines: list[str], **kwargs) -> np.ndarray:
@@ -286,25 +282,26 @@ def _trace_table(csv: Path, text: str, rows: int, cols: int) -> np.ndarray:
 def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
     """The scenario a bundle's manifest embeds and the trace its CSVs hold.
 
-    The manifest's ``agent_order`` must be the scenario's matrix order.
-    Each agent's CSV must hold one row per time of the scenario's tick
-    grid (``tick_times``), and its ``t`` column must be that grid at
-    9 significant digits; the trace's times are the grid itself. Values
-    carry the CSV's 9-significant-digit precision, which is ample for
-    every recomputed metric.
+    The manifest's ``trace_columns``, ``agent_order`` and ``outputs`` must
+    be the layout its scenario fixes (``_layout``), so the only files read
+    are ``manifest.json`` and each agent's ``trace_<id>.csv``. Each CSV must
+    hold one row per time of the scenario's tick grid (``tick_times``), and
+    its ``t`` column must be that grid at 9 significant digits; the trace's
+    times are the grid itself. Values carry the CSV's 9-significant-digit
+    precision, which is ample for every recomputed metric.
 
     The trace's three arrays are allocated up front, each a C-contiguous
     float64 ``(T, N, 3)`` array as ``SimTrace`` states, and the CSVs are
     read one at a time: each is copied into its agent's column once its
     checks pass, so the read holds the trace plus one agent's CSV.
 
-    A missing or malformed manifest, a missing key or trace file name, an
-    embedded scenario the schema rejects, a wrong ``agent_order``, and a
-    missing, unreadable or damaged CSV (wrong field or row count, a
-    non-numeric or non-finite value, a time off the grid) each raise
-    ``ScenarioError`` naming the file. An embedded scenario whose
-    configuration breaks an invariant raises ``ConfigError`` naming the
-    manifest.
+    A missing, unreadable or malformed manifest, a missing key, an
+    embedded scenario the schema rejects, a layout key other than the
+    scenario's, and a missing, unreadable or damaged CSV (not UTF-8, wrong
+    field or row count, a non-numeric or non-finite value, a time off the
+    grid) each raise ``ScenarioError`` naming the file. An embedded
+    scenario whose configuration breaks an invariant raises
+    ``ConfigError`` naming the manifest.
     """
     out = Path(bundle_dir)
     path = out / "manifest.json"
@@ -312,32 +309,32 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
         raise ScenarioError([f"{path}: no manifest found"])
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ScenarioError([f"{path}: cannot read manifest: {exc.strerror}"]) from None
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ScenarioError([f"{path}: malformed manifest: {exc}"]) from None
-    for keys in (("scenario",), ("agent_order",), ("outputs", "traces")):
-        _lookup(doc, path, *keys)
+    if not isinstance(doc, dict) or "scenario" not in doc:
+        raise ScenarioError([f"{path}: missing key 'scenario'"])
     try:
         scenario = parse_scenario(json.dumps(doc["scenario"]), source="scenario")
     except ScenarioError as exc:
         raise ScenarioError([f"{path}: {line}" for line in exc.errors]) from None
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    order, ids = doc["agent_order"], list(scenario.config.ids)
-    if order != ids:
-        raise ScenarioError(
-            [f"{path}: agent_order {order!r} is not the scenario's matrix order {ids!r}"]
-        )
+    layout = _layout(scenario)
+    for key, expected in layout.items():
+        if key not in doc:
+            raise ScenarioError([f"{path}: missing key {key!r}"])
+        if doc[key] != expected:
+            found, wanted = (json.dumps(v, sort_keys=True) for v in (doc[key], expected))
+            raise ScenarioError([f"{path}: {key} {found} is not the scenario's {wanted}"])
 
     times = tick_times(scenario.schedule, scenario.params)
     rows, cols = len(times), len(TRACE_COLUMNS)
     grid = np.array(time_fields(times), dtype=float)
-    positions, references, desired = (np.empty((rows, len(ids), 3)) for _ in range(3))
-    for index, aid in enumerate(ids):
-        name = _lookup(doc, path, "outputs", "traces", aid)
-        if not isinstance(name, str):
-            raise ScenarioError(
-                [f"{path}: outputs.traces.{aid} is not a file name: {name!r}"]
-            )
+    shape = (rows, len(scenario.config.agents), 3)
+    positions, references, desired = (np.empty(shape) for _ in range(3))
+    for index, name in enumerate(layout["outputs"]["traces"].values()):
         csv = out / name
         try:
             text = csv.read_text()
@@ -345,6 +342,8 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
             raise ScenarioError(
                 [f"{csv}: cannot read trace CSV: {exc.strerror}"]
             ) from None
+        except UnicodeDecodeError as exc:
+            raise ScenarioError([f"{csv}: damaged trace CSV: {exc}"]) from None
         table = _trace_table(csv, text, rows, cols)
         if not np.isfinite(table).all():
             bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
@@ -364,9 +363,5 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
         references[:, index] = table[:, 4:7]
         desired[:, index] = table[:, 7:10]
     return scenario, SimTrace(
-        times=times,
-        agent_ids=scenario.config.ids,
-        positions=positions,
-        references=references,
-        desired=desired,
+        times=times, positions=positions, references=references, desired=desired
     )

@@ -113,7 +113,7 @@ def _graph_doc(scenario: Scenario):
 def _cmd_graph(args) -> int:
     scenario = load_scenario(args.scenario)
     spectrum, rho = _graph_doc(scenario)
-    _emit(dumps_json(matrices_document(scenario.matrices, spectrum, rho)), args.out)
+    _emit(dumps_json(matrices_document(scenario, spectrum, rho)), args.out)
     return 0 if spectrum.ok else 1
 
 
@@ -155,13 +155,11 @@ def _cmd_simulate(args) -> int:
 
     spectrum, rho = _graph_doc(scenario)
     if not spectrum.ok:
-        print(
-            f"error: consensus matrices fail the spectrum check "
+        raise AffineSwarmError(
+            f"consensus matrices fail the spectrum check "
             f"(max real part {spectrum.max_real_part:.3e}, "
-            f"H deviation {spectrum.h_deviation:.3e})",
-            file=sys.stderr,
+            f"H deviation {spectrum.h_deviation:.3e})"
         )
-        return 1
     if not rho < 1.0:
         raise SimulationError(
             f"closed loop is unstable: spectral radius rho={rho:.6g} >= 1 at "

@@ -99,9 +99,6 @@ class ReferenceConfig:
     def index_of(self, agent_id: str) -> int:
         return self._index[agent_id]
 
-    def agent(self, agent_id: str) -> Agent:
-        return self.agents[self._index[agent_id]]
-
     def planar_positions(self) -> np.ndarray:
         """(N, 2) array of initial positions in matrix order."""
         return np.array([[a.x, a.y] for a in self.agents], dtype=float)
@@ -355,7 +352,6 @@ class FormationMatrices:
     W: np.ndarray
     L: np.ndarray
     H: np.ndarray
-    agent_ids: tuple[str, ...]
     neighbors: np.ndarray
 
     @classmethod
@@ -380,7 +376,7 @@ class FormationMatrices:
         h_mat = np.zeros((n, 3))
         h_mat[:3, :3] = np.eye(3)
         h_mat[3:] = alpha[3:] / alpha[3:].sum(axis=1, keepdims=True)
-        return cls(W=w_mat, L=l_mat, H=h_mat, agent_ids=cfg.ids, neighbors=neighbors)
+        return cls(W=w_mat, L=l_mat, H=h_mat, neighbors=neighbors)
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,7 @@ def _final_residual(trace: SimTrace, scenario: Scenario) -> float | None:
     leaders = trace.desired[mask, :3]
     if float(np.abs(leaders - leaders[-1]).max()) > LEADER_DRIFT_TOL:
         return None
-    if len(trace.agent_ids) <= 3:
+    if trace.positions.shape[1] <= 3:
         return 0.0
     targets = (scenario.matrices.H @ leaders[-1])[3:]
     mean_pos = trace.positions[mask, 3:].mean(axis=0)

@@ -464,7 +464,10 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
 
 def load_scenario(path) -> Scenario:
     path = Path(path)
-    return parse_scenario(path.read_text(), source=str(path))
+    try:
+        return parse_scenario(path.read_text(), source=str(path))
+    except UnicodeDecodeError as exc:  # not UTF-8 text
+        raise ScenarioError([f"{path}: {exc}"]) from None
 
 
 def default_scenario_text() -> str:

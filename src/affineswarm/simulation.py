@@ -45,7 +45,6 @@ class SimTrace:
     """
 
     times: np.ndarray  # (T,)
-    agent_ids: tuple[str, ...]
     positions: np.ndarray  # (T, N, 3) actual
     references: np.ndarray  # (T, N, 3) control inputs
     desired: np.ndarray  # (T, N, 3) commanded-map images, logging only
@@ -96,7 +95,7 @@ def closed_loop_radius(matrices: FormationMatrices, params: SimParams) -> float:
         return math.inf
     b = np.eye(2)[:, 0] - a_s[:, 0]
     d = params.delay_ticks
-    f = len(matrices.agent_ids) - 3
+    f = len(matrices.neighbors)
     mu = np.linalg.eigvals(matrices.W[3:, 3:] + np.eye(f))
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = np.zeros((f, d + 3), dtype=complex)  # highest power first
@@ -183,9 +182,5 @@ def run_simulation(
         )
 
     return SimTrace(
-        times=times,
-        agent_ids=ids,
-        positions=trace_pos,
-        references=trace_ref,
-        desired=trace_des,
+        times=times, positions=trace_pos, references=trace_ref, desired=trace_des
     )

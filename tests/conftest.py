@@ -98,7 +98,8 @@ def matrices_oracle(cfg: ReferenceConfig):
     """
 
     def solve(point, triangle):
-        tri = np.array([[cfg.agent(j).x, cfg.agent(j).y] for j in triangle])
+        agents = [cfg.agents[cfg.index_of(j)] for j in triangle]
+        tri = np.array([[a.x, a.y] for a in agents])
         m = np.vstack([tri.T, np.ones(3)])
         c = np.linalg.solve(m, np.array([point.x, point.y, 1.0]))
         return c / c.sum()
@@ -109,7 +110,8 @@ def matrices_oracle(cfg: ReferenceConfig):
     h_mat = np.zeros((n, 3))
     h_mat[:3, :3] = np.eye(3)
     for fid in cfg.follower_ids:
-        row, agent = cfg.index_of(fid), cfg.agent(fid)
+        row = cfg.index_of(fid)
+        agent = cfg.agents[row]
         nbrs = cfg.in_neighbors[fid]
         w_mat[row, [cfg.index_of(j) for j in nbrs]] = solve(agent, nbrs)
         h_mat[row] = solve(agent, cfg.leader_ids)
@@ -427,7 +429,7 @@ def lifted_tick_matrix(matrices, params):
     """
     a = tick_map(params)
     b = np.eye(2)[:, 0] - a[:, 0]
-    n, d = len(matrices.agent_ids), params.delay_ticks
+    n, d = len(matrices.W), params.delay_ticks
     m = matrices.W + np.eye(n)
     m[:3] = 0.0
     size = (d + 2) * n

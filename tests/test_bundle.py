@@ -42,10 +42,10 @@ from affineswarm.scenario import Scenario, parse_scenario
 from affineswarm.simulation import closed_loop_radius, tick_times
 
 
-def csv_of(trace, agent_id):
-    """``agent_id``'s trace CSV, as ``emit_bundle`` writes it."""
-    index = trace.agent_ids.index(agent_id)
-    return trace_csv_text(trace, index, time_fields(trace.times))
+def csv_of(trace, agent_id, ids=("a",)):
+    """``agent_id``'s trace CSV, as ``emit_bundle`` writes it; ``ids`` is
+    the trace's agent order."""
+    return trace_csv_text(trace, ids.index(agent_id), time_fields(trace.times))
 
 
 def graph_parts(scenario):
@@ -84,21 +84,21 @@ def short_run(default_scenario):
 
 class TestTraceCsv:
     def test_header_and_shape(self, short_run):
-        _, trace, _ = short_run
-        text = csv_of(trace, "cf1")
+        scenario, trace, _ = short_run
+        text = csv_of(trace, "cf1", scenario.config.ids)
         lines = text.strip().split("\n")
         assert lines[0] == ",".join(TRACE_COLUMNS)
         assert len(lines) == len(trace.times) + 1
         assert all(len(line.split(",")) == 10 for line in lines[1:])
 
     def test_first_row_matches_reference_position(self, short_run):
-        _, trace, _ = short_run
-        first = csv_of(trace, "cf1").strip().split("\n")[1]
+        scenario, trace, _ = short_run
+        first = csv_of(trace, "cf1", scenario.config.ids).strip().split("\n")[1]
         assert first.startswith("0,0,0.75,1,")
 
     def test_nine_significant_digits(self, short_run):
-        _, trace, _ = short_run
-        row = csv_of(trace, "cf2").strip().split("\n")[-1]
+        scenario, trace, _ = short_run
+        row = csv_of(trace, "cf2", scenario.config.ids).strip().split("\n")[-1]
         for field in row.split(","):
             mantissa = field.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
             assert len(mantissa) <= 9
@@ -119,7 +119,6 @@ class TestOnePassFormatting:
         table = _edge_table(len(EDGE_VALUES) + 1, 10)
         trace = SimTrace(
             times=table[:, 0],
-            agent_ids=("a",),
             positions=table[:, None, 1:4],
             references=table[:, None, 4:7],
             desired=table[:, None, 7:10],
@@ -154,7 +153,6 @@ class TestOnePassFormatting:
     def test_empty_trace_is_header_only(self):
         trace = SimTrace(
             times=np.empty(0),
-            agent_ids=("a",),
             positions=np.empty((0, 1, 3)),
             references=np.empty((0, 1, 3)),
             desired=np.empty((0, 1, 3)),
@@ -192,7 +190,6 @@ def trace_of(times, table):
     """A ``SimTrace`` of ``times`` and the (T, N, 9) ``table``."""
     return SimTrace(
         times=times,
-        agent_ids=tuple(f"a{i}" for i in range(table.shape[1])),
         positions=table[:, :, 0:3],
         references=table[:, :, 3:6],
         desired=table[:, :, 6:9],
@@ -359,7 +356,7 @@ class TestEmitBundle:
         assert bundle == tmp_path / "run"
         assert (bundle / "manifest.json").exists()
         assert sorted(p.name for p in bundle.glob("trace_*.csv")) == [
-            f"trace_{aid}.csv" for aid in sorted(trace.agent_ids)
+            f"trace_{aid}.csv" for aid in sorted(scenario.config.ids)
         ]
         doc = json.loads((bundle / "matrices.json").read_text())
         assert set(doc) == {
@@ -387,14 +384,13 @@ class TestEmitBundle:
         )
         read_scenario, loaded = read_bundle(bundle)
         assert read_scenario == scenario
-        assert loaded.agent_ids == trace.agent_ids
         # The times are the scenario's tick grid itself.
         assert np.array_equal(loaded.times, trace.times)
         # CSV carries 9 significant digits.
         np.testing.assert_allclose(loaded.positions, trace.positions, rtol=1e-8, atol=1e-12)
         np.testing.assert_allclose(loaded.desired, trace.desired, rtol=1e-8, atol=1e-12)
         # The bulk parse gives the values one float() per field gives.
-        for i, aid in enumerate(loaded.agent_ids):
+        for i, aid in enumerate(scenario.config.ids):
             lines = (bundle / f"trace_{aid}.csv").read_text().splitlines()[1:]
             table = np.array([[float(v) for v in line.split(",")] for line in lines])
             assert np.array_equal(loaded.times, table[:, 0])
@@ -413,7 +409,7 @@ class TestEmitBundle:
         second = emit_bundle(
             tmp_path / "b", replay, trace2, metrics2, *graph_parts(replay)
         )
-        for aid in trace.agent_ids:
+        for aid in scenario.config.ids:
             name = f"trace_{aid}.csv"
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
@@ -449,8 +445,9 @@ class TestGoldenRows:
     }
 
     @pytest.mark.parametrize("agent_id", sorted(GOLDEN))
-    def test_default_scenario_rows(self, default_trace, agent_id):
-        lines = csv_of(default_trace, agent_id).strip().split("\n")
+    def test_default_scenario_rows(self, default_scenario, default_trace, agent_id):
+        ids = default_scenario.config.ids
+        lines = csv_of(default_trace, agent_id, ids).strip().split("\n")
         first, last = self.GOLDEN[agent_id]
         assert lines[1] == first
         assert lines[-1] == last
@@ -459,7 +456,7 @@ class TestGoldenRows:
 class TestMatricesDocument:
     def test_row_major_values(self, short_run):
         matrices = short_run[0].matrices
-        doc = matrices_document(matrices, *graph_parts(short_run[0]))
+        doc = matrices_document(short_run[0], *graph_parts(short_run[0]))
         np.testing.assert_array_equal(np.array(doc["W"]), matrices.W)
         np.testing.assert_array_equal(np.array(doc["H"]), matrices.H)
         assert doc["w"]["cf2"] == [0.5, 0.25, 0.25]
@@ -476,7 +473,7 @@ class TestMatricesDocument:
     )
     def test_closed_loop(self, short_run, rho, expected):
         matrices = short_run[0].matrices
-        doc = matrices_document(matrices, verify_spectrum(matrices), rho)
+        doc = matrices_document(short_run[0], verify_spectrum(matrices), rho)
         assert doc["closed_loop"] == expected
         json.loads(json.dumps(doc, allow_nan=False))
 
@@ -520,11 +517,16 @@ class TestOneTraceInMemory:
 
     def test_arrays_are_separate_c_contiguous_float64(self, wide_bundle, short_run):
         scenario, trace = read_bundle(wide_bundle)
-        for run in (trace, run_simulation(scenario), short_run[1]):
+        runs = (
+            (trace, scenario),
+            (run_simulation(scenario), scenario),
+            (short_run[1], short_run[0]),
+        )
+        for run, sc in runs:
             arrays = (run.positions, run.references, run.desired)
             for array in arrays:
                 assert array.dtype == np.float64
-                assert array.shape == (len(run.times), len(run.agent_ids), 3)
+                assert array.shape == (len(run.times), len(sc.config.agents), 3)
                 assert array.flags.c_contiguous
             for a, b in ((0, 1), (0, 2), (1, 2)):
                 assert not np.shares_memory(arrays[a], arrays[b])

@@ -7,9 +7,10 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from affineswarm import SimParams
+from affineswarm import SimParams, SpectralReport
 from affineswarm import cli
 from affineswarm.cli import build_parser, main
 from affineswarm.scenario import default_scenario_text
@@ -44,6 +45,11 @@ def fast_bundle(tmp_path_factory):
     path.write_text(json.dumps(doc))
     assert main(["simulate", str(path), "--out", str(root / "bundle")]) == 0
     return root / "bundle"
+
+
+def as_json(value):
+    """``value`` as ``validate`` quotes a manifest value: JSON, sorted keys."""
+    return json.dumps(value, sort_keys=True)
 
 
 def scenario_with(tmp_path, path_keys, value):
@@ -90,6 +96,20 @@ def test_negative_safety_value_is_schema_error(tmp_path, capsys, key):
     path = scenario_with(tmp_path, ("safety", key), -1.0)
     assert main(["check", path]) == 2
     assert f"error: $.safety.{key}: must be >= 0, got -1.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "graph", "plan", "simulate"])
+def test_scenario_not_utf8_is_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "latin.json"
+    text = default_scenario_text()
+    path.write_bytes(text.encode() + b"\xff")
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position "
+        f"{len(text.encode())}: invalid start byte\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["check", "graph", "plan", "simulate"])
@@ -248,6 +268,29 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["simulate"])
         assert exc.value.code == 2
+
+    def test_failed_spectrum_check_is_refused(
+        self, default_path, tmp_path, capsys, monkeypatch
+    ):
+        # A valid config always passes the check, so fail it by hand.
+        failed = SpectralReport(
+            eigenvalues=np.array([0.5]),
+            max_real_part=0.5,
+            h_deviation=2e-3,
+            hurwitz=False,
+            ok=False,
+        )
+        monkeypatch.setattr(cli, "verify_spectrum", lambda matrices: failed)
+        monkeypatch.setattr(cli, "run_simulation", never)
+        out = tmp_path / "bundle"
+        assert main(["simulate", default_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: consensus matrices fail the spectrum check "
+            "(max real part 5.000e-01, H deviation 2.000e-03)\n"
+        )
+        assert not out.exists()
 
     def test_override_flags_change_params(self, fast_path, tmp_path):
         out = tmp_path / "bundle3"
@@ -515,8 +558,14 @@ class TestValidate:
         manifest["outputs"]["traces"]["cf3"] = 5
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert main(["validate", str(out)]) == 2
+        layout = {
+            "traces": {aid: f"trace_{aid}.csv" for aid in manifest["agent_order"]},
+            "metrics": "metrics.json",
+            "matrices": "matrices.json",
+        }
         assert capsys.readouterr().err == (
-            f"error: {out}/manifest.json: outputs.traces.cf3 is not a file name: 5\n"
+            f"error: {out}/manifest.json: outputs {as_json(manifest['outputs'])} is "
+            f"not the scenario's {as_json(layout)}\n"
         )
 
     def test_missing_trace_is_parse_error(self, fast_path, tmp_path, capsys):
@@ -551,8 +600,126 @@ class TestValidate:
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert main(["validate", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"{out}/manifest.json: agent_order {manifest['agent_order']!r}" in err
-        assert f"matrix order {order!r}" in err
+        assert err == (
+            f"error: {out}/manifest.json: agent_order {as_json(manifest['agent_order'])} "
+            f"is not the scenario's {as_json(order)}\n"
+        )
+
+
+    @pytest.mark.parametrize(
+        "place",
+        [
+            # A file outside the bundle whose first line is known.
+            pytest.param(lambda tmp: str(tmp / "elsewhere.csv"), id="absolute"),
+            # A good copy of cf4's CSV, one directory up.
+            pytest.param(lambda tmp: "../trace_cf4.csv", id="parent-dir"),
+        ],
+    )
+    def test_trace_name_outside_the_bundle_is_not_opened(
+        self, fast_bundle, tmp_path, capsys, place
+    ):
+        out = tmp_path / "bundle"
+        shutil.copytree(fast_bundle, out)
+        (tmp_path / "elsewhere.csv").write_text("marker line 7f3a\n")
+        shutil.copy(out / "trace_cf4.csv", tmp_path / "trace_cf4.csv")
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["outputs"]["traces"]["cf4"] = place(tmp_path)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["validate", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {out}/manifest.json: outputs {{")
+        assert (
+            'is not the scenario\'s {"matrices": "matrices.json", "metrics": '
+            '"metrics.json", "traces": {"cf1": "trace_cf1.csv", "cf2": "trace_cf2.csv"'
+        ) in captured.err
+        assert "marker line" not in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_trace_name_of_another_agent_is_refused(self, fast_bundle, tmp_path, capsys):
+        # Read as cf1's, cf2's CSV would put the two agents in one spot.
+        out = tmp_path / "bundle"
+        shutil.copytree(fast_bundle, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["outputs"]["traces"]["cf1"] = "trace_cf2.csv"
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["validate", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: {out}/manifest.json: outputs {as_json(manifest['outputs'])} is "
+            'not the scenario\'s {"matrices": "matrices.json", "metrics": '
+            '"metrics.json", "traces": {"cf1": "trace_cf1.csv", "cf2": "trace_cf2.csv"'
+        )
+
+    def test_edited_trace_columns_are_refused(self, fast_bundle, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        shutil.copytree(fast_bundle, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        columns = manifest["trace_columns"]
+        manifest["trace_columns"] = columns[:7] + ["x_d", "y_d", "z_d"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["validate", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out}/manifest.json: trace_columns "
+            f"{as_json(manifest['trace_columns'])} is not the scenario's "
+            f"{as_json(columns)}\n"
+        )
+
+    @pytest.mark.parametrize("key", ["trace_columns", "agent_order", "outputs"])
+    def test_missing_layout_key_is_refused(self, fast_bundle, tmp_path, capsys, key):
+        out = tmp_path / "bundle"
+        shutil.copytree(fast_bundle, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest[key]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["validate", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out}/manifest.json: missing key {key!r}\n"
+        )
+
+    def test_tool_is_not_compared(self, fast_bundle, tmp_path, capsys):
+        # A later version reads this version's bundles.
+        out = tmp_path / "bundle"
+        shutil.copytree(fast_bundle, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["tool"]["version"] = "99.0"
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["validate", str(out)]) == 0
+
+    def test_manifest_not_utf8_is_parse_error(self, fast_bundle, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        shutil.copytree(fast_bundle, out)
+        manifest = out / "manifest.json"
+        size = manifest.stat().st_size
+        with manifest.open("ab") as f:
+            f.write(b"\xff")
+        assert main(["validate", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: malformed manifest: 'utf-8' codec can't decode "
+            f"byte 0xff in position {size}: invalid start byte\n"
+        )
+
+    def test_trace_not_utf8_is_damaged(self, fast_bundle, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        shutil.copytree(fast_bundle, out)
+        trace = out / "trace_cf4.csv"
+        size = trace.stat().st_size
+        with trace.open("ab") as f:
+            f.write(b"\xff")
+        assert main(["validate", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {trace}: damaged trace CSV: 'utf-8' codec can't decode "
+            f"byte 0xff in position {size}: invalid start byte\n"
+        )
+
+    def test_unreadable_manifest_is_parse_error(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        (bundle / "manifest.json").mkdir(parents=True)
+        assert main(["validate", str(bundle)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bundle / 'manifest.json'}: cannot read manifest: Is a directory\n"
+        )
 
 
 def never(*args, **kwargs):

@@ -41,14 +41,14 @@ def leaders_only_config():
     return ReferenceConfig.from_agents(three_leaders(), z=1.0, in_neighbors={})
 
 
-def alpha_of(m):
+def alpha_of(m, cfg):
     """Each follower's barycentric coordinates over the leaders: ``H[3:]``."""
-    return dict(zip(m.agent_ids[3:], m.H[3:]))
+    return dict(zip(cfg.ids[3:], m.H[3:]))
 
 
-def weights_of(m):
+def weights_of(m, cfg):
     """Each follower's weights over its in-neighbors: ``W`` at ``neighbors``."""
-    return dict(zip(m.agent_ids[3:], np.take_along_axis(m.W[3:], m.neighbors, axis=1)))
+    return dict(zip(cfg.ids[3:], np.take_along_axis(m.W[3:], m.neighbors, axis=1)))
 
 
 def assert_refused(cfg, code):
@@ -153,8 +153,8 @@ class TestValidateConfig:
 
 
 class TestComputeAlpha:
-    def test_table_follower_exact_thirds(self, default_matrices):
-        alpha = alpha_of(default_matrices)
+    def test_table_follower_exact_thirds(self, default_scenario, default_matrices):
+        alpha = alpha_of(default_matrices, default_scenario.config)
         np.testing.assert_allclose(
             alpha["cf2"], [2 / 3, 1 / 6, 1 / 6], rtol=0, atol=1e-14
         )
@@ -183,15 +183,16 @@ class TestComputeAlpha:
         cfg = ReferenceConfig.from_agents(
             agents, z=1.0, in_neighbors={"f1": ("u1", "u2", "u3")}
         )
-        alpha = alpha_of(FormationMatrices.from_config(cfg))
+        alpha = alpha_of(FormationMatrices.from_config(cfg), cfg)
         np.testing.assert_allclose(alpha["f1"], [1 / 3] * 3, atol=1e-14)
 
     def test_matches_area_ratio_oracle(self, default_scenario, default_matrices):
         cfg = default_scenario.config
-        tri = [np.array([cfg.agent(l).x, cfg.agent(l).y]) for l in cfg.leader_ids]
-        alpha = alpha_of(default_matrices)
+        leaders = [cfg.agents[cfg.index_of(lid)] for lid in cfg.leader_ids]
+        tri = [np.array([a.x, a.y]) for a in leaders]
+        alpha = alpha_of(default_matrices, cfg)
         for fid in cfg.follower_ids:
-            a = cfg.agent(fid)
+            a = cfg.agents[cfg.index_of(fid)]
             expected = barycentric_oracle(np.array([a.x, a.y]), tri)
             np.testing.assert_allclose(alpha[fid], expected, atol=1e-12)
 
@@ -210,8 +211,8 @@ class TestComputeAlpha:
 
 
 class TestComputeFollowerWeights:
-    def test_table_follower_weights(self, default_matrices):
-        w = weights_of(default_matrices)
+    def test_table_follower_weights(self, default_scenario, default_matrices):
+        w = weights_of(default_matrices, default_scenario.config)
         np.testing.assert_allclose(w["cf2"], [0.5, 0.25, 0.25], atol=1e-14)
         np.testing.assert_allclose(w["cf3"], [2 / 7, 1 / 7, 4 / 7], atol=1e-14)
         np.testing.assert_allclose(w["cf4"], [2 / 7, 1 / 7, 4 / 7], atol=1e-14)
@@ -221,7 +222,7 @@ class TestComputeFollowerWeights:
         cfg = ReferenceConfig.from_agents(
             agents, z=1.0, in_neighbors={"f1": ("u1", "u2", "u3")}
         )
-        w = weights_of(FormationMatrices.from_config(cfg))
+        w = weights_of(FormationMatrices.from_config(cfg), cfg)
         np.testing.assert_allclose(w["f1"], [1 / 3] * 3, atol=1e-14)
 
     def test_boundary_midpoint_rejected(self):
@@ -248,8 +249,8 @@ class TestComputeFollowerWeights:
         with pytest.raises(ConfigError, match="collinear"):
             FormationMatrices.from_config(cfg)
 
-    def test_weights_sum_exactly_one(self, default_matrices):
-        for w in weights_of(default_matrices).values():
+    def test_weights_sum_exactly_one(self, default_scenario, default_matrices):
+        for w in weights_of(default_matrices, default_scenario.config).values():
             assert w.sum() == 1.0
 
 
@@ -261,9 +262,9 @@ class TestBuildMatrices:
         assert m.H[3:].shape == (0, 3)
         assert m.neighbors.shape == (0, 3)
 
-    def test_default_structure(self, default_matrices):
+    def test_default_structure(self, default_scenario, default_matrices):
         m = default_matrices
-        n = len(m.agent_ids)
+        n = len(default_scenario.config.agents)
         assert m.W.shape == (n, n)
         np.testing.assert_array_equal(np.diag(m.W), -np.ones(n))
         # Leader rows are pure diagonal entries.
@@ -290,7 +291,7 @@ class TestBuildMatrices:
         # in-neighbors' reference positions.
         cfg = default_scenario.config
         pts = cfg.planar_positions()
-        for fid, w in weights_of(default_matrices).items():
+        for fid, w in weights_of(default_matrices, cfg).items():
             nbr = np.array([pts[cfg.index_of(j)] for j in cfg.in_neighbors[fid]])
             np.testing.assert_allclose(
                 w @ nbr, pts[cfg.index_of(fid)], atol=1e-9
@@ -327,7 +328,6 @@ class TestVerifySpectrum:
             W=w,
             L=l_mat,
             H=h,
-            agent_ids=tuple(f"a{i}" for i in range(n)),
             neighbors=np.array([[j for j in cluster if j != i] for i in cluster]),
         )
         report = verify_spectrum(m)
@@ -395,8 +395,8 @@ def test_random_valid_configs_satisfy_invariants(seed, n_followers):
     assert validate_config(cfg).ok
 
     m = FormationMatrices.from_config(cfg)
-    alpha = alpha_of(m)
-    weights = weights_of(m)
+    alpha = alpha_of(m, cfg)
+    weights = weights_of(m, cfg)
     pts = cfg.planar_positions()
     for fid in cfg.follower_ids:
         own = pts[cfg.index_of(fid)]
@@ -428,7 +428,6 @@ def test_from_config_matches_matrices_oracle(seed, n_followers):
     w_mat, h_mat = matrices_oracle(cfg)
     assert np.array_equal(m.W, w_mat)
     assert np.array_equal(m.H, h_mat)
-    assert m.agent_ids == cfg.ids
     assert m.neighbors.tolist() == [
         [cfg.index_of(j) for j in cfg.in_neighbors[fid]] for fid in cfg.follower_ids
     ]
@@ -462,6 +461,3 @@ def test_index_lookups_use_matrix_order(default_scenario):
     cfg = default_scenario.config
     for i, aid in enumerate(cfg.ids):
         assert cfg.index_of(aid) == i
-        assert cfg.agent(aid) is cfg.agents[i]
-    with pytest.raises(KeyError):
-        cfg.agent("ghost")

@@ -43,14 +43,12 @@ from conftest import (
 def static_trace(positions, ticks=5, tick_rate=100.0, desired=None):
     """A trace holding the given (N, 3) positions for a few ticks."""
     pos = np.asarray(positions, dtype=float)
-    n = len(pos)
     stack = np.repeat(pos[None], ticks, axis=0)
     des = stack.copy() if desired is None else np.repeat(
         np.asarray(desired, dtype=float)[None], ticks, axis=0
     )
     return SimTrace(
         times=np.arange(ticks) / tick_rate,
-        agent_ids=tuple(f"a{i}" for i in range(n)),
         positions=stack,
         references=stack.copy(),
         desired=des,
@@ -86,7 +84,6 @@ class TestPairwiseMinDistance:
         pos[:, 1, 0] = [2.0, 1.0, 3.0]
         trace = SimTrace(
             times=np.arange(3) / 100.0,
-            agent_ids=("a", "b"),
             positions=pos,
             references=pos.copy(),
             desired=pos.copy(),
@@ -436,7 +433,6 @@ class TestValidateRun:
         pos[3, 0, 0] += 0.01
         trace = SimTrace(
             times=np.arange(ticks) / 100.0,
-            agent_ids=cfg.ids,
             positions=pos,
             references=np.repeat(refs[None], ticks, axis=0),
             desired=np.repeat(refs[None], ticks, axis=0),
@@ -465,7 +461,6 @@ class TestValidateRun:
         pos[2, 0, 0] += 0.01
         bumped = SimTrace(
             times=trace.times,
-            agent_ids=cfg.ids,
             positions=pos,
             references=trace.references,
             desired=trace.desired,
@@ -483,7 +478,6 @@ class TestValidateRun:
         refs = cfg.reference_positions()
         trace = SimTrace(
             times=np.arange(6) / 100.0,
-            agent_ids=cfg.ids,
             positions=np.repeat(refs[None], 6, axis=0),
             references=np.repeat(refs[None], 6, axis=0),
             desired=np.repeat(refs[None], 6, axis=0),

@@ -117,7 +117,7 @@ class TestSimParams:
 def first_tick_references(cfg, initial_positions=None):
     """Follower references the engine computes from the starting positions."""
     trace = hold_run(cfg, SimParams(dt=0.01, duration=0.01), initial_positions)
-    rows = [trace.agent_ids.index(fid) for fid in cfg.follower_ids]
+    rows = [cfg.index_of(fid) for fid in cfg.follower_ids]
     return trace.references[0, rows]
 
 
@@ -164,8 +164,8 @@ def assert_references_mix_neighbors(trace, cfg, matrices, delay):
     """Every follower's reference at every tick is ``w @`` its neighbors' positions,
     with ``w`` its row of ``W`` at the in-neighbor columns."""
     for fid in cfg.follower_ids:
-        row = trace.agent_ids.index(fid)
-        nbr_rows = [trace.agent_ids.index(j) for j in cfg.in_neighbors[fid]]
+        row = cfg.index_of(fid)
+        nbr_rows = [cfg.index_of(j) for j in cfg.in_neighbors[fid]]
         w = matrices.W[row, nbr_rows]
         for k in range(len(trace.times)):
             expected = w @ trace.positions[max(k - delay, 0)][nbr_rows]
@@ -226,8 +226,7 @@ class TestRunSimulation:
                 )
             )
             results[key] = {
-                aid: trace.positions[:, trace.agent_ids.index(aid)]
-                for aid in trace.agent_ids
+                aid: trace.positions[:, c.index_of(aid)] for aid in c.ids
             }
         for aid in results["orig"]:
             np.testing.assert_allclose(
@@ -341,7 +340,6 @@ class TestRunSimulation:
         replaced = dataclasses.replace(scenario, config=smaller)
         assert replaced.matrices.W.shape == (3, 3)
         trace = run_simulation(replaced)
-        assert trace.agent_ids == smaller.ids
         assert trace.positions.shape[1] == 3
 
     def test_matrices_of_another_graph_rejected(self, default_scenario):
@@ -506,7 +504,6 @@ class TestClosedLoopRadius:
             W=w_mat,
             L=np.zeros((n, 3)),
             H=np.zeros((n, 3)),
-            agent_ids=tuple(f"a{i}" for i in range(n)),
             neighbors=neighbors,
         )
         for delay in (0, 1, 3):
