@@ -33,7 +33,7 @@ print("det Q (area scale lambda1 * lambda2) at t=10 s:", np.linalg.det(q[4]).rou
 
 traj = leader_trajectory(sched, scenario.config, tick_rate=100.0)
 out = Path(__file__).with_name("leader_plan.csv")
-out.write_text(plan_csv_text(traj))
+out.write_bytes(plan_csv_text(traj))
 print(f"\nwrote {len(traj.times) * 3} plan rows to {out.name}")
 print("leader cf1 at t=0:  ", traj.positions[0, 0])
 print("leader cf1 at t=30: ", traj.positions[-1, 0])

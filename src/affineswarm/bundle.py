@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from itertools import chain
 from pathlib import Path
 
@@ -30,80 +31,87 @@ PLAN_COLUMNS = ("t", "agent_id", "x_d", "y_d", "z_d")
 SETTLING_TOL = 1e-4
 
 
-def time_fields(times: np.ndarray) -> list[str]:
+def time_fields(times: np.ndarray) -> list[bytes]:
     """``times`` at ``%.9g``: the ``t`` column of a run's trace CSVs and plan CSV."""
-    return ("%.9g\n" * len(times) % tuple(times.tolist())).split()
+    return (b"%.9g\n" * len(times) % tuple(times.tolist())).split()
 
 
-def _template_fields(table: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The ``%`` template fields of one row of ``table`` and its constant columns.
+def _settle(values: np.ndarray) -> np.ndarray:
+    """Each column's settle row: the first from which its float64 bits equal
+    the last row's (bits, so ``-0.0`` stays apart from ``0.0``)."""
+    bits = values.view(np.uint64)
+    same = np.logical_and.accumulate(bits[::-1] == bits[-1:], axis=0)
+    return len(values) - same.sum(axis=0)
 
-    ``table`` holds one row per index of its first axis; the fields run
-    over the rest in C order. A column whose float64 bits are the same on
-    every row (``z`` at a fixed altitude) is formatted once, into its
-    field; bits, not values, so ``-0.0`` stays apart from ``0.0``. Every
-    other field is ``%.9g``, and takes ``table[:, ~constant]``, row after
-    row. Callers build the template before they list those values, so the
-    two are not held at once with the template's pieces.
+
+def settle_rows(trace: SimTrace) -> np.ndarray:
+    """Each agent's settle rows ``(N, 9)``, one ``(T, N, 3)`` array at a time."""
+    arrays = (trace.positions, trace.references, trace.desired)
+    return np.concatenate([_settle(a) for a in arrays], axis=1)
+
+
+def _blocks(table: np.ndarray, settle: np.ndarray) -> list:
+    """``table``'s rows cut at every settle row, as ``(lo, hi, fields)``.
+
+    A column is folded into a block's fields, formatted once from the last
+    row, when its settle row is at or before the block's first row ``lo``;
+    its other fields are ``%.9g`` and take ``_varying``'s values.
     """
-    bits = table.view(np.uint64)
-    constant = (bits == bits[0]).all(axis=0)
-    fields = [
-        "%.9g" % v if c else "%.9g"
-        for c, v in zip(constant.ravel().tolist(), table[0].ravel().tolist())
+    last = [b"%.9g" % v for v in table[-1:].ravel().tolist()]
+    settle = settle.tolist()
+    cuts = sorted({0, *settle})  # a set: np.unique raised simulate's peak RSS ~1 MB
+    return [
+        (lo, hi, [b"%.9g" if s > lo else f for s, f in zip(settle, last)])
+        for lo, hi in zip(cuts, cuts[1:] + [len(table)])
     ]
-    return fields, constant
 
 
-def trace_csv_text(trace: SimTrace, index: int, times: list[str]) -> str:
+def _varying(table: np.ndarray, settle: np.ndarray) -> tuple:
+    """The values of ``table`` before their column's settle row, row after row.
+
+    Callers list them after joining the template, so they are not held
+    at once with the template's pieces.
+    """
+    return tuple(table[np.arange(len(table))[:, None] < settle].tolist())
+
+
+def trace_csv_text(trace: SimTrace, index: int, times: list[bytes], settle) -> bytes:
     """The trace CSV of the agent in column ``index`` of the trace.
 
-    ``times`` is ``time_fields(trace.times)``, formatted once per bundle.
-    A converged run settles to the last bit, so each column has a settle
-    row: the first from which its float64 bits equal the last row's. The
-    table is cut at every settle row, and ``_template_fields`` formats
-    the columns constant within each block once, into that block's rows
-    of the one template. Only the other values go through the one ``%``.
+    ``times`` is ``time_fields(trace.times)`` and ``settle`` the agent's
+    row of ``settle_rows(trace)``, both made once per bundle. A converged
+    run settles to the last bit, so each block of ``_blocks`` is its row
+    end joined after each of its time fields, and only the values before
+    a column's settle row go through the one ``bytes %``.
     """
-    header = TRACE_HEADER + "\n"
-    table = np.column_stack(
-        (
-            trace.positions[:, index],
-            trace.references[:, index],
-            trace.desired[:, index],
-        )
+    arrays = (trace.positions, trace.references, trace.desired)
+    table = np.column_stack([a[:, index] for a in arrays])
+    blocks = (
+        (b"," + b",".join(fields) + b"\n").join([*times[lo:hi], b""])
+        for lo, hi, fields in _blocks(table, settle)
     )
-    if not len(table):
-        return header
-    bits = table.view(np.uint64)
-    tail = np.logical_and.accumulate(bits[::-1] == bits[-1], axis=0).sum(axis=0)
-    # A set, not np.unique, which here raised simulate's peak RSS by ~1 MB.
-    starts = sorted({0, *(len(table) - tail).tolist()})
-    ends, varying = [], np.empty(table.shape, dtype=bool)
-    for lo, hi in zip(starts, starts[1:] + [len(table)]):
-        fields, constant = _template_fields(table[lo:hi])
-        ends += ["," + ",".join(fields) + "\n"] * (hi - lo)  # after each time field
-        varying[lo:hi] = ~constant
-    # One template from the rows' pieces: no per-block strings held beside it.
-    template = "".join(chain.from_iterable(zip(times, ends)))
-    return header + template % tuple(table[varying].tolist())
+    template = b"".join(chain([(TRACE_HEADER + "\n").encode()], blocks))
+    return template % _varying(table, settle)
 
 
-def plan_csv_text(traj: LeaderTrajectory) -> str:
-    """One row per tick and leader: time, leader id, desired position.
+def plan_csv_text(traj: LeaderTrajectory) -> bytes:
+    """One row per tick and leader: time, leader id (UTF-8), desired position.
 
-    Each tick time is formatted once, by ``time_fields``, and each
-    leader's constant columns (``z_d`` at a fixed altitude) once, by
-    ``_template_fields``; the varying values go through the one ``%``.
+    Each tick time is formatted once for its three rows (``time_fields``)
+    and the columns are folded as in ``trace_csv_text``.
     """
-    fields, constant = _template_fields(traj.positions)
-    rows = [
-        "," + aid.replace("%", "%%") + "," + ",".join(fields[3 * i : 3 * i + 3]) + "\n"
-        for i, aid in enumerate(traj.agent_ids)
-    ]
-    template = "".join(t + row for t in time_fields(traj.times) for row in rows)
-    values = tuple(traj.positions[:, ~constant].ravel().tolist())
-    return ",".join(PLAN_COLUMNS) + "\n" + template % values
+    table, settle = traj.positions.reshape(-1, 9), _settle(traj.positions).ravel()
+    ids = [aid.encode().replace(b"%", b"%%") for aid in traj.agent_ids]
+    ticks = []  # each tick's rows after its time field
+    for lo, hi, fields in _blocks(table, settle):
+        rows = [
+            b",".join([b"", aid, *fields[3 * i : 3 * i + 3]]) + b"\n"
+            for i, aid in enumerate(ids)
+        ]
+        ticks += [rows] * (hi - lo)
+    lines = (t + row for t, rows in zip(time_fields(traj.times), ticks) for row in rows)
+    head = ",".join(PLAN_COLUMNS).encode() + b"\n"
+    return b"".join(chain([head], lines)) % _varying(table, settle)
 
 
 def dumps_json(doc) -> str:
@@ -186,6 +194,26 @@ def _layout(scenario: Scenario) -> dict:
     }
 
 
+def _difference(found, wanted, where: str) -> str | None:
+    """The first key path under ``where`` at which ``found`` is not ``wanted``,
+    and how; None when they are equal. Lists compare index by index, and
+    ``reprlib`` quotes values, so the message stays short."""
+    if isinstance(found, list) and isinstance(wanted, list):
+        found, wanted = dict(enumerate(found)), dict(enumerate(wanted))
+    if not (isinstance(found, dict) and isinstance(wanted, dict)):
+        quoted = f"{reprlib.repr(found)} is not {reprlib.repr(wanted)}"
+        return None if found == wanted else f"{where}: {quoted}"
+    for key in [*wanted, *found]:
+        if key not in found or key not in wanted:
+            how = "missing" if key in wanted else "unexpected"
+            return f"{where}: {how} key {reprlib.repr(key)}"
+        path = f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}"
+        inner = _difference(found[key], wanted[key], path)
+        if inner is not None:
+            return inner
+    return None
+
+
 def emit_bundle(
     out_dir,
     scenario: Scenario,
@@ -207,10 +235,10 @@ def emit_bundle(
 
     layout = _layout(scenario)
     outputs = layout["outputs"]
-    times = time_fields(trace.times)
+    times, settle = time_fields(trace.times), settle_rows(trace)
     try:
         for index, name in enumerate(outputs["traces"].values()):
-            (out / name).write_text(trace_csv_text(trace, index, times), newline="\n")
+            (out / name).write_bytes(trace_csv_text(trace, index, times, settle[index]))
         _write_json(out / outputs["metrics"], metrics.to_dict())
         _write_json(out / outputs["matrices"], matrices_document(scenario, spectrum, rho))
         manifest = {
@@ -325,9 +353,9 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
     for key, expected in layout.items():
         if key not in doc:
             raise ScenarioError([f"{path}: missing key {key!r}"])
-        if doc[key] != expected:
-            found, wanted = (json.dumps(v, sort_keys=True) for v in (doc[key], expected))
-            raise ScenarioError([f"{path}: {key} {found} is not the scenario's {wanted}"])
+        difference = _difference(doc[key], expected, key)
+        if difference is not None:
+            raise ScenarioError([f"{path}: {difference}"])
 
     times = tick_times(scenario.schedule, scenario.params)
     rows, cols = len(times), len(TRACE_COLUMNS)

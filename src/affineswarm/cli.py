@@ -87,12 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None):
+def _emit(data: bytes, out: str | None):
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode())
     else:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text, newline="\n")
+        Path(out).write_bytes(data)
 
 
 def _cmd_plan(args) -> int:
@@ -113,14 +113,14 @@ def _graph_doc(scenario: Scenario):
 def _cmd_graph(args) -> int:
     scenario = load_scenario(args.scenario)
     spectrum, rho = _graph_doc(scenario)
-    _emit(dumps_json(matrices_document(scenario, spectrum, rho)), args.out)
+    _emit(dumps_json(matrices_document(scenario, spectrum, rho)).encode(), args.out)
     return 0 if spectrum.ok else 1
 
 
 def _cmd_check(args) -> int:
     scenario = load_scenario(args.scenario)
     report, d_min = strain_check(scenario, scenario.safety.delta_budget)
-    _emit(dumps_json(safety_document(report, d_min)), args.out)
+    _emit(dumps_json(safety_document(report, d_min)).encode(), args.out)
     return 0 if report.passed else 1
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -127,6 +128,13 @@ class PhaseSchedule:
     def t_end(self) -> float:
         return self.phases[-1].tf
 
+    @cached_property
+    def _phase_arrays(self) -> tuple[np.ndarray, ...]:
+        """The phases' ``t0``, ``tf``, ``start`` and ``end`` columns."""
+        rows = [(p.t0, p.tf, *astuple(p.start), *astuple(p.end)) for p in self.phases]
+        table = np.array(rows)
+        return table[:, 0], table[:, 1], table[:, 2:8], table[:, 8:]
+
     def coordinates(self, times) -> np.ndarray:
         """Blended coordinates (T, 6), in ``AtCoordinates`` field order, at times (T,).
 
@@ -136,10 +144,7 @@ class PhaseSchedule:
         which boundary continuity makes the right value.
         """
         t = np.asarray(times, dtype=float)
-        t0 = np.array([ph.t0 for ph in self.phases])
-        tf = np.array([ph.tf for ph in self.phases])
-        start = np.array([astuple(ph.start) for ph in self.phases])
-        end = np.array([astuple(ph.end) for ph in self.phases])
+        t0, tf, start, end = self._phase_arrays
 
         # Phases are in time order, so the first phase ending after t is
         # the one holding it, or the next one when t sits in a crack.

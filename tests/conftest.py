@@ -234,8 +234,9 @@ def min_pair_distance_oracle(frames: np.ndarray) -> float:
     return best
 
 
-def trace_csv_oracle(trace, index: int) -> str:
-    """Agent ``index``'s trace CSV with one ``%.9g`` per cell of all ten columns.
+def trace_csv_oracle(trace, index: int) -> bytes:
+    """Agent ``index``'s trace CSV with one ``str`` ``%.9g`` per cell of all
+    ten columns, UTF-8 encoded.
 
     ``bundle.trace_csv_text``, which formats the shared time column once
     and each column's settled tail once, must give the same bytes.
@@ -250,7 +251,7 @@ def trace_csv_oracle(trace, index: int) -> str:
     )
     row = ",".join(["%.9g"] * len(TRACE_COLUMNS))
     body = (row + "\n") * len(table) % tuple(table.ravel().tolist())
-    return ",".join(TRACE_COLUMNS) + "\n" + body
+    return (",".join(TRACE_COLUMNS) + "\n" + body).encode()
 
 
 def trace_table_oracle(csv, text: str, times: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from affineswarm.bundle import (
     matrices_document,
     plan_csv_text,
     read_bundle,
+    settle_rows,
     time_fields,
     trace_csv_text,
 )
@@ -45,7 +46,9 @@ from affineswarm.simulation import closed_loop_radius, tick_times
 def csv_of(trace, agent_id, ids=("a",)):
     """``agent_id``'s trace CSV, as ``emit_bundle`` writes it; ``ids`` is
     the trace's agent order."""
-    return trace_csv_text(trace, ids.index(agent_id), time_fields(trace.times))
+    index = ids.index(agent_id)
+    times, settle = time_fields(trace.times), settle_rows(trace)
+    return trace_csv_text(trace, index, times, settle[index])
 
 
 def graph_parts(scenario):
@@ -86,21 +89,22 @@ class TestTraceCsv:
     def test_header_and_shape(self, short_run):
         scenario, trace, _ = short_run
         text = csv_of(trace, "cf1", scenario.config.ids)
-        lines = text.strip().split("\n")
-        assert lines[0] == ",".join(TRACE_COLUMNS)
+        lines = text.strip().split(b"\n")
+        assert lines[0] == ",".join(TRACE_COLUMNS).encode()
         assert len(lines) == len(trace.times) + 1
-        assert all(len(line.split(",")) == 10 for line in lines[1:])
+        assert all(len(line.split(b",")) == 10 for line in lines[1:])
 
     def test_first_row_matches_reference_position(self, short_run):
         scenario, trace, _ = short_run
-        first = csv_of(trace, "cf1", scenario.config.ids).strip().split("\n")[1]
-        assert first.startswith("0,0,0.75,1,")
+        first = csv_of(trace, "cf1", scenario.config.ids).strip().split(b"\n")[1]
+        assert first.startswith(b"0,0,0.75,1,")
 
     def test_nine_significant_digits(self, short_run):
         scenario, trace, _ = short_run
-        row = csv_of(trace, "cf2", scenario.config.ids).strip().split("\n")[-1]
-        for field in row.split(","):
-            mantissa = field.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
+        row = csv_of(trace, "cf2", scenario.config.ids).strip().split(b"\n")[-1]
+        for field in row.split(b","):
+            digits = field.replace(b"-", b"").replace(b".", b"")
+            mantissa = digits.split(b"e")[0].lstrip(b"0")
             assert len(mantissa) <= 9
 
 
@@ -123,13 +127,15 @@ class TestOnePassFormatting:
             references=table[:, None, 4:7],
             desired=table[:, None, 7:10],
         )
-        lines = csv_of(trace, "a").split("\n")
-        assert lines[0] == ",".join(TRACE_COLUMNS)
-        assert lines[-1] == ""
-        expected = [",".join(format(float(v), ".9g") for v in row) for row in table]
+        lines = csv_of(trace, "a").split(b"\n")
+        assert lines[0] == ",".join(TRACE_COLUMNS).encode()
+        assert lines[-1] == b""
+        expected = [
+            ",".join(format(float(v), ".9g") for v in row).encode() for row in table
+        ]
         assert lines[1:-1] == expected
-        assert "-0" in lines[1].split(",")
-        assert "4.94065646e-324" in lines[1].split(",")
+        assert b"-0" in lines[1].split(b",")
+        assert b"4.94065646e-324" in lines[1].split(b",")
 
     def test_plan_csv_edge_values(self):
         table = _edge_table(4, 10)
@@ -138,17 +144,17 @@ class TestOnePassFormatting:
             agent_ids=("u1", "u%2", "u3"),
             positions=table[:, 1:].reshape(4, 3, 3),
         )
-        lines = plan_csv_text(traj).split("\n")
-        assert lines[0] == ",".join(PLAN_COLUMNS)
+        lines = plan_csv_text(traj).split(b"\n")
+        assert lines[0] == ",".join(PLAN_COLUMNS).encode()
         expected = [
             ",".join(
                 [format(float(traj.times[k]), ".9g"), aid]
                 + [format(float(v), ".9g") for v in traj.positions[k, i]]
-            )
+            ).encode()
             for k in range(4)
             for i, aid in enumerate(traj.agent_ids)
         ]
-        assert lines[1:] == expected + [""]
+        assert lines[1:] == expected + [b""]
 
     def test_empty_trace_is_header_only(self):
         trace = SimTrace(
@@ -157,7 +163,7 @@ class TestOnePassFormatting:
             references=np.empty((0, 1, 3)),
             desired=np.empty((0, 1, 3)),
         )
-        assert csv_of(trace, "a") == ",".join(TRACE_COLUMNS) + "\n"
+        assert csv_of(trace, "a") == (",".join(TRACE_COLUMNS) + "\n").encode()
 
 
 @st.composite
@@ -207,9 +213,10 @@ class TestTraceCsvOracle:
         columns = [data.draw(trace_column(rows)) for _ in range(1 + 9 * agents)]
         table = np.column_stack(columns[1:]).reshape(rows, agents, 9)
         trace = trace_of(columns[0], table)
-        times = time_fields(trace.times)
+        times, settle = time_fields(trace.times), settle_rows(trace)
         for index in range(agents):
-            assert trace_csv_text(trace, index, times) == trace_csv_oracle(trace, index)
+            text = trace_csv_text(trace, index, times, settle[index])
+            assert text == trace_csv_oracle(trace, index)
 
     def test_constant_columns_compare_bits(self):
         # Equal values with different bits (0.0 and -0.0), and a last bit
@@ -219,11 +226,11 @@ class TestTraceCsvOracle:
         table[:, 0, 5] = 9.999999995
         table[3, 0, 5] = np.nextafter(9.999999995, 10.0)
         trace = trace_of(np.arange(4) * 0.1, table)
-        text = trace_csv_text(trace, 0, time_fields(trace.times))
+        text = csv_of(trace, "a")
         assert text == trace_csv_oracle(trace, 0)
-        rows = [line.split(",") for line in text.split("\n")[1:-1]]
-        assert [row[3] for row in rows] == ["0", "-0", "0", "0"]
-        assert [row[6] for row in rows] == ["9.99999999"] * 3 + ["10"]
+        rows = [line.split(b",") for line in text.split(b"\n")[1:-1]]
+        assert [row[3] for row in rows] == [b"0", b"-0", b"0", b"0"]
+        assert [row[6] for row in rows] == [b"9.99999999"] * 3 + [b"10"]
 
     def test_settled_tails(self):
         # Columns that settle at different rows, one only on the last row,
@@ -240,15 +247,77 @@ class TestTraceCsvOracle:
         table[5, 0, 6] = np.nextafter(9.999999995, 10.0)  # settles at row 6
         table[:, 0, 8] = 1.0  # constant on every row
         trace = trace_of(np.arange(rows) * 0.1, table)
-        text = trace_csv_text(trace, 0, time_fields(trace.times))
+        text = csv_of(trace, "a")
         assert text == trace_csv_oracle(trace, 0)
-        fields = [line.split(",") for line in text.split("\n")[1:-1]]
-        assert [row[1] for row in fields][4:] == ["9.25", "2.5", "2.5", "2.5"]
-        assert [row[2] for row in fields][1:3] == ["2.75", "1e-300"]
-        assert [row[4] for row in fields][6:] == ["14.5", "7"]
-        assert [row[5] for row in fields][3:] == ["8", "-0", "0", "0", "0"]
-        assert [row[7] for row in fields][4:] == ["9.99999999", "10"] + ["9.99999999"] * 2
-        assert {row[9] for row in fields} == {"1"}
+        fields = [line.split(b",") for line in text.split(b"\n")[1:-1]]
+        assert [row[1] for row in fields][4:] == [b"9.25", b"2.5", b"2.5", b"2.5"]
+        assert [row[2] for row in fields][1:3] == [b"2.75", b"1e-300"]
+        assert [row[4] for row in fields][6:] == [b"14.5", b"7"]
+        assert [row[5] for row in fields][3:] == [b"8", b"-0", b"0", b"0", b"0"]
+        assert [row[7] for row in fields][4:] == (
+            [b"9.99999999", b"10"] + [b"9.99999999"] * 2
+        )
+        assert {row[9] for row in fields} == {b"1"}
+
+
+class TestSettleRows:
+    """``settle_rows`` gives each column's first row of its last row's bits."""
+
+    def test_no_rows_and_one_row(self):
+        for rows in (0, 1):
+            table = np.full((rows, 2, 9), -0.0)
+            trace = trace_of(np.arange(rows) * 0.1, table)
+            settle = settle_rows(trace)
+            assert settle.shape == (2, 9)
+            assert not settle.any()
+            for index, agent_id in enumerate("ab"):
+                assert csv_of(trace, agent_id, "ab") == trace_csv_oracle(trace, index)
+        row = csv_of(trace, "a", "ab").split(b"\n")[1]
+        assert row == b",".join([b"0"] + [b"-0"] * 9)
+
+    def test_rows_and_columns(self):
+        table = np.zeros((5, 2, 9))
+        table[:3, 0, 0] = 1.0  # moves on rows 0-2
+        table[4, 1, 8] = -0.0  # moves on the last row only: settles there
+        table[1, 1, 4] = 5e-324  # one row apart from a settled 0.0
+        settle = settle_rows(trace_of(np.arange(5) * 0.1, table))
+        expected = np.zeros((2, 9), dtype=int)
+        expected[0, 0], expected[1, 8], expected[1, 4] = 3, 4, 2
+        assert np.array_equal(settle, expected)
+
+
+@st.composite
+def plan_ids(draw):
+    """Three distinct leader ids, some with ``%`` and non-ASCII characters."""
+    alphabet = st.sampled_from("ab%é✓_-1 ")
+    return tuple(
+        draw(st.lists(st.text(alphabet, min_size=1, max_size=6), min_size=3,
+                      max_size=3, unique=True))
+    )
+
+
+class TestPlanCsvOracle:
+    """``plan_csv_text`` gives the bytes of one ``format(v, ".9g")`` per cell."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bytes_equal_the_oracle(self, data):
+        rows = data.draw(st.integers(0, 12))
+        columns = [data.draw(trace_column(rows)) for _ in range(10)]
+        traj = LeaderTrajectory(
+            times=columns[0],
+            agent_ids=data.draw(plan_ids()),
+            positions=np.column_stack(columns[1:]).reshape(rows, 3, 3),
+        )
+        lines = [",".join(PLAN_COLUMNS)] + [
+            ",".join(
+                [format(float(traj.times[k]), ".9g"), aid]
+                + [format(float(v), ".9g") for v in traj.positions[k, i]]
+            )
+            for k in range(rows)
+            for i, aid in enumerate(traj.agent_ids)
+        ]
+        assert plan_csv_text(traj) == "".join(line + "\n" for line in lines).encode()
 
 
 EDITS = (
@@ -341,10 +410,10 @@ class TestPlanCsv:
             default_scenario.schedule, default_scenario.config, tick_rate=10.0
         )
         text = plan_csv_text(traj)
-        lines = text.strip().split("\n")
-        assert lines[0] == "t,agent_id,x_d,y_d,z_d"
+        lines = text.strip().split(b"\n")
+        assert lines[0] == b"t,agent_id,x_d,y_d,z_d"
         assert len(lines) == 1 + 3 * len(traj.times)
-        assert lines[1].split(",")[1] == "cf1"
+        assert lines[1].split(b",")[1] == b"cf1"
 
 
 class TestEmitBundle:
@@ -413,6 +482,29 @@ class TestEmitBundle:
             name = f"trace_{aid}.csv"
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_files_equal_the_oracle_for_strided_arrays(self, short_run, tmp_path):
+        # A trace of the scenario's agents whose arrays are strided views of
+        # one wider table: columns that settle, one constant only by chance
+        # within a block, a -0.0 column.
+        scenario, _, metrics = short_run
+        ids = scenario.config.ids
+        rows = 7
+        wide = np.arange(rows * 3 * len(ids) * 9.0).reshape(rows, 3, len(ids), 9) / 7
+        table = wide[:, 1]
+        table[4:, 0, 2] = 2.5
+        table[1:, 0, 3] = 4.0  # cuts a block at row 1
+        table[:, 1, 5] = -0.0
+        table[1:3, 1, 7] = 1e300  # constant in the block of rows 1-2
+        table[3:, 1, 7] = 0.1
+        trace = trace_of(np.arange(rows) * 0.25, table)
+        assert not trace.positions.flags.c_contiguous
+        bundle = emit_bundle(
+            tmp_path / "run", scenario, trace, metrics, *graph_parts(scenario)
+        )
+        for index, aid in enumerate(ids):
+            text = (bundle / f"trace_{aid}.csv").read_bytes()
+            assert text == trace_csv_oracle(trace, index)
+
     def test_unwritable_target_reports_path(self, short_run, tmp_path):
         scenario, trace, metrics = short_run
         blocker = tmp_path / "blocker"
@@ -433,21 +525,21 @@ class TestGoldenRows:
 
     GOLDEN = {
         "cf1": (
-            "0,0,0.75,1,0,0.75,1,0,0.75,1",
-            "40,3.63565765,0.5544242,1,3.63565765,0.5544242,1,"
-            "3.63565765,0.5544242,1",
+            b"0,0,0.75,1,0,0.75,1,0,0.75,1",
+            b"40,3.63565765,0.5544242,1,3.63565765,0.5544242,1,"
+            b"3.63565765,0.5544242,1",
         ),
         "cf4": (
-            "0,0.25,-0.25,1,0.25,-0.25,1,0.25,-0.25,1",
-            "40,4.26573284,-0.12647094,1,4.26573284,-0.12647094,1,"
-            "4.26573284,-0.12647094,1",
+            b"0,0.25,-0.25,1,0.25,-0.25,1,0.25,-0.25,1",
+            b"40,4.26573284,-0.12647094,1,4.26573284,-0.12647094,1,"
+            b"4.26573284,-0.12647094,1",
         ),
     }
 
     @pytest.mark.parametrize("agent_id", sorted(GOLDEN))
     def test_default_scenario_rows(self, default_scenario, default_trace, agent_id):
         ids = default_scenario.config.ids
-        lines = csv_of(default_trace, agent_id, ids).strip().split("\n")
+        lines = csv_of(default_trace, agent_id, ids).strip().split(b"\n")
         first, last = self.GOLDEN[agent_id]
         assert lines[1] == first
         assert lines[-1] == last
@@ -530,3 +622,48 @@ class TestOneTraceInMemory:
                 assert array.flags.c_contiguous
             for a, b in ((0, 1), (0, 2), (1, 2)):
                 assert not np.shares_memory(arrays[a], arrays[b])
+
+
+class TestLayoutRefusal:
+    """A manifest layout other than the scenario's is named by its first key path."""
+
+    @pytest.mark.parametrize(
+        "edit, difference",
+        [
+            pytest.param(
+                lambda doc: doc["outputs"]["traces"].update(f7="/tmp/x" * 40),
+                "outputs.traces.f7: '/tmp/x/tmp/x...x/tmp/x/tmp/x' is not "
+                "'trace_f7.csv'",
+                id="edited",
+            ),
+            pytest.param(
+                lambda doc: doc["outputs"]["traces"].pop("f7"),
+                "outputs.traces: missing key 'f7'",
+                id="missing",
+            ),
+            pytest.param(
+                lambda doc: doc["outputs"]["traces"].update(ghost="trace_ghost.csv"),
+                "outputs.traces: unexpected key 'ghost'",
+                id="extra",
+            ),
+            pytest.param(
+                lambda doc: doc["outputs"].update(traces=sorted(doc["outputs"]["traces"])),
+                "outputs.traces: ['f1', 'f10', 'f11', 'f12', 'f13', 'f14', ...] is not "
+                "{'f1': 'trace_f1.csv', 'f10': 'trace_f10.csv', 'f11': 'trace_f11.csv', "
+                "'f12': 'trace_f12.csv', ...}",
+                id="retyped",
+            ),
+        ],
+    )
+    def test_names_the_key_in_a_short_line(
+        self, wide_bundle, tmp_path, edit, difference
+    ):
+        doc = json.loads((wide_bundle / "manifest.json").read_text())
+        assert len(doc["outputs"]["traces"]) == 40
+        edit(doc)
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(ScenarioError) as info:
+            read_bundle(tmp_path)
+        (line,) = info.value.errors
+        assert line == f"{tmp_path / 'manifest.json'}: {difference}"
+        assert len(f"error: {line}\n".encode()) - len(str(tmp_path).encode()) < 200

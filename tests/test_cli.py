@@ -47,11 +47,6 @@ def fast_bundle(tmp_path_factory):
     return root / "bundle"
 
 
-def as_json(value):
-    """``value`` as ``validate`` quotes a manifest value: JSON, sorted keys."""
-    return json.dumps(value, sort_keys=True)
-
-
 def scenario_with(tmp_path, path_keys, value):
     """The default scenario file with one value replaced, written as JSON."""
     doc = json.loads(default_scenario_text())
@@ -239,12 +234,21 @@ class TestPlan:
     def test_writes_leader_csv(self, default_path, tmp_path):
         out = tmp_path / "plan.csv"
         assert main(["plan", default_path, "--out", str(out)]) == 0
-        lines = out.read_text().strip().split("\n")
-        assert lines[0] == "t,agent_id,x_d,y_d,z_d"
+        lines = out.read_bytes().strip().split(b"\n")
+        assert lines[0] == b"t,agent_id,x_d,y_d,z_d"
         assert len(lines) == 1 + 3 * 3001  # 30 s at 100 Hz, inclusive
-        first = lines[1].split(",")
-        assert first[:2] == ["0", "cf1"]
-        assert first[2:] == ["0", "0.75", "1"]
+        first = lines[1].split(b",")
+        assert first[:2] == [b"0", b"cf1"]
+        assert first[2:] == [b"0", b"0.75", b"1"]
+
+    @pytest.mark.parametrize("agent_id", ["cf1", "cf%1", "é1"])
+    def test_stdout_is_the_out_file(self, tmp_path, capsys, agent_id):
+        path = renamed_scenario(tmp_path, agent_id, "renamed")
+        out = tmp_path / "plan.csv"
+        assert main(["plan", path, "--out", str(out)]) == 0
+        assert main(["plan", path]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+        assert out.read_bytes().split(b"\n")[1].split(b",")[1] == agent_id.encode()
 
 
 class TestSimulate:
@@ -558,14 +562,9 @@ class TestValidate:
         manifest["outputs"]["traces"]["cf3"] = 5
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert main(["validate", str(out)]) == 2
-        layout = {
-            "traces": {aid: f"trace_{aid}.csv" for aid in manifest["agent_order"]},
-            "metrics": "metrics.json",
-            "matrices": "matrices.json",
-        }
         assert capsys.readouterr().err == (
-            f"error: {out}/manifest.json: outputs {as_json(manifest['outputs'])} is "
-            f"not the scenario's {as_json(layout)}\n"
+            f"error: {out}/manifest.json: outputs.traces.cf3: 5 is not "
+            "'trace_cf3.csv'\n"
         )
 
     def test_missing_trace_is_parse_error(self, fast_path, tmp_path, capsys):
@@ -579,18 +578,32 @@ class TestValidate:
 
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, difference",
         [
-            pytest.param(lambda order: [a for a in order if a != "cf4"], id="missing"),
-            pytest.param(lambda order: order + ["ghost"], id="extra"),
-            pytest.param(lambda order: order[:-1] + [order[0]], id="repeated"),
+            pytest.param(
+                lambda order: [a for a in order if a != "cf4"],
+                "agent_order: missing key 5",
+                id="missing",
+            ),
+            pytest.param(
+                lambda order: order + ["ghost"], "agent_order: unexpected key 6",
+                id="extra",
+            ),
+            pytest.param(
+                lambda order: order[:-1] + [order[0]],
+                "agent_order[5]: 'cf1' is not 'cf4'",
+                id="repeated",
+            ),
             pytest.param(
                 lambda order: [{"cf5": "cf6", "cf6": "cf5"}.get(a, a) for a in order],
+                "agent_order[1]: 'cf6' is not 'cf5'",
                 id="reordered",
             ),
         ],
     )
-    def test_agent_order_must_match_scenario(self, fast_bundle, tmp_path, capsys, edit):
+    def test_agent_order_must_match_scenario(
+        self, fast_bundle, tmp_path, capsys, edit, difference
+    ):
         out = tmp_path / "bundle"
         shutil.copytree(fast_bundle, out)
         manifest = json.loads((out / "manifest.json").read_text())
@@ -600,10 +613,7 @@ class TestValidate:
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert main(["validate", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == (
-            f"error: {out}/manifest.json: agent_order {as_json(manifest['agent_order'])} "
-            f"is not the scenario's {as_json(order)}\n"
-        )
+        assert err == f"error: {out}/manifest.json: {difference}\n"
 
 
     @pytest.mark.parametrize(
@@ -628,11 +638,10 @@ class TestValidate:
         assert main(["validate", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {out}/manifest.json: outputs {{")
-        assert (
-            'is not the scenario\'s {"matrices": "matrices.json", "metrics": '
-            '"metrics.json", "traces": {"cf1": "trace_cf1.csv", "cf2": "trace_cf2.csv"'
-        ) in captured.err
+        assert captured.err.startswith(
+            f"error: {out}/manifest.json: outputs.traces.cf4: '"
+        )
+        assert captured.err.endswith(" is not 'trace_cf4.csv'\n")
         assert "marker line" not in captured.err
         assert captured.err.count("\n") == 1
 
@@ -646,10 +655,9 @@ class TestValidate:
         assert main(["validate", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(
-            f"error: {out}/manifest.json: outputs {as_json(manifest['outputs'])} is "
-            'not the scenario\'s {"matrices": "matrices.json", "metrics": '
-            '"metrics.json", "traces": {"cf1": "trace_cf1.csv", "cf2": "trace_cf2.csv"'
+        assert captured.err == (
+            f"error: {out}/manifest.json: outputs.traces.cf1: 'trace_cf2.csv' is not "
+            "'trace_cf1.csv'\n"
         )
 
     def test_edited_trace_columns_are_refused(self, fast_bundle, tmp_path, capsys):
@@ -661,9 +669,7 @@ class TestValidate:
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert main(["validate", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {out}/manifest.json: trace_columns "
-            f"{as_json(manifest['trace_columns'])} is not the scenario's "
-            f"{as_json(columns)}\n"
+            f"error: {out}/manifest.json: trace_columns[7]: 'x_d' is not 'x_des'\n"
         )
 
     @pytest.mark.parametrize("key", ["trace_columns", "agent_order", "outputs"])

@@ -294,6 +294,16 @@ class TestSample:
         assert q0.tobytes() == expected[0][1].tobytes()
         assert d0.tobytes() == expected[0][2].tobytes()
 
+    def test_chunks_equal_one_call(self, default_scenario):
+        # The phase arrays are built once per schedule and shared by every
+        # call; no call may write into them.
+        sched = default_scenario.schedule
+        times = np.linspace(-1.0, 31.0, 3201)
+        whole = sched.coordinates(times)
+        chunks = [sched.coordinates(times[lo : lo + 500]) for lo in range(0, 3201, 500)]
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
+        assert sched.coordinates(times).tobytes() == whole.tobytes()
+
     def test_desired_positions_stack_equals_each_time(self, default_scenario):
         cfg, sched = default_scenario.config, default_scenario.schedule
         times = np.linspace(-1.0, 31.0, 33)
