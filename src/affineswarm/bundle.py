@@ -139,7 +139,7 @@ def matrices_document(scenario: Scenario, spectrum: SpectralReport, rho: float) 
         settling = 0
     else:
         settling = math.ceil(math.log(SETTLING_TOL) / math.log(rho))
-    matrices, ids = scenario.matrices, scenario.config.ids
+    matrices, ids = scenario.config.matrices, scenario.config.ids
     followers = ids[3:]
     weights = np.take_along_axis(matrices.W[3:], matrices.neighbors, axis=1)
     return {
@@ -258,13 +258,15 @@ def _parse(lines: list[str], **kwargs) -> np.ndarray:
     return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, **kwargs)
 
 
-def _line_damage(lines: list[str], rows: int, cols: int) -> str | None:
+def _line_damage(lines: list[str], grid: np.ndarray) -> str:
     """The first damage a line-by-line read of the trace CSV ``lines`` finds.
 
-    The header first, then field counts, then the row count, then each
-    value through ``_parse``, one line at a time; None when every check
-    passes, which a text ``_parse`` refused as a whole never does.
+    The header first, then field counts, then the row count against the
+    tick grid ``grid``, then each value through ``_parse``, one line at a
+    time, then non-finite values, then a ``t`` off the grid. Called only on
+    lines ``_trace_table`` refused, so one of these checks fails.
     """
+    rows, cols = len(grid), len(TRACE_COLUMNS)
     if lines[0] != TRACE_HEADER:
         return f"line 1 is {lines[0]!r}, expected the header {TRACE_HEADER!r}"
     for number, line in enumerate(lines[1:], start=2):
@@ -281,29 +283,39 @@ def _line_damage(lines: list[str], rows: int, cols: int) -> str | None:
                     _parse([line], usecols=col)
                 except ValueError:
                     return f"line {number} has a value that is not a number: {value!r}"
-    return None
+    table = _parse(lines[1:])
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if len(bad):
+        return f"line {bad[0] + 2} has a non-finite value"
+    k = np.flatnonzero(table[:, 0] != grid)[0]
+    expected = f"expected the tick grid's {grid[k]:.9g}"
+    return f"line {k + 2} has t={table[k, 0]:.9g}, {expected}"
 
 
-def _trace_table(csv: Path, text: str, rows: int, cols: int) -> np.ndarray:
-    """The ``(rows, cols)`` values of the trace CSV ``text`` read from ``csv``.
+def _trace_table(csv: Path, text: str, grid: np.ndarray) -> np.ndarray:
+    """The values of the trace CSV ``text`` read from ``csv``, a row per ``grid`` time.
 
     numpy's C parser reads the lines in one call; they are passed as a
     list, since an ``io.StringIO`` of the text holds four bytes a
-    character. Its result counts only when line 1 is the header and
-    there are ``rows`` lines after it, since ``loadtxt`` skips blank
-    ones. Otherwise ``ScenarioError`` names the damage ``_line_damage``
-    locates.
+    character. Its result counts only when line 1 is the header, there
+    is one line per grid time after it (``loadtxt`` skips blank ones),
+    every value is finite and the ``t`` column is ``grid``. Otherwise
+    ``ScenarioError`` names the damage ``_line_damage`` locates.
     """
     lines = text.strip().split("\n")
-    if lines[0] == TRACE_HEADER and len(lines) == rows + 1:
+    if lines[0] == TRACE_HEADER and len(lines) == len(grid) + 1:
         try:
             table = _parse(lines[1:])
         except ValueError:
             pass
         else:
-            if table.shape == (rows, cols):
+            if (
+                table.shape == (len(grid), len(TRACE_COLUMNS))
+                and np.isfinite(table).all()
+                and (table[:, 0] == grid).all()
+            ):
                 return table
-    damage = _line_damage(lines, rows, cols)
+    damage = _line_damage(lines, grid)
     raise ScenarioError([f"{csv}: damaged trace CSV: {damage}"])
 
 
@@ -358,9 +370,8 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
             raise ScenarioError([f"{path}: {difference}"])
 
     times = tick_times(scenario.schedule, scenario.params)
-    rows, cols = len(times), len(TRACE_COLUMNS)
     grid = np.array(time_fields(times), dtype=float)
-    shape = (rows, len(scenario.config.agents), 3)
+    shape = (len(times), len(scenario.config.agents), 3)
     positions, references, desired = (np.empty(shape) for _ in range(3))
     for index, name in enumerate(layout["outputs"]["traces"].values()):
         csv = out / name
@@ -372,21 +383,7 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
             ) from None
         except UnicodeDecodeError as exc:
             raise ScenarioError([f"{csv}: damaged trace CSV: {exc}"]) from None
-        table = _trace_table(csv, text, rows, cols)
-        if not np.isfinite(table).all():
-            bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
-            raise ScenarioError(
-                [f"{csv}: damaged trace CSV: line {bad[0] + 2} has a non-finite value"]
-            )
-        off = np.flatnonzero(table[:, 0] != grid)
-        if len(off):
-            k = off[0]
-            raise ScenarioError(
-                [
-                    f"{csv}: damaged trace CSV: line {k + 2} has t={table[k, 0]:.9g}, "
-                    f"expected the tick grid's {grid[k]:.9g}"
-                ]
-            )
+        table = _trace_table(csv, text, grid)
         positions[:, index] = table[:, 1:4]
         references[:, index] = table[:, 4:7]
         desired[:, index] = table[:, 7:10]

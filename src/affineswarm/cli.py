@@ -88,7 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(data: bytes, out: str | None):
-    if out is None:
+    if out is None and hasattr(sys.stdout, "buffer"):  # the bytes in any locale
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+    elif out is None:  # a text-only stream, such as an io.StringIO
         sys.stdout.write(data.decode())
     else:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
@@ -106,8 +109,8 @@ def _cmd_plan(args) -> int:
 
 def _graph_doc(scenario: Scenario):
     """The spectrum report of the matrices and the closed loop's ``rho``."""
-    spectrum = verify_spectrum(scenario.matrices)
-    return spectrum, closed_loop_radius(scenario.matrices, scenario.params)
+    spectrum = verify_spectrum(scenario.config.matrices)
+    return spectrum, closed_loop_radius(scenario.config.matrices, scenario.params)
 
 
 def _cmd_graph(args) -> int:

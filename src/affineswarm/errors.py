@@ -17,8 +17,6 @@ class ScenarioError(AffineSwarmError):
     """
 
     def __init__(self, errors):
-        if isinstance(errors, str):
-            errors = [errors]
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
 
@@ -29,3 +27,11 @@ class ScheduleError(AffineSwarmError):
 
 class SimulationError(AffineSwarmError):
     """The simulation engine hit an integrity failure (a diverged state)."""
+
+
+class _FieldErrors(ValueError):
+    """``__post_init__`` complaints by field name; a parse reports each at its key."""
+
+    def __init__(self, problems: dict[str, str]):
+        super().__init__("; ".join(f"{k}: {m}" for k, m in problems.items()))
+        self.problems = problems

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _FieldErrors
 
 ROLE_LEADER = "leader"
 ROLE_FOLLOWER = "follower"
@@ -48,12 +48,35 @@ PARTITION_TOL = 1e-12
 SPECTRUM_TOL = 1e-9
 
 
+def _component_problem(text: str, forbidden: str) -> str | None:
+    """Why ``text`` is not one file-name component free of ``forbidden``, or None."""
+    if text in ("", ".", ".."):
+        return f"must be one file-name component, got {text!r}"
+    for c in text:
+        if c in forbidden or not c.isprintable():
+            return f"must not contain {c!r}, got {text!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class Agent:
+    """A team member. A ``role`` other than "leader" or "follower", or an ``id``
+    unfit to name a trace file or fill a CSV field, raises a field-keyed ValueError."""
+
     id: str
     role: str
     x: float
     y: float
+
+    def __post_init__(self):
+        problems = {}
+        if self.role not in (ROLE_LEADER, ROLE_FOLLOWER):
+            problems["role"] = f"must be 'leader' or 'follower', got {self.role!r}"
+        problem = _component_problem(self.id, '/\\,"')
+        if problem:
+            problems["id"] = problem
+        if problems:
+            raise _FieldErrors(problems)
 
 
 @dataclass(frozen=True)
@@ -99,6 +122,12 @@ class ReferenceConfig:
     def index_of(self, agent_id: str) -> int:
         return self._index[agent_id]
 
+    @cached_property
+    def matrices(self) -> "FormationMatrices":
+        """The layout's matrices, built on first use (``ConfigError`` on any
+        violation); not a field, so ``dataclasses.replace`` drops them."""
+        return FormationMatrices.from_config(self)
+
     def planar_positions(self) -> np.ndarray:
         """(N, 2) array of initial positions in matrix order."""
         return np.array([[a.x, a.y] for a in self.agents], dtype=float)
@@ -128,11 +157,6 @@ class ValidationReport:
     def messages(self) -> list[str]:
         return [f"{v.code}: {v.message}" for v in self.violations]
 
-    def raise_if_invalid(self):
-        """Raise ``ConfigError`` listing every violation, if there is any."""
-        if self.violations:
-            raise ConfigError("invalid configuration: " + "; ".join(self.messages()))
-
 
 def _barycentric(
     xy: np.ndarray, points: np.ndarray, triangles: np.ndarray
@@ -157,11 +181,11 @@ def _barycentric(
 
 
 def _reachable_from(cfg: ReferenceConfig, source: str) -> set[str]:
-    """Agents reachable from ``source`` following listener edges."""
+    """Agents reachable from ``source`` following listener edges between agents."""
     out_edges: dict[str, list[str]] = {a.id: [] for a in cfg.agents}
     for fid, nbrs in cfg.in_neighbors.items():
         for j in nbrs:
-            if j in out_edges:
+            if j in out_edges and fid in out_edges:
                 out_edges[j].append(fid)
     seen = {source}
     stack = [source]
@@ -200,11 +224,6 @@ def _audit(cfg: ReferenceConfig):
         violations.append(
             Violation("leader-order", "the first three agents must be the leaders")
         )
-    for a in cfg.agents:
-        if a.role not in (ROLE_LEADER, ROLE_FOLLOWER):
-            violations.append(
-                Violation("role", f"agent {a.id!r} has unknown role {a.role!r}")
-            )
 
     for lid in leaders:
         if cfg.in_neighbors.get(lid):
@@ -293,12 +312,13 @@ def _audit(cfg: ReferenceConfig):
                 Violation("neighbor-collinear", f"in-neighbors of {fid!r} are collinear")
             )
         elif not contained[k]:
+            with np.errstate(over="ignore"):  # round(12) overflows a huge weight
+                shown = weights[k].round(12).tolist()
             violations.append(
                 Violation(
                     "containment",
                     f"follower {fid!r} is not strictly inside its in-neighbor "
-                    f"triangle (barycentric coordinates "
-                    f"{weights[k].round(12).tolist()})",
+                    f"triangle (barycentric coordinates {shown})",
                 )
             )
         else:
@@ -364,7 +384,8 @@ class FormationMatrices:
         configuration has any violation.
         """
         report, neighbors, weights, alpha = _audit(cfg)
-        report.raise_if_invalid()
+        if not report.ok:
+            raise ConfigError("invalid configuration: " + "; ".join(report.messages()))
         n = len(cfg.agents)
         w_mat = np.zeros((n, n))
         np.fill_diagonal(w_mat, -1.0)

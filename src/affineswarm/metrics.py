@@ -157,7 +157,7 @@ def _final_residual(trace: SimTrace, scenario: Scenario) -> float | None:
         return None
     if trace.positions.shape[1] <= 3:
         return 0.0
-    targets = (scenario.matrices.H @ leaders[-1])[3:]
+    targets = (scenario.config.matrices.H @ leaders[-1])[3:]
     mean_pos = trace.positions[mask, 3:].mean(axis=0)
     return float(np.linalg.norm(mean_pos - targets, axis=-1).max())
 

@@ -13,7 +13,7 @@ hold forever.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -69,7 +69,7 @@ class TranslationRamp:
     t0: float
     tf: float
     start: tuple[float, float] = (0.0, 0.0)
-    end: tuple[float, float] = (0.0, 0.0)
+    end: tuple[float, float] = field(kw_only=True)
 
     def value(self, times: np.ndarray) -> np.ndarray:
         """Ramp offsets (T, 2) at an array of times (T,).

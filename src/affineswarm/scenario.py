@@ -23,13 +23,15 @@ rejected everywhere):
 An object's keys are its dataclass's field names: a field without a
 default is a required key and an omitted optional key takes the field's
 default (``parse_scenario`` holds those of ``name`` and ``altitude``).
-``null`` is never a valid value. Parsing accumulates every schema problem
-(with key paths, and line/column for syntax errors) before failing, then
-validates the configuration invariants, then refuses a run whose trace,
-schedule sampling or loop spectrum exceeds ``MEMORY_BUDGET``
-(``Scenario``), before anything of that size is allocated. Serialization
-is canonical (sorted keys), so a parsed scenario round-trips to an
-identical model and a stable content hash.
+``null`` is never a valid value. ``Agent`` and ``TranslationRamp`` enforce
+their own rules, so a scenario built in code meets them too. Parsing
+accumulates every schema problem (with key paths, and line/column for
+syntax errors) before failing, then validates the configuration invariants
+(``ReferenceConfig.matrices``), then refuses a run whose trace, schedule
+sampling or loop spectrum exceeds ``MEMORY_BUDGET`` (``Scenario``), before
+anything of that size is allocated. Serialization is canonical (sorted
+keys), so a parsed scenario round-trips to an identical model and a stable
+content hash.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ScenarioError, ScheduleError
-from .formation import Agent, FormationMatrices, ReferenceConfig, validate_config
+from .errors import ScenarioError, ScheduleError, _FieldErrors
+from .formation import Agent, ReferenceConfig, _component_problem
 from .phases import Phase, PhaseSchedule, TranslationRamp, grid_size
 
 # The most one run's trace, one sampling of its schedule, or its loop
@@ -64,14 +66,6 @@ _TOP_KEYS = {
     "sim",
     "corridor",
 }
-
-
-class _FieldErrors(ValueError):
-    """``__post_init__`` complaints by field name; a parse reports each at its key."""
-
-    def __init__(self, problems: dict[str, str]):
-        super().__init__("; ".join(f"{k}: {m}" for k, m in problems.items()))
-        self.problems = problems
 
 
 @dataclass(frozen=True)
@@ -231,11 +225,6 @@ class Scenario:
             return
         raise _FieldErrors({key: message})
 
-    @functools.cached_property
-    def matrices(self) -> FormationMatrices:
-        """The config's matrices, built once; ``dataclasses.replace`` drops them."""
-        return FormationMatrices.from_config(self.config)
-
 
 def _finite(value) -> float | None:
     """``value`` as a float when it is a finite JSON number, else None."""
@@ -252,16 +241,6 @@ def _pair(value) -> tuple[float, float] | None:
     """``value`` as a (d1, d2) tuple when it is a list of two finite numbers."""
     pair = tuple(map(_finite, value)) if isinstance(value, list) else ()
     return pair if len(pair) == 2 and None not in pair else None
-
-
-def _component_problem(text: str, forbidden: str) -> str | None:
-    """Why ``text`` is not one file-name component free of ``forbidden``, or None."""
-    if text in ("", ".", ".."):
-        return f"must be one file-name component, got {text!r}"
-    for c in text:
-        if c in forbidden or not c.isprintable():
-            return f"must not contain {c!r}, got {text!r}"
-    return None
 
 
 def _integer(value) -> int | None:
@@ -388,24 +367,13 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     schema = _Schema()
     schema.check_keys(doc, _TOP_KEYS, "$")
     name = schema.value(doc, "name", "$", _KINDS["str"]) if "name" in doc else "scenario"
-    # The name is the bundle directory, an id a trace file name and a CSV field.
+    # The name is the bundle directory; an ``Agent`` checks its own id.
     problem = name is not None and _component_problem(name, "/\\")
     if problem:
         schema.fail("$.name", problem)
     altitude = schema.value(doc, "altitude", "$") if "altitude" in doc else 1.0
 
     agents = schema.read_list(Agent, doc, "agents")
-    for i, agent in enumerate(agents):
-        if agent is None:
-            continue
-        if agent.role not in ("leader", "follower"):
-            schema.fail(
-                f"$.agents[{i}].role",
-                f"must be 'leader' or 'follower', got {agent.role!r}",
-            )
-        problem = _component_problem(agent.id, '/\\,"')
-        if problem:
-            schema.fail(f"$.agents[{i}].id", problem)
 
     graph: dict[str, tuple[str, ...]] = {}
     if "graph" not in doc:
@@ -427,9 +395,6 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     translation = None
     if "translation" in doc:
         translation = schema.read(TranslationRamp, doc["translation"], "$.translation")
-        # A ramp's end defaults to no offset in code, but a scenario must give it.
-        if isinstance(doc["translation"], dict) and "end" not in doc["translation"]:
-            schema.fail("$.translation", "missing required key 'end'")
 
     safety = schema.read(SafetyParams, doc.get("safety", {}), "$.safety")
     params = schema.read(SimParams, doc.get("sim", {}), "$.sim")
@@ -441,7 +406,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         raise ScenarioError(schema.errors)
 
     cfg = ReferenceConfig.from_agents(agents, z=altitude, in_neighbors=graph)
-    validate_config(cfg).raise_if_invalid()
+    cfg.matrices  # built once here; a layout that breaks an invariant raises
     try:
         schedule = PhaseSchedule(phases=tuple(phases), translation=translation)
     except ScheduleError as exc:

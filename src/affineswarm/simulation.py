@@ -122,13 +122,13 @@ def run_simulation(
 
     Agents start at rest at their reference positions (override per id
     with ``initial_positions``). An invalid config raises ``ConfigError``
-    from ``scenario.matrices``. The strain floor is not checked here
+    from ``scenario.config.matrices``. The strain floor is not checked here
     (``metrics.strain_check`` does that), nor is the closed loop's
     stability (``closed_loop_radius``); a trace that holds a non-finite
     position raises ``SimulationError`` naming its first such tick and agents.
     """
     cfg, schedule, params = scenario.config, scenario.schedule, scenario.params
-    matrices = scenario.matrices
+    matrices = cfg.matrices
     n = len(cfg.agents)
     ids = cfg.ids
 

@@ -392,7 +392,7 @@ def tick_loop_oracle(scenario, initial_positions=None):
     map's entries as Python floats: the same ufuncs in the same order, so
     ``run_simulation`` must reproduce both arrays bit for bit.
     """
-    cfg, matrices, params = scenario.config, scenario.matrices, scenario.params
+    cfg, matrices, params = scenario.config, scenario.config.matrices, scenario.params
     n = len(cfg.agents)
     pos = cfg.reference_positions()
     for aid, p in (initial_positions or {}).items():

@@ -54,8 +54,8 @@ def csv_of(trace, agent_id, ids=("a",)):
 def graph_parts(scenario):
     """The spectrum report and closed-loop radius that ``simulate`` passes."""
     return (
-        verify_spectrum(scenario.matrices),
-        closed_loop_radius(scenario.matrices, scenario.params),
+        verify_spectrum(scenario.config.matrices),
+        closed_loop_radius(scenario.config.matrices, scenario.params),
     )
 
 
@@ -547,7 +547,7 @@ class TestGoldenRows:
 
 class TestMatricesDocument:
     def test_row_major_values(self, short_run):
-        matrices = short_run[0].matrices
+        matrices = short_run[0].config.matrices
         doc = matrices_document(short_run[0], *graph_parts(short_run[0]))
         np.testing.assert_array_equal(np.array(doc["W"]), matrices.W)
         np.testing.assert_array_equal(np.array(doc["H"]), matrices.H)
@@ -564,7 +564,7 @@ class TestMatricesDocument:
         ],
     )
     def test_closed_loop(self, short_run, rho, expected):
-        matrices = short_run[0].matrices
+        matrices = short_run[0].config.matrices
         doc = matrices_document(short_run[0], verify_spectrum(matrices), rho)
         assert doc["closed_loop"] == expected
         json.loads(json.dumps(doc, allow_nan=False))

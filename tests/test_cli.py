@@ -1,7 +1,10 @@
 """Command-line surface: subcommands, exit codes, output documents."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 
 from affineswarm import SimParams, SpectralReport
-from affineswarm import cli
+from affineswarm import cli, formation
 from affineswarm.cli import build_parser, main
 from affineswarm.scenario import default_scenario_text
 
@@ -180,6 +183,108 @@ def test_id_that_is_a_file_name_runs(tmp_path, capsys, agent_id):
     assert capsys.readouterr().out.split("\n")[1].split(",")[1] == agent_id
 
 
+NO_ENTRY = "invalid configuration: neighbor-count: follower 'cf2' has no in-neighbors; "
+NO_ENTRY += "; ".join(
+    f"unreachable: no directed path from leader {lid!r} to followers ['cf2']"
+    for lid in ("cf1", "cf5", "cf6")
+)
+TWO_LEADERS = (
+    "invalid configuration: role-count: expected exactly 3 leaders, got 2; leader-order: "
+    "the first three agents must be the leaders; neighbor-count: follower 'cf1' has no "
+    "in-neighbors"
+)
+
+
+def edited(tmp_path, edit):
+    """The default scenario file after ``edit(doc)``, or what it returns if not None."""
+    doc = json.loads(default_scenario_text())
+    returned = edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc if returned is None else returned))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "edit, code, err",
+    [
+        (lambda d: d["sim"].update(delay_ticks=-1), 2, "$.sim: delay_ticks must be >= 0"),
+        (lambda d: d["sim"].update(control_rate=0), 2, "$.sim: control_rate must be positive and finite, got 0.0"),
+        (lambda d: d.update(sim=3), 2, "$.sim: expected an object"),
+        (lambda d: d.update(agents=[]), 2, "$.agents: expected a non-empty list of agents"),
+        (lambda d: [], 2, "{path}: top level must be an object"),
+        (lambda d: d.update(graph=[]), 2, "$.graph: expected an object mapping follower id to neighbors"),
+        (lambda d: d["graph"].update(cf2="cf1"), 2, "$.graph.cf2: expected a list of agent ids, got 'cf1'"),
+        (lambda d: d["agents"][0].update(x=10**400), 2, f"$.agents[0].x: expected a finite number, got {10**400}"),
+        (lambda d: d["translation"].pop("end") and None, 2, "$.translation: missing required key 'end'"),
+        (lambda d: d["graph"].pop("cf2") and None, 1, NO_ENTRY),
+        (lambda d: d["agents"][0].update(role="follower"), 1, TWO_LEADERS),
+    ],
+)  # fmt: skip
+def test_refusal_is_located(tmp_path, capsys, edit, code, err):
+    path = edited(tmp_path, edit)
+    assert main(["check", path, "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == f"error: {err.format(path=path)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_refused_agents_are_listed_in_document_order(tmp_path, capsys):
+    # Each agent is refused as it is read: agents[0]'s id before agents[2]'s x.
+    def edit(doc):
+        doc["agents"][0]["id"] = ".."
+        del doc["agents"][2]["x"]
+
+    assert main(["check", edited(tmp_path, edit)]) == 2
+    assert capsys.readouterr().err == (
+        "error: $.agents[0].id: must be one file-name component, got '..'\n"
+        "error: $.agents[2]: missing required key 'x'\n"
+    )
+
+
+GHOST = "error: invalid configuration: unknown-neighbor: graph names unknown agent 'ghost'\n"
+
+
+@pytest.mark.parametrize("command", ["check", "graph", "plan", "simulate"])
+def test_graph_key_naming_no_agent_is_refused(tmp_path, capsys, command):
+    path = edited(tmp_path, lambda d: d["graph"].update(ghost=["cf1", "cf5", "cf6"]))
+    assert main([command, path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == GHOST
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_extreme_coordinate_is_refused_without_a_warning(tmp_path, capsys):
+    # cf3's weights overflow; showing them rounded must not warn (warnings
+    # are errors under this suite).
+    path = edited(tmp_path, lambda d: d["agents"][2].update(x=-1e308))
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid configuration: containment: follower 'cf2' is not strictly "
+        "inside its in-neighbor triangle (barycentric coordinates [0.5, 0.0, 0.5]); "
+        "containment: follower 'cf3' is not strictly inside its in-neighbor triangle "
+        "(barycentric coordinates [inf, -inf, inf]); containment: follower 'cf4' is "
+        "not strictly inside its in-neighbor triangle (barycentric coordinates "
+        "[0.333333333333, 0.0, 0.666666666667])\n"
+    )
+
+
+def test_each_command_audits_the_layout_once(fast_path, tmp_path, monkeypatch):
+    calls = []
+    audit = formation._audit
+    monkeypatch.setattr(formation, "_audit", lambda cfg: calls.append(cfg) or audit(cfg))
+    bundle = str(tmp_path / "bundle")
+    for argv in (
+        ["graph", fast_path, "--out", str(tmp_path / "graph.json")],
+        ["check", fast_path, "--out", str(tmp_path / "check.json")],
+        ["plan", fast_path, "--out", str(tmp_path / "plan.csv")],
+        ["simulate", fast_path, "--out", bundle],
+        ["validate", bundle],
+    ):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == 1, argv[0]
+
+
 class TestCheck:
     def test_default_passes(self, default_path, capsys):
         assert main(["check", default_path]) == 0
@@ -249,6 +354,26 @@ class TestPlan:
         assert main(["plan", path]) == 0
         assert capsys.readouterr().out.encode() == out.read_bytes()
         assert out.read_bytes().split(b"\n")[1].split(b",")[1] == agent_id.encode()
+
+    def test_stdout_is_the_out_file_on_an_ascii_stdout(self, tmp_path):
+        path = renamed_scenario(tmp_path, "é1", "renamed")
+        out = tmp_path / "plan.csv"
+        assert main(["plan", path, "--out", str(out)]) == 0
+        result = subprocess.run(
+            [sys.executable, "-m", "affineswarm", "plan", path],
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "ascii"},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == out.read_bytes()
+
+    def test_text_only_stdout_takes_the_text(self, default_path, tmp_path):
+        out = tmp_path / "plan.csv"
+        assert main(["plan", default_path, "--out", str(out)]) == 0
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["plan", default_path]) == 0
+        assert stdout.getvalue() == out.read_text()
 
 
 class TestSimulate:
@@ -554,6 +679,19 @@ class TestValidate:
             "agents 'cf2' and 'cf3' share the reference position (0.0, 0.25); "
         )
         assert err.count("\n") == 1
+
+    def test_embedded_graph_key_naming_no_agent_is_refused(
+        self, fast_bundle, tmp_path, capsys
+    ):
+        out = tmp_path / "bundle"
+        shutil.copytree(fast_bundle, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["scenario"]["graph"]["ghost"] = ["cf1", "cf5", "cf6"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["validate", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == GHOST.replace("error: ", f"error: {out}/manifest.json: ")
+        assert "Traceback" not in err
 
     def test_trace_name_not_a_string_is_parse_error(self, fast_bundle, tmp_path, capsys):
         out = tmp_path / "bundle"

@@ -298,7 +298,39 @@ class TestBuildMatrices:
             )
 
 
+@pytest.mark.parametrize(
+    "agent_id, role, field, message",
+    [
+        ("cf,3", "follower", "id", "must not contain ',', got 'cf,3'"),
+        ("cf3", "captain", "role", "must be 'leader' or 'follower', got 'captain'"),
+    ],
+)
+def test_agent_built_in_code_checks_its_role_and_id(agent_id, role, field, message):
+    # A scenario built in code meets the parser's rules too, so it cannot
+    # write a trace file name that reading its bundle back would refuse.
+    with pytest.raises(ValueError) as exc:
+        Agent(agent_id, role, 0.0, 0.0)
+    assert exc.value.problems == {field: message}
+    assert str(exc.value) == f"{field}: {message}"
+
+
 class TestVerifySpectrum:
+    def test_singular_w_has_infinite_deviation(self):
+        # A follower row of zeros: W is exactly singular, so the solve for
+        # -W^-1 L fails and is reported, not raised.
+        w = -np.eye(4)
+        w[3, 3] = 0.0
+        m = FormationMatrices(
+            W=w,
+            L=np.vstack([np.eye(3), np.zeros((1, 3))]),
+            H=np.vstack([np.eye(3), np.full((1, 3), 1.0 / 3.0)]),
+            neighbors=np.array([[0, 1, 2]]),
+        )
+        report = verify_spectrum(m)
+        assert report.h_deviation == float("inf")
+        assert not report.hurwitz
+        assert report.ok is False
+
     def test_leaders_only_spectrum(self):
         m = FormationMatrices.from_config(leaders_only_config())
         report = verify_spectrum(m)

@@ -155,8 +155,8 @@ class TestPairSearchOracle:
     )
     def test_read_back_bundle(self, seed, n_followers, offset):
         scenario, trace = oracle_run(seed, n_followers, offset)
-        spectrum = verify_spectrum(scenario.matrices)
-        rho = closed_loop_radius(scenario.matrices, scenario.params)
+        spectrum = verify_spectrum(scenario.config.matrices)
+        rho = closed_loop_radius(scenario.config.matrices, scenario.params)
         run_metrics = validate_run(trace, scenario)
         with tempfile.TemporaryDirectory() as out:
             emit_bundle(out, scenario, trace, run_metrics, spectrum, rho)

@@ -187,6 +187,10 @@ class TestCoordsAt:
             4.0 * blend_oracle(12.0 / 30.0), abs=1e-12
         )
 
+    def test_translation_ramp_needs_its_end(self):
+        with pytest.raises(TypeError, match="'end'"):
+            TranslationRamp(t0=0.0, tf=8.0)
+
     def test_translation_ramp_may_outlast_the_phases(self):
         sched = PhaseSchedule(
             phases=(

@@ -166,6 +166,14 @@ def default_with(edit) -> str:
     return json.dumps(doc)
 
 
+def test_replaced_params_keep_the_config_matrices():
+    # The matrices belong to the config, which a new ``SimParams`` keeps.
+    scenario = parse_scenario(default_scenario_text())
+    matrices = scenario.config.matrices
+    replaced = dataclasses.replace(scenario, params=SimParams(kp=16.0, kd=8.0))
+    assert replaced.config.matrices is matrices
+
+
 class TestMemoryBudget:
     """A trace (72 T N bytes) or schedule sampling over budget is refused at parse.
 

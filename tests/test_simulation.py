@@ -326,7 +326,7 @@ class TestRunSimulation:
         assert_references_mix_neighbors(trace, cfg, matrices, 0)
 
     def test_mismatched_matrices_rejected(self, default_scenario):
-        # The matrices belong to the scenario: a scenario whose config is
+        # The matrices belong to the config: a scenario whose config is
         # replaced by a smaller one drops the old matrices, so matrices of a
         # different configuration never reach a run.
         cfg = default_scenario.config
@@ -336,9 +336,9 @@ class TestRunSimulation:
             hold_schedule(AtCoordinates(), 1.0),
             SimParams(dt=0.01, duration=0.5),
         )
-        assert scenario.matrices.W.shape == (len(cfg.agents),) * 2
+        assert scenario.config.matrices.W.shape == (len(cfg.agents),) * 2
         replaced = dataclasses.replace(scenario, config=smaller)
-        assert replaced.matrices.W.shape == (3, 3)
+        assert replaced.config.matrices.W.shape == (3, 3)
         trace = run_simulation(replaced)
         assert trace.positions.shape[1] == 3
 
@@ -352,7 +352,7 @@ class TestRunSimulation:
         scenario = make_scenario(
             cfg, default_scenario.schedule, SimParams(dt=0.01, duration=0.5)
         )
-        assert scenario.matrices.neighbors[1].tolist() == [0, 5, 1]
+        assert scenario.config.matrices.neighbors[1].tolist() == [0, 5, 1]
         replaced = dataclasses.replace(scenario, config=other)
         parsed = parse_scenario(serialize_scenario(replaced))
         assert parsed.config == other
@@ -443,7 +443,7 @@ class TestTickMap:
         schedule = random_schedule(rng)
         params = SimParams(dt=0.01 / substeps, delay_ticks=delay, duration=4.0)
         scenario = make_scenario(cfg, schedule, params)
-        assume(closed_loop_radius(scenario.matrices, params) < 1.0)
+        assume(closed_loop_radius(scenario.config.matrices, params) < 1.0)
         start = {
             aid: p + np.append(rng.uniform(-offset, offset, 2), 0.0)
             for aid, p in zip(cfg.ids, cfg.reference_positions())
