@@ -27,8 +27,8 @@ print("leaders:", cfg.leader_ids, " followers:", cfg.follower_ids)
 for fid, nbrs in cfg.in_neighbors.items():
     print(f"  {fid} listens to {nbrs}")
 
-report = validate_config(cfg)
-print("\nvalidation:", "ok" if report.ok else report.messages())
+problems = validate_config(cfg)
+print("\nvalidation:", problems or "ok")
 
 m = FormationMatrices.from_config(cfg)
 followers = cfg.ids[3:]

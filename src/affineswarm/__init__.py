@@ -24,7 +24,6 @@ from .formation import (
     FormationMatrices,
     ReferenceConfig,
     SpectralReport,
-    ValidationReport,
     validate_config,
     verify_spectrum,
 )

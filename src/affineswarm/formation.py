@@ -7,7 +7,9 @@ which makes its communication weights (the barycentric coordinates of
 its reference position in that triangle) strictly positive and unique.
 
 ``FormationMatrices.from_config`` solves every follower's coordinates in
-one batched pass (the pass ``validate_config`` checks) and assembles:
+one batched pass and assembles the matrices below. ``validate_config``
+lists what that pass finds wrong as ``"code: message"`` strings, and
+``from_config`` refuses a layout with any of them in one ``ConfigError``:
 
 * ``W`` (N x N): -1 on the diagonal, follower rows carry their weights in
   the in-neighbor columns, leader rows are pure -1 diagonal entries.
@@ -140,24 +142,6 @@ class ReferenceConfig:
         return pts
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def messages(self) -> list[str]:
-        return [f"{v.code}: {v.message}" for v in self.violations]
-
-
 def _barycentric(
     xy: np.ndarray, points: np.ndarray, triangles: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -172,11 +156,10 @@ def _barycentric(
     m = np.ones((len(points), 3, 3))
     m[:, :2] = xy[triangles].transpose(0, 2, 1)
     coords = np.full((len(points), 3), np.nan)
-    with np.errstate(invalid="ignore"):
-        solvable = np.abs(np.linalg.det(m)) > COLLINEAR_TOL
-        rhs = np.ones((np.count_nonzero(solvable), 3, 1))
-        rhs[:, :2, 0] = xy[points[solvable]]
-        coords[solvable] = np.linalg.solve(m[solvable], rhs)[..., 0]
+    solvable = np.abs(np.linalg.det(m)) > COLLINEAR_TOL
+    rhs = np.ones((np.count_nonzero(solvable), 3, 1))
+    rhs[:, :2, 0] = xy[points[solvable]]
+    coords[solvable] = np.linalg.solve(m[solvable], rhs)[..., 0]
     return solvable, coords
 
 
@@ -198,40 +181,34 @@ def _reachable_from(cfg: ReferenceConfig, source: str) -> set[str]:
     return seen
 
 
+# Extreme finite coordinates overflow the determinants and the weights; the
+# checks below fail such a layout by value, so numpy's warnings add nothing.
+@np.errstate(over="ignore", invalid="ignore")
 def _audit(cfg: ReferenceConfig):
-    """``validate_config``'s violations and the barycentric pass they rest on.
+    """``validate_config``'s problems and the barycentric pass they rest on.
 
-    Returns ``(report, neighbors, weights, alpha)``: the (F, 3)
-    in-neighbor rows of every follower with a well-formed triple, in
-    ``follower_ids`` order; their raw coordinates in those triangles; and
-    every agent's raw coordinates in the leader triangle (N, 3), NaN when
-    there is no such triangle.
+    Returns ``(problems, neighbors, weights, alpha)``: the ``"code:
+    message"`` strings; the (F, 3) in-neighbor rows of every follower with
+    a well-formed triple, in ``follower_ids`` order; their raw coordinates
+    in those triangles; and every agent's raw coordinates in the leader
+    triangle (N, 3), NaN when there is no such triangle.
     """
-    violations: list[Violation] = []
+    problems: list[str] = []
 
     ids = cfg.ids
     for dup in sorted(i for i, count in Counter(ids).items() if count > 1):
-        violations.append(Violation("duplicate-id", f"agent id {dup!r} repeats"))
+        problems.append(f"duplicate-id: agent id {dup!r} repeats")
 
     leaders = cfg.leader_ids
     if len(leaders) != 3:
-        violations.append(
-            Violation("role-count", f"expected exactly 3 leaders, got {len(leaders)}")
-        )
-    if len(cfg.agents) >= 3 and any(
-        a.role != ROLE_LEADER for a in cfg.agents[:3]
-    ):
-        violations.append(
-            Violation("leader-order", "the first three agents must be the leaders")
-        )
+        problems.append(f"role-count: expected exactly 3 leaders, got {len(leaders)}")
+    if len(cfg.agents) >= 3 and any(a.role != ROLE_LEADER for a in cfg.agents[:3]):
+        problems.append("leader-order: the first three agents must be the leaders")
 
     for lid in leaders:
         if cfg.in_neighbors.get(lid):
-            violations.append(
-                Violation(
-                    "leader-has-neighbors",
-                    f"leader {lid!r} must not have in-neighbors",
-                )
+            problems.append(
+                f"leader-has-neighbors: leader {lid!r} must not have in-neighbors"
             )
 
     id_set = set(ids)
@@ -239,34 +216,21 @@ def _audit(cfg: ReferenceConfig):
     for fid in cfg.follower_ids:
         nbrs = cfg.in_neighbors.get(fid)
         if nbrs is None:
-            violations.append(
-                Violation("neighbor-count", f"follower {fid!r} has no in-neighbors")
+            problems.append(f"neighbor-count: follower {fid!r} has no in-neighbors")
+        elif len(nbrs) != 3 or len(set(nbrs)) != 3:
+            problems.append(
+                f"neighbor-count: follower {fid!r} needs exactly 3 distinct "
+                f"in-neighbors, got {list(nbrs)}"
             )
-            continue
-        if len(nbrs) != 3 or len(set(nbrs)) != 3:
-            violations.append(
-                Violation(
-                    "neighbor-count",
-                    f"follower {fid!r} needs exactly 3 distinct in-neighbors, "
-                    f"got {list(nbrs)}",
-                )
+        elif bad := [j for j in nbrs if j not in id_set or j == fid]:
+            problems.append(
+                f"unknown-neighbor: follower {fid!r} lists invalid in-neighbors {bad}"
             )
-            continue
-        bad = [j for j in nbrs if j not in id_set or j == fid]
-        if bad:
-            violations.append(
-                Violation(
-                    "unknown-neighbor",
-                    f"follower {fid!r} lists invalid in-neighbors {bad}",
-                )
-            )
-            continue
-        followers_ok.append(fid)
+        else:
+            followers_ok.append(fid)
     for fid in cfg.in_neighbors:
         if fid not in id_set:
-            violations.append(
-                Violation("unknown-neighbor", f"graph names unknown agent {fid!r}")
-            )
+            problems.append(f"unknown-neighbor: graph names unknown agent {fid!r}")
 
     xy = cfg.planar_positions().reshape(-1, 2)
     # Exact equality, so -0.0 meets 0.0; NaN equals nothing and fails the
@@ -275,9 +239,9 @@ def _audit(cfg: ReferenceConfig):
     for i, point in enumerate(map(tuple, xy.tolist())):
         j = first_at.setdefault(point, i)
         if j != i:
-            pair = f"agents {ids[j]!r} and {ids[i]!r}"
-            violations.append(
-                Violation("coincident", f"{pair} share the reference position {point}")
+            problems.append(
+                f"coincident: agents {ids[j]!r} and {ids[i]!r} share the "
+                f"reference position {point}"
             )
     rows = np.array([cfg.index_of(fid) for fid in followers_ok], dtype=int)
     neighbors = np.array(
@@ -294,12 +258,9 @@ def _audit(cfg: ReferenceConfig):
             xy, np.arange(len(xy)), np.broadcast_to(triangle, (len(xy), 3))
         )
         if not leaders_ok[0]:
-            violations.append(
-                Violation(
-                    "collinear-leaders",
-                    "leader reference positions are collinear; the barycentric "
-                    "system is singular",
-                )
+            problems.append(
+                "collinear-leaders: leader reference positions are collinear; "
+                "the barycentric system is singular"
             )
         else:
             partitioned &= np.abs(alpha[rows].sum(axis=1) - 1.0) <= PARTITION_TOL
@@ -308,26 +269,17 @@ def _audit(cfg: ReferenceConfig):
     for k in np.flatnonzero(~(contained & partitioned)):
         fid = followers_ok[k]
         if not solvable[k]:
-            violations.append(
-                Violation("neighbor-collinear", f"in-neighbors of {fid!r} are collinear")
-            )
+            problems.append(f"neighbor-collinear: in-neighbors of {fid!r} are collinear")
         elif not contained[k]:
-            with np.errstate(over="ignore"):  # round(12) overflows a huge weight
-                shown = weights[k].round(12).tolist()
-            violations.append(
-                Violation(
-                    "containment",
-                    f"follower {fid!r} is not strictly inside its in-neighbor "
-                    f"triangle (barycentric coordinates {shown})",
-                )
+            problems.append(
+                f"containment: follower {fid!r} is not strictly inside its "
+                "in-neighbor triangle (barycentric coordinates "
+                f"{weights[k].round(12).tolist()})"
             )
         else:
-            violations.append(
-                Violation(
-                    "partition",
-                    f"barycentric coordinates of {fid!r} do not sum to 1 "
-                    f"within {PARTITION_TOL}",
-                )
+            problems.append(
+                f"partition: barycentric coordinates of {fid!r} do not sum to 1 "
+                f"within {PARTITION_TOL}"
             )
 
     if len(leaders) == 3 and followers_ok:
@@ -335,26 +287,25 @@ def _audit(cfg: ReferenceConfig):
             reached = _reachable_from(cfg, lid)
             missing = [fid for fid in cfg.follower_ids if fid not in reached]
             if missing:
-                violations.append(
-                    Violation(
-                        "unreachable",
-                        f"no directed path from leader {lid!r} to followers {missing}",
-                    )
+                problems.append(
+                    f"unreachable: no directed path from leader {lid!r} to "
+                    f"followers {missing}"
                 )
 
-    return ValidationReport(tuple(violations)), neighbors, weights, alpha
+    return problems, neighbors, weights, alpha
 
 
-def validate_config(cfg: ReferenceConfig) -> ValidationReport:
+def validate_config(cfg: ReferenceConfig) -> list[str]:
     """Check every structural and geometric invariant of a configuration.
 
-    Returns a report listing all violations found; an empty report means
-    the configuration is usable. Checks: role counts and ordering, unique
-    ids, leader independence, in-neighbor cardinality, distinct reference
-    positions, leader non-collinearity, strict containment of each
-    follower in its in-neighbor triangle (coordinates that sum to 1 within
-    ``PARTITION_TOL``), and reachability of every follower from every
-    leader. Every geometric check is written so that NaN fails it.
+    Returns every problem found as a ``"code: message"`` string; an empty
+    list means the configuration is usable. Checks: role counts and
+    ordering, unique ids, leader independence, in-neighbor cardinality,
+    distinct reference positions, leader non-collinearity, strict
+    containment of each follower in its in-neighbor triangle (coordinates
+    that sum to 1 within ``PARTITION_TOL``), and reachability of every
+    follower from every leader. Every geometric check is written so that
+    NaN fails it.
     """
     return _audit(cfg)[0]
 
@@ -383,9 +334,9 @@ class FormationMatrices:
         ``ConfigError`` with ``validate_config``'s messages when the
         configuration has any violation.
         """
-        report, neighbors, weights, alpha = _audit(cfg)
-        if not report.ok:
-            raise ConfigError("invalid configuration: " + "; ".join(report.messages()))
+        problems, neighbors, weights, alpha = _audit(cfg)
+        if problems:
+            raise ConfigError("invalid configuration: " + "; ".join(problems))
         n = len(cfg.agents)
         w_mat = np.zeros((n, n))
         np.fill_diagonal(w_mat, -1.0)

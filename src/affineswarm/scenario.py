@@ -431,6 +431,8 @@ def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
         return parse_scenario(path.read_text(), source=str(path))
+    except OSError as exc:  # missing, a directory, no permission
+        raise ScenarioError([f"{path}: cannot read scenario: {exc.strerror}"]) from None
     except UnicodeDecodeError as exc:  # not UTF-8 text
         raise ScenarioError([f"{path}: {exc}"]) from None
 

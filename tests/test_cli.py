@@ -268,6 +268,66 @@ def test_extreme_coordinate_is_refused_without_a_warning(tmp_path, capsys):
     )
 
 
+def containment(fid, coords):
+    return (
+        f"containment: follower {fid!r} is not strictly inside its in-neighbor "
+        f"triangle (barycentric coordinates {coords})"
+    )
+
+
+@pytest.mark.parametrize("command", ["check", "graph"])
+@pytest.mark.parametrize(
+    "moves, problems",
+    [
+        # Every determinant over cf4 overflows.
+        (
+            {3: {"x": 1e308, "y": -1e308}},
+            [
+                containment("cf2", "[0.6, 0.4, 0.0]"),
+                containment("cf3", "[0.375, 0.0, 0.625]"),
+                containment("cf4", "[-inf, -inf, inf]"),
+            ],
+        ),
+        # cf3's weights mix infinite signs, so their sum is NaN.
+        (
+            {0: {"x": 1e308}, 2: {"y": 1e308}},
+            [
+                "collinear-leaders: leader reference positions are collinear; "
+                "the barycentric system is singular",
+                containment("cf2", "[-0.0, 0.0, 1.0]"),
+                containment("cf3", "[-inf, inf, -inf]"),
+                containment("cf4", "[-0.0, 0.0, 1.0]"),
+            ],
+        ),
+    ],
+)
+def test_overflowing_layout_is_one_error_line(tmp_path, capsys, command, moves, problems):
+    # The refusal is the one error line, with no numpy warning (warnings
+    # are errors under this suite).
+    def move(doc):
+        for i, xy in moves.items():
+            doc["agents"][i].update(xy)
+
+    path = edited(tmp_path, move)
+    assert main([command, path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: invalid configuration: " + "; ".join(problems) + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "graph", "plan", "simulate"])
+@pytest.mark.parametrize(
+    "is_dir, reason", [(False, "No such file or directory"), (True, "Is a directory")]
+)
+def test_unreadable_scenario_is_a_parse_error(tmp_path, capsys, command, is_dir, reason):
+    path = tmp_path / "scenario.json"
+    if is_dir:
+        path.mkdir()
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: cannot read scenario: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_each_command_audits_the_layout_once(fast_path, tmp_path, monkeypatch):
     calls = []
     audit = formation._audit

@@ -1,5 +1,6 @@
 """Formation graph: validation, barycentric solves, consensus matrices."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -51,18 +52,25 @@ def weights_of(m, cfg):
     return dict(zip(cfg.ids[3:], np.take_along_axis(m.W[3:], m.neighbors, axis=1)))
 
 
+def codes_of(problems):
+    """Each problem's code: the text before its first ``": "``."""
+    return [p.split(": ", 1)[0] for p in problems]
+
+
 def assert_refused(cfg, code):
-    """``validate_config`` reports ``code`` and ``from_config`` refuses with it."""
-    report = validate_config(cfg)
-    assert any(v.code == code for v in report.violations)
-    with pytest.raises(ConfigError, match=f"{code}: "):
+    """``validate_config`` reports ``code`` and ``from_config`` refuses with
+    exactly its problems."""
+    problems = validate_config(cfg)
+    assert code in codes_of(problems)
+    with pytest.raises(ConfigError) as info:
         FormationMatrices.from_config(cfg)
-    return report
+    assert str(info.value) == "invalid configuration: " + "; ".join(problems)
+    return problems
 
 
 class TestValidateConfig:
     def test_default_scenario_is_valid(self, default_scenario):
-        assert validate_config(default_scenario.config).ok
+        assert validate_config(default_scenario.config) == []
         FormationMatrices.from_config(default_scenario.config)
 
     def test_midpoint_neighbor_triple_fails_containment(self, default_scenario):
@@ -73,10 +81,8 @@ class TestValidateConfig:
         neighbors["cf3"] = ("cf2", "cf4", "cf5")
         neighbors["cf4"] = ("cf2", "cf3", "cf6")
         bad = ReferenceConfig(agents=cfg.agents, z=cfg.z, in_neighbors=neighbors)
-        report = assert_refused(bad, "containment")
-        codes = {v.code for v in report.violations}
-        assert codes == {"containment"}
-        assert sum(v.code == "containment" for v in report.violations) == 2
+        problems = assert_refused(bad, "containment")
+        assert codes_of(problems) == ["containment", "containment"]
 
     def test_follower_at_triangle_vertex_reported(self):
         agents = three_leaders() + [Agent("f1", "follower", 0.0, 0.75)]
@@ -134,7 +140,7 @@ class TestValidateConfig:
         cfg = ReferenceConfig.from_agents(
             agents, z=1.0, in_neighbors={"f1": ("u1", "u2", "nope")}
         )
-        codes = {v.code for v in assert_refused(cfg, "duplicate-id").violations}
+        codes = set(codes_of(assert_refused(cfg, "duplicate-id")))
         assert "duplicate-id" in codes
         assert "unknown-neighbor" in codes
         assert_refused(cfg, "unknown-neighbor")
@@ -147,9 +153,9 @@ class TestValidateConfig:
         agents = cfg.agents + (Agent("cf7", "follower", x, 0.25),)
         neighbors = dict(cfg.in_neighbors, cf7=("cf1", "cf5", "cf6"))
         bad = ReferenceConfig(agents=agents, z=cfg.z, in_neighbors=neighbors)
-        report = assert_refused(bad, "coincident")
-        assert [v.code for v in report.violations] == ["coincident"]
-        assert "agents 'cf2' and 'cf7' share" in report.violations[0].message
+        problems = assert_refused(bad, "coincident")
+        assert codes_of(problems) == ["coincident"]
+        assert problems[0].startswith("coincident: agents 'cf2' and 'cf7' share")
 
 
 class TestComputeAlpha:
@@ -424,7 +430,7 @@ class TestMinReferenceDistance:
 def test_random_valid_configs_satisfy_invariants(seed, n_followers):
     rng = np.random.default_rng(seed)
     cfg = random_config(rng, n_followers)
-    assert validate_config(cfg).ok
+    assert validate_config(cfg) == []
 
     m = FormationMatrices.from_config(cfg)
     alpha = alpha_of(m, cfg)
@@ -484,9 +490,53 @@ def test_non_finite_coordinate_is_reported_and_refused(
         replace(a, **{field: value}) if a.id == agent_id else a for a in cfg.agents
     )
     bad = ReferenceConfig(agents=agents, z=cfg.z, in_neighbors=cfg.in_neighbors)
-    assert {v.code for v in validate_config(bad).violations} == codes
+    assert set(codes_of(validate_config(bad))) == codes
     for code in codes:
         assert_refused(bad, code)
+
+
+def damaged(rng, cfg):
+    """``cfg`` with one seeded damage to its layout or graph."""
+    agents = list(cfg.agents)
+    graph = dict(cfg.in_neighbors)
+    i, j = rng.choice(len(agents), size=2, replace=False)
+    a = agents[i]
+    kind = rng.integers(7)
+    if kind == 0:  # a finite extreme coordinate
+        agents[i] = replace(a, **{rng.choice(["x", "y"]): rng.choice([-1e308, 1e308])})
+    elif kind == 1:  # moved anywhere near the team
+        agents[i] = replace(a, x=rng.uniform(-3, 3), y=rng.uniform(-3, 3))
+    elif kind == 2 and graph:
+        del graph[rng.choice(sorted(graph))]
+    elif kind == 3:
+        graph["ghost"] = tuple(rng.choice(cfg.ids, size=3, replace=False))
+    elif kind == 4:
+        agents[i] = replace(a, id=agents[j].id)
+    elif kind == 5:
+        agents[i] = replace(a, role="follower" if a.role == "leader" else "leader")
+    else:
+        agents[i] = replace(a, x=agents[j].x, y=agents[j].y)
+    return ReferenceConfig(agents=tuple(agents), z=cfg.z, in_neighbors=graph)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), n_followers=st.integers(1, 8))
+def test_damaged_layout_is_refused_with_exactly_its_problems(seed, n_followers):
+    # Either the layout is still usable, or the refusal is the joined list
+    # of problems; no warning and no other exception escapes the audit.
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, n_followers)
+    for _ in range(rng.integers(1, 4)):
+        cfg = damaged(rng, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        problems = validate_config(cfg)
+        try:
+            FormationMatrices.from_config(cfg)
+        except ConfigError as exc:
+            assert str(exc) == "invalid configuration: " + "; ".join(problems)
+        else:
+            assert problems == []
 
 
 def test_index_lookups_use_matrix_order(default_scenario):
