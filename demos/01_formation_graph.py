@@ -44,7 +44,8 @@ print("H =\n", m.H)
 spectrum = verify_spectrum(m)
 print("\neigenvalues of W:", np.sort_complex(spectrum.eigenvalues))
 print(f"max real part: {spectrum.max_real_part:.4f} (must be < 0)")
-print(f"|H - (-W^-1 L)| = {spectrum.h_deviation:.2e}")
+# H = -W^-1 L checked as a residual: W H + L = 0 without solving for W^-1.
+print(f"max |W H + L| = {spectrum.h_deviation:.2e}")
 
 # The consensus loop is a fixed-point iteration x <- (I + W) x + L x_L:
 # wherever the leaders sit, the team settles at H times those positions.

@@ -147,7 +147,8 @@ class SimParams:
             )
         if self.delay_ticks < 0:
             raise ValueError("delay_ticks must be >= 0")
-        substeps = 1.0 / (self.dt * self.control_rate)
+        ratio = self.dt * self.control_rate  # 0.0 when the product underflows
+        substeps = 1.0 / ratio if ratio else math.inf
         if not (
             math.isfinite(substeps)
             and round(substeps) >= 1

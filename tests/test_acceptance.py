@@ -82,6 +82,8 @@ def test_criterion_2_spectrum_for_default_and_random_configs(matrices):
         assert rep.max_real_part < 0.0
         assert rep.h_deviation <= 1e-9
         assert rep.ok
+        # The paper's identity H = -W^-1 L, with a dense solve as the oracle.
+        assert np.abs(m.H + np.linalg.solve(m.W, m.L)).max() <= 1e-9
     assert time.perf_counter() - start < 10.0
     report(2, "weight-matrix spectrum, 100 random configs up to N=30")
 

@@ -209,6 +209,7 @@ def edited(tmp_path, edit):
     [
         (lambda d: d["sim"].update(delay_ticks=-1), 2, "$.sim: delay_ticks must be >= 0"),
         (lambda d: d["sim"].update(control_rate=0), 2, "$.sim: control_rate must be positive and finite, got 0.0"),
+        (lambda d: d["sim"].update(control_rate=5e-324), 2, "$.sim: control period 1/5e-324 Hz is not an integer multiple of dt=0.001"),
         (lambda d: d.update(sim=3), 2, "$.sim: expected an object"),
         (lambda d: d.update(agents=[]), 2, "$.agents: expected a non-empty list of agents"),
         (lambda d: [], 2, "{path}: top level must be an object"),
@@ -250,6 +251,19 @@ def test_graph_key_naming_no_agent_is_refused(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err == GHOST
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["graph", "plan", "simulate"])
+def test_underflowing_control_period_is_refused(tmp_path, capsys, command):
+    # dt * control_rate underflows to 0.0, which the check must not divide
+    # by; check's refusal is a row of test_refusal_is_located.
+    path = edited(tmp_path, lambda d: d["sim"].update(control_rate=5e-324))
+    assert main([command, path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: $.sim: control period 1/5e-324 Hz is not an integer multiple "
+        "of dt=0.001\n"
+    )
     assert not (tmp_path / "out").exists()
 
 
@@ -551,6 +565,11 @@ class TestSimulate:
             ("--dt", "nan", "dt must be positive and finite"),
             ("--kp", "-1", "tracker gains must be positive"),
             ("--duration", "0.001", "duration must cover at least one control tick"),
+            (
+                "--control-rate",
+                "5e-324",
+                "control period 1/5e-324 Hz is not an integer multiple of dt=0.01",
+            ),
         ],
     )
     def test_rejected_flag_value_is_usage_error(

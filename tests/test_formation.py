@@ -321,9 +321,10 @@ def test_agent_built_in_code_checks_its_role_and_id(agent_id, role, field, messa
 
 
 class TestVerifySpectrum:
-    def test_singular_w_has_infinite_deviation(self):
-        # A follower row of zeros: W is exactly singular, so the solve for
-        # -W^-1 L fails and is reported, not raised.
+    def test_singular_w_fails_the_hurwitz_test(self):
+        # A follower row of zeros: W is exactly singular, so -W^-1 L does
+        # not exist. H still solves W H = -L (residual 0); the Hurwitz test
+        # is what refuses it.
         w = -np.eye(4)
         w[3, 3] = 0.0
         m = FormationMatrices(
@@ -333,7 +334,7 @@ class TestVerifySpectrum:
             neighbors=np.array([[0, 1, 2]]),
         )
         report = verify_spectrum(m)
-        assert report.h_deviation == float("inf")
+        assert report.h_deviation == 0.0
         assert not report.hurwitz
         assert report.ok is False
 
@@ -350,6 +351,27 @@ class TestVerifySpectrum:
         assert report.max_real_part < 0.0
         assert report.h_deviation <= 1e-9
         assert report.ok
+
+    def test_no_linear_system_is_solved(self, monkeypatch):
+        m = FormationMatrices.from_config(random_config(np.random.default_rng(7), 30))
+
+        def never(*args, **kwargs):
+            raise AssertionError("the spectrum check must not solve W X = -L")
+
+        monkeypatch.setattr(np.linalg, "solve", never)
+        report = verify_spectrum(m)
+        assert report.ok
+        assert report.h_deviation <= 1e-9
+
+    def test_moved_follower_entry_of_h_is_refused(self, default_matrices):
+        # W stays Hurwitz; only H misses W H = -L, by the 1e-6 it was moved
+        # (W's diagonal is -1, and the moved row's listeners weigh it by < 1).
+        h = default_matrices.H.copy()
+        h[4, 1] += 1e-6
+        report = verify_spectrum(replace(default_matrices, H=h))
+        assert report.hurwitz
+        assert report.h_deviation == pytest.approx(1e-6, rel=1e-9)
+        assert report.ok is False
 
     def test_follower_only_cycle_flagged(self):
         # Hand-built W with a follower cluster that ignores the leaders:
@@ -449,6 +471,8 @@ def test_random_valid_configs_satisfy_invariants(seed, n_followers):
 
     report = verify_spectrum(m)
     assert report.ok
+    # The paper's identity H = -W^-1 L, with a dense solve as the oracle.
+    assert np.abs(m.H + np.linalg.solve(m.W, m.L)).max() <= 1e-9
     assert (m.H >= -1e-12).all()  # followers inside the leader triangle
     np.testing.assert_allclose(m.H.sum(axis=1), 1.0, atol=1e-12)
 
