@@ -167,9 +167,11 @@ def matrices_document(scenario: Scenario, spectrum: SpectralReport, rho: float) 
 
 
 def safety_document(report, d_min: float) -> dict:
+    """``check``'s report; a floor that overflows is null, as JSON has no infinity."""
+    bound = report.lambda_min_bound
     return {
         "d_min": d_min,
-        "lambda_min_bound": report.lambda_min_bound,
+        "lambda_min_bound": bound if math.isfinite(bound) else None,
         "min_strain_observed": report.min_strain_observed,
         "pass": report.passed,
         "violations": [

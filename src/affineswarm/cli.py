@@ -53,19 +53,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_plan = sub.add_parser("plan", help="write leader desired-trajectory CSV")
-    p_plan.add_argument("scenario", help="scenario file (JSON)")
-    p_plan.add_argument("--out", default=None, help="CSV path (default stdout)")
-
-    p_graph = sub.add_parser(
-        "graph", help="emit consensus matrices and the spectrum report as JSON"
-    )
-    p_graph.add_argument("scenario")
-    p_graph.add_argument("--out", default=None, help="JSON path (default stdout)")
-
-    p_check = sub.add_parser("check", help="check the schedule against the strain bound")
-    p_check.add_argument("scenario")
-    p_check.add_argument("--out", default=None, help="JSON path (default stdout)")
+    for name, summary, kind in (
+        ("plan", "write leader desired-trajectory CSV", "CSV"),
+        ("graph", "emit consensus matrices and the spectrum report as JSON", "JSON"),
+        ("check", "check the schedule against the strain bound", "JSON"),
+    ):
+        p_doc = sub.add_parser(name, help=summary)
+        p_doc.add_argument("scenario", help="scenario file (JSON)")
+        p_doc.add_argument("--out", default=None, help=f"{kind} path (default stdout)")
 
     p_sim = sub.add_parser("simulate", help="run the full simulation and emit a bundle")
     p_sim.add_argument("scenario")
@@ -87,12 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(data: bytes, out: str | None):
+def _emit(data: bytes, out: str | None = None):
     if out is None and hasattr(sys.stdout, "buffer"):  # the bytes in any locale
         sys.stdout.flush()
         sys.stdout.buffer.write(data)
     elif out is None:  # a text-only stream, such as an io.StringIO
-        sys.stdout.write(data.decode())
+        sys.stdout.write(data.decode(errors="surrogateescape"))
     else:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
         Path(out).write_bytes(data)
@@ -107,15 +102,10 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _graph_doc(scenario: Scenario):
-    """The spectrum report of the matrices and the closed loop's ``rho``."""
-    spectrum = verify_spectrum(scenario.config.matrices)
-    return spectrum, closed_loop_radius(scenario.config.matrices, scenario.params)
-
-
 def _cmd_graph(args) -> int:
     scenario = load_scenario(args.scenario)
-    spectrum, rho = _graph_doc(scenario)
+    spectrum = verify_spectrum(scenario.config.matrices)
+    rho = closed_loop_radius(scenario.config.matrices, scenario.params)
     _emit(dumps_json(matrices_document(scenario, spectrum, rho)).encode(), args.out)
     return 0 if spectrum.ok else 1
 
@@ -156,7 +146,8 @@ def _cmd_simulate(args) -> int:
         root = os.environ.get(ENV_OUT, "runs")
         out_dir = str(Path(root) / scenario.name)
 
-    spectrum, rho = _graph_doc(scenario)
+    spectrum = verify_spectrum(scenario.config.matrices)
+    rho = closed_loop_radius(scenario.config.matrices, params)
     if not spectrum.ok:
         raise AffineSwarmError(
             f"consensus matrices fail the spectrum check "
@@ -181,15 +172,15 @@ def _cmd_simulate(args) -> int:
     trace = run_simulation(scenario)
     metrics = validate_run(trace, scenario)
     bundle = emit_bundle(out_dir, scenario, trace, metrics, spectrum, rho)
-    print(f"bundle written to {bundle}")
-    print(dumps_json(metrics.to_dict()), end="")
+    report = dumps_json(metrics.to_dict()).encode()
+    _emit(b"bundle written to " + os.fsencode(bundle) + b"\n" + report)
     return 0
 
 
 def _cmd_validate(args) -> int:
     scenario, trace = read_bundle(args.bundle)
     metrics = validate_run(trace, scenario)
-    print(dumps_json(metrics.to_dict()), end="")
+    _emit(dumps_json(metrics.to_dict()).encode())
     ok = metrics.safety_pass and metrics.converged
     if metrics.min_corridor_clearance is not None:
         ok = ok and metrics.min_corridor_clearance > 0.0

@@ -387,6 +387,19 @@ class TestCheck:
         assert out["violations"]
         assert out["violations"][0]["t_start"] > 0.0
 
+    @pytest.mark.parametrize("key", ["agent_radius", "delta_budget"])
+    def test_overflowing_floor_is_null(self, tmp_path, capsys, key):
+        # 2 (delta + r) / d_min overflows to infinity, which JSON cannot hold.
+        path = scenario_with(tmp_path, ("safety", key), 1e308)
+        assert main(["check", path]) == 1
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert doc["lambda_min_bound"] is None
+        assert doc["pass"] is False
+
 
 class TestGraph:
     def test_default_emits_matrices(self, default_path, capsys):
@@ -582,6 +595,33 @@ class TestSimulate:
         assert message in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, encoding",
+        [("bündel", "ascii"), (os.fsdecode(b"b\xff"), "utf-8")],
+        ids=["non-ascii-on-ascii", "raw-byte"],
+    )
+    def test_stdout_is_bytes(self, fast_path, tmp_path, monkeypatch, name, encoding):
+        # The bundle's name prints as the file system's bytes, whatever
+        # stdout's encoding; a raw byte keeps its surrogateescape round trip.
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding=encoding,
+                                  errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        out = tmp_path / name
+        assert main(["simulate", fast_path, "--out", str(out)]) == 0
+        stdout.flush()
+        assert stdout.buffer.getvalue() == (
+            b"bundle written to " + os.fsencode(out) + b"\n"
+            + (out / "metrics.json").read_bytes()
+        )
+
+    def test_text_only_stdout_takes_the_text(self, fast_path, tmp_path):
+        out = tmp_path / os.fsdecode(b"b\xff")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["simulate", fast_path, "--out", str(out)]) == 0
+        metrics = (out / "metrics.json").read_text()
+        assert stdout.getvalue() == f"bundle written to {out}\n{metrics}"
 
     def test_env_var_default_out(self, fast_path, tmp_path, monkeypatch):
         monkeypatch.setenv("AFFINESWARM_OUT", str(tmp_path / "envroot"))
