@@ -201,16 +201,17 @@ def strain_check(scenario: Scenario, delta: float) -> tuple[SafetyReport, float]
     return report, d_min
 
 
+@np.errstate(over="ignore")
 def validate_run(trace: SimTrace, scenario: Scenario) -> RunMetrics:
     """Run the full safety-validation chain on a completed trace of ``scenario``.
 
     The measured tracking error, every agent's largest distance from its
     desired position, feeds ``strain_check``: the commanded schedule must
-    stay at or above the floor it gives, and when it does the minimum
-    center distance must be at least one agent diameter. Both conditions
-    fold into ``safety_pass``. The run converged when ``_final_residual``
-    is within ``CONVERGENCE_TOL``; a null residual (leaders still moving
-    at the end) does not converge.
+    stay at or above the floor it gives, and when it does the minimum center
+    distance must be at least one agent diameter. Both conditions fold into
+    ``safety_pass``. The run converged when ``_final_residual`` is within
+    ``CONVERGENCE_TOL``; a null residual (leaders still moving at the end)
+    does not converge. A distance too large for a float reads as inf.
     """
     agent_radius = scenario.safety.agent_radius
     measured_delta = max(

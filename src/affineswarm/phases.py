@@ -71,10 +71,11 @@ class TranslationRamp:
     start: tuple[float, float] = (0.0, 0.0)
     end: tuple[float, float] = field(kw_only=True)
 
+    @np.errstate(over="ignore")
     def value(self, times: np.ndarray) -> np.ndarray:
         """Ramp offsets (T, 2) at an array of times (T,).
 
-        A ramp with ``tf <= t0`` is a step to ``end`` at ``tf``.
+        A ramp with ``tf <= t0``, or too short to divide by, steps to ``end``.
         """
         t = np.asarray(times, dtype=float)
         if self.tf <= self.t0:

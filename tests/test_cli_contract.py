@@ -4,7 +4,8 @@ Mutated scenarios go through ``check``, ``graph``, ``plan`` and
 ``simulate``, and damaged bundles through ``validate``, all by way of
 ``cli.main``. Whatever the input, no exception escapes, the exit code is
 0, 1 or 2, a usage or parse error (2) is told in ``error:`` lines, and
-the JSON documents on stdout are strict JSON.
+the JSON documents on stdout are strict JSON. As the test suite turns
+warnings into errors, a numpy warning fails the property too.
 """
 
 import contextlib
@@ -90,7 +91,9 @@ def run(argv) -> tuple[int, bytes]:
         max_size=3,
     )
 )
-@example(edits=[(("safety", "agent_radius"), 1e308)])
+@example(edits=[(("safety", "agent_radius"), 1e308)])  # check's floor overflows
+@example(edits=[(("translation", "tf"), 5e-324)])  # the ramp's quotient overflows
+@example(edits=[(("translation", "end", 0), 1e308)])  # tracking errors overflow
 def test_every_scenario_runs_or_is_refused(edits):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
