@@ -199,12 +199,14 @@ def _layout(scenario: Scenario) -> dict:
 def _difference(found, wanted, where: str) -> str | None:
     """The first key path under ``where`` at which ``found`` is not ``wanted``,
     and how; None when they are equal. Lists compare index by index, and
-    ``reprlib`` quotes values, so the message stays short."""
+    ``reprlib`` quotes values, so the message stays short; equal values are
+    never quoted."""
+    if found == wanted:
+        return None
     if isinstance(found, list) and isinstance(wanted, list):
         found, wanted = dict(enumerate(found)), dict(enumerate(wanted))
     if not (isinstance(found, dict) and isinstance(wanted, dict)):
-        quoted = f"{reprlib.repr(found)} is not {reprlib.repr(wanted)}"
-        return None if found == wanted else f"{where}: {quoted}"
+        return f"{where}: {reprlib.repr(found)} is not {reprlib.repr(wanted)}"
     for key in [*wanted, *found]:
         if key not in found or key not in wanted:
             how = "missing" if key in wanted else "unexpected"
@@ -326,7 +328,8 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
 
     The manifest's ``trace_columns``, ``agent_order`` and ``outputs`` must
     be the layout its scenario fixes (``_layout``), so the only files read
-    are ``manifest.json`` and each agent's ``trace_<id>.csv``. Each CSV must
+    are ``manifest.json`` and each agent's ``trace_<id>.csv``, and then its
+    ``scenario_sha256`` must be the scenario's hash. Each CSV must
     hold one row per time of the scenario's tick grid (``tick_times``), and
     its ``t`` column must be that grid at 9 significant digits; the trace's
     times are the grid itself. Values carry the CSV's 9-significant-digit
@@ -339,9 +342,10 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
 
     A missing, unreadable or malformed manifest, a missing key, an
     embedded scenario the schema rejects, a layout key other than the
-    scenario's, and a missing, unreadable or damaged CSV (not UTF-8, wrong
-    field or row count, a non-numeric or non-finite value, a time off the
-    grid) each raise ``ScenarioError`` naming the file. An embedded
+    scenario's, a ``scenario_sha256`` other than the scenario's hash, and a
+    missing, unreadable or damaged CSV (not UTF-8, wrong field or row
+    count, a non-numeric or non-finite value, a time off the grid) each
+    raise ``ScenarioError`` naming the file. An embedded
     scenario whose configuration breaks an invariant raises
     ``ConfigError`` naming the manifest.
     """
@@ -364,7 +368,8 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     layout = _layout(scenario)
-    for key, expected in layout.items():
+    fixed = {**layout, "scenario_sha256": scenario_sha256(scenario)}
+    for key, expected in fixed.items():
         if key not in doc:
             raise ScenarioError([f"{path}: missing key {key!r}"])
         difference = _difference(doc[key], expected, key)

@@ -129,6 +129,15 @@ class PhaseSchedule:
     def t_end(self) -> float:
         return self.phases[-1].tf
 
+    @property
+    def t_hold(self) -> float:
+        """The time from which the commanded map stays still: ``t_end``, or
+        the translation ramp's ``tf`` when that is later. ``coordinates``
+        gives every time at or after it the same bits."""
+        if self.translation is None:
+            return self.t_end
+        return max(self.t_end, self.translation.tf)
+
     @cached_property
     def _phase_arrays(self) -> tuple[np.ndarray, ...]:
         """The phases' ``t0``, ``tf``, ``start`` and ``end`` columns."""
@@ -194,10 +203,18 @@ def tick_grid(t_start: float, span: float, tick_rate: float) -> np.ndarray:
 def desired_positions(cfg: ReferenceConfig, schedule: PhaseSchedule, t) -> np.ndarray:
     """Global desired positions of every agent.
 
-    (N, 3) at a time ``t``; (T, N, 3) for an array of times.
+    (N, 3) at a time ``t``; (T, N, 3) for an array of times. The map is
+    still from ``schedule.t_hold``, so the times after the last one before
+    it are sampled only through their first, whose row the rest repeat:
+    the bits sampling each would give, with no second ``(T, N, 3)`` array.
     """
-    _, q, d = schedule.sample(np.atleast_1d(t))
-    pos = transform_points(q, d, cfg.reference_positions())
+    times = np.atleast_1d(t)
+    moving = np.flatnonzero(~(times >= schedule.t_hold))
+    sampled = min(len(times), moving[-1] + 2 if len(moving) else 1)
+    _, q, d = schedule.sample(times[:sampled])
+    pos = np.empty((len(times), len(cfg.agents), 3))
+    transform_points(q, d, cfg.reference_positions(), out=pos[:sampled])
+    pos[sampled:] = pos[sampled - 1 : sampled]  # a slice: no times, no row to repeat
     return pos if np.ndim(t) else pos[0]
 
 

@@ -33,6 +33,12 @@ from .formation import FormationMatrices
 from .phases import PhaseSchedule, desired_positions, tick_grid
 from .scenario import Scenario, SimParams
 
+# Ticks between two looks for the run's fixed point. A look compares
+# ``delay_ticks + 2`` position rows and a velocity; the stride keeps that
+# small next to a tick's work, and the loop stops at most
+# ``_STRIDE - 1`` ticks after the fixed point.
+_STRIDE = 16
+
 
 @dataclass
 class SimTrace:
@@ -126,6 +132,19 @@ def run_simulation(
     (``metrics.strain_check`` does that), nor is the closed loop's
     stability (``closed_loop_radius``); a trace that holds a non-finite
     position raises ``SimulationError`` naming its first such tick and agents.
+
+    A converged run reaches a bitwise fixed point, and the loop stops
+    there. Tick ``k`` reads the positions of tick ``k - delay_ticks`` and
+    its own, its velocity and the leaders' references, and writes tick
+    ``k + 1``'s positions and velocity. Once the leaders' references are
+    still, suppose tick ``k`` left its velocity's bits unchanged and the
+    ``delay_ticks + 2`` position rows ``k - delay_ticks .. k + 1`` are
+    equal, bit for bit. Then tick ``k + 1`` reads exactly the bits tick
+    ``k`` read, so it computes the same ufuncs on the same operands and
+    writes the same bits, and so on by induction. The loop checks this
+    every ``_STRIDE`` ticks (bits, so ``-0.0`` stays apart from ``0.0``)
+    and fills the rest of the trace with the repeated rows, so the trace
+    is the one a loop over every tick writes.
     """
     cfg, schedule, params = scenario.config, scenario.schedule, scenario.params
     matrices = cfg.matrices
@@ -158,6 +177,11 @@ def run_simulation(
     w_rows = w[:, None, :]
     follower_refs = trace_ref[:, 3:, None, :]
     delay = params.delay_ticks
+    # The loop looks for the fixed point every ``_STRIDE`` ticks from
+    # ``delay + 1`` ticks after the leaders' references last change.
+    leaders = trace_ref[:, :3].view(np.uint64)
+    moving = np.flatnonzero((leaders != leaders[-1]).any(axis=(1, 2)))
+    check = (int(moving[-1]) + 1 if len(moving) else 0) + delay + 1
     trace_pos[0] = pos
     # An unstable loop overflows to inf and nan; that is reported once,
     # after the loop, not warned about on every tick.
@@ -170,7 +194,16 @@ def run_simulation(
                 err = pos - refs
                 pos = trace_pos[k + 1]
                 np.add(refs, a00 * err + a01 * vel, out=pos)
-                vel = a10 * err + a11 * vel
+                last, vel = vel, a10 * err + a11 * vel
+                if k == check:
+                    check += _STRIDE
+                    rows = trace_pos[k - delay : k + 2].view(np.uint64)
+                    if (rows == rows[-1]).all() and (
+                        vel.view(np.uint64) == last.view(np.uint64)
+                    ).all():
+                        trace_pos[k + 2 :] = pos
+                        trace_ref[k + 1 :, 3:] = trace_ref[k, 3:]
+                        break
 
     finite = np.isfinite(trace_pos).all(axis=(1, 2))
     if not finite.all():

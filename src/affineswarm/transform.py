@@ -214,16 +214,21 @@ def decompose_jacobian(q: np.ndarray) -> JacobianDecomposition:
     return replace(assemble_jacobian(coords), Q=q)
 
 
-def transform_points(q: np.ndarray, d: np.ndarray, points: np.ndarray) -> np.ndarray:
+def transform_points(
+    q: np.ndarray, d: np.ndarray, points: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Apply ``Q a + d`` to every row of an (N, 3) array of points.
 
     With stacks ``q`` (T, 3, 3) and ``d`` (T, 3) the result is (T, N, 3),
-    slice ``k`` being the image under ``(q[k], d[k])``.
+    slice ``k`` being the image under ``(q[k], d[k])``. It is written into
+    ``out`` when given; ``d`` is added in place either way.
     """
     pts = np.asarray(points, dtype=float)
     q = np.asarray(q, dtype=float)
     d = np.asarray(d, dtype=float)
-    return pts @ np.swapaxes(q, -1, -2) + d[..., None, :]
+    out = np.matmul(pts, np.swapaxes(q, -1, -2), out=out)
+    out += d[..., None, :]
+    return out
 
 
 def min_scaling_bound(delta: float, radius: float, d_min: float) -> float:

@@ -2,6 +2,8 @@
 
 import json
 import math
+import reprlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from affineswarm import (
     validate_run,
     verify_spectrum,
 )
+from affineswarm import bundle
 from affineswarm.bundle import (
     PLAN_COLUMNS,
     TRACE_COLUMNS,
@@ -626,6 +629,23 @@ class TestOneTraceInMemory:
 
 class TestLayoutRefusal:
     """A manifest layout other than the scenario's is named by its first key path."""
+
+    def test_an_intact_layout_is_never_quoted(self, wide_bundle):
+        # Equal values are compared before either side is quoted.
+        with mock.patch.object(bundle.reprlib, "repr", side_effect=AssertionError):
+            read_bundle(wide_bundle)
+
+    def test_a_scenario_hash_not_the_scenarios_is_refused(self, wide_bundle, tmp_path):
+        doc = json.loads((wide_bundle / "manifest.json").read_text())
+        wanted = doc["scenario_sha256"]
+        doc["scenario_sha256"] = "0" * 64
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(ScenarioError) as info:
+            read_bundle(tmp_path)
+        assert info.value.errors == [
+            f"{tmp_path / 'manifest.json'}: scenario_sha256: "
+            f"{reprlib.repr('0' * 64)} is not {reprlib.repr(wanted)}"
+        ]
 
     @pytest.mark.parametrize(
         "edit, difference",

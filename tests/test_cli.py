@@ -929,7 +929,9 @@ class TestValidate:
             f"error: {out}/manifest.json: trace_columns[7]: 'x_d' is not 'x_des'\n"
         )
 
-    @pytest.mark.parametrize("key", ["trace_columns", "agent_order", "outputs"])
+    @pytest.mark.parametrize(
+        "key", ["trace_columns", "agent_order", "outputs", "scenario_sha256"]
+    )
     def test_missing_layout_key_is_refused(self, fast_bundle, tmp_path, capsys, key):
         out = tmp_path / "bundle"
         shutil.copytree(fast_bundle, out)
@@ -940,6 +942,19 @@ class TestValidate:
         assert capsys.readouterr().err == (
             f"error: {out}/manifest.json: missing key {key!r}\n"
         )
+
+    def test_edited_scenario_is_refused_by_its_hash(self, fast_bundle, tmp_path, capsys):
+        # The edited scenario parses and fits the layout; only its hash
+        # tells it from the scenario the CSVs were run from.
+        out = tmp_path / "bundle"
+        shutil.copytree(fast_bundle, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["scenario"]["sim"]["kp"] = 2400.0
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["validate", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}/manifest.json: scenario_sha256: '")
+        assert err.count("\n") == 1
 
     def test_tool_is_not_compared(self, fast_bundle, tmp_path, capsys):
         # A later version reads this version's bundles.

@@ -1,5 +1,6 @@
 """Phase schedules, quintic blending, leader trajectories, safety sampling."""
 
+import dataclasses
 from dataclasses import astuple
 
 import numpy as np
@@ -309,12 +310,23 @@ class TestSample:
         assert sched.coordinates(times).tobytes() == whole.tobytes()
 
     def test_desired_positions_stack_equals_each_time(self, default_scenario):
-        cfg, sched = default_scenario.config, default_scenario.schedule
-        times = np.linspace(-1.0, 31.0, 33)
-        stack = desired_positions(cfg, sched, times)
-        assert stack.shape == (len(times), len(cfg.agents), 3)
-        for k, t in enumerate(times):
-            assert np.array_equal(stack[k], desired_positions(cfg, sched, float(t)))
+        # The ramp ends before, with or after the last phase; the map is
+        # still only from the later end, and times may come in any order.
+        cfg = default_scenario.config
+        times = np.linspace(-1.0, 36.0, 38)
+        empty = desired_positions(cfg, default_scenario.schedule, times[:0])
+        assert empty.shape == (0, len(cfg.agents), 3)
+        for ramp_tf in (20.0, 30.0, 34.0):
+            sched = default_scenario.schedule
+            ramp = dataclasses.replace(sched.translation, tf=ramp_tf)
+            sched = dataclasses.replace(sched, translation=ramp)
+            assert sched.t_hold == max(30.0, ramp_tf)
+            for order in (times, times[::-1]):
+                stack = desired_positions(cfg, sched, order)
+                assert stack.shape == (len(times), len(cfg.agents), 3)
+                for k, t in enumerate(order):
+                    each = desired_positions(cfg, sched, float(t)).view(np.uint64)
+                    assert np.array_equal(stack[k].view(np.uint64), each)
 
 
 class TestLeaderTrajectory:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from affineswarm import (
     load_default_scenario,
     parse_scenario,
     run_simulation,
+    simulation,
 )
-from affineswarm.phases import grid_size, tick_grid
+from affineswarm.phases import TranslationRamp, grid_size, tick_grid
 from affineswarm.simulation import closed_loop_radius, tick_map, tick_times
 from conftest import (
     consensus_fixed_point,
@@ -473,6 +475,125 @@ class TestTickMap:
     def test_grid_size_counts_the_grid(self, span, rate, t_start):
         # The memory budget counts ticks with grid_size, allocating nothing.
         assert grid_size(span, rate) == len(tick_grid(t_start, span, rate))
+
+
+def gathered_ticks(scenario, stride=simulation._STRIDE):
+    """``run_simulation(scenario)`` and the number of ticks whose follower
+    references it gathered, counted by its ``(F, 1, 3)`` matmuls."""
+    with mock.patch.object(simulation.np, "matmul", wraps=np.matmul) as spy, \
+            mock.patch.object(simulation, "_STRIDE", stride):
+        trace = run_simulation(scenario)
+    outs = [call.kwargs.get("out") for call in spy.call_args_list]
+    return trace, sum(out is not None and out.shape[1:] == (1, 3) for out in outs)
+
+
+class TestFixedPoint:
+    """The loop stops at the run's bitwise fixed point and fills the rest."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_followers=st.integers(1, 20),
+        substeps=st.sampled_from([1, 10, 100]),
+        delay=st.integers(0, 3),
+        offset=st.sampled_from([0.0, 0.3, 3.0]),
+        hold=st.floats(5.0, 20.0),
+        t_start=st.sampled_from([0.0, -7.25, 1000.0]),
+        ramp_end=st.sampled_from([None, 0.5, 1.0, 1.2]),
+    )
+    def test_bit_identical_to_the_plain_loop_through_the_hold(
+        self, seed, n_followers, substeps, delay, offset, hold, t_start, ramp_end
+    ):
+        # The plane sits at z = 0 and every other agent starts at z = -0.0,
+        # so a state whose bits differ only in a zero's sign must not stop
+        # the loop. A ramp can end inside the schedule, at its end or
+        # after it, where the leaders' references move on.
+        rng = np.random.default_rng(seed)
+        cfg = dataclasses.replace(random_config(rng, n_followers), z=0.0)
+        phases = tuple(
+            dataclasses.replace(ph, t0=ph.t0 + t_start, tf=ph.tf + t_start)
+            for ph in random_schedule(rng).phases
+        )
+        span = phases[-1].tf - t_start
+        ramp = None
+        if ramp_end is not None:
+            ramp = TranslationRamp(t0=t_start, tf=t_start + ramp_end * span, end=(0.4, -0.3))
+        schedule = PhaseSchedule(phases=phases, translation=ramp)
+        params = SimParams(dt=0.01 / substeps, delay_ticks=delay, duration=span + hold)
+        scenario = make_scenario(cfg, schedule, params)
+        assume(closed_loop_radius(scenario.config.matrices, params) < 1.0)
+        start = {
+            aid: p + np.append(rng.uniform(-offset, offset, 2), 0.0)
+            for aid, p in zip(cfg.ids, cfg.reference_positions())
+        }
+        for aid in cfg.ids[::2]:
+            start[aid][2] = -0.0
+        positions, references = tick_loop_oracle(scenario, start)
+        # A stride of 1 stops on the fixed point's first tick, the real
+        # stride up to 15 ticks later; both must give the plain loop's bits.
+        for stride in (1, simulation._STRIDE):
+            with mock.patch.object(simulation, "_STRIDE", stride):
+                trace = run_simulation(scenario, initial_positions=start)
+            assert np.array_equal(
+                trace.positions.view(np.uint64), positions.view(np.uint64)
+            )
+            assert np.array_equal(
+                trace.references.view(np.uint64), references.view(np.uint64)
+            )
+        # The hold's desired rows repeat the first held row: every tick
+        # sampled and mapped gives the same bits.
+        _, q, d = schedule.sample(trace.times)
+        desired = cfg.reference_positions() @ np.swapaxes(q, -1, -2) + d[:, None, :]
+        assert np.array_equal(trace.desired.view(np.uint64), desired.view(np.uint64))
+
+    @pytest.mark.parametrize("delay", [0, 1, 3])
+    def test_positions_that_repeat_while_the_velocity_moves_are_no_fixed_point(
+        self, default_scenario, delay
+    ):
+        # 1e8 m out, a leader 40 ulps off its held reference stays put for
+        # ticks 0 to 7 while its velocity builds, then moves.
+        cfg = default_scenario.config
+        far = dataclasses.replace(
+            cfg, agents=tuple(dataclasses.replace(a, x=a.x + 1e8) for a in cfg.agents)
+        )
+        params = SimParams(duration=1.0, delay_ticks=delay)
+        scenario = make_scenario(far, hold_schedule(AtCoordinates(), 0.01), params)
+        lead = far.reference_positions()[0]
+        start = {far.ids[0]: lead + [40 * math.ulp(lead[0]), 0.0, 0.0]}
+        trace = run_simulation(scenario, initial_positions=start)
+        positions, references = tick_loop_oracle(scenario, start)
+        assert positions[7, 0, 0] == positions[0, 0, 0] != positions[8, 0, 0]
+        assert np.array_equal(trace.positions.view(np.uint64), positions.view(np.uint64))
+        assert np.array_equal(trace.references.view(np.uint64), references.view(np.uint64))
+
+    def test_a_settled_run_stops_within_one_stride(self, default_scenario):
+        every_trace, every = gathered_ticks(default_scenario, stride=1)
+        trace, strided = gathered_ticks(default_scenario)
+        ticks, delay = len(trace.times) - 1, default_scenario.params.delay_ticks
+        # The stride-1 loop stops at the fixed point K after K + 1 gathers;
+        # the strided loop at the first look at or after it.
+        assert every <= strided < every + simulation._STRIDE
+        assert strided < ticks - 800
+        positions, references = tick_loop_oracle(default_scenario)
+        for run in (every_trace, trace):
+            assert np.array_equal(run.positions.view(np.uint64), positions.view(np.uint64))
+            assert np.array_equal(run.references.view(np.uint64), references.view(np.uint64))
+        # Every row from K - delay on is the last, as the stop requires.
+        bits = positions.view(np.uint64)
+        assert (bits[every - 1 - delay :] == bits[-1]).all()
+
+    def test_a_run_that_ends_before_it_settles_integrates_every_tick(
+        self, default_scenario
+    ):
+        # Half a second of hold: the loop looks, finds no fixed point and
+        # gathers references on every tick.
+        params = dataclasses.replace(default_scenario.params, duration=30.5)
+        scenario = dataclasses.replace(default_scenario, params=params)
+        trace, gathered = gathered_ticks(scenario)
+        assert gathered == len(trace.times)
+        positions, references = tick_loop_oracle(scenario)
+        assert np.array_equal(trace.positions.view(np.uint64), positions.view(np.uint64))
+        assert np.array_equal(trace.references.view(np.uint64), references.view(np.uint64))
 
 
 class TestClosedLoopRadius:
