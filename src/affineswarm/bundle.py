@@ -38,10 +38,15 @@ def time_fields(times: np.ndarray) -> list[bytes]:
 
 def _settle(values: np.ndarray) -> np.ndarray:
     """Each column's settle row: the first from which its float64 bits equal
-    the last row's (bits, so ``-0.0`` stays apart from ``0.0``)."""
+    the last row's (bits, so ``-0.0`` stays apart from ``0.0``): one past the
+    last row that differs. The last row never differs from itself, so the
+    reversed rows' ``argmax`` is 0 only when no row differs.
+    """
     bits = values.view(np.uint64)
-    same = np.logical_and.accumulate(bits[::-1] == bits[-1:], axis=0)
-    return len(values) - same.sum(axis=0)
+    if not len(bits):
+        return np.zeros(bits.shape[1:], dtype=int)
+    first = (bits[::-1] != bits[-1]).argmax(axis=0)
+    return np.where(first > 0, len(bits) - first, 0)
 
 
 def settle_rows(trace: SimTrace) -> np.ndarray:

@@ -28,10 +28,11 @@ their own rules, so a scenario built in code meets them too. Parsing
 accumulates every schema problem (with key paths, and line/column for
 syntax errors) before failing, then validates the configuration invariants
 (``ReferenceConfig.matrices``), then refuses a run whose trace, schedule
-sampling or loop spectrum exceeds ``MEMORY_BUDGET`` (``Scenario``), before
-anything of that size is allocated. Serialization is canonical (sorted
-keys), so a parsed scenario round-trips to an identical model and a stable
-content hash.
+sampling or loop spectrum exceeds ``MEMORY_BUDGET``, or whose loop spectrum
+exceeds ``WORK_BUDGET`` (``Scenario``), before anything of that size is
+allocated or computed. Serialization is canonical (sorted keys), so a
+parsed scenario round-trips to an identical model and a stable content
+hash.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ from .phases import Phase, PhaseSchedule, TranslationRamp, grid_size
 # The most one run's trace, one sampling of its schedule, or its loop
 # spectrum's companion matrices may hold, in bytes.
 MEMORY_BUDGET = 1 << 30
+# The most eigenvalue work the loop spectrum may take, counted as
+# ``F * (d + 2)³`` for ``F`` followers at ``delay_ticks = d``: ``F``
+# companion matrices of order ``d + 2`` cost cubic time each. The slowest
+# accepted spectrum takes a few seconds.
+WORK_BUDGET = 1 << 28
 # What ``plan`` holds for each schedule sample, at most: about 0.6 KiB of
 # CSV text and Python floats for three leaders.
 SAMPLE_BYTES = 1 << 10
@@ -197,7 +203,9 @@ class Scenario:
         spectrum (``closed_loop_radius``) holds ``16 * F * (d + 2)²`` bytes
         of companion matrices for ``F`` followers at ``delay_ticks = d``.
         Any one above ``MEMORY_BUDGET`` raises before anything is
-        allocated, naming the key that sets its size.
+        allocated, naming the key that sets its size. So does a spectrum
+        whose ``F * (d + 2)³`` is above ``WORK_BUDGET``, before any time is
+        spent on it.
         """
         schedule, params = self.schedule, self.params
         rate, n = params.control_rate, len(self.config.agents)
@@ -205,6 +213,7 @@ class Scenario:
         samples = grid_size(schedule.t_end - schedule.t_start, rate)
         delay = params.delay_ticks
         companion = 16 * (n - 3) * (delay + 2) ** 2
+        work = (n - 3) * (delay + 2) ** 3
         over = f"over the {MEMORY_BUDGET:,}-byte budget"
         if 72 * ticks * n > MEMORY_BUDGET:
             key = "phases" if params.duration is None else "sim.duration"
@@ -221,6 +230,12 @@ class Scenario:
             key, message = "sim.delay_ticks", (
                 f"a delay of {delay:,} ticks for {n - 3} followers needs "
                 f"{companion:,} bytes of companion matrices, {over}"
+            )
+        elif work > WORK_BUDGET:
+            key, message = "sim.delay_ticks", (
+                f"a delay of {delay:,} ticks for {n - 3} followers takes "
+                f"{n - 3} x {delay + 2}^3 = {work:,} units of eigenvalue work, "
+                f"over the {WORK_BUDGET:,}-unit budget"
             )
         else:
             return

@@ -94,7 +94,8 @@ def closed_loop_radius(matrices: FormationMatrices, params: SimParams) -> float:
     the loop converges exactly when ``rho < 1``. The ``F`` companion
     matrices of order ``d + 2`` hold ``16 F (d + 2)²`` bytes, which
     ``Scenario`` keeps within ``MEMORY_BUDGET``; their eigenvalues take
-    ``O(F d³)`` time.
+    ``O(F d³)`` time, and ``Scenario`` keeps ``F (d + 2)³`` within
+    ``WORK_BUDGET``.
     """
     a_s = tick_map(params)
     if not np.isfinite(a_s).all():

@@ -591,6 +591,25 @@ def wide_bundle(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def trio_bundle(tmp_path_factory):
+    """A bundle of the three leaders alone over 40,001 ticks (a trace of 2.9 MB).
+
+    Their pair search would hold about 64 bytes a tick for each pair if it
+    took all ticks at once, more than 0.75 of the 72 bytes a tick of
+    positions.
+    """
+    rng = np.random.default_rng(5)
+    scenario = make_scenario(
+        random_config(rng, 0), random_schedule(rng), SimParams(dt=0.005, duration=400.0)
+    )
+    trace = run_simulation(scenario)
+    out = tmp_path_factory.mktemp("trio")
+    metrics = validate_run(trace, scenario)
+    emit_bundle(out, scenario, trace, metrics, *graph_parts(scenario))
+    return out
+
+
 class TestOneTraceInMemory:
     """``validate`` holds one trace and scratch bounded by one agent or tick chunk."""
 
@@ -606,6 +625,13 @@ class TestOneTraceInMemory:
 
     def test_validate_run_scratch_is_well_under_one_array(self, wide_bundle):
         scenario, trace = read_bundle(wide_bundle)
+        validate_run(trace, scenario)  # builds the cached matrices
+        scratch = traced_peak(lambda: validate_run(trace, scenario))
+        assert scratch <= 0.75 * trace.positions.nbytes
+
+    def test_small_team_scratch_is_well_under_one_array(self, trio_bundle):
+        scenario, trace = read_bundle(trio_bundle)
+        assert trace.positions.shape == (40001, 3, 3)
         validate_run(trace, scenario)  # builds the cached matrices
         scratch = traced_peak(lambda: validate_run(trace, scenario))
         assert scratch <= 0.75 * trace.positions.nbytes

@@ -1093,6 +1093,71 @@ class TestMemoryBudget:
         )
 
 
+class TestWorkBudget:
+    """A delay whose loop spectrum is over the eigenvalue work budget is
+    refused with exit 2, from a file or from the flag, before any of it is
+    computed; one just under it reaches ``closed_loop_radius``."""
+
+    # 3 followers at 446 ticks of delay: 1,310,720 units over.
+    WORK = (
+        "a delay of 446 ticks for 3 followers takes 3 x 448^3 = 269,746,176 "
+        "units of eigenvalue work, over the 268,435,456-unit budget"
+    )
+
+    @pytest.mark.parametrize("command", ["graph", "check", "plan", "simulate"])
+    def test_file_just_over(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "closed_loop_radius", never)
+        monkeypatch.setattr(cli, "run_simulation", never)
+        path = scenario_with(tmp_path, ("sim", "delay_ticks"), 446)
+        out = tmp_path / "out"
+        assert main([command, path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: $.sim.delay_ticks: {self.WORK}\n"
+        assert not out.exists()
+
+    def test_flag_just_over(self, default_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "closed_loop_radius", never)
+        monkeypatch.setattr(cli, "run_simulation", never)
+        out = tmp_path / "bundle"
+        argv = ["simulate", default_path, "--out", str(out), "--delay-ticks", "446"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: --delay-ticks 446: sim.delay_ticks: {self.WORK}\n"
+        )
+        assert not out.exists()
+
+    @staticmethod
+    def unstable(delays):
+        """A ``closed_loop_radius`` that records the delay and reads inf."""
+
+        def radius(matrices, params):
+            delays.append(params.delay_ticks)
+            return float("inf")
+
+        return radius
+
+    def test_file_just_under(self, tmp_path, capsys, monkeypatch):
+        delays = []
+        monkeypatch.setattr(cli, "closed_loop_radius", self.unstable(delays))
+        path = scenario_with(tmp_path, ("sim", "delay_ticks"), 445)
+        assert main(["graph", path]) == 0
+        assert json.loads(capsys.readouterr().out)["closed_loop"] == {
+            "settling_ticks": None, "spectral_radius": None
+        }
+        assert delays == [445]
+
+    def test_flag_just_under(self, default_path, tmp_path, capsys, monkeypatch):
+        delays = []
+        monkeypatch.setattr(cli, "closed_loop_radius", self.unstable(delays))
+        monkeypatch.setattr(cli, "run_simulation", never)
+        argv = ["simulate", default_path, "--out", str(tmp_path / "b"),
+                "--delay-ticks", "445"]
+        assert main(argv) == 1
+        assert "closed loop is unstable: spectral radius rho=inf" in (
+            capsys.readouterr().err
+        )
+        assert delays == [445]
+
+
 class TestUsage:
     def test_seed_rejected(self, default_path, capsys):
         assert main(["--seed", "7", "check", default_path]) == 2

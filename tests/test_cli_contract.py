@@ -53,8 +53,7 @@ def short_default():
     return doc
 
 
-# Delays are bounded in memory but not yet in time, so the delay is left alone.
-SCENARIO_LEAVES = [p for p in leaves(short_default()) if p != ("sim", "delay_ticks")]
+SCENARIO_LEAVES = list(leaves(short_default()))
 NUMERIC_LEAVES = [p for p in SCENARIO_LEAVES if type(node_at(short_default(), p)) is float]
 NUMBERS = [0, -0.0, 1e308, -1e308, 5e-324, 2**63, 10**400]
 OTHERS = [True, None, [], {}, "", "é1", "a/b", "x,y"]

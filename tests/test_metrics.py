@@ -106,6 +106,114 @@ def oracle_run(seed, n_followers, offset):
     return scenario, run_simulation(scenario, initial_positions=start)
 
 
+@st.composite
+def length_operands(draw):
+    """Arrays of 2 or 3 columns, plain or a reversed or strided view.
+
+    Each row's components share a magnitude from 1e-300 to 1e300 within a
+    few decades, so both their rounding and their overflow are exercised;
+    some cells are ±0.0 or ±inf.
+    """
+    rows = draw(st.sampled_from([(), (1,), (2,), (7,), (8,), (9,), (8192,), (5, 7)]))
+    columns = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Twice the rows and columns, so that a strided view has them all.
+    shape = (*(2 * k for k in rows), 2 * columns)
+    exponent = rng.uniform(-300.0, 300.0, (*shape[:-1], 1))
+    spread = draw(st.sampled_from([0.0, 1.0, 4.0]))
+    values = rng.choice([-1.0, 1.0], shape) * 10.0 ** (
+        exponent + spread * rng.uniform(-1.0, 1.0, shape)
+    )
+    special = rng.random(shape) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    values[special] = rng.choice([0.0, -0.0, math.inf, -math.inf], special.sum())
+    view = draw(st.sampled_from(["plain", "reversed", "strided"]))
+    lead = tuple(slice(k) for k in rows)
+    if view == "plain":
+        return np.ascontiguousarray(values[(*lead, slice(columns))])
+    if view == "reversed":  # every axis, the columns too
+        return np.flip(values[(*lead, slice(columns))])
+    return values[(*(slice(None, None, 2) for _ in rows), slice(None, None, 2))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=length_operands())
+def test_lengths_are_numpys_norm_bit_for_bit(v):
+    with np.errstate(over="ignore"):
+        expected = np.asarray(np.linalg.norm(v, axis=-1))
+        found = np.asarray(metrics._lengths(v))
+    assert found.shape == expected.shape == v.shape[:-1]
+    assert np.array_equal(found.view(np.uint64), expected.view(np.uint64))
+
+
+class TestSmallTeamSearch:
+    """Up to 7 agents the search takes every pair in turn: the dense
+    search's float, whatever the trace and however it is sliced."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_followers=st.integers(0, 4),
+        offset=st.sampled_from([0.0, 3.0]),
+        cells=st.sampled_from([1, 7, 256]),
+    )
+    def test_runs_and_their_slices(self, seed, n_followers, offset, cells):
+        scenario, trace = oracle_run(seed, n_followers, offset)
+        t_count = len(trace.times)
+        assert pairwise_min_distance(trace, scenario) == min_pair_distance_oracle(
+            trace.positions
+        )
+        with mock.patch.object(metrics, "_CELLS", cells):
+            assert t_count > metrics._CELLS
+            assert pairwise_min_distance(trace, scenario) == (
+                min_pair_distance_oracle(trace.positions)
+            )
+        k = seed % t_count
+        tick = dataclasses.replace(
+            trace, times=trace.times[k : k + 1], positions=trace.positions[k : k + 1]
+        )
+        assert pairwise_min_distance(tick, scenario) == min_pair_distance_oracle(
+            tick.positions
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 7), ticks=st.integers(1, 40))
+    def test_any_trace(self, seed, n, ticks):
+        # Positions that follow no schedule; two agents meet at one tick.
+        rng = np.random.default_rng(seed)
+        scenario = layout_scenario(rng.uniform(-2.0, 2.0, (n, 2)).tolist())
+        pos = rng.uniform(-2.0, 2.0, (ticks, n, 3))
+        k = rng.integers(ticks)
+        pos[k, 1] = pos[k, 0]
+        trace = SimTrace(
+            times=np.arange(ticks) / 100.0,
+            positions=pos,
+            references=pos.copy(),
+            desired=pos.copy(),
+        )
+        with mock.patch.object(metrics, "_CELLS", 8):
+            found = pairwise_min_distance(trace, scenario)
+        assert found == min_pair_distance_oracle(pos)
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 10_000), n_followers=st.integers(0, 4))
+    def test_read_back_bundle(self, seed, n_followers):
+        scenario, trace = oracle_run(seed, n_followers, 0.3)
+        spectrum = verify_spectrum(scenario.config.matrices)
+        rho = closed_loop_radius(scenario.config.matrices, scenario.params)
+        run_metrics = validate_run(trace, scenario)
+        with tempfile.TemporaryDirectory() as out:
+            emit_bundle(out, scenario, trace, run_metrics, spectrum, rho)
+            reread, reread_trace = read_bundle(out)
+        assert pairwise_min_distance(reread_trace, reread) == (
+            min_pair_distance_oracle(reread_trace.positions)
+        )
+
+    def test_no_cell_search(self, default_scenario):
+        trace = static_trace(default_scenario.config.reference_positions())
+        with mock.patch.object(metrics, "_cells_min", side_effect=AssertionError):
+            assert pairwise_min_distance(trace, default_scenario) == 0.5
+
+
 class TestPairSearchOracle:
     """The certificate-pruned search returns the dense search's float."""
 
@@ -115,9 +223,9 @@ class TestPairSearchOracle:
         scenario, trace = oracle_run(seed, n_followers, 0.0)
         expected = min_pair_distance_oracle(trace.positions)
         assert pairwise_min_distance(trace, scenario) == expected
-        # The search's first pass is the d_min pair's T cells past 7 agents
-        # and every pair's cells up to 7; a 256-cell budget splits that
-        # pass alone into several chunks.
+        # Past 7 agents the search's first pass is the d_min pair's T cells,
+        # and up to 7 each pair is taken over slices of _CELLS ticks; a
+        # 256-cell budget splits either into several chunks.
         with mock.patch.object(metrics, "_CELLS", 256):
             assert len(trace.times) > metrics._CELLS
             assert pairwise_min_distance(trace, scenario) == expected

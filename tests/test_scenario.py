@@ -20,7 +20,12 @@ from affineswarm import (
 )
 from affineswarm.cli import main
 from affineswarm.phases import grid_size
-from affineswarm.scenario import MEMORY_BUDGET, SAMPLE_BYTES, default_scenario_text
+from affineswarm.scenario import (
+    MEMORY_BUDGET,
+    SAMPLE_BYTES,
+    WORK_BUDGET,
+    default_scenario_text,
+)
 from conftest import serialize_scenario, traced_peak
 
 
@@ -198,19 +203,28 @@ class TestMemoryBudget:
         ]
 
     def test_delay_just_under_parses_just_over_is_refused(self):
-        # 3 followers: 48 (d + 2)² bytes of companion matrices, so 2**30
-        # bytes lies between delays of 4,727 and 4,728 ticks.
+        # 3 followers: 3 (d + 2)³ units of eigenvalue work, so 2**28 units
+        # lie between delays of 445 and 446 ticks. From 4,728 ticks the
+        # 48 (d + 2)² bytes of companion matrices are over 2**30 bytes too,
+        # and the memory budget is the one named.
         def delayed(ticks):
             return default_with(lambda d: d["sim"].update(delay_ticks=ticks))
 
-        under = parse_scenario(delayed(4727))
-        assert 48 * (under.params.delay_ticks + 2) ** 2 <= MEMORY_BUDGET
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario(delayed(4728))
-        assert exc.value.errors == [
-            "$.sim.delay_ticks: a delay of 4,728 ticks for 3 followers needs "
-            f"1,073,899,200 bytes of companion matrices, {self.BUDGET}"
-        ]
+        under = parse_scenario(delayed(445))
+        assert 3 * (under.params.delay_ticks + 2) ** 3 <= WORK_BUDGET
+        for ticks, message in (
+            (446, "takes 3 x 448^3 = 269,746,176 units of eigenvalue work, over "
+                  "the 268,435,456-unit budget"),
+            (4727, "takes 3 x 4729^3 = 317,270,137,467 units of eigenvalue work, "
+                   "over the 268,435,456-unit budget"),
+            (4728, f"needs 1,073,899,200 bytes of companion matrices, {self.BUDGET}"),
+        ):
+            with pytest.raises(ScenarioError) as exc:
+                parse_scenario(delayed(ticks))
+            assert exc.value.errors == [
+                f"$.sim.delay_ticks: a delay of {ticks:,} ticks for 3 followers "
+                + message
+            ]
 
     def test_trace_of_the_schedule_span_names_the_phases(self):
         def edit(doc):
