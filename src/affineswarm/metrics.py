@@ -56,46 +56,43 @@ def _pair_table(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _lengths(points[pairs[0]] - points[pairs[1]]), pairs
 
 
-def _cells_min(
-    positions: np.ndarray, pairs: np.ndarray, lo: int, hi: np.ndarray
-) -> float:
-    """Minimum distance over the cells ``(k, pairs[:, q])`` with ``lo <= q < hi[k]``.
+def _cells_min(positions: np.ndarray, pairs: np.ndarray, counts: np.ndarray) -> float:
+    """Minimum distance over at least the cells ``(k, pairs[:, q])``, ``q < counts[k]``.
 
-    ``positions`` is a (T, N, 3) array, C-contiguous as ``SimTrace`` holds
-    it, so its flat view copies nothing. Evaluates ``_CELLS`` cells at a
-    time; +inf when there are none.
+    ``positions`` is a (T, N, 3) array in any memory layout. The ticks run
+    in the slices of ``_tick_chunks(T, max(N, counts.max()))``, and each
+    slice evaluates its largest count ``c`` of leading pairs at all of its
+    ticks, at most ``_CELLS`` pair columns at a time; a slice whose ``c``
+    is 0 is skipped. The extra cells are real pairs too, so the minimum is
+    never below the all-pairs one. Scratch stays near ``_CELLS`` cells and
+    agent rows, with no copy of ``positions``; +inf when there are no cells.
     """
-    n = positions.shape[1]
-    flat = positions.reshape(-1, 3)
-    counts = np.maximum(hi - lo, 0)
-    ends = np.cumsum(counts)
-    shift = lo + counts - ends  # cell c of tick k is pair c + shift[k]
-    total = int(ends[-1])
     best = math.inf
-    for start in range(0, total, _CELLS):
-        cell = np.arange(start, min(start + _CELLS, total))
-        k = np.searchsorted(ends, cell, side="right")
-        q = cell + shift.take(k)
-        diff = flat.take(k * n + pairs[0].take(q), axis=0)
-        diff -= flat.take(k * n + pairs[1].take(q), axis=0)
-        best = min(best, float(_lengths(diff).min()))
+    for ticks in _tick_chunks(len(counts), max(positions.shape[1], int(counts.max()))):
+        block, c = positions[ticks], int(counts[ticks].max())
+        for lo in range(0, c, _CELLS):
+            cols = pairs[:, lo : min(lo + _CELLS, c)]
+            diff = block.take(cols[0], axis=1)
+            diff -= block.take(cols[1], axis=1)
+            best = min(best, float(_lengths(diff).min()))
     return best
 
 
 def pairwise_min_distance(trace: SimTrace, scenario: Scenario) -> float:
     """Minimum center-to-center distance over all ticks and agent pairs.
 
-    ``trace`` holds ``scenario``'s agents in matrix order, at any positions.
-    The result is the float an all-pairs search returns, found from fewer
-    pairs by the paper's bound: when every agent is within ``e_k`` of its
-    commanded image ``Q_k a + d_k`` at tick ``k``,
+    ``trace`` holds ``scenario``'s agents in matrix order, at any positions
+    and in any memory layout. The result is the float an all-pairs search
+    returns, found from fewer pairs by the paper's bound: when every agent
+    is within ``e_k`` of its commanded image ``Q_k a + d_k`` at tick ``k``,
     ``|p_i - p_j| >= s_k |a_i - a_j| - 2 e_k`` with
-    ``s_k = min(lambda1, lambda2)``. When ``N <= 7`` (at most 21 pairs) the
-    bound could rule out little, so every pair is searched in turn, over
-    slices of at most ``_CELLS`` ticks; the scratch is a few ``(_CELLS, 3)``
-    arrays. Otherwise the pair nearest in the reference layout, the one
-    behind ``d_min``, gives an upper bound ``ub`` on the minimum over its
-    ``T`` ticks. At tick ``k`` only the pairs with
+    ``s_k = min(lambda1, lambda2)``. One evaluator, ``_cells_min``, takes
+    each tick's count of leading pairs in tick slices of at most ``_CELLS``
+    cells. When ``N <= 7`` (at most 21 pairs) the bound could rule out
+    little, so every pair is searched at every tick and the schedule is
+    not sampled. Otherwise the pair nearest in the reference layout, the
+    one behind ``d_min``, gives an upper bound ``ub`` on the minimum over
+    its ``T`` ticks. At tick ``k`` only the pairs with
     ``|a_i - a_j| <= (ub + 2 e_k + pad) / s_k`` can come closer than
     ``ub``; ``pad`` is ``_PAD_ULPS`` ulps of the largest value involved,
     so rounding cannot skip the closest pair. Returns +inf when the trace
@@ -107,15 +104,10 @@ def pairwise_min_distance(trace: SimTrace, scenario: Scenario) -> float:
     positions = trace.positions
     ref_dist, pairs = _pair_table(scenario.config.planar_positions())
     if 3 * n >= len(ref_dist):
-        best = math.inf
-        for i, j in pairs.T.tolist():
-            for lo in range(0, t_count, _CELLS):
-                diff = positions[lo : lo + _CELLS, i] - positions[lo : lo + _CELLS, j]
-                best = min(best, float(_lengths(diff).min()))
-        return best
+        return _cells_min(positions, pairs, np.full(t_count, len(ref_dist)))
     order = np.argsort(ref_dist, kind="stable")
     ref_dist, pairs = ref_dist[order], pairs[:, order]
-    ub = _cells_min(positions, pairs, 0, np.ones(t_count, dtype=int))
+    ub = _cells_min(positions, pairs, np.ones(t_count, dtype=int))
 
     refs = scenario.config.reference_positions()
     err, strain = np.empty(t_count), np.empty(t_count)
@@ -135,7 +127,7 @@ def pairwise_min_distance(trace: SimTrace, scenario: Scenario) -> float:
     pad = _PAD_ULPS * np.finfo(float).eps * scale
     reach = (ub + 2.0 * err + pad) / strain
     survivors = np.searchsorted(ref_dist, reach, side="right")
-    return min(ub, _cells_min(positions, pairs, 1, survivors))
+    return min(ub, _cells_min(positions, pairs, survivors))
 
 
 def corridor_clearance(

@@ -46,8 +46,7 @@ class SimTrace:
 
     Leaders are the first three agents, as in the config. ``run_simulation``
     and ``bundle.read_bundle`` give each of the three arrays as its own
-    C-contiguous float64 ``(T, N, 3)`` array, 72·T·N bytes in all, so the
-    metrics read them without a copy.
+    C-contiguous float64 ``(T, N, 3)`` array, 72·T·N bytes in all.
     """
 
     times: np.ndarray  # (T,)

@@ -1,6 +1,7 @@
 """The CLI contract as a property: every input runs or is refused.
 
-Mutated scenarios go through ``check``, ``graph``, ``plan`` and
+Mutated scenarios (leaves set to odd values, keys deleted, agent ids
+renamed) go through ``check``, ``graph``, ``plan`` and
 ``simulate``, and damaged bundles through ``validate``, all by way of
 ``cli.main``. Whatever the input, no exception escapes, the exit code is
 0, 1 or 2, a usage or parse error (2) is told in ``error:`` lines, and
@@ -33,6 +34,16 @@ def leaves(node, path=()):
             yield path + (key,)
 
 
+def key_paths(node, path=()):
+    """The path of every key of every dict under ``node``, however deep."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(node, dict):
+            yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from key_paths(value, path + (key,))
+
+
 def node_at(doc, path):
     for key in path:
         doc = doc[key]
@@ -53,10 +64,35 @@ def short_default():
     return doc
 
 
+def renamed(doc, site, new):
+    """A copy of ``doc`` with the agent id at ``site`` renamed ``new``.
+
+    A site is a path to an id in ``agents`` or in ``graph`` (a key or a
+    neighbour), or ``("everywhere", id)`` for every mention of ``id``.
+    """
+    if site[0] == "everywhere":
+        return json.loads(json.dumps(doc).replace(json.dumps(site[1]), json.dumps(new)))
+    doc = json.loads(json.dumps(doc))
+    if site[0] == "graph" and len(site) == 2:
+        doc["graph"] = {new if k == site[1] else k: v for k, v in doc["graph"].items()}
+    else:
+        node_at(doc, site[:-1])[site[-1]] = new
+    return doc
+
+
 SCENARIO_LEAVES = list(leaves(short_default()))
+SCENARIO_KEYS = list(key_paths(short_default()))
+AGENT_IDS = [agent["id"] for agent in short_default()["agents"]]
+ID_SITES = (
+    [("agents", i, "id") for i in range(len(AGENT_IDS))]
+    + [("graph", key) for key in short_default()["graph"]]
+    + [p for p in leaves(short_default()["graph"], ("graph",))]
+    + [("everywhere", aid) for aid in AGENT_IDS]
+)
 NUMERIC_LEAVES = [p for p in SCENARIO_LEAVES if type(node_at(short_default(), p)) is float]
 NUMBERS = [0, -0.0, 1e308, -1e308, 5e-324, 2**63, 10**400]
 OTHERS = [True, None, [], {}, "", "é1", "a/b", "x,y"]
+NEW_IDS = AGENT_IDS + ["cf9", "", "é1", "a/b", "x,y"]
 # Numeric leaves and numbers three times over, so that more cases reach a run.
 VALUES = NUMBERS * 3 + OTHERS
 
@@ -94,9 +130,35 @@ def run(argv) -> tuple[int, bytes]:
 @example(edits=[(("translation", "tf"), 5e-324)])  # the ramp's quotient overflows
 @example(edits=[(("translation", "end", 0), 1e308)])  # tracking errors overflow
 def test_every_scenario_runs_or_is_refused(edits):
+    judge(with_leaves(short_default(), edits))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edit=st.one_of(
+        st.tuples(st.just("delete"), st.sampled_from(SCENARIO_KEYS)),
+        st.tuples(
+            st.just("rename"), st.sampled_from(ID_SITES), st.sampled_from(NEW_IDS)
+        ),
+    )
+)
+@example(edit=("delete", ("agents", 3, "id")))
+@example(edit=("rename", ("graph", "cf2"), "cf9"))  # a graph key that names no agent
+@example(edit=("rename", ("everywhere", "cf1"), "é1"))
+def test_every_reshaped_scenario_runs_or_is_refused(edit):
+    doc = short_default()
+    if edit[0] == "delete":
+        del node_at(doc, edit[1][:-1])[edit[1][-1]]
+    else:
+        doc = renamed(doc, *edit[1:])
+    judge(doc)
+
+
+def judge(doc):
+    """Run ``check``, ``graph``, ``plan`` and ``simulate`` on scenario ``doc``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
-        path.write_text(json.dumps(with_leaves(short_default(), edits)))
+        path.write_text(json.dumps(doc))
         for command in ("check", "graph", "plan"):
             _, out = run([command, str(path)])
             if out and command != "plan":

@@ -37,6 +37,7 @@ from conftest import (
     random_config,
     random_schedule,
     serialize_scenario,
+    traced_peak,
 )
 
 
@@ -146,7 +147,7 @@ def test_lengths_are_numpys_norm_bit_for_bit(v):
 
 
 class TestSmallTeamSearch:
-    """Up to 7 agents the search takes every pair in turn: the dense
+    """Up to 7 agents the search takes every pair at every tick: the dense
     search's float, whatever the trace and however it is sliced."""
 
     @settings(max_examples=20, deadline=None)
@@ -208,9 +209,10 @@ class TestSmallTeamSearch:
             min_pair_distance_oracle(reread_trace.positions)
         )
 
-    def test_no_cell_search(self, default_scenario):
+    def test_no_schedule_sampling(self, default_scenario):
+        # The bound needs the commanded map; a small team never asks for it.
         trace = static_trace(default_scenario.config.reference_positions())
-        with mock.patch.object(metrics, "_cells_min", side_effect=AssertionError):
+        with mock.patch.object(PhaseSchedule, "sample", side_effect=AssertionError):
             assert pairwise_min_distance(trace, default_scenario) == 0.5
 
 
@@ -224,8 +226,8 @@ class TestPairSearchOracle:
         expected = min_pair_distance_oracle(trace.positions)
         assert pairwise_min_distance(trace, scenario) == expected
         # Past 7 agents the search's first pass is the d_min pair's T cells,
-        # and up to 7 each pair is taken over slices of _CELLS ticks; a
-        # 256-cell budget splits either into several chunks.
+        # and up to 7 it is every pair's T cells; a 256-cell budget splits
+        # either into several tick slices.
         with mock.patch.object(metrics, "_CELLS", 256):
             assert len(trace.times) > metrics._CELLS
             assert pairwise_min_distance(trace, scenario) == expected
@@ -312,12 +314,15 @@ def swarm_shape_run(n_followers=40, seed=0):
 def test_pair_search_work_on_a_well_tracked_swarm():
     # The d_min pair bounds the minimum so closely that few other cells
     # are searched: under a quarter of the 3N T cells of the 3N nearest pairs.
+    # A tick slice is charged its largest count at each of its ticks.
     scenario, trace = swarm_shape_run()
     cells, cells_min = [], metrics._cells_min
 
-    def counting(positions, pairs, lo, hi):
-        cells.append(int(np.maximum(hi - lo, 0).sum()))
-        return cells_min(positions, pairs, lo, hi)
+    def counting(positions, pairs, counts):
+        n = positions.shape[1]
+        for ticks in metrics._tick_chunks(len(counts), max(n, int(counts.max()))):
+            cells.append(len(counts[ticks]) * int(counts[ticks].max()))
+        return cells_min(positions, pairs, counts)
 
     with mock.patch.object(metrics, "_cells_min", counting):
         found = pairwise_min_distance(trace, scenario)
@@ -325,6 +330,72 @@ def test_pair_search_work_on_a_well_tracked_swarm():
     t_count, n, _ = trace.positions.shape
     assert n >= 40
     assert sum(cells) < 3 * n * t_count / 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t_count=st.integers(1, 40),
+    n=st.integers(2, 12),
+    zeros=st.sampled_from(["none", "span", "all"]),
+    cells=st.sampled_from([1, 7, 64]),
+)
+def test_cells_min_brackets_the_requested_cells(seed, t_count, n, zeros, cells):
+    # Each tick asks for its own count of leading pairs. The evaluator may
+    # take more of them, but never a pair past the largest count.
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(-2.0, 2.0, (t_count, n, 3))
+    pairs = np.stack(np.triu_indices(n, k=1))
+    pairs = pairs[:, rng.permutation(pairs.shape[1])]
+    counts = rng.integers(0, rng.integers(pairs.shape[1]) + 2, t_count)
+    if zeros == "span":  # whole slices with nothing to evaluate
+        lo, hi = sorted(rng.integers(0, t_count + 1, 2))
+        counts[lo:hi] = 0
+    elif zeros == "all":
+        counts[:] = 0
+    with mock.patch.object(metrics, "_CELLS", cells):
+        found = metrics._cells_min(positions, pairs, counts)
+    if not counts.any():
+        assert found == math.inf
+        return
+    dist = np.linalg.norm(positions[:, pairs[0]] - positions[:, pairs[1]], axis=-1)
+    requested = np.arange(pairs.shape[1]) < counts[:, None]
+    assert dist[:, : counts.max()].min() <= found <= dist[requested].min()
+
+
+def test_cells_min_takes_a_wide_tick_cells_at_a_time():
+    # 200 agents, and every tick needs all 19,900 pairs: more than _CELLS.
+    rng = np.random.default_rng(0)
+    positions = rng.uniform(-2.0, 2.0, (3, 200, 3))
+    pairs = np.stack(np.triu_indices(200, k=1))
+    counts = np.full(3, pairs.shape[1])
+    assert counts[0] > 2 * metrics._CELLS
+    found = []
+    scratch = traced_peak(
+        lambda: found.append(metrics._cells_min(positions, pairs, counts))
+    )
+    assert found == [min_pair_distance_oracle(positions)]
+    # A few (_CELLS, 3) arrays of pair differences, not (19,900, 3) ones.
+    assert scratch < 4 * 24 * metrics._CELLS
+
+
+@pytest.mark.parametrize("n_followers", [1, 9])
+def test_strided_trace_is_searched_without_a_copy(n_followers):
+    # Every other tick of a run: a view whose ticks are 2 rows apart.
+    scenario, trace = oracle_run(7, n_followers, 0.3)
+    strided = dataclasses.replace(
+        trace, times=trace.times[::2], positions=trace.positions[::2]
+    )
+    packed = dataclasses.replace(
+        strided, positions=np.ascontiguousarray(strided.positions)
+    )
+    assert not strided.positions.flags.c_contiguous
+    expected = min_pair_distance_oracle(strided.positions)
+    assert pairwise_min_distance(strided, scenario) == expected
+    assert pairwise_min_distance(packed, scenario) == expected
+    peak = traced_peak(lambda: pairwise_min_distance(strided, scenario))
+    packed_peak = traced_peak(lambda: pairwise_min_distance(packed, scenario))
+    assert peak - packed_peak < strided.positions.nbytes / 4
 
 
 class TestChunkedReductions:
