@@ -22,7 +22,13 @@ from .errors import ConfigError, ScenarioError
 from .formation import SPECTRUM_TOL, SpectralReport
 from .metrics import RunMetrics
 from .phases import LeaderTrajectory
-from .scenario import Scenario, parse_scenario, scenario_sha256, scenario_to_dict
+from .scenario import (
+    Scenario,
+    load_json,
+    scenario_from_dict,
+    scenario_sha256,
+    scenario_to_dict,
+)
 from .simulation import SimTrace, tick_times
 
 TRACE_COLUMNS = ("t", "x", "y", "z", "x_ref", "y_ref", "z_ref", "x_des", "y_des", "z_des")
@@ -120,14 +126,9 @@ def plan_csv_text(traj: LeaderTrajectory) -> bytes:
 
 
 def dumps_json(doc) -> str:
+    """``doc`` as the program writes every JSON document: sorted keys, indent 2,
+    ASCII, and a final newline. ``graph``'s stdout is a bundle's ``matrices.json``."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _write_json(path: Path, doc) -> None:
-    """``dumps_json(doc)`` streamed to ``path``, never held whole in memory."""
-    with path.open("w", newline="\n") as f:
-        json.dump(doc, f, sort_keys=True, indent=2)
-        f.write("\n")
 
 
 def matrices_document(scenario: Scenario, spectrum: SpectralReport, rho: float) -> dict:
@@ -150,14 +151,14 @@ def matrices_document(scenario: Scenario, spectrum: SpectralReport, rho: float) 
     return {
         "agent_order": list(ids),
         "follower_order": list(followers),
-        "alpha": [list(map(float, row)) for row in matrices.H[3:]],
-        "w": {fid: list(map(float, w)) for fid, w in zip(followers, weights)},
-        "W": [list(map(float, row)) for row in matrices.W],
-        "L": [list(map(float, row)) for row in matrices.L],
-        "H": [list(map(float, row)) for row in matrices.H],
+        "alpha": matrices.H[3:].tolist(),
+        "w": dict(zip(followers, weights.tolist())),
+        "W": matrices.W.tolist(),
+        "L": matrices.L.tolist(),
+        "H": matrices.H.tolist(),
         "spectrum": {
-            "eigenvalues_real": [float(v) for v in spectrum.eigenvalues.real],
-            "eigenvalues_imag": [float(v) for v in spectrum.eigenvalues.imag],
+            "eigenvalues_real": spectrum.eigenvalues.real.tolist(),
+            "eigenvalues_imag": spectrum.eigenvalues.imag.tolist(),
             "max_real_part": spectrum.max_real_part,
             "h_deviation": spectrum.h_deviation,
             "hurwitz": spectrum.hurwitz,
@@ -223,6 +224,28 @@ def _difference(found, wanted, where: str) -> str | None:
     return None
 
 
+def _repeated(doc) -> str | None:
+    """The first key that an object in ``doc``, a ``load_json`` value, repeats,
+    after that object's path from the root ``$``; None when none repeats one.
+
+    A walk with a stack, not recursion: the parser may nest deeper than
+    Python frames can.
+    """
+    stack = [("$", doc)]
+    while stack:
+        where, node = stack.pop()
+        if isinstance(node, dict):
+            if node.repeated:
+                return f"{where}: duplicate key {node.repeated[0]!r}"
+            items = [(f"{where}.{key}", value) for key, value in node.items()]
+        elif isinstance(node, list):
+            items = [(f"{where}[{i}]", value) for i, value in enumerate(node)]
+        else:
+            continue
+        stack += reversed(items)
+    return None
+
+
 def emit_bundle(
     out_dir,
     scenario: Scenario,
@@ -248,15 +271,18 @@ def emit_bundle(
     try:
         for index, name in enumerate(outputs["traces"].values()):
             (out / name).write_bytes(trace_csv_text(trace, index, times, settle[index]))
-        _write_json(out / outputs["metrics"], metrics.to_dict())
-        _write_json(out / outputs["matrices"], matrices_document(scenario, spectrum, rho))
         manifest = {
             "tool": {"name": "affineswarm", "version": __version__},
             "scenario": scenario_to_dict(scenario),
             "scenario_sha256": scenario_sha256(scenario),
             **layout,
         }
-        _write_json(out / "manifest.json", manifest)
+        for name, doc in (
+            (outputs["metrics"], metrics.to_dict()),
+            (outputs["matrices"], matrices_document(scenario, spectrum, rho)),
+            ("manifest.json", manifest),
+        ):
+            (out / name).write_bytes(dumps_json(doc).encode())
     except OSError as exc:
         raise OSError(f"failed writing bundle under {out}: {exc}") from exc
     return out
@@ -345,7 +371,8 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
     read one at a time: each is copied into its agent's column once its
     checks pass, so the read holds the trace plus one agent's CSV.
 
-    A missing, unreadable or malformed manifest, a missing key, an
+    A missing, unreadable or malformed manifest, an object in it that
+    repeats a key (located from the manifest's root ``$``), a missing key, an
     embedded scenario the schema rejects, a layout key other than the
     scenario's, a ``scenario_sha256`` other than the scenario's hash, and a
     missing, unreadable or damaged CSV (not UTF-8, wrong field or row
@@ -359,15 +386,18 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
     if not path.exists():
         raise ScenarioError([f"{path}: no manifest found"])
     try:
-        doc = json.loads(path.read_text())
+        doc = load_json(path.read_text())
     except OSError as exc:
         raise ScenarioError([f"{path}: cannot read manifest: {exc.strerror}"]) from None
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ScenarioError([f"{path}: malformed manifest: {exc}"]) from None
+    repeat = _repeated(doc)
+    if repeat is not None:
+        raise ScenarioError([f"{path}: {repeat}"])
     if not isinstance(doc, dict) or "scenario" not in doc:
         raise ScenarioError([f"{path}: missing key 'scenario'"])
     try:
-        scenario = parse_scenario(json.dumps(doc["scenario"]), source="scenario")
+        scenario = scenario_from_dict(doc["scenario"], source="scenario")
     except ScenarioError as exc:
         raise ScenarioError([f"{path}: {line}" for line in exc.errors]) from None
     except ConfigError as exc:

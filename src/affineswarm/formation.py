@@ -164,13 +164,8 @@ def _barycentric(
     return solvable, coords
 
 
-def _reachable_from(cfg: ReferenceConfig, source: str) -> set[str]:
-    """Agents reachable from ``source`` following listener edges between agents."""
-    out_edges: dict[str, list[str]] = {a.id: [] for a in cfg.agents}
-    for fid, nbrs in cfg.in_neighbors.items():
-        for j in nbrs:
-            if j in out_edges and fid in out_edges:
-                out_edges[j].append(fid)
+def _reachable_from(out_edges: dict[str, list[str]], source: str) -> set[str]:
+    """Agents reachable from ``source`` along ``out_edges``, each agent's listeners."""
     seen = {source}
     stack = [source]
     while stack:
@@ -284,8 +279,13 @@ def _audit(cfg: ReferenceConfig):
             )
 
     if len(leaders) == 3 and followers_ok:
+        out_edges: dict[str, list[str]] = {aid: [] for aid in ids}
+        for fid, nbrs in cfg.in_neighbors.items():
+            for j in nbrs:
+                if j in out_edges and fid in out_edges:
+                    out_edges[j].append(fid)
         for lid in leaders:
-            reached = _reachable_from(cfg, lid)
+            reached = _reachable_from(out_edges, lid)
             missing = [fid for fid in cfg.follower_ids if fid not in reached]
             if missing:
                 problems.append(

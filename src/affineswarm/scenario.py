@@ -1,7 +1,7 @@
 """Scenario documents: schema, parsing, and canonical serialization.
 
 A scenario is a single JSON object with these sections (unknown keys are
-rejected everywhere):
+rejected everywhere, and so is a key one object gives twice):
 
 ``name``        optional string label; it names the bundle directory, so it
                 is one file-name component (not empty, ``.`` or ``..``, and
@@ -303,6 +303,10 @@ class _Schema:
         self.errors.append(f"{path}: {message}")
 
     def check_keys(self, doc: dict, allowed, path: str):
+        """Fail ``path`` for each key ``doc`` repeats (``load_json``) and each
+        key not in ``allowed``."""
+        for key in getattr(doc, "repeated", ()):
+            self.fail(path, f"duplicate key {key!r}")
         for key in doc:
             if key not in allowed:
                 self.fail(path, f"unknown key {key!r}")
@@ -366,6 +370,35 @@ class _Schema:
         return [self.read(cls, e, f"$.{key}[{i}]") for i, e in enumerate(entries)]
 
 
+class _Object(dict):
+    """A JSON object as ``load_json`` reads it: ``repeated`` names each key
+    its text gives more than once, whose last value the dict holds."""
+
+    repeated: tuple[str, ...] = ()
+
+    @classmethod
+    def from_pairs(cls, pairs: list) -> _Object:
+        obj = cls(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            obj.repeated = tuple(key for key in obj if keys.count(key) > 1)
+        return obj
+
+
+def load_json(text: str):
+    """``text`` as JSON, every object an ``_Object`` that keeps its repeated keys.
+
+    The one loader of scenario files and bundle manifests; the schema
+    (``_Schema.check_keys``) and ``read_bundle`` refuse what it keeps. A
+    document nested deeper than the parser recurses is a ``JSONDecodeError``
+    at its first character, as other syntax errors are.
+    """
+    try:
+        return json.loads(text, object_pairs_hook=_Object.from_pairs)
+    except RecursionError:
+        raise json.JSONDecodeError("nesting too deep", text, 0) from None
+
+
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     """Parse and fully validate a scenario document.
 
@@ -374,9 +407,14 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     geometric invariant).
     """
     try:
-        doc = json.loads(text)
+        doc = load_json(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}"]) from exc
+    return scenario_from_dict(doc, source)
+
+
+def scenario_from_dict(doc, source: str) -> Scenario:
+    """``parse_scenario`` of the document ``doc``, as ``load_json`` returns it."""
     if not isinstance(doc, dict):
         raise ScenarioError([f"{source}: top level must be an object"])
 
@@ -397,6 +435,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     elif not isinstance(doc["graph"], dict):
         schema.fail("$.graph", "expected an object mapping follower id to neighbors")
     else:
+        schema.check_keys(doc["graph"], doc["graph"], "$.graph")  # any id is a key
         for fid, nbrs in doc["graph"].items():
             path = f"$.graph.{fid}"
             if not isinstance(nbrs, list) or any(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 from dataclasses import astuple
@@ -52,6 +53,24 @@ def make_scenario(cfg, schedule, params) -> Scenario:
 def serialize_scenario(s: Scenario) -> str:
     """The scenario document as text, as a bundle's manifest embeds it."""
     return dumps_json(scenario_to_dict(s))
+
+
+def repeated_key_text(doc, path, value) -> str:
+    """``doc`` as JSON text in which the object holding the key path ``path``
+    gives its last key a second time, holding ``value``, right after the first.
+    """
+    marker = "\x00repeat"  # json.dumps writes it as an escape no key text holds
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    items = list(node.items())
+    node.clear()
+    for key, old in items:
+        node[key] = old
+        if key == path[-1]:
+            node[marker] = value
+    return json.dumps(doc).replace(json.dumps(marker), json.dumps(path[-1]))
 
 
 def hold_schedule(coords: AtCoordinates, duration: float = 1.0) -> PhaseSchedule:

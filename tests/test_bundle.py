@@ -449,6 +449,26 @@ class TestEmitBundle:
         assert scenario_sha256(reparsed) == manifest["scenario_sha256"]
         assert reparsed == scenario
 
+    def test_read_builds_the_scenario_from_the_manifests_dict(
+        self, short_run, tmp_path, monkeypatch
+    ):
+        # The embedded scenario is not re-serialised to be parsed again: the
+        # one json.dumps a read makes is the canonical text scenario_sha256
+        # hashes.
+        scenario, trace, metrics = short_run
+        bundle = emit_bundle(
+            tmp_path / "run", scenario, trace, metrics, *graph_parts(scenario)
+        )
+        calls, dumps = [], json.dumps
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", recording)
+        assert read_bundle(bundle)[0] == scenario
+        assert calls == [{"sort_keys": True, "separators": (",", ":")}]
+
     def test_round_trip_read_trace(self, short_run, tmp_path):
         scenario, trace, metrics = short_run
         bundle = emit_bundle(

@@ -12,6 +12,13 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import (
+    make_scenario,
+    random_config,
+    random_schedule,
+    repeated_key_text,
+    serialize_scenario,
+)
 
 from affineswarm import SimParams, SpectralReport
 from affineswarm import cli, formation
@@ -245,6 +252,30 @@ GHOST = "error: invalid configuration: unknown-neighbor: graph names unknown age
 
 
 @pytest.mark.parametrize("command", ["check", "graph", "plan", "simulate"])
+def test_repeated_key_is_refused(tmp_path, capsys, command):
+    # {"kp": 1, "kp": 2500} must not run at the last value.
+    doc = json.loads(default_scenario_text())
+    path = tmp_path / "repeated.json"
+    path.write_text(
+        repeated_key_text(doc, ("sim", "kp"), 2500.0).replace(
+            '"kp": 2500.0', '"kp": 1', 1
+        )
+    )
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: $.sim: duplicate key 'kp'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_nesting_deeper_than_the_parser_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}:1:1: nesting too deep\n"
+
+
+@pytest.mark.parametrize("command", ["check", "graph", "plan", "simulate"])
 def test_graph_key_naming_no_agent_is_refused(tmp_path, capsys, command):
     path = edited(tmp_path, lambda d: d["graph"].update(ghost=["cf1", "cf5", "cf6"]))
     assert main([command, path, "--out", str(tmp_path / "out")]) == 1
@@ -412,6 +443,28 @@ class TestGraph:
         assert doc["spectrum"]["h_deviation"] <= 1e-9
         assert doc["closed_loop"]["spectral_radius"] == pytest.approx(0.768, abs=1e-3)
         assert doc["closed_loop"]["settling_ticks"] == 35  # 0.768**35 < 1e-4
+
+    @pytest.mark.parametrize("layout", ["default", "random"])
+    def test_stdout_is_the_bundles_json(self, tmp_path, capsysbinary, layout):
+        # One writer: graph's stdout is simulate's matrices.json, and
+        # simulate's report is its metrics.json, byte for byte.
+        path = tmp_path / "scenario.json"
+        if layout == "default":
+            path.write_text(default_scenario_text())
+        else:
+            rng = np.random.default_rng(7)
+            scenario = make_scenario(
+                random_config(rng, 5), random_schedule(rng), SimParams(duration=2.0)
+            )
+            path.write_text(serialize_scenario(scenario))
+        assert main(["graph", str(path)]) == 0
+        graph = capsysbinary.readouterr().out
+        bundle = tmp_path / "bundle"
+        argv = ["simulate", str(path), "--out", str(bundle), "--skip-safety-check"]
+        assert main(argv) == 0
+        report = capsysbinary.readouterr().out.split(b"\n", 1)[1]
+        assert graph == (bundle / "matrices.json").read_bytes()
+        assert report == (bundle / "metrics.json").read_bytes()
 
     def test_degenerate_graph_is_validation_failure(self, tmp_path, capsys):
         doc = json.loads(default_scenario_text())
@@ -955,6 +1008,42 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {out}/manifest.json: scenario_sha256: '")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "path, where",
+        [
+            (("scenario_sha256",), "$"),
+            (("tool", "name"), "$.tool"),
+            (("scenario", "sim", "kp"), "$.scenario.sim"),
+            (("scenario", "agents", 0, "x"), "$.scenario.agents[0]"),
+            (("outputs", "traces", "cf4"), "$.outputs.traces"),
+        ],
+    )
+    def test_repeated_manifest_key_is_refused(
+        self, fast_bundle, tmp_path, capsys, path, where
+    ):
+        # Even a repeat of the same value, or in the tool entry no check reads.
+        out = tmp_path / "bundle"
+        shutil.copytree(fast_bundle, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        value = manifest
+        for key in path:
+            value = value[key]
+        (out / "manifest.json").write_text(repeated_key_text(manifest, path, value))
+        assert main(["validate", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out}/manifest.json: {where}: duplicate key {path[-1]!r}\n"
+        )
+
+    def test_manifest_nested_too_deep_is_malformed(self, fast_bundle, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        shutil.copytree(fast_bundle, out)
+        (out / "manifest.json").write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["validate", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out}/manifest.json: malformed manifest: nesting too deep: "
+            "line 1 column 1 (char 0)\n"
+        )
 
     def test_tool_is_not_compared(self, fast_bundle, tmp_path, capsys):
         # A later version reads this version's bundles.

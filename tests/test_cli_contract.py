@@ -1,12 +1,14 @@
 """The CLI contract as a property: every input runs or is refused.
 
-Mutated scenarios (leaves set to odd values, keys deleted, agent ids
-renamed) go through ``check``, ``graph``, ``plan`` and
+Mutated scenarios (leaves set to odd values, keys deleted or repeated,
+agent ids renamed), of the bundled default and of a small
+``random_config`` layout, go through ``check``, ``graph``, ``plan`` and
 ``simulate``, and damaged bundles through ``validate``, all by way of
 ``cli.main``. Whatever the input, no exception escapes, the exit code is
 0, 1 or 2, a usage or parse error (2) is told in ``error:`` lines, and
-the JSON documents on stdout are strict JSON. As the test suite turns
-warnings into errors, a numpy warning fails the property too.
+the JSON documents on stdout are strict JSON. A repeated key is always
+refused (2). As the test suite turns warnings into errors, a numpy
+warning fails the property too.
 """
 
 import contextlib
@@ -16,10 +18,19 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import (
+    make_scenario,
+    random_config,
+    random_schedule,
+    repeated_key_text,
+    serialize_scenario,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from affineswarm import SimParams
 from affineswarm.cli import main
 from affineswarm.scenario import default_scenario_text
 
@@ -64,6 +75,16 @@ def short_default():
     return doc
 
 
+def short_random():
+    """Four followers of a ``random_config`` layout on a random schedule, 2 s."""
+    rng = np.random.default_rng(3)
+    params = SimParams(kp=2500.0, kd=100.0, duration=2.0)
+    scenario = make_scenario(random_config(rng, 4), random_schedule(rng), params)
+    doc = json.loads(serialize_scenario(scenario))
+    doc["safety"]["agent_radius"] = 0.01  # so the unmutated run passes its precheck
+    return doc
+
+
 def renamed(doc, site, new):
     """A copy of ``doc`` with the agent id at ``site`` renamed ``new``.
 
@@ -80,21 +101,45 @@ def renamed(doc, site, new):
     return doc
 
 
-SCENARIO_LEAVES = list(leaves(short_default()))
-SCENARIO_KEYS = list(key_paths(short_default()))
-AGENT_IDS = [agent["id"] for agent in short_default()["agents"]]
-ID_SITES = (
-    [("agents", i, "id") for i in range(len(AGENT_IDS))]
-    + [("graph", key) for key in short_default()["graph"]]
-    + [p for p in leaves(short_default()["graph"], ("graph",))]
-    + [("everywhere", aid) for aid in AGENT_IDS]
-)
-NUMERIC_LEAVES = [p for p in SCENARIO_LEAVES if type(node_at(short_default(), p)) is float]
+BASES = {"default": short_default(), "random": short_random()}
+
+
+def id_sites(doc):
+    """Every site of an agent id in ``doc``, as ``renamed`` takes them."""
+    ids = [agent["id"] for agent in doc["agents"]]
+    return (
+        [("agents", i, "id") for i in range(len(ids))]
+        + [("graph", key) for key in doc["graph"]]
+        + list(leaves(doc["graph"], ("graph",)))
+        + [("everywhere", aid) for aid in ids]
+    )
+
+
 NUMBERS = [0, -0.0, 1e308, -1e308, 5e-324, 2**63, 10**400]
 OTHERS = [True, None, [], {}, "", "é1", "a/b", "x,y"]
-NEW_IDS = AGENT_IDS + ["cf9", "", "é1", "a/b", "x,y"]
 # Numeric leaves and numbers three times over, so that more cases reach a run.
 VALUES = NUMBERS * 3 + OTHERS
+
+
+def leaf_edits(base):
+    doc = BASES[base]
+    numeric = [p for p in leaves(doc) if type(node_at(doc, p)) is float]
+    pairs = st.tuples(st.sampled_from(list(leaves(doc)) + 2 * numeric),
+                      st.sampled_from(VALUES))
+    return st.tuples(st.just(base), st.lists(pairs, min_size=1, max_size=3))
+
+
+def reshapes(base):
+    doc = BASES[base]
+    keys = list(key_paths(doc))
+    new_ids = [agent["id"] for agent in doc["agents"]] + ["cf9", "", "é1", "a/b", "x,y"]
+    return st.tuples(st.just(base), st.one_of(
+        st.tuples(st.just("delete"), st.sampled_from(keys)),
+        st.tuples(st.just("repeat"), st.sampled_from(keys), st.sampled_from(VALUES)),
+        st.tuples(
+            st.just("rename"), st.sampled_from(id_sites(doc)), st.sampled_from(new_ids)
+        ),
+    ))
 
 
 def strict_json(text: str):
@@ -104,68 +149,65 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
-def run(argv) -> tuple[int, bytes]:
-    """``main(argv)``'s exit code and stdout bytes, its stderr checked."""
+def run(argv) -> tuple[int, bytes, list[str]]:
+    """``main(argv)``'s exit code, stdout bytes and stderr lines, checked."""
     stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
     stdout.flush()
     assert code in (0, 1, 2), (argv, code)
+    lines = stderr.getvalue().splitlines()
     if code == 2:
-        lines = stderr.getvalue().splitlines()
         assert lines and all(line.startswith("error: ") for line in lines), lines
-    return code, stdout.buffer.getvalue()
+    return code, stdout.buffer.getvalue(), lines
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    edits=st.lists(
-        st.tuples(st.sampled_from(SCENARIO_LEAVES + 2 * NUMERIC_LEAVES),
-                  st.sampled_from(VALUES)),
-        min_size=1,
-        max_size=3,
-    )
-)
-@example(edits=[(("safety", "agent_radius"), 1e308)])  # check's floor overflows
-@example(edits=[(("translation", "tf"), 5e-324)])  # the ramp's quotient overflows
-@example(edits=[(("translation", "end", 0), 1e308)])  # tracking errors overflow
-def test_every_scenario_runs_or_is_refused(edits):
-    judge(with_leaves(short_default(), edits))
+@given(case=st.sampled_from(list(BASES)).flatmap(leaf_edits))
+@example(case=("default", [(("safety", "agent_radius"), 1e308)]))  # floor overflows
+@example(case=("default", [(("translation", "tf"), 5e-324)]))  # quotient overflows
+@example(case=("default", [(("translation", "end", 0), 1e308)]))  # errors overflow
+def test_every_scenario_runs_or_is_refused(case):
+    base, edits = case
+    judge(json.dumps(with_leaves(BASES[base], edits)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    edit=st.one_of(
-        st.tuples(st.just("delete"), st.sampled_from(SCENARIO_KEYS)),
-        st.tuples(
-            st.just("rename"), st.sampled_from(ID_SITES), st.sampled_from(NEW_IDS)
-        ),
-    )
-)
-@example(edit=("delete", ("agents", 3, "id")))
-@example(edit=("rename", ("graph", "cf2"), "cf9"))  # a graph key that names no agent
-@example(edit=("rename", ("everywhere", "cf1"), "é1"))
-def test_every_reshaped_scenario_runs_or_is_refused(edit):
-    doc = short_default()
+@given(case=st.sampled_from(list(BASES)).flatmap(reshapes))
+@example(case=("default", ("delete", ("agents", 3, "id"))))
+@example(case=("default", ("rename", ("graph", "cf2"), "cf9")))  # names no agent
+@example(case=("default", ("rename", ("everywhere", "cf1"), "é1")))
+@example(case=("random", ("repeat", ("sim", "kp"), 0)))
+def test_every_reshaped_scenario_runs_or_is_refused(case):
+    base, edit = case
+    doc = json.loads(json.dumps(BASES[base]))
     if edit[0] == "delete":
         del node_at(doc, edit[1][:-1])[edit[1][-1]]
-    else:
+    elif edit[0] == "rename":
         doc = renamed(doc, *edit[1:])
-    judge(doc)
+    else:  # whatever the value, a repeated key is refused
+        judge(repeated_key_text(doc, *edit[1:]), refused=True)
+        return
+    judge(json.dumps(doc))
 
 
-def judge(doc):
-    """Run ``check``, ``graph``, ``plan`` and ``simulate`` on scenario ``doc``."""
+def judge(text, refused=False):
+    """Run ``check``, ``graph``, ``plan`` and ``simulate`` on the scenario
+    ``text``; when ``refused``, each must refuse it for a repeated key."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
-        path.write_text(json.dumps(doc))
-        for command in ("check", "graph", "plan"):
-            _, out = run([command, str(path)])
-            if out and command != "plan":
+        path.write_text(text)
+        for command in ("check", "graph", "plan", "simulate"):
+            argv = [command, str(path)]
+            if command == "simulate":
+                argv += ["--out", str(Path(tmp) / "run")]
+            code, out, err = run(argv)
+            if refused:
+                assert code == 2 and any("duplicate key" in line for line in err)
+            elif command == "simulate" and code == 0:
+                strict_json(out.decode().split("\n", 1)[1])
+            elif out and command in ("check", "graph"):
                 strict_json(out.decode())
-        code, out = run(["simulate", str(path), "--out", str(Path(tmp) / "run")])
-        if code == 0:
-            strict_json(out.decode().split("\n", 1)[1])
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +224,9 @@ def short_bundle(tmp_path_factory):
 def test_every_damaged_bundle_is_judged_or_refused(short_bundle, data):
     files = sorted(p.name for p in short_bundle.iterdir())
     traces = [name for name in files if name.startswith("trace_")]
-    damage = data.draw(st.sampled_from(["flip", "truncate", "swap", "manifest"]))
+    damage = data.draw(
+        st.sampled_from(["flip", "truncate", "swap", "manifest", "repeat"])
+    )
     with tempfile.TemporaryDirectory() as tmp:
         bundle = Path(shutil.copytree(short_bundle, Path(tmp) / "bundle"))
         if damage == "swap":
@@ -196,6 +240,11 @@ def test_every_damaged_bundle_is_judged_or_refused(short_bundle, data):
             edit = data.draw(st.tuples(st.sampled_from(list(leaves(doc))),
                                        st.sampled_from(VALUES)))
             (bundle / "manifest.json").write_text(json.dumps(with_leaves(doc, [edit])))
+        elif damage == "repeat":
+            doc = json.loads((bundle / "manifest.json").read_text())
+            edit = data.draw(st.tuples(st.sampled_from(list(key_paths(doc))),
+                                       st.sampled_from(VALUES)))
+            (bundle / "manifest.json").write_text(repeated_key_text(doc, *edit))
         else:
             target = bundle / data.draw(st.sampled_from(files))
             content = bytearray(target.read_bytes())
@@ -205,6 +254,8 @@ def test_every_damaged_bundle_is_judged_or_refused(short_bundle, data):
             else:
                 del content[at:]
             target.write_bytes(bytes(content))
-        _, out = run(["validate", str(bundle)])
-        if out:
+        code, out, err = run(["validate", str(bundle)])
+        if damage == "repeat":
+            assert code == 2 and any("duplicate key" in line for line in err)
+        elif out:
             strict_json(out.decode())

@@ -25,8 +25,9 @@ from affineswarm.scenario import (
     SAMPLE_BYTES,
     WORK_BUDGET,
     default_scenario_text,
+    load_json,
 )
-from conftest import serialize_scenario, traced_peak
+from conftest import repeated_key_text, serialize_scenario, traced_peak
 
 
 class TestDefaultScenario:
@@ -161,6 +162,50 @@ class TestParseErrors:
         assert exc.value.errors == [
             "$.corridor: missing required key 'x_start'",
             "$.corridor.width: expected a finite number, got 'wide'",
+        ]
+
+
+class TestRepeatedKeys:
+    def test_the_loader_keeps_what_each_object_repeats(self):
+        doc = load_json('{"a": 1, "b": [{"c": 2, "c": 3, "c": 4}], "a": 5}')
+        assert doc == {"a": 5, "b": [{"c": 4}]}
+        assert doc.repeated == ("a",)
+        assert doc["b"][0].repeated == ("c",)
+
+    @pytest.mark.parametrize(
+        "path, where",
+        [
+            (("name",), "$"),
+            (("agents", 3, "x"), "$.agents[3]"),
+            (("graph", "cf2"), "$.graph"),
+            (("phases", 2, "end", "psi_d"), "$.phases[2].end"),
+            (("translation", "end"), "$.translation"),
+            (("safety", "agent_radius"), "$.safety"),
+            (("sim", "kp"), "$.sim"),
+            (("corridor", "width"), "$.corridor"),
+        ],
+    )
+    def test_a_repeated_key_is_refused_at_its_object(self, path, where):
+        doc = minimal_doc()
+        value = doc
+        for key in path:
+            value = value[key]
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(repeated_key_text(doc, path, value))
+        assert exc.value.errors == [f"{where}: duplicate key {path[-1]!r}"]
+
+    def test_repeats_accumulate_with_other_errors(self):
+        doc = minimal_doc()
+        doc["sim"]["kd"] = "x"
+        text = repeated_key_text(doc, ("sim", "kp"), 2500.0)
+        cf3 = '"cf3": ["cf1", "cf4", "cf5"]'
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text.replace(cf3, f'{cf3}, "cf3": 5'))
+        assert exc.value.errors == [
+            "$.graph: duplicate key 'cf3'",
+            "$.graph.cf3: expected a list of agent ids, got 5",
+            "$.sim: duplicate key 'kp'",
+            "$.sim.kd: expected a finite number, got 'x'",
         ]
 
 
