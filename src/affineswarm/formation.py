@@ -25,6 +25,7 @@ team settles. ``verify_spectrum`` checks both, the second as the residual
 
 from __future__ import annotations
 
+import reprlib
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -54,10 +55,10 @@ SPECTRUM_TOL = 1e-9
 def _component_problem(text: str, forbidden: str) -> str | None:
     """Why ``text`` is not one file-name component free of ``forbidden``, or None."""
     if text in ("", ".", ".."):
-        return f"must be one file-name component, got {text!r}"
+        return f"must be one file-name component, got {reprlib.repr(text)}"
     for c in text:
         if c in forbidden or not c.isprintable():
-            return f"must not contain {c!r}, got {text!r}"
+            return f"must not contain {c!r}, got {reprlib.repr(text)}"
     return None
 
 

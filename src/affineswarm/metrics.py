@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .phases import SafetyReport, check_schedule_safety
+from .phases import SafetyReport, check_schedule_safety, desired_positions
 from .scenario import Corridor, Scenario
 from .simulation import SimTrace
 from .transform import min_scaling_bound, transform_points
@@ -78,56 +78,62 @@ def _cells_min(positions: np.ndarray, pairs: np.ndarray, counts: np.ndarray) -> 
     return best
 
 
-def pairwise_min_distance(trace: SimTrace, scenario: Scenario) -> float:
-    """Minimum center-to-center distance over all ticks and agent pairs.
+def _tracking(trace: SimTrace, scenario: Scenario) -> tuple:
+    """Each tick's ``e_k = max |p - (Q_k a + d_k)|``, ``s_k = min(lambda1, lambda2)``.
 
-    ``trace`` holds ``scenario``'s agents in matrix order, at any positions
-    and in any memory layout. The result is the float an all-pairs search
-    returns, found from fewer pairs by the paper's bound: when every agent
-    is within ``e_k`` of its commanded image ``Q_k a + d_k`` at tick ``k``,
-    ``|p_i - p_j| >= s_k |a_i - a_j| - 2 e_k`` with
-    ``s_k = min(lambda1, lambda2)``. One evaluator, ``_cells_min``, takes
-    each tick's count of leading pairs in tick slices of at most ``_CELLS``
-    cells. When ``N <= 7`` (at most 21 pairs) the bound could rule out
-    little, so every pair is searched at every tick and the schedule is
-    not sampled. Otherwise the pair nearest in the reference layout, the
-    one behind ``d_min``, gives an upper bound ``ub`` on the minimum over
-    its ``T`` ticks. At tick ``k`` only the pairs with
-    ``|a_i - a_j| <= (ub + 2 e_k + pad) / s_k`` can come closer than
-    ``ub``; ``pad`` is ``_PAD_ULPS`` ulps of the largest value involved,
-    so rounding cannot skip the closest pair. Returns +inf when the trace
-    has fewer than two agents.
+    The one sampling of ``scenario``'s map: in ``_tick_chunks`` slices and,
+    as in ``desired_positions``, only through the first tick at or after
+    ``t_hold``. ``pad`` is ``_PAD_ULPS`` ulps of a bound on each coordinate of
+    a ``d``, image or position (``|p| <= |Q a + d| + e``) and ``lambda |a_i - a_j|``.
     """
-    t_count, n, _ = trace.positions.shape
-    if n < 2:
-        return math.inf
-    positions = trace.positions
+    times, positions = trace.times, trace.positions
+    t_count, n, _ = positions.shape
+    schedule, refs = scenario.schedule, scenario.config.reference_positions()
+    extent = 2.0 * float(_lengths(refs[:, :2]).max())
+    moving = np.flatnonzero(~(times >= schedule.t_hold))
+    sampled = min(t_count, moving[-1] + 2 if len(moving) else 1)
+    err, strain, scale = np.empty(t_count), np.empty(t_count), 0.0
+    for ticks in _tick_chunks(sampled, n):
+        coords, q, d = schedule.sample(times[ticks])
+        images = transform_points(q, d, refs)
+        strain[ticks] = np.minimum(coords[:, 2], coords[:, 3])
+        err[ticks] = _lengths(positions[ticks] - images).max(axis=1)
+        lam, image_max = float(coords[:, 2:4].max()), float(np.abs(images).max())
+        scale = max(scale, float(np.abs(d).max()), lam * extent, image_max)
+    strain[sampled:] = strain[sampled - 1 : sampled]
+    held = positions[sampled:]  # each tick has tick ``sampled - 1``'s image
+    for ticks in _tick_chunks(len(held), n):
+        err[sampled:][ticks] = _lengths(held[ticks] - images[-1]).max(axis=1)
+    return err, strain, _PAD_ULPS * np.finfo(float).eps * (scale + float(err.max()))
+
+
+def _closest(positions: np.ndarray, scenario: Scenario, tracking) -> float:
+    """``pairwise_min_distance``, pruned by ``tracking`` (``_tracking``) unless None."""
+    t_count = len(positions)
     ref_dist, pairs = _pair_table(scenario.config.planar_positions())
-    if 3 * n >= len(ref_dist):
+    if tracking is None:
         return _cells_min(positions, pairs, np.full(t_count, len(ref_dist)))
     order = np.argsort(ref_dist, kind="stable")
     ref_dist, pairs = ref_dist[order], pairs[:, order]
     ub = _cells_min(positions, pairs, np.ones(t_count, dtype=int))
-
-    refs = scenario.config.reference_positions()
-    err, strain = np.empty(t_count), np.empty(t_count)
-    scale = 0.0
-    for ticks in _tick_chunks(t_count, n):
-        coords, q, d = scenario.schedule.sample(trace.times[ticks])
-        strain[ticks] = coords[:, 2:4].min(axis=1)
-        images = transform_points(q, d, refs)
-        err[ticks] = _lengths(positions[ticks] - images).max(axis=1)
-        scale = max(
-            scale,
-            float(np.abs(d).max()),
-            float(coords[:, 2:4].max() * ref_dist[-1]),
-            float(np.abs(images).max()),
-            float(np.abs(positions[ticks]).max()),
-        )
-    pad = _PAD_ULPS * np.finfo(float).eps * scale
-    reach = (ub + 2.0 * err + pad) / strain
-    survivors = np.searchsorted(ref_dist, reach, side="right")
+    err, strain, pad = tracking
+    survivors = np.searchsorted(ref_dist, (ub + 2.0 * err + pad) / strain, side="right")
     return min(ub, _cells_min(positions, pairs, survivors))
+
+
+def pairwise_min_distance(trace: SimTrace, scenario: Scenario) -> float:
+    """Minimum center-to-center distance over all ticks and agent pairs.
+
+    ``trace`` holds ``scenario``'s agents in matrix order, in any memory
+    layout. The result is the all-pairs search's float, found from fewer
+    pairs by the paper's bound ``|p_i - p_j| >= s_k |a_i - a_j| - 2 e_k``
+    (``_tracking``). For ``N <= 7`` every pair is searched at every tick and
+    the schedule is not sampled. Otherwise the pair behind ``d_min`` bounds
+    the minimum by ``ub``, and only pairs with ``|a_i - a_j| <= (ub + 2 e_k
+    + pad) / s_k`` at tick ``k`` are searched. +inf for fewer than two agents.
+    """
+    tracking = _tracking(trace, scenario) if trace.positions.shape[1] > 7 else None
+    return _closest(trace.positions, scenario, tracking)
 
 
 def corridor_clearance(
@@ -153,10 +159,9 @@ def _final_residual(trace: SimTrace, scenario: Scenario) -> float | None:
 
     Averages each follower over the final 10% of the hold period (the span
     after the last phase ends; 10% of the trace when there is none) and
-    compares it with ``H`` applied to the leaders' final desired positions.
-    None when the leaders' desired positions move by more than
-    ``LEADER_DRIFT_TOL`` inside that window (a run truncated mid-maneuver,
-    or a hold too short); 0.0 when there are no followers.
+    compares it with ``H`` applied to the leaders' final commanded images;
+    None when those move by more than ``LEADER_DRIFT_TOL`` in that window
+    (a run cut mid-maneuver, or a hold too short), 0.0 with no followers.
     """
     times = trace.times
     span = float(times[-1] - times[0])
@@ -166,7 +171,7 @@ def _final_residual(trace: SimTrace, scenario: Scenario) -> float | None:
     else:
         window = 0.1
     mask = times >= times[-1] - window * (times[-1] - times[0])
-    leaders = trace.desired[mask, :3]
+    leaders = desired_positions(scenario.config, scenario.schedule, times[mask])[:, :3]
     if float(np.abs(leaders - leaders[-1]).max()) > LEADER_DRIFT_TOL:
         return None
     if trace.positions.shape[1] <= 3:
@@ -220,26 +225,21 @@ def validate_run(trace: SimTrace, scenario: Scenario) -> RunMetrics:
     """Run the full safety-validation chain on a completed trace of ``scenario``.
 
     The measured tracking error, every agent's largest distance from its
-    desired position, feeds ``strain_check``: the commanded schedule must
+    commanded image, feeds ``strain_check``: the commanded schedule must
     stay at or above the floor it gives, and when it does the minimum center
     distance must be at least one agent diameter. Both conditions fold into
     ``safety_pass``. The run converged when ``_final_residual`` is within
     ``CONVERGENCE_TOL``; a null residual (leaders still moving at the end)
-    does not converge. A distance too large for a float reads as inf.
+    does not converge. A distance too large for a float reads as inf. One
+    ``_tracking`` pass gives ``measured_delta`` and the pair search's bound.
+    No metric reads the trace's ``desired`` or ``references``: logging only.
     """
-    agent_radius = scenario.safety.agent_radius
-    measured_delta = max(
-        float(_lengths(trace.positions[k] - trace.desired[k]).max())
-        for k in _tick_chunks(*trace.positions.shape[:2])
-    )
+    corridor, radius = scenario.corridor, scenario.safety.agent_radius
+    tracking = _tracking(trace, scenario)
+    measured_delta = float(tracking[0].max())
     safety, _ = strain_check(scenario, measured_delta)
-
-    min_pairwise = pairwise_min_distance(trace, scenario)
-    clearance = (
-        corridor_clearance(trace, scenario.corridor, agent_radius)
-        if scenario.corridor is not None
-        else None
-    )
+    min_pairwise = _closest(trace.positions, scenario, tracking)
+    clearance = None if corridor is None else corridor_clearance(trace, corridor, radius)
     residual = _final_residual(trace, scenario)
 
     return RunMetrics(
@@ -250,5 +250,5 @@ def validate_run(trace: SimTrace, scenario: Scenario) -> RunMetrics:
         residual=residual,
         lambda_min_required=safety.lambda_min_bound,
         min_strain_commanded=safety.min_strain_observed,
-        safety_pass=bool(safety.passed and min_pairwise >= 2.0 * agent_radius),
+        safety_pass=bool(safety.passed and min_pairwise >= 2.0 * radius),
     )

@@ -41,6 +41,7 @@ import functools
 import hashlib
 import json
 import math
+import reprlib
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
@@ -294,7 +295,11 @@ def _fields(cls) -> dict:
 
 
 class _Schema:
-    """Accumulates schema errors while pulling typed values out of a doc."""
+    """Accumulates schema errors while pulling typed values out of a doc.
+
+    A refused value or key is quoted through ``reprlib``, so however large
+    the input, its error line stays short.
+    """
 
     def __init__(self):
         self.errors: list[str] = []
@@ -306,17 +311,18 @@ class _Schema:
         """Fail ``path`` for each key ``doc`` repeats (``load_json``) and each
         key not in ``allowed``."""
         for key in getattr(doc, "repeated", ()):
-            self.fail(path, f"duplicate key {key!r}")
+            self.fail(path, f"duplicate key {reprlib.repr(key)}")
         for key in doc:
             if key not in allowed:
-                self.fail(path, f"unknown key {key!r}")
+                self.fail(path, f"unknown key {reprlib.repr(key)}")
 
     def value(self, doc: dict, key: str, path: str, kind=_NUMBER):
         """``doc[key]`` read as ``kind``, a ``_KINDS`` entry; None after failing."""
         read, expected = kind
         value = read(doc[key])
         if value is None:
-            self.fail(f"{path}.{key}", f"expected {expected}, got {doc[key]!r}")
+            got = reprlib.repr(doc[key])
+            self.fail(f"{path}.{key}", f"expected {expected}, got {got}")
         return value
 
     def read(self, cls, doc, path: str):
@@ -441,7 +447,8 @@ def scenario_from_dict(doc, source: str) -> Scenario:
             if not isinstance(nbrs, list) or any(
                 not isinstance(j, str) for j in nbrs
             ):
-                schema.fail(path, f"expected a list of agent ids, got {nbrs!r}")
+                got = reprlib.repr(nbrs)
+                schema.fail(path, f"expected a list of agent ids, got {got}")
                 continue
             graph[fid] = tuple(nbrs)
 

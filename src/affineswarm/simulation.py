@@ -5,9 +5,9 @@ of its reference position. Leaders take their reference straight from the
 planner (the commanded affine map); followers take the weighted sum of
 their three in-neighbors' actual positions from ``delay_ticks`` control
 ticks earlier, with the weights stored in their row of ``W``. Followers
-never see the commanded map; their global desired positions are computed
-(for every tick at once, before the run) for logging and error
-measurement only.
+never see the commanded map; its images of every agent are computed (for
+every tick at once, before the run) for logging only: the metrics take
+them from the scenario's schedule.
 
 References are held constant between control ticks, so the ``substeps``
 semi-implicit Euler steps of size ``dt`` within one tick are one fixed
@@ -46,13 +46,17 @@ class SimTrace:
 
     Leaders are the first three agents, as in the config. ``run_simulation``
     and ``bundle.read_bundle`` give each of the three arrays as its own
-    C-contiguous float64 ``(T, N, 3)`` array, 72·T·N bytes in all.
+    C-contiguous float64 ``(T, N, 3)`` array, 72·T·N bytes in all. Only
+    ``times`` and ``positions`` are measured: ``references`` (each agent's
+    control input) and ``desired`` (its commanded image ``Q_k a + d_k``)
+    are logging only, and the metrics read the commanded map from the
+    scenario.
     """
 
     times: np.ndarray  # (T,)
     positions: np.ndarray  # (T, N, 3) actual
-    references: np.ndarray  # (T, N, 3) control inputs
-    desired: np.ndarray  # (T, N, 3) commanded-map images, logging only
+    references: np.ndarray  # (T, N, 3) control inputs, logging only
+    desired: np.ndarray  # (T, N, 3) commanded images, logging only
 
 
 def tick_times(schedule: PhaseSchedule, params: SimParams) -> np.ndarray:

@@ -40,12 +40,15 @@ def _yaw(angle) -> np.ndarray:
 
     ``math.cos``/``math.sin`` are mapped over the angles so every host
     yields the same bits as a scalar evaluation (numpy's SIMD kernels may
-    differ from libm in the last place).
+    differ from libm in the last place). They are mapped once per distinct
+    angle, told apart by their bits: a schedule holds its angles for whole
+    phases.
     """
     a = np.asarray(angle, dtype=float)
-    flat = a.ravel().tolist()
-    c = np.fromiter(map(math.cos, flat), float, len(flat)).reshape(a.shape)
-    s = np.fromiter(map(math.sin, flat), float, len(flat)).reshape(a.shape)
+    bits, where = np.unique(a.view(np.uint64), return_inverse=True)
+    flat = bits.view(float).tolist()
+    c = np.fromiter(map(math.cos, flat), float, len(flat))[where].reshape(a.shape)
+    s = np.fromiter(map(math.sin, flat), float, len(flat))[where].reshape(a.shape)
     r = np.zeros(a.shape + (3, 3))
     r[..., 0, 0] = c
     r[..., 0, 1] = -s

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import reprlib
 import shutil
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from conftest import (
 
 from affineswarm import SimParams, SpectralReport
 from affineswarm import cli, formation
+from affineswarm.bundle import read_bundle
 from affineswarm.cli import build_parser, main
 from affineswarm.scenario import default_scenario_text
 
@@ -222,7 +224,7 @@ def edited(tmp_path, edit):
         (lambda d: [], 2, "{path}: top level must be an object"),
         (lambda d: d.update(graph=[]), 2, "$.graph: expected an object mapping follower id to neighbors"),
         (lambda d: d["graph"].update(cf2="cf1"), 2, "$.graph.cf2: expected a list of agent ids, got 'cf1'"),
-        (lambda d: d["agents"][0].update(x=10**400), 2, f"$.agents[0].x: expected a finite number, got {10**400}"),
+        (lambda d: d["agents"][0].update(x=10**400), 2, f"$.agents[0].x: expected a finite number, got {reprlib.repr(10**400)}"),
         (lambda d: d["translation"].pop("end") and None, 2, "$.translation: missing required key 'end'"),
         (lambda d: d["graph"].pop("cf2") and None, 1, NO_ENTRY),
         (lambda d: d["agents"][0].update(role="follower"), 1, TWO_LEADERS),
@@ -273,6 +275,52 @@ def test_nesting_deeper_than_the_parser_is_a_parse_error(tmp_path, capsys, comma
     path.write_text("[" * 100_000 + "]" * 100_000)
     assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {path}:1:1: nesting too deep\n"
+
+
+def test_nested_value_is_quoted_in_a_short_line(tmp_path, capsys):
+    # 900 nested lists parse; the refusal quotes them through reprlib.
+    text = json.dumps(json.loads(default_scenario_text()))
+    path = tmp_path / "nested.json"
+    path.write_text(text.replace('"kp": 2500.0', '"kp": ' + "[" * 900 + "]" * 900, 1))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.sim.kp: expected ")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+LONG = "x" * 10_000
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        pytest.param(
+            lambda d: json.dumps({**d, "graph": {**d["graph"], "cf2": [LONG, 1]}}),
+            "$.graph.cf2: expected a list of agent ids, got ",
+            id="graph-entry",
+        ),
+        pytest.param(
+            lambda d: json.dumps({**d, LONG: 1}), "$: unknown key ", id="unknown-key"
+        ),
+        pytest.param(
+            lambda d: repeated_key_text({**d, LONG: 1}, (LONG,), 2),
+            "$: duplicate key ",
+            id="duplicate-key",
+        ),
+        pytest.param(
+            lambda d: json.dumps({**d, "name": LONG + "/"}),
+            "$.name: must not contain '/', got ",
+            id="name",
+        ),
+    ],
+)
+def test_refused_input_is_quoted_in_short_lines(tmp_path, capsys, text, where):
+    path = tmp_path / "long.json"
+    path.write_text(text(json.loads(default_scenario_text())))
+    assert main(["check", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert any(line.startswith(f"error: {where}") for line in lines)
+    assert all(len(line) < 200 for line in lines)
 
 
 @pytest.mark.parametrize("command", ["check", "graph", "plan", "simulate"])
@@ -693,6 +741,36 @@ class TestValidate:
         assert doc["safety_pass"] is True
         assert doc["converged"] is True
         assert doc["min_corridor_clearance"] > 0.0
+
+    def test_forged_desired_columns_change_nothing(self, default_path, tmp_path, capsys):
+        # A run that fails its certificate, with x,y,z copied over
+        # x_des,y_des,z_des on every row before t = 38 s: measured against
+        # those columns it would track to 2e-5 m and certify. validate
+        # measures against the scenario's commanded map, so both bundles
+        # give the same bytes and the same exit code.
+        unforged, forged = tmp_path / "unforged", tmp_path / "forged"
+        argv = ["simulate", default_path, "--kp", "3", "--kd", "2", "--skip-safety-check"]
+        assert main([*argv, "--out", str(unforged)]) == 0
+        shutil.copytree(unforged, forged)
+        for trace in sorted(forged.glob("trace_*.csv")):
+            header, *rows = trace.read_text().splitlines()
+            assert header == "t,x,y,z,x_ref,y_ref,z_ref,x_des,y_des,z_des"
+            for i, row in enumerate(rows):
+                fields = row.split(",")
+                if float(fields[0]) < 38.0:
+                    rows[i] = ",".join(fields[:7] + fields[1:4])
+            trace.write_text("\n".join([header, *rows]) + "\n")
+        _, trace = read_bundle(forged)
+        early = trace.times < 38.0
+        assert np.array_equal(trace.desired[early], trace.positions[early])
+        capsys.readouterr()
+        outputs = []
+        for bundle in (unforged, forged):
+            assert main(["validate", str(bundle)]) == 1
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        doc = json.loads(outputs[0])
+        assert doc["measured_delta"] > 0.4 and doc["safety_pass"] is False
 
     def test_missing_bundle_is_parse_error(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope")]) == 2

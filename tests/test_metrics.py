@@ -20,6 +20,7 @@ from affineswarm import (
     SimParams,
     SimTrace,
     corridor_clearance,
+    desired_positions,
     pairwise_min_distance,
     run_simulation,
     strain_check,
@@ -441,12 +442,20 @@ class TestChunkedReductions:
         inside = (x >= corridor.x_start) & (x <= corridor.x_end)
         wall_gap = corridor.half_width - np.abs(y - corridor.center_y)
         clearance = float(wall_gap[inside].min() - radius)
-        delta = float(np.linalg.norm(trace.positions - trace.desired, axis=-1).max())
+        images = desired_positions(scenario.config, scenario.schedule, trace.times)
+        delta = float(np.linalg.norm(trace.positions - images, axis=-1).max())
 
         run = validate_run(trace, scenario)
         assert run.measured_delta == delta
         assert run.min_corridor_clearance == clearance
         assert corridor_clearance(trace, corridor, radius) == clearance
+        # The logged columns are not read: any finite values give the same run.
+        rng = np.random.default_rng(seed)
+        logged = dict(
+            desired=rng.uniform(-1e3, 1e3, trace.desired.shape),
+            references=rng.uniform(-1e3, 1e3, trace.references.shape),
+        )
+        assert validate_run(dataclasses.replace(trace, **logged), scenario) == run
 
 
 class TestCorridorClearance:
@@ -515,17 +524,23 @@ class TestCorridorClearance:
             Corridor(**kwargs)
 
 
-class TestTrackingErrorMetrics:
-    def test_perfect_tracking_is_zero(self, default_scenario):
-        trace = static_trace(default_scenario.config.reference_positions())
-        assert validate_run(trace, default_scenario).measured_delta == 0.0
+@pytest.fixture(scope="module")
+def held_default(default_scenario):
+    """The default layout under a schedule that holds it: its rows are commanded."""
+    return dataclasses.replace(default_scenario, schedule=hold_schedule(AtCoordinates()))
 
-    def test_single_excursion(self, default_scenario):
-        trace = static_trace(default_scenario.config.reference_positions())
+
+class TestTrackingErrorMetrics:
+    def test_perfect_tracking_is_zero(self, held_default):
+        trace = static_trace(held_default.config.reference_positions())
+        assert validate_run(trace, held_default).measured_delta == 0.0
+
+    def test_single_excursion(self, held_default):
+        trace = static_trace(held_default.config.reference_positions())
         pos = trace.positions.copy()
         pos[2, 4, 0] += 0.005
         bumped = dataclasses.replace(trace, positions=pos)
-        metrics = validate_run(bumped, default_scenario)
+        metrics = validate_run(bumped, held_default)
         assert metrics.measured_delta == pytest.approx(0.005, abs=1e-15)
 
     def test_recomputation_is_identical(self, default_scenario):
@@ -571,9 +586,9 @@ class TestConvergenceCheck:
         assert metrics.converged is False
         assert metrics.residual is None
 
-    def test_already_at_targets_gives_zero_residual(self, default_scenario):
-        trace = static_trace(default_scenario.config.reference_positions())
-        metrics = validate_run(trace, default_scenario)
+    def test_already_at_targets_gives_zero_residual(self, held_default):
+        trace = static_trace(held_default.config.reference_positions())
+        metrics = validate_run(trace, held_default)
         assert metrics.converged
         assert metrics.residual <= 1e-12
 
@@ -602,21 +617,25 @@ class TestStrainCheck:
 
 class TestValidateRun:
     def test_reference_parameter_chain(self, default_scenario):
-        # A synthetic trace with a 0.01 m worst excursion reproduces the
-        # bound 2 (0.01 + 0.065) / 0.5 = 0.3, which the commanded minimum
-        # strain of 0.5 satisfies.
+        # A synthetic trace with a 0.01 m worst excursion from a held
+        # contraction to half size reproduces the bound
+        # 2 (0.01 + 0.065) / 0.5 = 0.3, which the commanded minimum strain
+        # of 0.5 satisfies.
         cfg = default_scenario.config
-        refs = cfg.reference_positions()
+        half = AtCoordinates(lambda1=0.5, lambda2=0.5)
+        images = cfg.reference_positions() * [0.5, 0.5, 1.0]
         ticks = 8
-        pos = np.repeat(refs[None], ticks, axis=0)
+        pos = np.repeat(images[None], ticks, axis=0)
         pos[3, 0, 0] += 0.01
         trace = SimTrace(
             times=np.arange(ticks) / 100.0,
             positions=pos,
-            references=np.repeat(refs[None], ticks, axis=0),
-            desired=np.repeat(refs[None], ticks, axis=0),
+            references=np.repeat(images[None], ticks, axis=0),
+            desired=np.repeat(images[None], ticks, axis=0),
         )
-        scenario = dataclasses.replace(default_scenario, corridor=None)
+        scenario = dataclasses.replace(
+            default_scenario, schedule=hold_schedule(half), corridor=None
+        )
         metrics = validate_run(trace, scenario)
         assert metrics.measured_delta == pytest.approx(0.01, abs=1e-15)
         assert metrics.lambda_min_required == pytest.approx(0.3, abs=1e-12)

@@ -16,6 +16,7 @@ from affineswarm import (
     min_scaling_bound,
     transform_points,
 )
+from affineswarm import transform
 
 
 def yaw_oracle(angle):
@@ -44,6 +45,15 @@ class TestEulerMatrix:
         dec = assemble_jacobian(AtCoordinates(psi_d=0.5, psi_r=0.5))
         np.testing.assert_array_equal(dec.R_r, yaw_oracle(0.5))
         np.testing.assert_array_equal(dec.R_D, yaw_oracle(0.5))
+
+    def test_stack_of_repeated_angles_equals_each_bit_for_bit(self):
+        # Angles repeat, as a schedule's holds repeat them, and zero comes
+        # with both signs: every slice is its own angle's rotation.
+        angles = np.array([[0.0, -0.0, 0.5, 0.0], [-0.0, 0.5, 1e-300, -1e-300]])
+        stack = transform._yaw(angles)
+        assert stack.shape == (2, 4, 3, 3)
+        for angle, r in zip(angles.ravel(), stack.reshape(-1, 3, 3)):
+            assert r.tobytes() == yaw_oracle(float(angle)).tobytes()
 
     def test_general_angles_orthogonal_det_one(self):
         dec = assemble_jacobian(AtCoordinates(psi_d=-0.7, psi_r=1.9))
