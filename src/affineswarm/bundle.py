@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ScenarioError
+from .errors import ConfigError, ScenarioError, _path_key
 from .formation import SPECTRUM_TOL, SpectralReport
 from .metrics import RunMetrics
 from .phases import LeaderTrajectory
@@ -227,19 +227,25 @@ def _difference(found, wanted, where: str) -> str | None:
 def _repeated(doc) -> str | None:
     """The first key that an object in ``doc``, a ``load_json`` value, repeats,
     after that object's path from the root ``$``; None when none repeats one.
+    The key and each key on the path are quoted through ``reprlib`` when
+    long.
 
     A walk with a stack, not recursion: the parser may nest deeper than
-    Python frames can.
+    Python frames can. A node's path is the tuple of its keys and indices,
+    written out only for the node that repeats a key.
     """
-    stack = [("$", doc)]
+    stack = [((), doc)]
     while stack:
-        where, node = stack.pop()
+        path, node = stack.pop()
         if isinstance(node, dict):
             if node.repeated:
-                return f"{where}: duplicate key {node.repeated[0]!r}"
-            items = [(f"{where}.{key}", value) for key, value in node.items()]
+                where = "".join(
+                    f"[{k}]" if isinstance(k, int) else f".{_path_key(k)}" for k in path
+                )
+                return f"${where}: duplicate key {reprlib.repr(node.repeated[0])}"
+            items = [((*path, key), value) for key, value in node.items()]
         elif isinstance(node, list):
-            items = [(f"{where}[{i}]", value) for i, value in enumerate(node)]
+            items = [((*path, i), value) for i, value in enumerate(node)]
         else:
             continue
         stack += reversed(items)
@@ -256,8 +262,10 @@ def emit_bundle(
 ) -> Path:
     """Write trace CSVs, metrics and the scenario's matrices JSON, and the manifest.
 
-    Returns the bundle directory. I/O failures are re-raised with the
-    offending path in the message.
+    ``trace`` is a simulated one (``run_simulation``), as the CSVs log
+    its ``references`` and ``desired``; a trace ``read_bundle`` gives has
+    neither. Returns the bundle directory. I/O failures are re-raised with
+    the offending path in the message.
     """
     out = Path(out_dir)
     try:
@@ -303,7 +311,8 @@ def _line_damage(lines: list[str], grid: np.ndarray) -> str:
     """
     rows, cols = len(grid), len(TRACE_COLUMNS)
     if lines[0] != TRACE_HEADER:
-        return f"line 1 is {lines[0]!r}, expected the header {TRACE_HEADER!r}"
+        got = reprlib.repr(lines[0])
+        return f"line 1 is {got}, expected the header {TRACE_HEADER!r}"
     for number, line in enumerate(lines[1:], start=2):
         if line.count(",") != cols - 1:
             return f"line {number} has {line.count(',') + 1} fields, expected {cols}"
@@ -317,7 +326,8 @@ def _line_damage(lines: list[str], grid: np.ndarray) -> str:
                 try:
                     _parse([line], usecols=col)
                 except ValueError:
-                    return f"line {number} has a value that is not a number: {value!r}"
+                    got = reprlib.repr(value)
+                    return f"line {number} has a value that is not a number: {got}"
     table = _parse(lines[1:])
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if len(bad):
@@ -366,10 +376,12 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
     times are the grid itself. Values carry the CSV's 9-significant-digit
     precision, which is ample for every recomputed metric.
 
-    The trace's three arrays are allocated up front, each a C-contiguous
-    float64 ``(T, N, 3)`` array as ``SimTrace`` states, and the CSVs are
-    read one at a time: each is copied into its agent's column once its
-    checks pass, so the read holds the trace plus one agent's CSV.
+    Every column of every CSV is parsed and checked, but only ``x,y,z``
+    is kept: the trace's ``positions`` is one C-contiguous float64
+    ``(T, N, 3)`` array allocated up front, and its ``references`` and
+    ``desired`` are None, as no metric reads them. The CSVs are read one
+    at a time, each copied into its agent's column once its checks pass,
+    so the read holds 24·T·N bytes of positions plus one agent's CSV.
 
     A missing, unreadable or malformed manifest, an object in it that
     repeats a key (located from the manifest's root ``$``), a missing key, an
@@ -413,8 +425,7 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
 
     times = tick_times(scenario.schedule, scenario.params)
     grid = np.array(time_fields(times), dtype=float)
-    shape = (len(times), len(scenario.config.agents), 3)
-    positions, references, desired = (np.empty(shape) for _ in range(3))
+    positions = np.empty((len(times), len(scenario.config.agents), 3))
     for index, name in enumerate(layout["outputs"]["traces"].values()):
         csv = out / name
         try:
@@ -427,8 +438,4 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
             raise ScenarioError([f"{csv}: damaged trace CSV: {exc}"]) from None
         table = _trace_table(csv, text, grid)
         positions[:, index] = table[:, 1:4]
-        references[:, index] = table[:, 4:7]
-        desired[:, index] = table[:, 7:10]
-    return scenario, SimTrace(
-        times=times, positions=positions, references=references, desired=desired
-    )
+    return scenario, SimTrace(times=times, positions=positions)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import reprlib
+
 
 class AffineSwarmError(Exception):
     """Base class for all package errors."""
@@ -35,3 +37,11 @@ class _FieldErrors(ValueError):
     def __init__(self, problems: dict[str, str]):
         super().__init__("; ".join(f"{k}: {m}" for k, m in problems.items()))
         self.problems = problems
+
+
+def _path_key(key: str) -> str:
+    """``key`` as a step of an error's key path: as is, unless ``reprlib``
+    shortens its quote, and then that shortened quote, so a long key
+    cannot make the error line long."""
+    quoted = reprlib.repr(key)
+    return key if quoted == repr(key) else quoted

@@ -75,7 +75,8 @@ class Agent:
     def __post_init__(self):
         problems = {}
         if self.role not in (ROLE_LEADER, ROLE_FOLLOWER):
-            problems["role"] = f"must be 'leader' or 'follower', got {self.role!r}"
+            got = reprlib.repr(self.role)
+            problems["role"] = f"must be 'leader' or 'follower', got {got}"
         problem = _component_problem(self.id, '/\\,"')
         if problem:
             problems["id"] = problem
@@ -194,7 +195,7 @@ def _audit(cfg: ReferenceConfig):
 
     ids = cfg.ids
     for dup in sorted(i for i, count in Counter(ids).items() if count > 1):
-        problems.append(f"duplicate-id: agent id {dup!r} repeats")
+        problems.append(f"duplicate-id: agent id {reprlib.repr(dup)} repeats")
 
     leaders = cfg.leader_ids
     if len(leaders) != 3:
@@ -205,7 +206,8 @@ def _audit(cfg: ReferenceConfig):
     for lid in leaders:
         if cfg.in_neighbors.get(lid):
             problems.append(
-                f"leader-has-neighbors: leader {lid!r} must not have in-neighbors"
+                f"leader-has-neighbors: leader {reprlib.repr(lid)} must not have "
+                "in-neighbors"
             )
 
     id_set = set(ids)
@@ -213,21 +215,26 @@ def _audit(cfg: ReferenceConfig):
     for fid in cfg.follower_ids:
         nbrs = cfg.in_neighbors.get(fid)
         if nbrs is None:
-            problems.append(f"neighbor-count: follower {fid!r} has no in-neighbors")
+            problems.append(
+                f"neighbor-count: follower {reprlib.repr(fid)} has no in-neighbors"
+            )
         elif len(nbrs) != 3 or len(set(nbrs)) != 3:
             problems.append(
-                f"neighbor-count: follower {fid!r} needs exactly 3 distinct "
-                f"in-neighbors, got {list(nbrs)}"
+                f"neighbor-count: follower {reprlib.repr(fid)} needs exactly 3 "
+                f"distinct in-neighbors, got {reprlib.repr(list(nbrs))}"
             )
         elif bad := [j for j in nbrs if j not in id_set or j == fid]:
             problems.append(
-                f"unknown-neighbor: follower {fid!r} lists invalid in-neighbors {bad}"
+                f"unknown-neighbor: follower {reprlib.repr(fid)} lists invalid "
+                f"in-neighbors {reprlib.repr(bad)}"
             )
         else:
             followers_ok.append(fid)
     for fid in cfg.in_neighbors:
         if fid not in id_set:
-            problems.append(f"unknown-neighbor: graph names unknown agent {fid!r}")
+            problems.append(
+                f"unknown-neighbor: graph names unknown agent {reprlib.repr(fid)}"
+            )
 
     xy = cfg.planar_positions().reshape(-1, 2)
     # Exact equality, so -0.0 meets 0.0; NaN equals nothing and fails the
@@ -237,8 +244,8 @@ def _audit(cfg: ReferenceConfig):
         j = first_at.setdefault(point, i)
         if j != i:
             problems.append(
-                f"coincident: agents {ids[j]!r} and {ids[i]!r} share the "
-                f"reference position {point}"
+                f"coincident: agents {reprlib.repr(ids[j])} and "
+                f"{reprlib.repr(ids[i])} share the reference position {point}"
             )
     rows = np.array([cfg.index_of(fid) for fid in followers_ok], dtype=int)
     neighbors = np.array(
@@ -266,17 +273,19 @@ def _audit(cfg: ReferenceConfig):
     for k in np.flatnonzero(~(contained & partitioned)):
         fid = followers_ok[k]
         if not solvable[k]:
-            problems.append(f"neighbor-collinear: in-neighbors of {fid!r} are collinear")
+            problems.append(
+                f"neighbor-collinear: in-neighbors of {reprlib.repr(fid)} are collinear"
+            )
         elif not contained[k]:
             problems.append(
-                f"containment: follower {fid!r} is not strictly inside its "
-                "in-neighbor triangle (barycentric coordinates "
+                f"containment: follower {reprlib.repr(fid)} is not strictly inside "
+                "its in-neighbor triangle (barycentric coordinates "
                 f"{weights[k].round(12).tolist()})"
             )
         else:
             problems.append(
-                f"partition: barycentric coordinates of {fid!r} do not sum to 1 "
-                f"within {PARTITION_TOL}"
+                f"partition: barycentric coordinates of {reprlib.repr(fid)} do not "
+                f"sum to 1 within {PARTITION_TOL}"
             )
 
     if len(leaders) == 3 and followers_ok:
@@ -290,8 +299,8 @@ def _audit(cfg: ReferenceConfig):
             missing = [fid for fid in cfg.follower_ids if fid not in reached]
             if missing:
                 problems.append(
-                    f"unreachable: no directed path from leader {lid!r} to "
-                    f"followers {missing}"
+                    f"unreachable: no directed path from leader {reprlib.repr(lid)} "
+                    f"to followers {reprlib.repr(missing)}"
                 )
 
     return problems, neighbors, weights, alpha

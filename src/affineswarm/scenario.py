@@ -46,7 +46,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ScenarioError, ScheduleError, _FieldErrors
+from .errors import ScenarioError, ScheduleError, _FieldErrors, _path_key
 from .formation import Agent, ReferenceConfig, _component_problem
 from .phases import Phase, PhaseSchedule, TranslationRamp, grid_size
 
@@ -443,11 +443,11 @@ def scenario_from_dict(doc, source: str) -> Scenario:
     else:
         schema.check_keys(doc["graph"], doc["graph"], "$.graph")  # any id is a key
         for fid, nbrs in doc["graph"].items():
-            path = f"$.graph.{fid}"
             if not isinstance(nbrs, list) or any(
                 not isinstance(j, str) for j in nbrs
             ):
                 got = reprlib.repr(nbrs)
+                path = f"$.graph.{_path_key(fid)}"
                 schema.fail(path, f"expected a list of agent ids, got {got}")
                 continue
             graph[fid] = tuple(nbrs)

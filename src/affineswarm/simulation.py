@@ -44,19 +44,21 @@ _STRIDE = 16
 class SimTrace:
     """Per-tick record of a run, in config (matrix) agent order.
 
-    Leaders are the first three agents, as in the config. ``run_simulation``
-    and ``bundle.read_bundle`` give each of the three arrays as its own
-    C-contiguous float64 ``(T, N, 3)`` array, 72·T·N bytes in all. Only
-    ``times`` and ``positions`` are measured: ``references`` (each agent's
-    control input) and ``desired`` (its commanded image ``Q_k a + d_k``)
-    are logging only, and the metrics read the commanded map from the
-    scenario.
+    Leaders are the first three agents, as in the config. Each array is
+    its own C-contiguous float64 ``(T, N, 3)`` array. Only ``times`` and
+    ``positions`` are measured: ``references`` (each agent's control
+    input) and ``desired`` (its commanded image ``Q_k a + d_k``) are
+    logging only, and the metrics read the commanded map from the
+    scenario. ``run_simulation`` fills all three arrays (72·T·N bytes),
+    which ``bundle.emit_bundle`` writes; ``bundle.read_bundle`` checks the
+    logged columns and keeps only ``positions`` (24·T·N bytes), leaving
+    the other two None.
     """
 
     times: np.ndarray  # (T,)
     positions: np.ndarray  # (T, N, 3) actual
-    references: np.ndarray  # (T, N, 3) control inputs, logging only
-    desired: np.ndarray  # (T, N, 3) commanded images, logging only
+    references: np.ndarray | None = None  # (T, N, 3) control inputs, logging only
+    desired: np.ndarray | None = None  # (T, N, 3) commanded images, logging only
 
 
 def tick_times(schedule: PhaseSchedule, params: SimParams) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import tracemalloc
 from dataclasses import astuple
 
@@ -292,7 +293,9 @@ def trace_table_oracle(csv, text: str, times: np.ndarray) -> np.ndarray:
 
     header = ",".join(TRACE_COLUMNS)
     if head != header:
-        raise damaged(f"line 1 is {head!r}, expected the header {header!r}")
+        raise damaged(
+            f"line 1 is {reprlib.repr(head)}, expected the header {header!r}"
+        )
     for number, line in enumerate(lines, start=2):
         if line.count(",") != cols - 1:
             raise damaged(
@@ -309,7 +312,8 @@ def trace_table_oracle(csv, text: str, times: np.ndarray) -> np.ndarray:
                 values.append(float(field))
             except ValueError:
                 raise damaged(
-                    f"line {number} has a value that is not a number: {field!r}"
+                    f"line {number} has a value that is not a number: "
+                    f"{reprlib.repr(field)}"
                 ) from None
     table = np.array(values).reshape(rows, cols)
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))

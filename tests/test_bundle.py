@@ -373,6 +373,7 @@ class TestTraceReaderOracle:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_one_edit_is_judged_as_the_oracle_judges(self, short_bundle, data):
+        # Every column is judged, the logged ones too; only x,y,z is kept.
         out, scenario = short_bundle
         index = data.draw(st.integers(0, len(scenario.config.ids) - 1))
         csv = out / f"trace_{scenario.config.ids[index]}.csv"
@@ -381,12 +382,7 @@ class TestTraceReaderOracle:
         text = damage(data, original, edit)
         csv.write_text(text)
         try:
-            _, trace = read_bundle(out)
-            got = np.concatenate(
-                [trace.positions[:, index], trace.references[:, index],
-                 trace.desired[:, index]],
-                axis=1,
-            )
+            got = read_bundle(out)[1].positions[:, index]
         except ScenarioError as exc:
             got = exc.errors
         finally:
@@ -395,7 +391,7 @@ class TestTraceReaderOracle:
             table = trace_table_oracle(
                 csv, text, tick_times(scenario.schedule, scenario.params)
             )
-            expected = table[:, 1:]
+            expected = table[:, 1:4]
         except ScenarioError as exc:
             expected = exc.errors
         if edit == "1_0" and isinstance(got, list) and "'1_0'" in got[0]:
@@ -480,15 +476,14 @@ class TestEmitBundle:
         assert np.array_equal(loaded.times, trace.times)
         # CSV carries 9 significant digits.
         np.testing.assert_allclose(loaded.positions, trace.positions, rtol=1e-8, atol=1e-12)
-        np.testing.assert_allclose(loaded.desired, trace.desired, rtol=1e-8, atol=1e-12)
+        # The logged columns are checked, not kept.
+        assert loaded.references is None and loaded.desired is None
         # The bulk parse gives the values one float() per field gives.
         for i, aid in enumerate(scenario.config.ids):
             lines = (bundle / f"trace_{aid}.csv").read_text().splitlines()[1:]
             table = np.array([[float(v) for v in line.split(",")] for line in lines])
             assert np.array_equal(loaded.times, table[:, 0])
             assert np.array_equal(loaded.positions[:, i], table[:, 1:4])
-            assert np.array_equal(loaded.references[:, i], table[:, 4:7])
-            assert np.array_equal(loaded.desired[:, i], table[:, 7:10])
 
     def test_rerun_from_manifest_is_byte_identical(self, short_run, tmp_path):
         scenario, trace, metrics = short_run
@@ -639,9 +634,10 @@ class TestOneTraceInMemory:
         _, trace = read[0]
         t_count, n, _ = trace.positions.shape
         assert (t_count, n) == (2001, 40)
-        # One agent's CSV at a time: its text, its lines and its table.
+        # The positions alone, and one agent's CSV at a time: its text, its
+        # lines and its table.
         csv = max(path.stat().st_size for path in wide_bundle.glob("trace_*.csv"))
-        assert peak <= 72 * t_count * n + 8 * csv
+        assert peak <= 24 * t_count * n + 8 * csv
 
     def test_validate_run_scratch_is_well_under_one_array(self, wide_bundle):
         scenario, trace = read_bundle(wide_bundle)
@@ -658,11 +654,11 @@ class TestOneTraceInMemory:
 
     def test_arrays_are_separate_c_contiguous_float64(self, wide_bundle, short_run):
         scenario, trace = read_bundle(wide_bundle)
-        runs = (
-            (trace, scenario),
-            (run_simulation(scenario), scenario),
-            (short_run[1], short_run[0]),
-        )
+        assert trace.references is None and trace.desired is None
+        positions = trace.positions
+        assert positions.dtype == np.float64 and positions.flags.c_contiguous
+        assert positions.shape == (len(trace.times), len(scenario.config.agents), 3)
+        runs = ((run_simulation(scenario), scenario), (short_run[1], short_run[0]))
         for run, sc in runs:
             arrays = (run.positions, run.references, run.desired)
             for array in arrays:

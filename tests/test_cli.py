@@ -23,7 +23,6 @@ from conftest import (
 
 from affineswarm import SimParams, SpectralReport
 from affineswarm import cli, formation
-from affineswarm.bundle import read_bundle
 from affineswarm.cli import build_parser, main
 from affineswarm.scenario import default_scenario_text
 
@@ -321,6 +320,54 @@ def test_refused_input_is_quoted_in_short_lines(tmp_path, capsys, text, where):
     lines = capsys.readouterr().err.splitlines()
     assert any(line.startswith(f"error: {where}") for line in lines)
     assert all(len(line) < 200 for line in lines)
+
+
+def rewrite(path, index, line):
+    """Replace line ``index`` of the text file ``path`` with ``line``."""
+    lines = path.read_text().splitlines()
+    lines[index] = line
+    path.write_text("\n".join(lines) + "\n")
+
+
+def renamed(doc, old, new=LONG):
+    """``doc`` with agent ``old`` named ``new`` in its agents and graph."""
+    for agent in doc["agents"]:
+        agent["id"] = new if agent["id"] == old else agent["id"]
+    doc["graph"] = {
+        new if fid == old else fid: [new if j == old else j for j in nbrs]
+        for fid, nbrs in doc["graph"].items()
+    }
+
+
+def moved(doc, aid, x, y):
+    next(a for a in doc["agents"] if a["id"] == aid).update(x=x, y=y)
+
+
+@pytest.mark.parametrize(
+    "edit, code, problem",
+    [
+        (lambda d: d["graph"].update({LONG: ["cf1", "cf5", "cf6"]}), 1, "unknown-neighbor: graph names unknown agent "),
+        (lambda d: d["graph"].update({LONG: "cf1"}), 2, "$.graph.'xxxxxxxxxxxx...xxxxxxxxxxxxx': expected a list"),
+        (lambda d: renamed(d, "cf4") or d["agents"].append({**d["agents"][3], "x": 0.1}), 1, "duplicate-id: "),
+        (lambda d: d["graph"].update(cf2=["cf1", "cf3", LONG]), 1, "unknown-neighbor: follower 'cf2' lists "),
+        (lambda d: renamed(d, "cf1") or d["graph"].update({LONG: ["cf2", "cf3", "cf4"]}), 1, "leader-has-neighbors: "),
+        (lambda d: renamed(d, "cf4") or d["graph"].pop(LONG) and None, 1, "neighbor-count: "),
+        (lambda d: d["graph"].update(cf2=["cf1"] + [LONG[:40]] * 300), 1, "neighbor-count: "),
+        (lambda d: renamed(d, "cf4") or moved(d, LONG, -0.25, -0.25), 1, "coincident: "),
+        (lambda d: renamed(d, "cf4") or moved(d, LONG, 5.0, 0.0), 1, "containment: "),
+        (lambda d: renamed(d, "cf2") or d["graph"].pop(LONG) and None, 1, "unreachable: "),
+    ],
+    ids=["unknown-agent", "graph-path", "duplicate-id", "unknown-neighbor",
+         "leader-has-neighbors", "no-neighbors", "neighbor-list", "coincident",
+         "containment", "unreachable"],
+)  # fmt: skip
+def test_long_ids_are_quoted_in_short_lines(tmp_path, capsys, edit, code, problem):
+    # A 10,000-character id or graph key is quoted through reprlib, so each
+    # problem is short; a layout's line joins one problem per fault with "; ".
+    assert main(["check", edited(tmp_path, edit)]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert problem in lines[0] and all(line.startswith("error: ") for line in lines)
+    assert all(len(part) < 300 for line in lines for part in line.split("; "))
 
 
 @pytest.mark.parametrize("command", ["check", "graph", "plan", "simulate"])
@@ -760,9 +807,14 @@ class TestValidate:
                 if float(fields[0]) < 38.0:
                     rows[i] = ",".join(fields[:7] + fields[1:4])
             trace.write_text("\n".join([header, *rows]) + "\n")
-        _, trace = read_bundle(forged)
-        early = trace.times < 38.0
-        assert np.array_equal(trace.desired[early], trace.positions[early])
+        # The forgery is in the CSV text: every early row logs its x,y,z
+        # as its x_des,y_des,z_des.
+        for trace in sorted(forged.glob("trace_*.csv")):
+            text = trace.read_text()
+            assert text != (unforged / trace.name).read_text()
+            rows = [row.split(",") for row in text.splitlines()[1:]]
+            early = [fields for fields in rows if float(fields[0]) < 38.0]
+            assert early and all(fields[7:] == fields[1:4] for fields in early)
         capsys.readouterr()
         outputs = []
         for bundle in (unforged, forged):
@@ -814,9 +866,10 @@ class TestValidate:
             # float() accepts "1_0"; numpy's parser, and so validate, refuse it.
             lambda lines: (lines[:5] + [re.sub(",[^,]*", ",1_0", lines[5], count=1)]
                            + lines[6:], "line 6 has a value that is not a number: '1_0'\n"),
-            # Columns in another order, and no header at all.
+            # Columns in another order (the refused header is quoted through
+            # reprlib, the expected one whole), and no header at all.
             lambda lines: (["t,x_des,y_des,z_des,x_ref,y_ref,z_ref,x,y,z"] + lines[1:],
-                           "line 1 is 't,x_des,y_des,z_des,x_ref,y_ref,z_ref,x,y,z', "
+                           "line 1 is 't,x_des,y_de...f,z_ref,x,y,z', "
                            "expected the header 't,x,y,z,x_ref,y_ref,z_ref,x_des,y_des,"
                            "z_des'\n"),
             lambda lines: (["garbage"] + lines[1:],
@@ -840,6 +893,34 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {trace}: damaged trace CSV: {message}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "damage, where",
+        [
+            (lambda out: rewrite(out / "trace_cf4.csv", 0, "t" + ",x" * 5000),
+             "trace_cf4.csv: damaged trace CSV: line 1 is "),
+            (lambda out: rewrite(out / "trace_cf4.csv", 3, "0," + "y" * 10_000 + ",0" * 8),
+             "trace_cf4.csv: damaged trace CSV: line 4 has a value that is not a number: "),
+            (lambda out: (out / "manifest.json").write_text(repeated_key_text(
+                {LONG: 1, **json.loads((out / "manifest.json").read_text())}, (LONG,), 2)),
+             "manifest.json: $: duplicate key 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+            (lambda out: (out / "manifest.json").write_text(repeated_key_text(
+                {LONG: {"a": 1}, **json.loads((out / "manifest.json").read_text())},
+                (LONG, "a"), 2)),
+             "manifest.json: $.'xxxxxxxxxxxx...xxxxxxxxxxxxx': duplicate key 'a'"),
+        ],
+        ids=["header", "field", "repeated-key", "key-path"],
+    )  # fmt: skip
+    def test_long_damage_is_quoted_in_one_short_line(
+        self, fast_bundle, tmp_path, capsys, damage, where
+    ):
+        out = tmp_path / "bundle"
+        shutil.copytree(fast_bundle, out)
+        damage(out)
+        assert main(["validate", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / where}")
+        assert err.count("\n") == 1 and len(err) < 300
 
     def test_time_off_the_grid_is_the_line_named(self, fast_bundle, tmp_path, capsys):
         out = tmp_path / "bundle"
