@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
 import reprlib
 from itertools import chain
 from pathlib import Path
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ScenarioError, _path_key
+from .errors import AffineSwarmError, ConfigError, ScenarioError, _path_key
 from .formation import SPECTRUM_TOL, SpectralReport
 from .metrics import RunMetrics
 from .phases import LeaderTrajectory
@@ -228,7 +230,8 @@ def _repeated(doc) -> str | None:
     """The first key that an object in ``doc``, a ``load_json`` value, repeats,
     after that object's path from the root ``$``; None when none repeats one.
     The key and each key on the path are quoted through ``reprlib`` when
-    long.
+    long, and a path of more than eight steps keeps its first three and its
+    last, with ``...`` between.
 
     A walk with a stack, not recursion: the parser may nest deeper than
     Python frames can. A node's path is the tuple of its keys and indices,
@@ -239,9 +242,12 @@ def _repeated(doc) -> str | None:
         path, node = stack.pop()
         if isinstance(node, dict):
             if node.repeated:
-                where = "".join(
+                steps = [
                     f"[{k}]" if isinstance(k, int) else f".{_path_key(k)}" for k in path
-                )
+                ]
+                if len(steps) > 8:
+                    steps[3:-1] = ["..."]
+                where = "".join(steps)
                 return f"${where}: duplicate key {reprlib.repr(node.repeated[0])}"
             items = [((*path, key), value) for key, value in node.items()]
         elif isinstance(node, list):
@@ -250,6 +256,91 @@ def _repeated(doc) -> str | None:
             continue
         stack += reversed(items)
     return None
+
+
+def _fork(work, lo: int, hi: int) -> tuple[int, int] | None:
+    """A child running ``work(lo, hi)``: its pid and the read end of its pipe,
+    or None when this process cannot open the pipe or fork.
+
+    The child sends only ``work``'s failure text (UTF-8) and leaves through
+    ``os._exit``, 0 once sent and 1 on any exception, so it never flushes
+    this process's buffers, runs its ``atexit`` handlers or prints a
+    traceback.
+    """
+    if not hasattr(os, "fork"):
+        return None
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            data = (work(lo, hi) or "").encode("utf-8", "surrogatepass")
+            while data:
+                data = data[os.write(write_end, data) :]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _split_agents(ids, work) -> str | None:
+    """Run ``work`` over ``ids`` in one contiguous share per CPU this process
+    may run on; the first failure text in agent order, or None.
+
+    ``work(lo, hi)`` handles agents ``lo`` to ``hi - 1`` in order, leaves
+    its results in files or shared memory, and returns the first failure's
+    text or None. The first share runs here, the others in ``_fork``ed
+    children, or here when none starts. Every child is waited for. One
+    that ends without status 0 raises ``AffineSwarmError`` naming its
+    agents, unless an earlier share failed.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    shares = max(1, min(cpus, len(ids)))
+    cuts = [len(ids) * k // shares for k in range(shares + 1)]
+    failures: list = [None] * shares
+    children = []
+    try:
+        for share in range(1, shares):
+            child = _fork(work, cuts[share], cuts[share + 1])
+            if child is None:
+                failures[share] = work(cuts[share], cuts[share + 1])
+            else:
+                children.append((share, *child))
+        failures[0] = work(cuts[0], cuts[1])
+    finally:
+        for share, pid, read_end in children:
+            with open(read_end, "rb") as pipe:
+                text = pipe.read().decode("utf-8", "surrogatepass")
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code == 0:
+                failures[share] = text or None
+            else:
+                first, last = ids[cuts[share]], ids[cuts[share + 1] - 1]
+                if code > 0:
+                    how = f"exited with status {code}"
+                else:
+                    how = f"was killed by signal {-code}"
+                failures[share] = AffineSwarmError(
+                    f"the process for agents {reprlib.repr(first)} to "
+                    f"{reprlib.repr(last)} {how}"
+                )
+    failure = next((f for f in failures if f is not None), None)
+    if isinstance(failure, AffineSwarmError):
+        raise failure
+    return failure
 
 
 def emit_bundle(
@@ -264,8 +355,10 @@ def emit_bundle(
 
     ``trace`` is a simulated one (``run_simulation``), as the CSVs log
     its ``references`` and ``desired``; a trace ``read_bundle`` gives has
-    neither. Returns the bundle directory. I/O failures are re-raised with
-    the offending path in the message.
+    neither. Each share of ``_split_agents`` writes its agents' CSVs, so
+    the bytes do not depend on the CPU count. Returns the bundle
+    directory. I/O failures are re-raised with the offending path in the
+    message, the first failing agent's for the CSVs.
     """
     out = Path(out_dir)
     try:
@@ -275,10 +368,23 @@ def emit_bundle(
 
     layout = _layout(scenario)
     outputs = layout["outputs"]
+    names = list(outputs["traces"].values())
     times, settle = time_fields(trace.times), settle_rows(trace)
+
+    def write(lo: int, hi: int) -> str | None:
+        try:
+            for index in range(lo, hi):  # one CSV held at a time
+                (out / names[index]).write_bytes(
+                    trace_csv_text(trace, index, times, settle[index])
+                )
+        except OSError as exc:
+            return str(exc)
+        return None
+
     try:
-        for index, name in enumerate(outputs["traces"].values()):
-            (out / name).write_bytes(trace_csv_text(trace, index, times, settle[index]))
+        failure = _split_agents(scenario.config.ids, write)
+        if failure is not None:
+            raise OSError(failure)
         manifest = {
             "tool": {"name": "affineswarm", "version": __version__},
             "scenario": scenario_to_dict(scenario),
@@ -378,10 +484,13 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
 
     Every column of every CSV is parsed and checked, but only ``x,y,z``
     is kept: the trace's ``positions`` is one C-contiguous float64
-    ``(T, N, 3)`` array allocated up front, and its ``references`` and
-    ``desired`` are None, as no metric reads them. The CSVs are read one
-    at a time, each copied into its agent's column once its checks pass,
-    so the read holds 24·T·N bytes of positions plus one agent's CSV.
+    ``(T, N, 3)`` array over an anonymous shared mapping allocated up
+    front, and its ``references`` and ``desired`` are None, as no metric
+    reads them. Each share of ``_split_agents`` reads its CSVs one at a
+    time, copying each into its agent's column once its checks pass, so a
+    process holds the 24·T·N bytes of positions plus one agent's CSV. The
+    positions and messages do not depend on the CPU count: a damaged CSV
+    is the first in agent order.
 
     A missing, unreadable or malformed manifest, an object in it that
     repeats a key (located from the manifest's root ``$``), a missing key, an
@@ -425,17 +534,27 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
 
     times = tick_times(scenario.schedule, scenario.params)
     grid = np.array(time_fields(times), dtype=float)
-    positions = np.empty((len(times), len(scenario.config.agents), 3))
-    for index, name in enumerate(layout["outputs"]["traces"].values()):
-        csv = out / name
-        try:
-            text = csv.read_text()
-        except OSError as exc:
-            raise ScenarioError(
-                [f"{csv}: cannot read trace CSV: {exc.strerror}"]
-            ) from None
-        except UnicodeDecodeError as exc:
-            raise ScenarioError([f"{csv}: damaged trace CSV: {exc}"]) from None
-        table = _trace_table(csv, text, grid)
-        positions[:, index] = table[:, 1:4]
+    names = list(layout["outputs"]["traces"].values())
+    shape = (len(times), len(names), 3)
+    # An anonymous shared mapping, so a forked share's rows reach this process.
+    positions = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+
+    def parse(lo: int, hi: int) -> str | None:
+        for index in range(lo, hi):
+            csv = out / names[index]
+            try:
+                text = csv.read_text()
+            except OSError as exc:
+                return f"{csv}: cannot read trace CSV: {exc.strerror}"
+            except UnicodeDecodeError as exc:
+                return f"{csv}: damaged trace CSV: {exc}"
+            try:
+                positions[:, index] = _trace_table(csv, text, grid)[:, 1:4]
+            except ScenarioError as exc:
+                return exc.errors[0]
+        return None
+
+    failure = _split_agents(scenario.config.ids, parse)
+    if failure is not None:
+        raise ScenarioError([failure])
     return scenario, SimTrace(times=times, positions=positions)

@@ -343,10 +343,13 @@ class FormationMatrices:
         Each follower's weights and leader coordinates come from one
         barycentric pass and are renormalized to sum exactly to 1. Raises
         ``ConfigError`` with ``validate_config``'s messages when the
-        configuration has any violation.
+        configuration has any violation: the first four, then how many
+        more there are.
         """
         problems, neighbors, weights, alpha = _audit(cfg)
         if problems:
+            if len(problems) > 4:  # so the line does not grow with the team
+                problems[4:] = [f"and {len(problems) - 4} more"]
             raise ConfigError("invalid configuration: " + "; ".join(problems))
         n = len(cfg.agents)
         w_mat = np.zeros((n, n))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import reprlib
 import tracemalloc
 from dataclasses import astuple
@@ -78,6 +79,17 @@ def hold_schedule(coords: AtCoordinates, duration: float = 1.0) -> PhaseSchedule
     """A schedule that holds fixed coordinates (useful for settling runs)."""
     ph = Phase(t0=0.0, tf=max(duration, math.ulp(1.0)), start=coords, end=coords)
     return PhaseSchedule(phases=(ph,))
+
+
+def see_cpus(monkeypatch, count):
+    """Make the bundle codec see ``count`` CPUs, so it cuts that many shares."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def assert_no_child_left():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def traced_peak(call) -> int:

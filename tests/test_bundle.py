@@ -2,15 +2,18 @@
 
 import json
 import math
+import os
 import reprlib
 from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import (
+    assert_no_child_left,
     make_scenario,
     random_config,
     random_schedule,
+    see_cpus,
     serialize_scenario,
     trace_csv_oracle,
     trace_table_oracle,
@@ -533,6 +536,107 @@ class TestEmitBundle:
             )
 
 
+# How a run's shares start: the first in process, the rest forked, or all in
+# process when a pipe or a fork raises or forking is missing.
+SPLITS = {
+    "1 cpu": (1, None),
+    "2 cpus": (2, None),
+    "4 cpus": (4, None),
+    "pipe fails": (4, "pipe"),
+    "fork fails": (4, "fork"),
+    "no fork": (4, "missing"),
+}
+
+
+def split(monkeypatch, name):
+    cpus, fault = SPLITS[name]
+    see_cpus(monkeypatch, cpus)
+    if fault in ("pipe", "fork"):
+        monkeypatch.setattr(os, fault, mock.Mock(side_effect=OSError("no room")))
+    elif fault == "missing":
+        monkeypatch.delattr(os, "fork")
+
+
+class TestSplitAcrossCpus:
+    """The codec runs one share of the agents per CPU, with the same bytes."""
+
+    @pytest.fixture(scope="class")
+    def random_run(self):
+        rng = np.random.default_rng(11)
+        scenario = make_scenario(
+            random_config(rng, 9),
+            random_schedule(rng),
+            SimParams(dt=0.01, duration=3.0),
+        )
+        trace = run_simulation(scenario)
+        return scenario, trace, validate_run(trace, scenario)
+
+    @pytest.mark.parametrize("run", ["default", "random"])
+    def test_bytes_and_positions_do_not_depend_on_the_split(
+        self, request, monkeypatch, tmp_path, run
+    ):
+        if run == "default":
+            scenario = request.getfixturevalue("default_scenario")
+            trace = request.getfixturevalue("default_trace")
+            metrics = validate_run(trace, scenario)
+        else:
+            scenario, trace, metrics = request.getfixturevalue("random_run")
+        files, positions, fork = {}, {}, bundle._fork
+        for name in SPLITS:
+            started = []
+
+            def counted(*args):
+                started.append(fork(*args))
+                return started[-1]
+
+            with monkeypatch.context() as patch:
+                split(patch, name)
+                patch.setattr(bundle, "_fork", counted)
+                out = emit_bundle(
+                    tmp_path / name, scenario, trace, metrics, *graph_parts(scenario)
+                )
+                assert_no_child_left()
+                files[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+                positions[name] = read_bundle(out)[1].positions.view(np.uint64)
+                assert_no_child_left()
+            # Every share but the first ran in a child, in both passes, when
+            # a fork could start it.
+            cpus, fork_fault = SPLITS[name]
+            shares = min(cpus, len(scenario.config.ids))
+            forked = sum(child is not None for child in started)
+            assert forked == (0 if fork_fault else 2 * (shares - 1))
+        for name in SPLITS:
+            assert files[name] == files["1 cpu"], name
+            assert np.array_equal(positions[name], positions["1 cpu"]), name
+        assert len(files["1 cpu"]) == len(scenario.config.ids) + 3
+        for index, aid in enumerate(scenario.config.ids):
+            assert files["1 cpu"][f"trace_{aid}.csv"] == trace_csv_oracle(trace, index)
+
+    @pytest.mark.parametrize("blocked", [(1, 4), (4,), (3, 5)])
+    def test_an_unwritable_trace_is_the_first_named(
+        self, short_run, monkeypatch, tmp_path, blocked
+    ):
+        # A directory where a trace CSV goes cannot be written; with 2 CPUs
+        # agents 0-2 are written here and 3-5 in a child.
+        scenario, trace, metrics = short_run
+        ids = scenario.config.ids
+        messages = set()
+        for name in SPLITS:
+            out = tmp_path / name
+            for index in blocked:
+                (out / f"trace_{ids[index]}.csv").mkdir(parents=True)
+            with monkeypatch.context() as patch:
+                split(patch, name)
+                with pytest.raises(OSError) as info:
+                    emit_bundle(out, scenario, trace, metrics, *graph_parts(scenario))
+            assert_no_child_left()
+            messages.add(str(info.value).replace(str(out), "OUT"))
+        first = f"trace_{ids[blocked[0]]}.csv"
+        assert messages == {
+            f"failed writing bundle under OUT: [Errno 21] Is a directory: 'OUT/{first}'"
+        }
+
+
 class TestGoldenRows:
     """First and last CSV rows of the bundled scenario, pinned.
 
@@ -628,16 +732,25 @@ def trio_bundle(tmp_path_factory):
 class TestOneTraceInMemory:
     """``validate`` holds one trace and scratch bounded by one agent or tick chunk."""
 
-    def test_read_holds_the_trace_and_one_csv(self, wide_bundle):
+    def test_read_holds_the_trace_and_one_csv(self, wide_bundle, monkeypatch):
+        # One share, so this process parses every CSV.
+        see_cpus(monkeypatch, 1)
         read = []
         peak = traced_peak(lambda: read.append(read_bundle(wide_bundle)))
-        _, trace = read[0]
-        t_count, n, _ = trace.positions.shape
+        positions = read[0][1].positions
+        t_count, n, _ = positions.shape
         assert (t_count, n) == (2001, 40)
-        # The positions alone, and one agent's CSV at a time: its text, its
-        # lines and its table.
+        # The positions are one array over one buffer of 24·T·N bytes. It is
+        # a shared mapping, which tracemalloc does not see, so the traced
+        # peak is one agent's CSV at a time: its text, its lines and its
+        # table. A second (T, N, 3) array, 1.9 MB here, would break it.
+        owner = positions
+        while isinstance(owner, np.ndarray) and owner.base is not None:
+            owner = owner.base
+        assert positions.dtype == np.float64 and positions.flags.c_contiguous
+        assert memoryview(owner).nbytes == positions.nbytes == 24 * t_count * n
         csv = max(path.stat().st_size for path in wide_bundle.glob("trace_*.csv"))
-        assert peak <= 24 * t_count * n + 8 * csv
+        assert peak <= 8 * csv < 24 * t_count * n
 
     def test_validate_run_scratch_is_well_under_one_array(self, wide_bundle):
         scenario, trace = read_bundle(wide_bundle)

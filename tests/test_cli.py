@@ -8,21 +8,24 @@ import os
 import re
 import reprlib
 import shutil
+import signal
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 from conftest import (
+    assert_no_child_left,
     make_scenario,
     random_config,
     random_schedule,
     repeated_key_text,
+    see_cpus,
     serialize_scenario,
 )
 
 from affineswarm import SimParams, SpectralReport
-from affineswarm import cli, formation
+from affineswarm import bundle, cli, formation
 from affineswarm.cli import build_parser, main
 from affineswarm.scenario import default_scenario_text
 
@@ -452,6 +455,28 @@ def test_overflowing_layout_is_one_error_line(tmp_path, capsys, command, moves, 
     assert main([command, path, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err == "error: invalid configuration: " + "; ".join(problems) + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "graph", "simulate"])
+def test_many_layout_problems_are_counted_in_one_short_line(tmp_path, capsys, command):
+    # 100 followers, none with in-neighbors: the first four problems are
+    # listed, then how many more there are.
+    def crowd(doc):
+        doc["agents"] += [
+            {"id": f"f{k}", "role": "follower", "x": 0.01 * k - 0.5, "y": -0.3}
+            for k in range(97)
+        ]
+        doc["graph"] = {}
+
+    assert main([command, edited(tmp_path, crowd), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    first = [
+        f"neighbor-count: follower {fid!r} has no in-neighbors"
+        for fid in ("cf2", "cf3", "cf4", "f0")
+    ]
+    assert err == f"error: invalid configuration: {'; '.join(first)}; and 96 more\n"
+    assert len(err) < 300
     assert not (tmp_path / "out").exists()
 
 
@@ -908,8 +933,13 @@ class TestValidate:
                 {LONG: {"a": 1}, **json.loads((out / "manifest.json").read_text())},
                 (LONG, "a"), 2)),
              "manifest.json: $.'xxxxxxxxxxxx...xxxxxxxxxxxxx': duplicate key 'a'"),
+            # A deep path keeps its first three steps and its last.
+            (lambda out: (out / "manifest.json").write_text(
+                '{"extra": ' + "[" * 900 + '{"a": 1, "a": 2}' + "]" * 900 + ", "
+                + (out / "manifest.json").read_text().lstrip()[1:]),
+             "manifest.json: $.extra[0][0]...[0]: duplicate key 'a'\n"),
         ],
-        ids=["header", "field", "repeated-key", "key-path"],
+        ids=["header", "field", "repeated-key", "key-path", "deep-path"],
     )  # fmt: skip
     def test_long_damage_is_quoted_in_one_short_line(
         self, fast_bundle, tmp_path, capsys, damage, where
@@ -1245,6 +1275,74 @@ class TestValidate:
         assert main(["validate", str(bundle)]) == 2
         assert capsys.readouterr().err == (
             f"error: {bundle / 'manifest.json'}: cannot read manifest: Is a directory\n"
+        )
+
+
+class TestSplitAcrossCpus:
+    """``simulate`` and ``validate`` run one share of the agents per CPU.
+
+    With 2 CPUs, the default layout's agents 0-2 (the leaders) are handled
+    in process and 3-5 (cf2, cf3, cf4) in a forked child.
+    """
+
+    def test_outputs_do_not_depend_on_the_cpu_count(
+        self, fast_path, tmp_path, capsysbinary, monkeypatch
+    ):
+        outs = []
+        for cpus in (1, 2, 4):
+            see_cpus(monkeypatch, cpus)
+            run = tmp_path / "run"  # one name, as simulate prints it
+            shutil.rmtree(run, ignore_errors=True)
+            assert main(["simulate", fast_path, "--out", str(run)]) == 0
+            assert_no_child_left()
+            assert main(["validate", str(run)]) == 0
+            assert_no_child_left()
+            files = {p.name: p.read_bytes() for p in run.iterdir()}
+            outs.append((capsysbinary.readouterr(), files))
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    @pytest.mark.parametrize("damaged", [(1, 4), (4,), (4, 5), (0, 2)])
+    def test_the_first_damaged_trace_is_named(
+        self, fast_bundle, tmp_path, capsys, monkeypatch, damaged
+    ):
+        out = tmp_path / "bundle"
+        shutil.copytree(fast_bundle, out)
+        ids = json.loads((out / "manifest.json").read_text())["agent_order"]
+        for index in damaged:  # a word on line index + 4 of the CSV
+            rewrite(out / f"trace_{ids[index]}.csv", index + 3, "0,x" + ",0" * 8)
+        errs = []
+        for cpus in (1, 2, 4):
+            see_cpus(monkeypatch, cpus)
+            assert main(["validate", str(out)]) == 2
+            assert_no_child_left()
+            errs.append(capsys.readouterr().err)
+        first = damaged[0]
+        assert errs == [
+            f"error: {out / f'trace_{ids[first]}.csv'}: damaged trace CSV: "
+            f"line {first + 4} has a value that is not a number: 'x'\n"
+        ] * 3
+
+    @pytest.mark.parametrize(
+        "command, layer", [("simulate", "trace_csv_text"), ("validate", "_trace_table")]
+    )
+    def test_a_killed_child_is_one_error_line(
+        self, fast_bundle, fast_path, tmp_path, capsys, monkeypatch, command, layer
+    ):
+        parent, call = os.getpid(), getattr(bundle, layer)
+
+        def killed_in_a_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return call(*args)
+
+        monkeypatch.setattr(bundle, layer, killed_in_a_child)
+        see_cpus(monkeypatch, 2)
+        target = [fast_path, "--out", str(tmp_path / "run")]
+        argv = [command, *(target if command == "simulate" else [str(fast_bundle)])]
+        assert main(argv) == 1
+        assert_no_child_left()
+        assert capsys.readouterr().err == (
+            "error: the process for agents 'cf2' to 'cf4' was killed by signal 9\n"
         )
 
 
