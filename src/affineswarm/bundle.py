@@ -207,8 +207,8 @@ def _layout(scenario: Scenario) -> dict:
 def _difference(found, wanted, where: str) -> str | None:
     """The first key path under ``where`` at which ``found`` is not ``wanted``,
     and how; None when they are equal. Lists compare index by index, and
-    ``reprlib`` quotes values, so the message stays short; equal values are
-    never quoted."""
+    ``reprlib`` quotes values and each long key on the path (``_path_key``),
+    so the message stays short; equal values are never quoted."""
     if found == wanted:
         return None
     if isinstance(found, list) and isinstance(wanted, list):
@@ -219,8 +219,8 @@ def _difference(found, wanted, where: str) -> str | None:
         if key not in found or key not in wanted:
             how = "missing" if key in wanted else "unexpected"
             return f"{where}: {how} key {reprlib.repr(key)}"
-        path = f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}"
-        inner = _difference(found[key], wanted[key], path)
+        step = f"[{key}]" if isinstance(key, int) else f".{_path_key(key)}"
+        inner = _difference(found[key], wanted[key], where + step)
         if inner is not None:
             return inner
     return None
@@ -258,51 +258,25 @@ def _repeated(doc) -> str | None:
     return None
 
 
-def _fork(work, lo: int, hi: int) -> tuple[int, int] | None:
-    """A child running ``work(lo, hi)``: its pid and the read end of its pipe,
-    or None when this process cannot open the pipe or fork.
-
-    The child sends only ``work``'s failure text (UTF-8) and leaves through
-    ``os._exit``, 0 once sent and 1 on any exception, so it never flushes
-    this process's buffers, runs its ``atexit`` handlers or prints a
-    traceback.
-    """
-    if not hasattr(os, "fork"):
-        return None
-    try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            data = (work(lo, hi) or "").encode("utf-8", "surrogatepass")
-            while data:
-                data = data[os.write(write_end, data) :]
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    return pid, read_end
+_SHARE_FAILED = 3  # a child's exit status when its share's ``step`` raised
 
 
-def _split_agents(ids, work) -> str | None:
-    """Run ``work`` over ``ids`` in one contiguous share per CPU this process
-    may run on; the first failure text in agent order, or None.
+def _split_agents(ids, step) -> None:
+    """Run ``step(index)`` for each agent of ``ids``, one contiguous share per
+    CPU this process may run on. ``step`` leaves its results in files or
+    shared memory and raises what a one-share run raises.
 
-    ``work(lo, hi)`` handles agents ``lo`` to ``hi - 1`` in order, leaves
-    its results in files or shared memory, and returns the first failure's
-    text or None. The first share runs here, the others in ``_fork``ed
-    children, or here when none starts. Every child is waited for. One
-    that ends without status 0 raises ``AffineSwarmError`` naming its
-    agents, unless an earlier share failed.
+    The first share runs here, beside an ``os.fork``ed child for each other
+    share. A child sends nothing back: it leaves through ``os._exit``, with 0
+    or, when its ``step`` raised, ``_SHARE_FAILED``, so it never flushes this
+    process's buffers, runs its ``atexit`` handlers or prints a traceback.
+    Every child is waited for. Then, in agent order, this process reruns each
+    share whose child failed or that no child started (no ``os.fork``, or an
+    ``OSError`` from it), so the first failure in agent order raises here as
+    a one-share run raises it. A child that ended any other way (a signal,
+    status 1) raises ``AffineSwarmError`` naming its agents. So a share whose
+    fork failed runs after the first, and a failure only a child met, which
+    the rerun does not meet (a transient ``EMFILE``), gives the rerun's result.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -310,37 +284,46 @@ def _split_agents(ids, work) -> str | None:
         cpus = os.cpu_count() or 1
     shares = max(1, min(cpus, len(ids)))
     cuts = [len(ids) * k // shares for k in range(shares + 1)]
-    failures: list = [None] * shares
-    children = []
+
+    def run(share: int) -> None:
+        for index in range(cuts[share], cuts[share + 1]):
+            step(index)
+
+    pids, codes = {}, {}
     try:
-        for share in range(1, shares):
-            child = _fork(work, cuts[share], cuts[share + 1])
-            if child is None:
-                failures[share] = work(cuts[share], cuts[share + 1])
-            else:
-                children.append((share, *child))
-        failures[0] = work(cuts[0], cuts[1])
+        for share in range(1, shares if hasattr(os, "fork") else 1):
+            try:
+                pid = os.fork()
+            except OSError:
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    run(share)
+                    status = 0
+                except Exception:
+                    status = _SHARE_FAILED
+                finally:
+                    os._exit(status)
+            pids[share] = pid
+        run(0)
     finally:
-        for share, pid, read_end in children:
-            with open(read_end, "rb") as pipe:
-                text = pipe.read().decode("utf-8", "surrogatepass")
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code == 0:
-                failures[share] = text or None
+        for share, pid in pids.items():
+            codes[share] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for share in range(1, shares):
+        code = codes.get(share, _SHARE_FAILED)  # no child started it
+        if code == _SHARE_FAILED:
+            run(share)
+        elif code != 0:
+            first, last = ids[cuts[share]], ids[cuts[share + 1] - 1]
+            if code > 0:
+                how = f"exited with status {code}"
             else:
-                first, last = ids[cuts[share]], ids[cuts[share + 1] - 1]
-                if code > 0:
-                    how = f"exited with status {code}"
-                else:
-                    how = f"was killed by signal {-code}"
-                failures[share] = AffineSwarmError(
-                    f"the process for agents {reprlib.repr(first)} to "
-                    f"{reprlib.repr(last)} {how}"
-                )
-    failure = next((f for f in failures if f is not None), None)
-    if isinstance(failure, AffineSwarmError):
-        raise failure
-    return failure
+                how = f"was killed by signal {-code}"
+            raise AffineSwarmError(
+                f"the process for agents {reprlib.repr(first)} to "
+                f"{reprlib.repr(last)} {how}"
+            )
 
 
 def emit_bundle(
@@ -355,10 +338,10 @@ def emit_bundle(
 
     ``trace`` is a simulated one (``run_simulation``), as the CSVs log
     its ``references`` and ``desired``; a trace ``read_bundle`` gives has
-    neither. Each share of ``_split_agents`` writes its agents' CSVs, so
-    the bytes do not depend on the CPU count. Returns the bundle
-    directory. I/O failures are re-raised with the offending path in the
-    message, the first failing agent's for the CSVs.
+    neither. ``_split_agents`` writes the CSVs one agent at a time, in one
+    share per CPU, so the bytes do not depend on the CPU count. Returns the
+    bundle directory. I/O failures are re-raised with the offending path in
+    the message, the first failing agent's for the CSVs.
     """
     out = Path(out_dir)
     try:
@@ -371,20 +354,12 @@ def emit_bundle(
     names = list(outputs["traces"].values())
     times, settle = time_fields(trace.times), settle_rows(trace)
 
-    def write(lo: int, hi: int) -> str | None:
-        try:
-            for index in range(lo, hi):  # one CSV held at a time
-                (out / names[index]).write_bytes(
-                    trace_csv_text(trace, index, times, settle[index])
-                )
-        except OSError as exc:
-            return str(exc)
-        return None
+    def write(index: int) -> None:
+        text = trace_csv_text(trace, index, times, settle[index])
+        (out / names[index]).write_bytes(text)
 
     try:
-        failure = _split_agents(scenario.config.ids, write)
-        if failure is not None:
-            raise OSError(failure)
+        _split_agents(scenario.config.ids, write)
         manifest = {
             "tool": {"name": "affineswarm", "version": __version__},
             "scenario": scenario_to_dict(scenario),
@@ -486,11 +461,11 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
     is kept: the trace's ``positions`` is one C-contiguous float64
     ``(T, N, 3)`` array over an anonymous shared mapping allocated up
     front, and its ``references`` and ``desired`` are None, as no metric
-    reads them. Each share of ``_split_agents`` reads its CSVs one at a
-    time, copying each into its agent's column once its checks pass, so a
-    process holds the 24·T·N bytes of positions plus one agent's CSV. The
-    positions and messages do not depend on the CPU count: a damaged CSV
-    is the first in agent order.
+    reads them. ``_split_agents`` reads the CSVs one agent at a time, in one
+    share per CPU, copying each into its agent's column once its checks
+    pass, so a process holds the 24·T·N bytes of positions plus one agent's
+    CSV. The positions and messages do not depend on the CPU count: a
+    damaged CSV is the first in agent order.
 
     A missing, unreadable or malformed manifest, an object in it that
     repeats a key (located from the manifest's root ``$``), a missing key, an
@@ -539,22 +514,16 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
     # An anonymous shared mapping, so a forked share's rows reach this process.
     positions = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
-    def parse(lo: int, hi: int) -> str | None:
-        for index in range(lo, hi):
-            csv = out / names[index]
-            try:
-                text = csv.read_text()
-            except OSError as exc:
-                return f"{csv}: cannot read trace CSV: {exc.strerror}"
-            except UnicodeDecodeError as exc:
-                return f"{csv}: damaged trace CSV: {exc}"
-            try:
-                positions[:, index] = _trace_table(csv, text, grid)[:, 1:4]
-            except ScenarioError as exc:
-                return exc.errors[0]
-        return None
+    def parse(index: int) -> None:
+        csv = out / names[index]
+        try:
+            text = csv.read_text()
+        except OSError as exc:
+            reason = f"cannot read trace CSV: {exc.strerror}"
+            raise ScenarioError([f"{csv}: {reason}"]) from None
+        except UnicodeDecodeError as exc:
+            raise ScenarioError([f"{csv}: damaged trace CSV: {exc}"]) from None
+        positions[:, index] = _trace_table(csv, text, grid)[:, 1:4]
 
-    failure = _split_agents(scenario.config.ids, parse)
-    if failure is not None:
-        raise ScenarioError([failure])
+    _split_agents(scenario.config.ids, parse)
     return scenario, SimTrace(times=times, positions=positions)

@@ -108,11 +108,9 @@ def _tracking(trace: SimTrace, scenario: Scenario) -> tuple:
 
 
 def _closest(positions: np.ndarray, scenario: Scenario, tracking) -> float:
-    """``pairwise_min_distance``, pruned by ``tracking`` (``_tracking``) unless None."""
+    """``pairwise_min_distance``, pruned by ``tracking`` (``_tracking``)."""
     t_count = len(positions)
     ref_dist, pairs = _pair_table(scenario.config.planar_positions())
-    if tracking is None:
-        return _cells_min(positions, pairs, np.full(t_count, len(ref_dist)))
     order = np.argsort(ref_dist, kind="stable")
     ref_dist, pairs = ref_dist[order], pairs[:, order]
     ub = _cells_min(positions, pairs, np.ones(t_count, dtype=int))
@@ -127,13 +125,13 @@ def pairwise_min_distance(trace: SimTrace, scenario: Scenario) -> float:
     ``trace`` holds ``scenario``'s agents in matrix order, in any memory
     layout. The result is the all-pairs search's float, found from fewer
     pairs by the paper's bound ``|p_i - p_j| >= s_k |a_i - a_j| - 2 e_k``
-    (``_tracking``). For ``N <= 7`` every pair is searched at every tick and
-    the schedule is not sampled. Otherwise the pair behind ``d_min`` bounds
-    the minimum by ``ub``, and only pairs with ``|a_i - a_j| <= (ub + 2 e_k
-    + pad) / s_k`` at tick ``k`` are searched. +inf for fewer than two agents.
+    (``_tracking``): the pair behind ``d_min`` bounds the minimum by ``ub``,
+    and only pairs with ``|a_i - a_j| <= (ub + 2 e_k + pad) / s_k`` at tick
+    ``k`` are searched. +inf for fewer than two agents.
     """
-    tracking = _tracking(trace, scenario) if trace.positions.shape[1] > 7 else None
-    return _closest(trace.positions, scenario, tracking)
+    if trace.positions.shape[1] < 2:
+        return math.inf
+    return _closest(trace.positions, scenario, _tracking(trace, scenario))
 
 
 def corridor_clearance(

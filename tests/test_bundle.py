@@ -537,12 +537,11 @@ class TestEmitBundle:
 
 
 # How a run's shares start: the first in process, the rest forked, or all in
-# process when a pipe or a fork raises or forking is missing.
+# process when a fork raises or forking is missing.
 SPLITS = {
     "1 cpu": (1, None),
     "2 cpus": (2, None),
     "4 cpus": (4, None),
-    "pipe fails": (4, "pipe"),
     "fork fails": (4, "fork"),
     "no fork": (4, "missing"),
 }
@@ -551,8 +550,8 @@ SPLITS = {
 def split(monkeypatch, name):
     cpus, fault = SPLITS[name]
     see_cpus(monkeypatch, cpus)
-    if fault in ("pipe", "fork"):
-        monkeypatch.setattr(os, fault, mock.Mock(side_effect=OSError("no room")))
+    if fault == "fork":
+        monkeypatch.setattr(os, "fork", mock.Mock(side_effect=OSError("no room")))
     elif fault == "missing":
         monkeypatch.delattr(os, "fork")
 
@@ -581,17 +580,20 @@ class TestSplitAcrossCpus:
             metrics = validate_run(trace, scenario)
         else:
             scenario, trace, metrics = request.getfixturevalue("random_run")
-        files, positions, fork = {}, {}, bundle._fork
+        files, positions = {}, {}
         for name in SPLITS:
-            started = []
-
-            def counted(*args):
-                started.append(fork(*args))
-                return started[-1]
+            forked = []  # the pids this process's forks returned
 
             with monkeypatch.context() as patch:
                 split(patch, name)
-                patch.setattr(bundle, "_fork", counted)
+                if hasattr(os, "fork"):
+                    fork = os.fork
+
+                    def counted():
+                        forked.append(fork())  # a child appends to its own copy
+                        return forked[-1]
+
+                    patch.setattr(os, "fork", counted)
                 out = emit_bundle(
                     tmp_path / name, scenario, trace, metrics, *graph_parts(scenario)
                 )
@@ -603,8 +605,8 @@ class TestSplitAcrossCpus:
             # a fork could start it.
             cpus, fork_fault = SPLITS[name]
             shares = min(cpus, len(scenario.config.ids))
-            forked = sum(child is not None for child in started)
-            assert forked == (0 if fork_fault else 2 * (shares - 1))
+            assert len(forked) == (0 if fork_fault else 2 * (shares - 1))
+            assert all(forked)
         for name in SPLITS:
             assert files[name] == files["1 cpu"], name
             assert np.array_equal(positions[name], positions["1 cpu"]), name
@@ -635,6 +637,75 @@ class TestSplitAcrossCpus:
         assert messages == {
             f"failed writing bundle under OUT: [Errno 21] Is a directory: 'OUT/{first}'"
         }
+
+    @pytest.mark.parametrize("blocked, rerun", [(None, []), (4, [3, 4])])
+    def test_the_parent_reruns_only_a_failed_childs_share(
+        self, short_run, monkeypatch, tmp_path, blocked, rerun
+    ):
+        # With 2 CPUs agents 0-2 are formatted here and 3-5 in a child. A
+        # child that cannot write agent 4's CSV has its share run again
+        # here, which meets the same directory and stops there.
+        scenario, trace, metrics = short_run
+        parent, call, formatted = os.getpid(), bundle.trace_csv_text, []
+
+        def recorded(trace, index, *args):
+            if os.getpid() == parent:
+                formatted.append(index)
+            return call(trace, index, *args)
+
+        monkeypatch.setattr(bundle, "trace_csv_text", recorded)
+        see_cpus(monkeypatch, 2)
+        if blocked is None:
+            emit_bundle(tmp_path, scenario, trace, metrics, *graph_parts(scenario))
+        else:
+            csv = tmp_path / f"trace_{scenario.config.ids[blocked]}.csv"
+            csv.mkdir()
+            with pytest.raises(OSError) as info:
+                emit_bundle(tmp_path, scenario, trace, metrics, *graph_parts(scenario))
+            assert str(info.value) == (
+                f"failed writing bundle under {tmp_path}: "
+                f"[Errno 21] Is a directory: '{csv}'"
+            )
+        assert_no_child_left()
+        assert formatted == [0, 1, 2, *rerun]
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    @pytest.mark.parametrize(
+        "layer, error",
+        [
+            ("trace_csv_text", OSError(24, "Too many open files")),
+            ("_trace_table", ScenarioError(["a damage only a child sees"])),
+        ],
+    )
+    def test_a_failure_only_a_child_meets_is_not_reported(
+        self, short_run, monkeypatch, tmp_path, layer, error, cpus
+    ):
+        # The parent's rerun of the share does not meet it (a transient
+        # EMFILE, say), so the run is a one-share run's.
+        scenario, trace, metrics = short_run
+        parts = graph_parts(scenario)
+        see_cpus(monkeypatch, 1)
+        alone = emit_bundle(tmp_path / "alone", scenario, trace, metrics, *parts)
+        parent, call = os.getpid(), getattr(bundle, layer)
+
+        def failing_in_a_child(*args):
+            if os.getpid() != parent:
+                raise error
+            return call(*args)
+
+        monkeypatch.setattr(bundle, layer, failing_in_a_child)
+        see_cpus(monkeypatch, cpus)
+        out = emit_bundle(tmp_path / "split", scenario, trace, metrics, *parts)
+        assert_no_child_left()
+        positions = read_bundle(out)[1].positions
+        assert_no_child_left()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+            p.name: p.read_bytes() for p in alone.iterdir()
+        }
+        monkeypatch.setattr(bundle, layer, call)
+        see_cpus(monkeypatch, 1)
+        expected = read_bundle(alone)[1].positions
+        assert np.array_equal(positions.view(np.uint64), expected.view(np.uint64))
 
 
 class TestGoldenRows:

@@ -27,6 +27,7 @@ from conftest import (
 from affineswarm import SimParams, SpectralReport
 from affineswarm import bundle, cli, formation
 from affineswarm.cli import build_parser, main
+from affineswarm.errors import ScenarioError
 from affineswarm.scenario import default_scenario_text
 
 
@@ -1144,6 +1145,28 @@ class TestValidate:
         assert "marker line" not in captured.err
         assert captured.err.count("\n") == 1
 
+    def test_long_id_in_a_key_path_is_quoted_in_one_short_line(
+        self, fast_bundle, tmp_path, capsys
+    ):
+        # cf4 renamed to a 10,000-character id, whose trace is named wrongly:
+        # the layout is refused before any file is opened.
+        out = tmp_path / "bundle"
+        shutil.copytree(fast_bundle, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        text = json.dumps(manifest).replace('"cf4"', '"' + "c" * 10_000 + '"')
+        manifest = json.loads(text)
+        manifest["outputs"]["traces"]["c" * 10_000] = "/tmp/x"
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["validate", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        key = reprlib.repr("c" * 10_000)
+        assert captured.err.startswith(
+            f"error: {out}/manifest.json: outputs.traces.{key}: '/tmp/x' is not "
+        )
+        assert captured.err.count("\n") == 1
+        assert len(captured.err) - len(str(out)) < 300
+
     def test_trace_name_of_another_agent_is_refused(self, fast_bundle, tmp_path, capsys):
         # Read as cf1's, cf2's CSV would put the two agents in one spot.
         out = tmp_path / "bundle"
@@ -1344,6 +1367,49 @@ class TestSplitAcrossCpus:
         assert capsys.readouterr().err == (
             "error: the process for agents 'cf2' to 'cf4' was killed by signal 9\n"
         )
+
+    @pytest.mark.parametrize(
+        "command, layer, error",
+        [
+            ("simulate", "trace_csv_text", OSError(24, "Too many open files")),
+            ("validate", "_trace_table", ScenarioError(["a damage only a child sees"])),
+        ],
+    )
+    def test_a_failure_only_a_child_meets_is_not_reported(
+        self,
+        fast_bundle,
+        fast_path,
+        tmp_path,
+        capsysbinary,
+        monkeypatch,
+        command,
+        layer,
+        error,
+    ):
+        # The process reruns the child's share, which does not meet it.
+        parent, call = os.getpid(), getattr(bundle, layer)
+
+        def failing_in_a_child(*args):
+            if os.getpid() != parent:
+                raise error
+            return call(*args)
+
+        def outcome():
+            run = tmp_path / "run"  # one name, as simulate prints it
+            shutil.rmtree(run, ignore_errors=True)
+            target = [fast_path, "--out", str(run)]
+            argv = [command, *(target if command == "simulate" else [str(fast_bundle)])]
+            code = main(argv)
+            assert_no_child_left()
+            files = {p.name: p.read_bytes() for p in run.glob("*")}
+            return code, capsysbinary.readouterr(), files
+
+        see_cpus(monkeypatch, 1)
+        alone = outcome()
+        assert alone[0] == 0
+        see_cpus(monkeypatch, 2)
+        monkeypatch.setattr(bundle, layer, failing_in_a_child)
+        assert outcome() == alone
 
 
 def never(*args, **kwargs):

@@ -148,8 +148,8 @@ def test_lengths_are_numpys_norm_bit_for_bit(v):
 
 
 class TestSmallTeamSearch:
-    """Up to 7 agents the search takes every pair at every tick: the dense
-    search's float, whatever the trace and however it is sliced."""
+    """Up to 7 agents the pruned search gives the dense search's float,
+    whatever the trace and however it is sliced."""
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -210,12 +210,6 @@ class TestSmallTeamSearch:
             min_pair_distance_oracle(reread_trace.positions)
         )
 
-    def test_no_schedule_sampling(self, default_scenario):
-        # The bound needs the commanded map; a small team never asks for it.
-        trace = static_trace(default_scenario.config.reference_positions())
-        with mock.patch.object(PhaseSchedule, "sample", side_effect=AssertionError):
-            assert pairwise_min_distance(trace, default_scenario) == 0.5
-
 
 class TestPairSearchOracle:
     """The certificate-pruned search returns the dense search's float."""
@@ -226,9 +220,8 @@ class TestPairSearchOracle:
         scenario, trace = oracle_run(seed, n_followers, 0.0)
         expected = min_pair_distance_oracle(trace.positions)
         assert pairwise_min_distance(trace, scenario) == expected
-        # Past 7 agents the search's first pass is the d_min pair's T cells,
-        # and up to 7 it is every pair's T cells; a 256-cell budget splits
-        # either into several tick slices.
+        # The search's first pass is the d_min pair's T cells, which a
+        # 256-cell budget splits into several tick slices.
         with mock.patch.object(metrics, "_CELLS", 256):
             assert len(trace.times) > metrics._CELLS
             assert pairwise_min_distance(trace, scenario) == expected
