@@ -129,8 +129,78 @@ def plan_csv_text(traj: LeaderTrajectory) -> bytes:
 
 def dumps_json(doc) -> str:
     """``doc`` as the program writes every JSON document: sorted keys, indent 2,
-    ASCII, and a final newline. ``graph``'s stdout is a bundle's ``matrices.json``."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    ASCII, and a final newline. ``graph``'s stdout is a bundle's ``matrices.json``.
+
+    The bytes are those of the stdlib's ``json.dumps`` with ``sort_keys=True,
+    indent=2``, and a newline, for a ``doc`` whose keys are all ``str``, as
+    every document the program writes has (any other key raises
+    ``TypeError``). Only the writing is faster than the stdlib's pure-Python
+    indented encoder: a non-empty list of finite floats (a row of ``W``,
+    ``L`` or ``H``) is one join of ``float.__repr__``, and every other
+    value is dispatched by type.
+    """
+    chunks: list[str] = []
+    _write_json(doc, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(value, newline: str, put) -> None:
+    """``put`` the JSON text of ``value``, whose own lines start with ``newline``.
+
+    Strings, ints, bools, ``None`` and finite floats are written here, and
+    a list of finite floats in one join. Any other leaf (a non-finite
+    float, an ``np.float64`` outside such a list) goes to ``json.dumps``,
+    whose spelling it keeps (``NaN``, ``Infinity``).
+    """
+    kind = type(value)
+    if kind is str:
+        put(_encode_str(value))
+    elif kind is float and math.isfinite(value):
+        put(float.__repr__(value))
+    elif kind is int:
+        put(int.__repr__(value))
+    elif kind is bool:
+        put("true" if value else "false")
+    elif value is None:
+        put("null")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        try:  # json writes a float (or float subclass) through float.__repr__
+            text = ("," + inner).join(map(float.__repr__, value))
+            floats = "n" not in text  # only inf and nan reprs hold an n
+        except TypeError:  # an item that is not a float
+            floats = False
+        if floats:
+            put("[" + inner + text + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(sep + _encode_str(key) + ": ")
+            _write_json(value[key], inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    else:
+        put(json.dumps(value))
 
 
 def matrices_document(scenario: Scenario, spectrum: SpectralReport, rho: float) -> dict:

@@ -151,18 +151,33 @@ def _barycentric(
     """Barycentric coordinates of the rows ``points`` in the triangles ``triangles``.
 
     ``points`` is (K,) and ``triangles`` (K, 3), both rows of the (N, 2)
-    planar positions ``xy``. One batched ``det`` and ``solve`` over the
-    systems ``[x; y; 1] c = [p; 1]``. Returns ``(solvable, coords)``: a
-    triangle whose ``|det|`` is not above ``COLLINEAR_TOL`` (NaN included)
-    is not solved, and its coordinates are NaN.
+    planar positions ``xy``. One batched ``solve`` over the systems
+    ``[x; y; 1] c = [p; 1]``. Returns ``(solvable, coords)``: a triangle is
+    collinear, and not solvable, when neither LU's ``det`` nor its shoelace
+    determinant ``x0 (y1 - y2) + x1 (y2 - y0) + x2 (y0 - y1)`` is above
+    ``COLLINEAR_TOL`` in size (NaN included). The shoelace form keeps the
+    small terms that a far vertex (``x = 1e308``) makes LU cancel to 0, and
+    LU's keeps an infinite vertex, where the shoelace's ``0 * inf`` is NaN.
+    A triangle LU cannot solve is not solved, and its coordinates are NaN,
+    which fails every check that reads them.
     """
     m = np.ones((len(points), 3, 3))
     m[:, :2] = xy[triangles].transpose(0, 2, 1)
     coords = np.full((len(points), 3), np.nan)
-    solvable = np.abs(np.linalg.det(m)) > COLLINEAR_TOL
-    rhs = np.ones((np.count_nonzero(solvable), 3, 1))
-    rhs[:, :2, 0] = xy[points[solvable]]
-    coords[solvable] = np.linalg.solve(m[solvable], rhs)[..., 0]
+    det = np.abs(np.linalg.det(m))
+    solvable = det > COLLINEAR_TOL
+    if not solvable.all():
+        x, y = m[:, 0], m[:, 1]
+        shoelace = (
+            x[:, 0] * (y[:, 1] - y[:, 2])
+            + x[:, 1] * (y[:, 2] - y[:, 0])
+            + x[:, 2] * (y[:, 0] - y[:, 1])
+        )
+        solvable |= np.abs(shoelace) > COLLINEAR_TOL
+    solved = solvable & (det > 0)  # LU may still find a far vertex's triangle singular
+    rhs = np.ones((np.count_nonzero(solved), 3, 1))
+    rhs[:, :2, 0] = xy[points[solved]]
+    coords[solved] = np.linalg.solve(m[solved], rhs)[..., 0]
     return solvable, coords
 
 

@@ -38,7 +38,6 @@ hash.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import reprlib
@@ -539,5 +538,13 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def scenario_sha256(s: Scenario) -> str:
+    """SHA-256 of the scenario's compact sorted-key JSON, in hex.
+
+    ``hashlib`` (and with it OpenSSL) is imported here, the one place the
+    program hashes, so the commands that write no manifest (``graph``,
+    ``check``, ``plan``) never load it.
+    """
+    import hashlib
+
     blob = json.dumps(scenario_to_dict(s), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

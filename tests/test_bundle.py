@@ -4,6 +4,7 @@ import json
 import math
 import os
 import reprlib
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -765,6 +766,73 @@ class TestMatricesDocument:
     def test_serialization_round_trip_of_scenario(self, default_scenario):
         text = serialize_scenario(default_scenario)
         assert parse_scenario(text) == default_scenario
+
+
+def stdlib_json(doc) -> str:
+    """The writer's oracle: the stdlib's indented, sorted-key text."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, math.nan]
+EDGE_FLOATS += [math.inf, -math.inf, 0.1, 1e16, 1e-7]
+json_floats = st.floats() | st.sampled_from(EDGE_FLOATS)
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | json_floats
+    | json_floats.map(np.float64)
+    | st.text()
+)
+json_keys = st.text() | st.text(st.characters(max_codepoint=127))
+json_docs = st.recursive(
+    json_leaves | st.lists(json_floats),  # lists of floats, non-finite ones among them
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(json_keys, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+class TestDumpsJson:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=json_docs)
+    def test_bytes_equal_the_stdlib(self, doc):
+        assert bundle.dumps_json(doc) == stdlib_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            [],
+            {"a": [], "b": {}, "c": [[]]},
+            [1.5, math.nan, -0.0],
+            [math.inf, 2.0],
+            [5e-324, -math.inf],
+            [1.0, 2, 3.0],
+            [1.0, True, None, "x"],
+            {"\u00e9t\u00e9": ["\u2603", "a\nb"], "k": 10**30},
+        ],
+    )
+    def test_edge_documents(self, doc):
+        assert bundle.dumps_json(doc) == stdlib_json(doc)
+
+    def test_default_matrices_document(self, default_scenario):
+        doc = matrices_document(default_scenario, *graph_parts(default_scenario))
+        assert bundle.dumps_json(doc) == stdlib_json(doc)
+
+    def test_random_config_matrices_document(self, default_scenario):
+        cfg = random_config(np.random.default_rng(7), 40)
+        scenario = replace(default_scenario, config=cfg)
+        doc = matrices_document(scenario, *graph_parts(scenario))
+        assert len(doc["W"]) == 43
+        assert bundle.dumps_json(doc) == stdlib_json(doc)
+
+    @pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)])
+    def test_a_key_that_is_not_str_is_refused(self, key):
+        with pytest.raises(TypeError, match="keys must be str"):
+            bundle.dumps_json({"a": {key: 1}})
 
 
 @pytest.fixture(scope="module")

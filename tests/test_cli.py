@@ -432,12 +432,12 @@ def containment(fid, coords):
                 containment("cf4", "[-inf, -inf, inf]"),
             ],
         ),
-        # cf3's weights mix infinite signs, so their sum is NaN.
+        # cf3's weights mix infinite signs, so their sum is NaN. The leader
+        # triangle (1e308, 0.75), (-0.5, -0.75), (0.5, -0.75) is not
+        # collinear: its determinant is 1.5, though LU rounds it to 0.
         (
             {0: {"x": 1e308}, 2: {"y": 1e308}},
             [
-                "collinear-leaders: leader reference positions are collinear; "
-                "the barycentric system is singular",
                 containment("cf2", "[-0.0, 0.0, 1.0]"),
                 containment("cf3", "[-inf, inf, -inf]"),
                 containment("cf4", "[-0.0, 0.0, 1.0]"),
@@ -1618,3 +1618,24 @@ class TestUsage:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["pass"] is True
+
+    def test_commands_that_hash_nothing_leave_openssl_unloaded(self, default_path):
+        # Only a manifest's scenario_sha256 hashes; graph, check and plan
+        # write none, so a fresh interpreter never imports hashlib for them.
+        code = (
+            "import contextlib, io, sys\n"
+            "from affineswarm import cli\n"
+            "for command in ('graph', 'check', 'plan'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main([command, sys.argv[1]]) == 0, command\n"
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        result = subprocess.run(
+            [sys.executable, "-c", code, default_path],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"

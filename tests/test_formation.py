@@ -108,6 +108,18 @@ class TestValidateConfig:
         cfg = ReferenceConfig.from_agents(agents, z=1.0, in_neighbors={})
         assert_refused(cfg, "collinear-leaders")
 
+    @pytest.mark.parametrize("far", [1e17, 1e100])
+    def test_far_leader_is_not_collinear(self, far):
+        # LU's det of this triangle rounds to 0 once the far vertex dwarfs
+        # the others; its shoelace determinant is the exact 1.5.
+        agents = [
+            Agent("u1", "leader", far, 0.75),
+            Agent("u2", "leader", -0.5, -0.75),
+            Agent("u3", "leader", 0.5, -0.75),
+        ]
+        cfg = ReferenceConfig.from_agents(agents, z=1.0, in_neighbors={})
+        assert validate_config(cfg) == []
+
     def test_wrong_leader_count(self):
         agents = three_leaders() + [Agent("u4", "leader", 0.0, 0.0)]
         assert_refused(ReferenceConfig.from_agents(agents, 1.0, {}), "role-count")
