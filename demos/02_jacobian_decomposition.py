@@ -12,7 +12,6 @@ from affineswarm import (
     assemble_jacobian,
     decompose_jacobian,
     load_default_scenario,
-    min_scaling_bound,
     strain_check,
 )
 
@@ -40,8 +39,9 @@ print("\n|Q v| / |v| =", np.linalg.norm(dec.Q @ v) / np.linalg.norm(v))
 print("min strain   =", min(recovered.lambda1, recovered.lambda2))
 
 scenario = load_default_scenario()
-_, d_min = strain_check(scenario, 0.01)
-bound = min_scaling_bound(0.01, 0.065, d_min)
-print(f"\nreference separation d_min = {d_min} m")
-print(f"strain floor for delta=0.01 m, radius=0.065 m: {bound}")
-print("commanded minimum strain 0.5 >= bound -> deformation is safe")
+report = strain_check(scenario, 0.01)
+print(f"\nreference separation d_min = {report.d_min} m")
+print(f"strain floor for delta=0.01 m, radius={scenario.safety.agent_radius} m: "
+      f"{report.lambda_min_bound}")
+print(f"commanded minimum strain {report.min_strain_observed} >= bound -> "
+      f"{'deformation is safe' if report.passed else 'UNSAFE'}")

@@ -19,7 +19,7 @@ from affineswarm import (
 
 scenario = load_default_scenario()
 cfg = scenario.config
-safety, _ = strain_check(scenario, scenario.safety.delta_budget)
+safety = strain_check(scenario, scenario.safety.delta_budget)
 print(f"strain precheck: commanded min {safety.min_strain_observed} vs "
       f"bound {safety.lambda_min_bound:.3f} -> {'pass' if safety.passed else 'FAIL'}")
 

@@ -23,10 +23,10 @@ scenario = load_default_scenario()
 metrics = validate_run(run_simulation(scenario), scenario)
 delta = metrics.measured_delta
 radius = scenario.safety.agent_radius
-report, d_min = strain_check(scenario, delta)
+report = strain_check(scenario, delta)
 
 print(f"measured tracking error bound delta = {delta:.4f} m")
-print(f"agent radius = {radius} m, reference separation d_min = {d_min} m")
+print(f"agent radius = {radius} m, reference separation d_min = {report.d_min} m")
 print(f"required strain floor = 2 (delta + radius) / d_min = "
       f"{report.lambda_min_bound:.4f}")
 
@@ -42,7 +42,7 @@ aggressive = PhaseSchedule(
               AtCoordinates(lambda1=0.2, lambda2=0.2)),
     ),
 )
-report, _ = strain_check(dataclasses.replace(scenario, schedule=aggressive), delta)
+report = strain_check(dataclasses.replace(scenario, schedule=aggressive), delta)
 print(f"\ncontraction to 0.2: min strain {report.min_strain_observed} "
       f"-> {'PASS' if report.passed else 'FAIL'}")
 for t0, t1 in report.violations:

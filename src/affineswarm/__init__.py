@@ -29,6 +29,7 @@ from .formation import (
 )
 from .metrics import (
     RunMetrics,
+    SafetyReport,
     corridor_clearance,
     pairwise_min_distance,
     strain_check,
@@ -38,9 +39,7 @@ from .phases import (
     LeaderTrajectory,
     Phase,
     PhaseSchedule,
-    SafetyReport,
     TranslationRamp,
-    check_schedule_safety,
     desired_positions,
     leader_trajectory,
     quintic_blend,
@@ -64,7 +63,6 @@ from .transform import (
     JacobianDecomposition,
     assemble_jacobian,
     decompose_jacobian,
-    min_scaling_bound,
     transform_points,
 )
 

@@ -244,20 +244,6 @@ def matrices_document(scenario: Scenario, spectrum: SpectralReport, rho: float) 
     }
 
 
-def safety_document(report, d_min: float) -> dict:
-    """``check``'s report; a floor that overflows is null, as JSON has no infinity."""
-    bound = report.lambda_min_bound
-    return {
-        "d_min": d_min,
-        "lambda_min_bound": bound if math.isfinite(bound) else None,
-        "min_strain_observed": report.min_strain_observed,
-        "pass": report.passed,
-        "violations": [
-            {"t_start": t0, "t_end": t1} for t0, t1 in report.violations
-        ],
-    }
-
-
 def _layout(scenario: Scenario) -> dict:
     """The manifest keys ``scenario`` fixes: the trace columns, the agent
     order and each output's file name, ``trace_<id>.csv`` for each agent.

@@ -28,7 +28,6 @@ from .bundle import (
     matrices_document,
     plan_csv_text,
     read_bundle,
-    safety_document,
 )
 from .errors import AffineSwarmError, ScenarioError, SimulationError
 from .formation import verify_spectrum
@@ -112,8 +111,8 @@ def _cmd_graph(args) -> int:
 
 def _cmd_check(args) -> int:
     scenario = load_scenario(args.scenario)
-    report, d_min = strain_check(scenario, scenario.safety.delta_budget)
-    _emit(dumps_json(safety_document(report, d_min)).encode(), args.out)
+    report = strain_check(scenario, scenario.safety.delta_budget)
+    _emit(dumps_json(report.to_dict()).encode(), args.out)
     return 0 if report.passed else 1
 
 
@@ -162,12 +161,15 @@ def _cmd_simulate(args) -> int:
             f"kp and kd"
         )
     if not args.skip_safety_check:
-        safety, _ = strain_check(scenario, scenario.safety.delta_budget)
+        safety = strain_check(scenario, scenario.safety.delta_budget)
         if not safety.passed:
+            intervals = str(safety.violations[:4])  # so the line does not grow
+            if len(safety.violations) > 4:
+                intervals += f" and {len(safety.violations) - 4} more"
             raise AffineSwarmError(
                 f"commanded min strain {safety.min_strain_observed:.6g} is below "
                 f"the bound {safety.lambda_min_bound:.6g}; violating intervals "
-                f"{safety.violations} (pass --skip-safety-check to run anyway)"
+                f"{intervals} (pass --skip-safety-check to run anyway)"
             )
     trace = run_simulation(scenario)
     metrics = validate_run(trace, scenario)

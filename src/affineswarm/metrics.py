@@ -3,7 +3,8 @@
 All metrics are pure functions of an immutable trace; recomputing them
 yields identical values. Distances between agents are center-to-center;
 corridor clearance is surface-to-wall (agent radius subtracted).
-``strain_check`` is the paper's certificate, before and after a run.
+``strain_check`` builds the paper's certificate, a ``SafetyReport``, before and
+after a run.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .phases import SafetyReport, check_schedule_safety, desired_positions
+from .phases import desired_positions, tick_grid
 from .scenario import Corridor, Scenario
 from .simulation import SimTrace
-from .transform import min_scaling_bound, transform_points
+from .transform import transform_points
 
 _CELLS = 1 << 13  # (tick, pair) cells the pair search evaluates at once
 CONVERGENCE_TOL = 1e-4  # follower residual a converged run stays within, m
@@ -179,6 +180,11 @@ def _final_residual(trace: SimTrace, scenario: Scenario) -> float | None:
     return float(_lengths(mean_pos - targets).max())
 
 
+def _finite_or_none(value):
+    """``value``, or None for a non-finite float, as JSON has no infinity."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 @dataclass(frozen=True)
 class RunMetrics:
     """Summary a run is judged by, serialized to the metrics document."""
@@ -193,29 +199,70 @@ class RunMetrics:
     safety_pass: bool
 
     def to_dict(self) -> dict:
-        """The fields by name; a non-finite float is null, as JSON has no infinity."""
+        """The fields by name; a non-finite float is null."""
+        return {k: _finite_or_none(v) for k, v in asdict(self).items()}
+
+
+@dataclass(frozen=True)
+class SafetyReport:
+    """The paper's certificate, ``strain_check``'s result.
+
+    ``d_min`` is the reference layout's minimum pairwise distance and
+    ``lambda_min_bound`` the floor ``2 (delta + r) / d_min``.
+    ``min_strain_observed`` is the least ``min(lambda1, lambda2)`` on the
+    control-rate grid of the schedule's span, and ``violations`` holds the
+    ``(t_first, t_last)`` of each maximal run of ticks below the floor.
+    """
+
+    d_min: float
+    lambda_min_bound: float
+    min_strain_observed: float
+    passed: bool
+    violations: list[tuple[float, float]]
+
+    def to_dict(self) -> dict:
+        """``check``'s document; a non-finite float is null."""
         return {
-            k: None if isinstance(v, float) and not math.isfinite(v) else v
-            for k, v in asdict(self).items()
+            "d_min": _finite_or_none(self.d_min),
+            "lambda_min_bound": _finite_or_none(self.lambda_min_bound),
+            "min_strain_observed": _finite_or_none(self.min_strain_observed),
+            "pass": self.passed,
+            "violations": [{"t_start": t0, "t_end": t1} for t0, t1 in self.violations],
         }
 
 
-def strain_check(scenario: Scenario, delta: float) -> tuple[SafetyReport, float]:
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def strain_check(scenario: Scenario, delta: float) -> SafetyReport:
     """The schedule's strains at the control rate against the paper's floor.
 
-    The floor is ``min_scaling_bound``'s ``2 (delta + r) / d_min``, with
-    ``delta`` a bound on every agent's tracking error (the safety budget
-    before a run, the measured error after one). Returns the report and
-    the reference spacing ``d_min`` behind the floor, the minimum distance
-    between two agents of the reference layout (``ValueError`` for fewer
-    than two agents).
+    Two agents whose reference points are ``d_min`` apart keep a positive
+    surface gap while both strains stay at or above ``2 (delta + r) / d_min``,
+    with ``r`` the agent radius and ``delta`` a bound on every tracking error:
+    the safety budget before a run, the measured error after one. A
+    ``d_min`` that underflows to 0 gives an infinite floor, which fails; one
+    that overflows, a floor of 0. ``ValueError`` for fewer than two agents
+    or a ``delta`` that is not ``>= 0``.
     """
-    d_min = float(_pair_table(scenario.config.planar_positions())[0].min())
-    bound = min_scaling_bound(delta, scenario.safety.agent_radius, d_min)
-    report = check_schedule_safety(
-        scenario.schedule, bound, scenario.params.control_rate
+    if not delta >= 0.0:
+        raise ValueError(f"delta must be non-negative, got {delta}")
+    # A numpy float: a spacing of 0 divides to inf, not to ZeroDivisionError.
+    d_min = _pair_table(scenario.config.planar_positions())[0].min()
+    bound = float(2.0 * (delta + scenario.safety.agent_radius) / d_min)
+    s = scenario.schedule
+    times = tick_grid(s.t_start, s.t_end - s.t_start, scenario.params.control_rate)
+    coords = s.coordinates(times)
+    strains = np.minimum(coords[:, 2], coords[:, 3])
+    min_strain = float(strains.min())
+    # +1 where a run of violating ticks starts, -1 one past where it ends.
+    edges = np.diff(np.concatenate(([0], (strains < bound).astype(np.int8), [0])))
+    firsts, lasts = times[edges[:-1] == 1], times[edges[1:] == -1]
+    return SafetyReport(
+        d_min=float(d_min),
+        lambda_min_bound=bound,
+        min_strain_observed=min_strain,
+        passed=min_strain >= bound,
+        violations=list(zip(firsts.tolist(), lasts.tolist())),
     )
-    return report, d_min
 
 
 @np.errstate(over="ignore")
@@ -235,7 +282,7 @@ def validate_run(trace: SimTrace, scenario: Scenario) -> RunMetrics:
     corridor, radius = scenario.corridor, scenario.safety.agent_radius
     tracking = _tracking(trace, scenario)
     measured_delta = float(tracking[0].max())
-    safety, _ = strain_check(scenario, measured_delta)
+    safety = strain_check(scenario, measured_delta)
     min_pairwise = _closest(trace.positions, scenario, tracking)
     clearance = None if corridor is None else corridor_clearance(trace, corridor, radius)
     residual = _final_residual(trace, scenario)

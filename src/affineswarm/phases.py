@@ -241,41 +241,3 @@ def leader_trajectory(
         times=times, agent_ids=cfg.leader_ids, positions=positions
     )
 
-
-@dataclass
-class SafetyReport:
-    """Outcome of sampling the commanded strains against a lower bound."""
-
-    lambda_min_bound: float
-    min_strain_observed: float
-    passed: bool
-    violations: list[tuple[float, float]]
-
-
-def check_schedule_safety(
-    schedule: PhaseSchedule, bound: float, tick_rate: float
-) -> SafetyReport:
-    """Sample min(lambda1, lambda2) over the schedule and compare to ``bound``.
-
-    The blend is monotone, so per-phase extrema sit at phase endpoints;
-    sampling at the control tick guards against future non-monotone
-    profiles. Passing means the observed minimum strain is at or above
-    the bound; violating intervals are reported as (t_first, t_last)
-    tick pairs.
-    """
-    times = tick_grid(schedule.t_start, schedule.t_end - schedule.t_start, tick_rate)
-    coords = schedule.coordinates(times)
-    strains = np.minimum(coords[:, 2], coords[:, 3])
-    min_strain = float(strains.min())
-    # +1 where a run of violating ticks starts, -1 one past where it ends.
-    edges = np.diff(np.concatenate(([0], (strains < bound).astype(np.int8), [0])))
-    firsts = times[edges[:-1] == 1]
-    lasts = times[edges[1:] == -1]
-    violations = list(zip(firsts.tolist(), lasts.tolist()))
-    return SafetyReport(
-        lambda_min_bound=float(bound),
-        min_strain_observed=min_strain,
-        passed=min_strain >= bound,
-        violations=violations,
-    )
-

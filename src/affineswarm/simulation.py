@@ -134,10 +134,11 @@ def run_simulation(
 
     Agents start at rest at their reference positions (override per id
     with ``initial_positions``). An invalid config raises ``ConfigError``
-    from ``scenario.config.matrices``. The strain floor is not checked here
-    (``metrics.strain_check`` does that), nor is the closed loop's
-    stability (``closed_loop_radius``); a trace that holds a non-finite
-    position raises ``SimulationError`` naming its first such tick and agents.
+    from ``scenario.config.matrices``. Neither the strain floor
+    (``metrics.strain_check``, which ``simulate`` runs first unless told to
+    skip it) nor the closed loop's stability (``closed_loop_radius``) is
+    checked here; a trace that holds a non-finite position raises
+    ``SimulationError`` naming its first such tick and agents.
 
     A converged run reaches a bitwise fixed point, and the loop stops
     there. Tick ``k`` reads the positions of tick ``k - delay_ticks`` and

@@ -16,7 +16,7 @@ offset ``v``, ``|Q v| >= min(lambda1, lambda2) |v|``, so keeping both
 strains above ``2 (delta + agent_radius) / d_min`` guarantees that two
 agents whose reference positions are at least ``d_min`` apart can never
 touch, even when every agent tracks its desired position with error up
-to ``delta``.
+to ``delta``. ``metrics.strain_check`` checks a schedule against that floor.
 """
 
 from __future__ import annotations
@@ -233,17 +233,3 @@ def transform_points(
     out += d[..., None, :]
     return out
 
-
-def min_scaling_bound(delta: float, radius: float, d_min: float) -> float:
-    """Smallest admissible principal strain for collision-free deformation.
-
-    ``2 (delta + radius) / d_min``: two agents whose reference points are
-    ``d_min`` apart keep a positive surface gap as long as both strains
-    stay at or above this value, where ``delta`` bounds every agent's
-    tracking error and ``radius`` is the enclosing-circle radius.
-    """
-    if not d_min > 0.0:
-        raise ValueError(f"d_min must be positive, got {d_min}")
-    if delta < 0.0 or radius < 0.0:
-        raise ValueError("delta and radius must be non-negative")
-    return 2.0 * (delta + radius) / d_min

@@ -21,6 +21,7 @@ from affineswarm import (
     ReferenceConfig,
     SafetyParams,
     Scenario,
+    SimParams,
     desired_positions,
     load_default_scenario,
     quintic_blend,
@@ -49,6 +50,29 @@ def make_scenario(cfg, schedule, params) -> Scenario:
         schedule=schedule,
         params=params,
         safety=SafetyParams(),
+    )
+
+
+def spaced_scenario(
+    d_min: float, radius: float, schedule: PhaseSchedule, control_rate: float = 100.0
+) -> Scenario:
+    """Three leaders at (0, 0), (d_min, 0) and (0, 2 d_min), flying ``schedule``.
+
+    The reference spacing behind the strain floor is ``d_min``, the agent
+    radius ``radius`` and the control rate ``control_rate``; so ``strain_check``
+    at ``delta`` gives the floor ``2 (delta + radius) / d_min``.
+    """
+    agents = [
+        Agent("l1", "leader", 0.0, 0.0),
+        Agent("l2", "leader", d_min, 0.0),
+        Agent("l3", "leader", 0.0, 2.0 * d_min),
+    ]
+    return Scenario(
+        name="test",
+        config=ReferenceConfig.from_agents(agents, z=1.0, in_neighbors={}),
+        schedule=schedule,
+        params=SimParams(control_rate=control_rate),
+        safety=SafetyParams(agent_radius=radius),
     )
 
 

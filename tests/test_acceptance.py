@@ -20,7 +20,6 @@ from affineswarm import (
     assemble_jacobian,
     decompose_jacobian,
     load_default_scenario,
-    min_scaling_bound,
     pairwise_min_distance,
     quintic_blend,
     run_simulation,
@@ -59,9 +58,9 @@ def matrices(scenario):
 
 def test_criterion_1_strain_bound_arithmetic(scenario):
     start = time.perf_counter()
-    assert abs(min_scaling_bound(0.01, 0.065, 0.5) - 0.3) <= 1e-12
-    safety, d_min = strain_check(scenario, 0.01)
-    assert d_min == 0.5
+    safety = strain_check(scenario, 0.01)
+    assert abs(safety.lambda_min_bound - 0.3) <= 1e-12
+    assert safety.d_min == 0.5
     assert safety.min_strain_observed == 0.5
     assert safety.passed
     assert time.perf_counter() - start < 1.0
@@ -173,7 +172,7 @@ def test_criterion_5_safety_embodiment(scenario):
     for run in runs:
         trace = run_simulation(run)
         delta = validate_run(trace, run).measured_delta
-        safety, _ = strain_check(run, delta)
+        safety = strain_check(run, delta)
         bound = safety.lambda_min_bound
         assert safety.passed, f"schedule failed its own measured-delta bound {bound:.3f}"
         assert pairwise_min_distance(trace, run) >= 2.0 * AGENT_RADIUS

@@ -62,6 +62,17 @@ def fast_bundle(tmp_path_factory):
     return root / "bundle"
 
 
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """``python -m affineswarm *argv`` in a fresh interpreter, its output as text."""
+    return subprocess.run(
+        [sys.executable, "-m", "affineswarm", *argv], capture_output=True, text=True
+    )
+
+
+def refuse(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def scenario_with(tmp_path, path_keys, value):
     """The default scenario file with one value replaced, written as JSON."""
     doc = json.loads(default_scenario_text())
@@ -544,13 +555,60 @@ class TestCheck:
         # 2 (delta + r) / d_min overflows to infinity, which JSON cannot hold.
         path = scenario_with(tmp_path, ("safety", key), 1e308)
         assert main(["check", path]) == 1
-
-        def refuse(token):
-            raise ValueError(f"{token} is not JSON")
-
         doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
         assert doc["lambda_min_bound"] is None
         assert doc["pass"] is False
+
+    def test_underflowing_spacing_fails_without_traceback(self, tmp_path):
+        # cf7 sits 1e-170 m from cf2: their distance squares to 0, so d_min
+        # is 0 and the floor infinite.
+        doc = json.loads(default_scenario_text())
+        doc["agents"].append({"id": "cf7", "role": "follower", "x": 1e-170, "y": 0.25})
+        doc["graph"]["cf7"] = ["cf1", "cf3", "cf4"]
+        doc["sim"]["dt"] = 0.01
+        doc["sim"]["duration"] = 32.0
+        path = tmp_path / "crowded.json"
+        path.write_text(json.dumps(doc))
+        refused, bundle = tmp_path / "refused", tmp_path / "bundle"
+        runs = [
+            run_module("check", str(path)),
+            run_module("simulate", str(path), "--out", str(refused)),
+            run_module("simulate", str(path), "--skip-safety-check", "--out", str(bundle)),
+            run_module("validate", str(bundle)),
+        ]
+        assert [r.returncode for r in runs] == [1, 1, 0, 1]
+        assert not any("Traceback" in r.stdout + r.stderr for r in runs)
+        report = json.loads(runs[0].stdout, parse_constant=refuse)
+        assert report["d_min"] == 0.0
+        assert report["lambda_min_bound"] is None
+        assert report["pass"] is False
+        assert report["violations"] == [{"t_start": 0.0, "t_end": 30.0}]
+        assert runs[1].stderr.startswith("error: ") and runs[1].stderr.count("\n") == 1
+        assert not refused.exists()
+        metrics = json.loads(runs[3].stdout, parse_constant=refuse)
+        assert metrics["lambda_min_required"] is None
+        assert metrics["safety_pass"] is False
+
+    def test_overflowing_spacing_is_null(self, tmp_path):
+        # Leaders 1e200 m apart: the squared distances overflow, so d_min
+        # is inf, which JSON cannot hold, and the floor 0.
+        corners = {"cf1": (1e200, 1e200), "cf5": (-1e200, 1e200), "cf6": (0.0, -1e200)}
+        doc = json.loads(default_scenario_text())
+        doc["agents"] = [
+            dict(a, x=corners[a["id"]][0], y=corners[a["id"]][1])
+            for a in doc["agents"]
+            if a["id"] in corners
+        ]
+        doc["graph"] = {}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        result = run_module("check", str(path))
+        assert result.returncode == 0
+        assert result.stderr == ""
+        report = json.loads(result.stdout, parse_constant=refuse)
+        assert report["d_min"] is None
+        assert report["lambda_min_bound"] == 0.0
+        assert report["pass"] is True
 
 
 class TestGraph:
@@ -720,6 +778,27 @@ class TestSimulate:
             )
             == 0
         )
+
+    def test_precheck_refusal_is_one_short_line(self, tmp_path, capsys):
+        # 400 phases alternating strain 1.0 and 0.2 dip below the floor 200 times.
+        doc = json.loads(default_scenario_text())
+        strains = [1.0, 0.2]
+        doc["phases"] = [
+            {
+                "t0": 0.1 * k,
+                "tf": 0.1 * (k + 1),
+                "start": {"lambda1": strains[k % 2], "lambda2": strains[k % 2]},
+                "end": {"lambda1": strains[1 - k % 2], "lambda2": strains[1 - k % 2]},
+            }
+            for k in range(400)
+        ]
+        path = tmp_path / "zigzag.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+        first = "[(0.08, 0.12), (0.28, 0.32), (0.48, 0.52), (0.68, 0.72)]"
+        assert f"violating intervals {first} and 196 more (pass" in err
 
     @pytest.mark.parametrize("skip", [[], ["--skip-safety-check"]])
     @pytest.mark.parametrize(

@@ -440,12 +440,12 @@ class TestFixedPointOracle:
 def reference_spacing(cfg: ReferenceConfig) -> float:
     """The ``d_min`` behind the strain floor of a holding scenario of ``cfg``."""
     scenario = make_scenario(cfg, hold_schedule(AtCoordinates()), SimParams())
-    return strain_check(scenario, 0.0)[1]
+    return strain_check(scenario, 0.0).d_min
 
 
 class TestMinReferenceDistance:
     def test_default_layout(self, default_scenario):
-        assert strain_check(default_scenario, 0.0)[1] == 0.5
+        assert strain_check(default_scenario, 0.0).d_min == 0.5
 
     def test_two_agents(self):
         agents = [Agent("a", "leader", 0.0, 0.0), Agent("b", "leader", 1.0, 0.0)]

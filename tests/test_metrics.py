@@ -28,7 +28,7 @@ from affineswarm import (
     verify_spectrum,
 )
 from affineswarm import metrics
-from affineswarm.bundle import dumps_json, emit_bundle, read_bundle, safety_document
+from affineswarm.bundle import dumps_json, emit_bundle, read_bundle
 from affineswarm.cli import main
 from affineswarm.simulation import closed_loop_radius
 from conftest import (
@@ -37,6 +37,7 @@ from conftest import (
     min_pair_distance_oracle,
     random_config,
     random_schedule,
+    schedule_oracle,
     serialize_scenario,
     traced_peak,
 )
@@ -586,21 +587,66 @@ class TestConvergenceCheck:
         assert metrics.residual <= 1e-12
 
 
+def violation_runs_oracle(times, strains, floor):
+    """The ``(t_first, t_last)`` of every maximal run of ticks below ``floor``."""
+    runs, first = [], None
+    for k, strain in enumerate(strains):
+        if strain < floor and first is None:
+            first = k
+        elif not strain < floor and first is not None:
+            runs.append((times[first], times[k - 1]))
+            first = None
+    if first is not None:
+        runs.append((times[first], times[-1]))
+    return runs
+
+
 class TestStrainCheck:
     """The one certificate behind ``check``, the simulate precheck and ``validate``."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_followers=st.integers(0, 6),
+        delta=st.floats(0.0, 0.5),
+    )
+    def test_matches_a_plain_oracle(self, seed, n_followers, delta):
+        rng = np.random.default_rng(seed)
+        s = make_scenario(random_config(rng, n_followers), random_schedule(rng), SimParams())
+        report = strain_check(s, delta)
+
+        xy = s.config.planar_positions()
+        i, j = np.triu_indices(len(xy), k=1)
+        d_min = float(np.linalg.norm(xy[i] - xy[j], axis=1).min())
+        floor = 2 * (delta + s.safety.agent_radius) / d_min
+        rate, schedule = s.params.control_rate, s.schedule
+        span = schedule.t_end - schedule.t_start
+        times = [schedule.t_start + k / rate for k in range(round(span * rate) + 1)]
+        strains = [min(schedule_oracle(schedule, t)[0][2:4]) for t in times]
+
+        assert report.d_min == d_min
+        assert report.lambda_min_bound == floor
+        assert report.min_strain_observed == min(strains)
+        assert report.passed == (min(strains) >= floor)
+        assert report.violations == violation_runs_oracle(times, strains, floor)
+
+    @pytest.mark.parametrize("delta", [-0.01, -math.inf, math.nan])
+    def test_delta_below_zero_or_nan_is_refused(self, default_scenario, delta):
+        with pytest.raises(ValueError, match="delta must be non-negative"):
+            strain_check(default_scenario, delta)
 
     def test_budget_reproduces_check_document(self, default_scenario, tmp_path, capsys):
         s = default_scenario
         path = tmp_path / "default.json"
         path.write_text(serialize_scenario(s))
         assert main(["check", str(path)]) == 0
-        report, d_min = strain_check(s, s.safety.delta_budget)
-        assert capsys.readouterr().out == dumps_json(safety_document(report, d_min))
+        report = strain_check(s, s.safety.delta_budget)
+        assert capsys.readouterr().out == dumps_json(report.to_dict())
 
     def test_measured_delta_reproduces_validate_run(self, default_scenario):
         s = dataclasses.replace(default_scenario, params=SimParams(dt=0.01))
         metrics = validate_run(run_simulation(s), s)
-        report, _ = strain_check(s, metrics.measured_delta)
+        report = strain_check(s, metrics.measured_delta)
         assert metrics.lambda_min_required == report.lambda_min_bound
         assert metrics.min_strain_commanded == report.min_strain_observed
         assert metrics.safety_pass == (

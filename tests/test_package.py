@@ -8,18 +8,17 @@ PUBLIC = {
     "PhaseSchedule", "ReferenceConfig", "RunMetrics", "SafetyParams",
     "SafetyReport", "Scenario", "ScenarioError", "ScheduleError", "SimParams",
     "SimTrace", "SimulationError", "SpectralReport", "TranslationRamp",
-    "assemble_jacobian", "check_schedule_safety",
-    "corridor_clearance", "decompose_jacobian", "desired_positions",
-    "leader_trajectory", "load_default_scenario", "load_scenario",
-    "min_scaling_bound", "pairwise_min_distance", "parse_scenario",
-    "quintic_blend", "run_simulation", "scenario_sha256", "strain_check",
-    "transform_points", "validate_config", "validate_run", "verify_spectrum",
+    "assemble_jacobian", "corridor_clearance", "decompose_jacobian",
+    "desired_positions", "leader_trajectory", "load_default_scenario",
+    "load_scenario", "pairwise_min_distance", "parse_scenario", "quintic_blend",
+    "run_simulation", "scenario_sha256", "strain_check", "transform_points",
+    "validate_config", "validate_run", "verify_spectrum",
 }
 
 
 def test_all_is_the_pinned_set():
     names = affineswarm.__all__
-    assert len(names) == len(set(names)) == 41
+    assert len(names) == len(set(names)) == 39
     assert set(names) == PUBLIC
     assert all(hasattr(affineswarm, name) for name in names)
 

@@ -5,7 +5,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from conftest import hold_schedule, schedule_oracle
+from conftest import hold_schedule, schedule_oracle, spaced_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,10 +15,10 @@ from affineswarm import (
     PhaseSchedule,
     ScheduleError,
     TranslationRamp,
-    check_schedule_safety,
     desired_positions,
     leader_trajectory,
     quintic_blend,
+    strain_check,
 )
 
 
@@ -402,9 +402,19 @@ class TestDesiredPositions:
             np.testing.assert_allclose(p, default_matrices.H @ p[:3], atol=1e-9)
 
 
+def floor_report(schedule, bound, tick_rate):
+    """``strain_check`` of ``schedule`` sampled at ``tick_rate`` against ``bound``.
+
+    A spacing of 1 and a radius of ``bound / 2`` give the floor ``bound``,
+    bit for bit, at ``delta = 0``.
+    """
+    return strain_check(spaced_scenario(1.0, bound / 2.0, schedule, tick_rate), 0.0)
+
+
 class TestCheckScheduleSafety:
     def test_default_schedule_passes_reference_bound(self, default_scenario):
-        report = check_schedule_safety(default_scenario.schedule, 0.3, 100.0)
+        report = floor_report(default_scenario.schedule, 0.3, 100.0)
+        assert report.lambda_min_bound == 0.3
         assert report.min_strain_observed == 0.5
         assert report.passed
         assert report.violations == []
@@ -420,7 +430,7 @@ class TestCheckScheduleSafety:
                 ),
             ),
         )
-        report = check_schedule_safety(sched, 0.3, 100.0)
+        report = floor_report(sched, 0.3, 100.0)
         assert not report.passed
         assert report.min_strain_observed == pytest.approx(0.2, abs=1e-12)
         assert len(report.violations) == 1
@@ -435,13 +445,13 @@ class TestCheckScheduleSafety:
 
     def test_identity_schedule_passes_any_unit_bound(self):
         sched = hold_schedule(AtCoordinates(), duration=2.0)
-        assert check_schedule_safety(sched, 1.0, 100.0).passed
+        assert floor_report(sched, 1.0, 100.0).passed
 
     def test_boundary_equality_passes(self):
         sched = hold_schedule(
             AtCoordinates(lambda1=0.5, lambda2=0.5), duration=1.0
         )
-        report = check_schedule_safety(sched, 0.5, 100.0)
+        report = floor_report(sched, 0.5, 100.0)
         assert report.passed
 
     def test_every_violating_run_is_reported(self):
@@ -454,7 +464,7 @@ class TestCheckScheduleSafety:
                 Phase(20.0, 30.0, full, low),
             ),
         )
-        report = check_schedule_safety(sched, 0.3, tick_rate=10.0)
+        report = floor_report(sched, 0.3, tick_rate=10.0)
         times = np.arange(301) / 10.0
         bad = [coords_at(sched, float(t)).lambda1 < 0.3 for t in times]
         runs, first = [], None

@@ -18,11 +18,11 @@ from affineswarm import (
     ReferenceConfig,
     SimParams,
     SimulationError,
-    check_schedule_safety,
     load_default_scenario,
     parse_scenario,
     run_simulation,
     simulation,
+    strain_check,
 )
 from affineswarm.phases import TranslationRamp, grid_size, tick_grid
 from affineswarm.simulation import closed_loop_radius, tick_map, tick_times
@@ -294,7 +294,7 @@ class TestRunSimulation:
         )
 
     def test_safety_precheck_blocks_unsafe_schedule(self, default_setup):
-        # The strain precheck is check_schedule_safety, run by the caller
+        # The strain precheck is strain_check, run by the caller
         # (the simulate command) before the engine; the engine itself runs
         # an unsafe schedule to the end.
         cfg, _ = default_setup
@@ -308,12 +308,13 @@ class TestRunSimulation:
                 ),
             ),
         )
-        report = check_schedule_safety(unsafe, 0.3, 100.0)
+        scenario = make_scenario(cfg, unsafe, SimParams(dt=0.01, duration=2.0))
+        report = strain_check(scenario, scenario.safety.delta_budget)
+        assert report.lambda_min_bound == pytest.approx(0.3)
         assert not report.passed
         assert report.min_strain_observed == pytest.approx(0.2)
         assert report.violations and report.violations[-1][1] == pytest.approx(2.0)
-        params = SimParams(dt=0.01, duration=2.0)
-        trace = run_simulation(make_scenario(cfg, unsafe, params))
+        trace = run_simulation(scenario)
         assert len(trace.times) == 201
 
     def test_zero_delay_uses_same_tick_snapshot(self, default_setup, default_scenario):

@@ -1,19 +1,23 @@
 """Affine kernel: yaw factors, Jacobian assembly/decomposition, bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from conftest import hold_schedule, spaced_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affineswarm import (
+    Agent,
     AtCoordinates,
     FormationMatrices,
+    ReferenceConfig,
     assemble_jacobian,
     decompose_jacobian,
     load_default_scenario,
-    min_scaling_bound,
+    strain_check,
     transform_points,
 )
 from affineswarm import transform
@@ -268,18 +272,35 @@ class TestApplyAt:
                 assert d2 == pytest.approx(0.5 * d1, rel=1e-12)
 
 
+def strain_floor(delta: float, radius: float, d_min: float) -> float:
+    """The floor ``strain_check`` gives at ``delta`` for a layout spaced ``d_min``."""
+    scenario = spaced_scenario(d_min, radius, hold_schedule(AtCoordinates()))
+    return strain_check(scenario, delta).lambda_min_bound
+
+
 class TestMinScalingBound:
+    """The strain floor ``2 (delta + r) / d_min`` the collision argument needs."""
+
     def test_reference_parameters(self):
-        assert min_scaling_bound(0.01, 0.065, 0.5) == pytest.approx(0.3, abs=1e-12)
+        assert strain_floor(0.01, 0.065, 0.5) == pytest.approx(0.3, abs=1e-12)
 
     def test_zero_size_agents(self):
-        assert min_scaling_bound(0.0, 0.0, 1.23) == 0.0
+        assert strain_floor(0.0, 0.0, 1.23) == 0.0
 
     def test_arithmetic(self):
-        assert min_scaling_bound(0.05, 0.05, 0.4) == pytest.approx(0.5, abs=1e-12)
+        assert strain_floor(0.05, 0.05, 0.4) == pytest.approx(0.5, abs=1e-12)
 
-    def test_rejects_bad_inputs(self):
+    def test_rejects_bad_inputs(self, default_scenario):
+        # A spacing that underflows to 0 gives an infinite floor no strain meets.
+        cfg = default_scenario.config
+        crowded = ReferenceConfig(
+            agents=(*cfg.agents, Agent("cf7", "follower", 1e-170, 0.25)),
+            z=cfg.z,
+            in_neighbors={**cfg.in_neighbors, "cf7": ("cf1", "cf3", "cf4")},
+        )
+        report = strain_check(dataclasses.replace(default_scenario, config=crowded), 0.01)
+        assert report.d_min == 0.0
+        assert report.lambda_min_bound == math.inf
+        assert not report.passed
         with pytest.raises(ValueError):
-            min_scaling_bound(0.01, 0.065, 0.0)
-        with pytest.raises(ValueError):
-            min_scaling_bound(-0.01, 0.065, 0.5)
+            strain_floor(-0.01, 0.065, 0.5)
