@@ -63,19 +63,20 @@ def settle_rows(trace: SimTrace) -> np.ndarray:
     return np.concatenate([_settle(a) for a in arrays], axis=1)
 
 
-def _blocks(table: np.ndarray, settle: np.ndarray) -> list:
-    """``table``'s rows cut at every settle row, as ``(lo, hi, fields)``.
+def _blocks(last: np.ndarray, rows: int, settle: np.ndarray) -> list:
+    """The ``rows`` rows of a table cut at every settle row, as ``(lo, hi, fields)``;
+    ``last`` is the table's last row as a ``(1, C)`` array, ``(0, C)`` when empty.
 
     A column is folded into a block's fields, formatted once from the last
     row, when its settle row is at or before the block's first row ``lo``;
-    its other fields are ``%.9g`` and take ``_varying``'s values.
+    its other fields are ``%.9g`` and take the values before its settle row.
     """
-    last = [b"%.9g" % v for v in table[-1:].ravel().tolist()]
+    last = [b"%.9g" % v for v in last.ravel().tolist()]
     settle = settle.tolist()
     cuts = sorted({0, *settle})  # a set: np.unique raised simulate's peak RSS ~1 MB
     return [
         (lo, hi, [b"%.9g" if s > lo else f for s, f in zip(settle, last)])
-        for lo, hi in zip(cuts, cuts[1:] + [len(table)])
+        for lo, hi in zip(cuts, cuts[1:] + [rows])
     ]
 
 
@@ -88,35 +89,48 @@ def _varying(table: np.ndarray, settle: np.ndarray) -> tuple:
     return tuple(table[np.arange(len(table))[:, None] < settle].tolist())
 
 
-def trace_csv_text(trace: SimTrace, index: int, times: list[bytes], settle) -> bytes:
-    """The trace CSV of the agent in column ``index`` of the trace.
+_ROWS = 512  # trace CSV rows per write (see write_trace_csv)
+
+
+def write_trace_csv(path, trace: SimTrace, index: int, times: list[bytes], settle) -> None:
+    """Write the trace CSV of the agent in column ``index`` of the trace to
+    ``path``, through one open file, in blocks of at most ``_ROWS`` rows.
 
     ``times`` is ``time_fields(trace.times)`` and ``settle`` the agent's
     row of ``settle_rows(trace)``, both made once per bundle. A converged
     run settles to the last bit, so each block of ``_blocks`` is its row
     end joined after each of its time fields, and only the values before
-    a column's settle row go through the one ``bytes %``.
+    a column's settle row go through one ``bytes %`` per ``_ROWS`` rows.
+    Each allocation a block makes (its template and bytes, about 43 KB for
+    the default run's rows, and its values) stays under glibc's 128 KiB
+    mmap threshold, so the writer reuses its heap's pages and holds one
+    block, about 0.2 MB traced, whatever the run's length.
     """
     arrays = (trace.positions, trace.references, trace.desired)
-    table = np.column_stack([a[:, index] for a in arrays])
-    blocks = (
-        (b"," + b",".join(fields) + b"\n").join([*times[lo:hi], b""])
-        for lo, hi, fields in _blocks(table, settle)
-    )
-    template = b"".join(chain([(TRACE_HEADER + "\n").encode()], blocks))
-    return template % _varying(table, settle)
+    columns = [a[:, index] for a in arrays]
+    last = np.hstack([c[-1:] for c in columns])
+    with open(path, "wb") as file:
+        file.write((TRACE_HEADER + "\n").encode())
+        for lo, hi, fields in _blocks(last, len(times), settle):
+            end = b"," + b",".join(fields) + b"\n"
+            varying = settle > lo
+            for start in range(lo, hi, _ROWS):
+                stop = min(start + _ROWS, hi)
+                values = np.hstack([c[start:stop] for c in columns])[:, varying]
+                template = end.join([*times[start:stop], b""])
+                file.write(template % tuple(values.ravel().tolist()))
 
 
 def plan_csv_text(traj: LeaderTrajectory) -> bytes:
     """One row per tick and leader: time, leader id (UTF-8), desired position.
 
     Each tick time is formatted once for its three rows (``time_fields``)
-    and the columns are folded as in ``trace_csv_text``.
+    and the columns are folded as in ``write_trace_csv``.
     """
     table, settle = traj.positions.reshape(-1, 9), _settle(traj.positions).ravel()
     ids = [aid.encode().replace(b"%", b"%%") for aid in traj.agent_ids]
     ticks = []  # each tick's rows after its time field
-    for lo, hi, fields in _blocks(table, settle):
+    for lo, hi, fields in _blocks(table[-1:], len(table), settle):
         rows = [
             b",".join([b"", aid, *fields[3 * i : 3 * i + 3]]) + b"\n"
             for i, aid in enumerate(ids)
@@ -315,12 +329,27 @@ def _repeated(doc) -> str | None:
 
 
 _SHARE_FAILED = 3  # a child's exit status when its share's ``step`` raised
+# Trace cells (rows x 10 columns) a share must hold to repay its fork. On a
+# 2-CPU x86-64 host (Python 3.11), one share formats a cell in about 140 ns
+# and parses one in about 85 ns; a bare fork-and-reap of a simulating process
+# takes about 2.5 ms, and the child then pays a copy-on-write fault for each
+# page it touches. A share of 2^18 cells is about 37 ms of formatting and 22 ms
+# of parsing. The default run (240,060 cells) in two shares wrote and read
+# slower than in one in 20 of 20 in-process pairs (emit_bundle 40 -> 50 ms,
+# read_bundle 32 -> 39 ms). End to end, two shares won only while the other
+# CPU was idle (simulate_s 0.098 against 0.109 s) and lost while it was busy
+# (0.126 against 0.112 s). Swarm's 1,031,030 cells gain from two shares
+# (emit_bundle 225 -> 147 ms, read_bundle 122 -> 78 ms).
+_SHARE_CELLS = 2**18
 
 
-def _split_agents(ids, step) -> None:
-    """Run ``step(index)`` for each agent of ``ids``, one contiguous share per
-    CPU this process may run on. ``step`` leaves its results in files or
-    shared memory and raises what a one-share run raises.
+def _split_agents(ids, rows: int, step) -> None:
+    """Run ``step(index)`` for each agent of ``ids``, whose trace CSVs hold
+    ``rows`` rows each, in contiguous shares: at most one per CPU this
+    process may run on, and at least ``_SHARE_CELLS`` trace cells in each,
+    so a default-sized team (6 agents, 4,001 rows: 240,060 cells) runs in
+    one share on any host. ``step`` leaves its results in files or shared
+    memory and raises what a one-share run raises.
 
     The first share runs here, beside an ``os.fork``ed child for each other
     share. A child sends nothing back: it leaves through ``os._exit``, with 0
@@ -333,12 +362,19 @@ def _split_agents(ids, step) -> None:
     status 1) raises ``AffineSwarmError`` naming its agents. So a share whose
     fork failed runs after the first, and a failure only a child met, which
     the rerun does not meet (a transient ``EMFILE``), gives the rerun's result.
+
+    The process forks with one thread. Importing numpy starts OpenBLAS's
+    pool, 2 threads in all (Linux, Python 3.11, OpenBLAS 0.3.31), but the
+    pool's at-fork handler stops it before each fork: this process has 1
+    thread right after ``os.fork``, and the pool restarts at its next BLAS
+    call, which no share makes.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         cpus = os.cpu_count() or 1
-    shares = max(1, min(cpus, len(ids)))
+    cells = len(ids) * rows * len(TRACE_COLUMNS)
+    shares = max(1, min(cpus, len(ids), cells // _SHARE_CELLS))
     cuts = [len(ids) * k // shares for k in range(shares + 1)]
 
     def run(share: int) -> None:
@@ -394,8 +430,9 @@ def emit_bundle(
 
     ``trace`` is a simulated one (``run_simulation``), as the CSVs log
     its ``references`` and ``desired``; a trace ``read_bundle`` gives has
-    neither. ``_split_agents`` writes the CSVs one agent at a time, in one
-    share per CPU, so the bytes do not depend on the CPU count. Returns the
+    neither. ``_split_agents`` writes the CSVs one agent at a time, each
+    through one open file, in shares of the agents sized by CPUs and trace
+    cells, so the bytes do not depend on the CPU count. Returns the
     bundle directory. I/O failures are re-raised with the offending path in
     the message, the first failing agent's for the CSVs.
     """
@@ -411,11 +448,10 @@ def emit_bundle(
     times, settle = time_fields(trace.times), settle_rows(trace)
 
     def write(index: int) -> None:
-        text = trace_csv_text(trace, index, times, settle[index])
-        (out / names[index]).write_bytes(text)
+        write_trace_csv(out / names[index], trace, index, times, settle[index])
 
     try:
-        _split_agents(scenario.config.ids, write)
+        _split_agents(scenario.config.ids, len(times), write)
         manifest = {
             "tool": {"name": "affineswarm", "version": __version__},
             "scenario": scenario_to_dict(scenario),
@@ -517,8 +553,8 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
     is kept: the trace's ``positions`` is one C-contiguous float64
     ``(T, N, 3)`` array over an anonymous shared mapping allocated up
     front, and its ``references`` and ``desired`` are None, as no metric
-    reads them. ``_split_agents`` reads the CSVs one agent at a time, in one
-    share per CPU, copying each into its agent's column once its checks
+    reads them. ``_split_agents`` reads the CSVs one agent at a time, in the
+    writer's shares, copying each into its agent's column once its checks
     pass, so a process holds the 24·T·N bytes of positions plus one agent's
     CSV. The positions and messages do not depend on the CPU count: a
     damaged CSV is the first in agent order.
@@ -581,5 +617,5 @@ def read_bundle(bundle_dir) -> tuple[Scenario, SimTrace]:
             raise ScenarioError([f"{csv}: damaged trace CSV: {exc}"]) from None
         positions[:, index] = _trace_table(csv, text, grid)[:, 1:4]
 
-    _split_agents(scenario.config.ids, parse)
+    _split_agents(scenario.config.ids, len(times), parse)
     return scenario, SimTrace(times=times, positions=positions)

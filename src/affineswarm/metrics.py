@@ -23,6 +23,7 @@ _CELLS = 1 << 13  # (tick, pair) cells the pair search evaluates at once
 CONVERGENCE_TOL = 1e-4  # follower residual a converged run stays within, m
 LEADER_DRIFT_TOL = 1e-9  # leader motion the convergence window tolerates, m
 _PAD_ULPS = 64  # rounding allowance of the pair search's bound
+_FLOAT = np.finfo(float)  # a squared sum outside [tiny, max] is rescaled
 
 
 def _tick_chunks(t_count: int, n: int) -> list[slice]:
@@ -39,16 +40,28 @@ def _tick_chunks(t_count: int, n: int) -> list[slice]:
 def _lengths(v: np.ndarray) -> np.ndarray:
     """Each row's Euclidean length, for rows of 2 or 3 columns.
 
-    These are the floats numpy's ``norm(v, axis=-1)`` returns, bit for bit:
-    the norm squares ``v`` and sums the last axis left to right before its
-    square root. Adding the columns in that order skips a reduction over a
-    length-3 axis, which is several times slower.
+    Where the squared sum is a finite normal float, these are the floats
+    numpy's ``norm(v, axis=-1)`` returns, bit for bit: the norm squares
+    ``v`` and sums the last axis left to right before its square root.
+    Adding the columns in that order skips a reduction over a length-3
+    axis, which is several times slower. A row whose squares overflow or
+    underflow (a coordinate beyond about 1e154 or below 1e-154) is
+    recomputed with ``np.hypot``, which scales, so a length of 1e200 or
+    1e-170 stays that length, not inf or 0.
     """
     s = v * v
     total = s[..., 0] + s[..., 1]
     if v.shape[-1] == 3:
         total += s[..., 2]
-    return np.sqrt(total)
+    lengths = np.sqrt(total)
+    scaled = ~((total >= _FLOAT.tiny) & (total <= _FLOAT.max))
+    if scaled.any():
+        lengths = np.asarray(lengths)
+        found = np.hypot(v[..., 0][scaled], v[..., 1][scaled])
+        if v.shape[-1] == 3:
+            found = np.hypot(found, v[..., 2][scaled])
+        lengths[scaled] = found
+    return lengths
 
 
 def _pair_table(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,10 +251,11 @@ def strain_check(scenario: Scenario, delta: float) -> SafetyReport:
     Two agents whose reference points are ``d_min`` apart keep a positive
     surface gap while both strains stay at or above ``2 (delta + r) / d_min``,
     with ``r`` the agent radius and ``delta`` a bound on every tracking error:
-    the safety budget before a run, the measured error after one. A
-    ``d_min`` that underflows to 0 gives an infinite floor, which fails; one
-    that overflows, a floor of 0. ``ValueError`` for fewer than two agents
-    or a ``delta`` that is not ``>= 0``.
+    the safety budget before a run, the measured error after one. Lengths
+    scale (``_lengths``), so a spacing of 1e-170 gives a floor near 1.5e169,
+    which fails; a spacing beyond the largest float reads inf and gives a
+    floor of 0. ``ValueError`` for fewer than two agents or a ``delta`` that
+    is not ``>= 0``.
     """
     if not delta >= 0.0:
         raise ValueError(f"delta must be non-negative, got {delta}")

@@ -26,6 +26,7 @@ from affineswarm import (
     load_default_scenario,
     quintic_blend,
 )
+from affineswarm import bundle
 from affineswarm.bundle import TRACE_COLUMNS, dumps_json
 from affineswarm.errors import ScenarioError
 from affineswarm.scenario import scenario_to_dict
@@ -108,6 +109,12 @@ def hold_schedule(coords: AtCoordinates, duration: float = 1.0) -> PhaseSchedule
 def see_cpus(monkeypatch, count):
     """Make the bundle codec see ``count`` CPUs, so it cuts that many shares."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def split_small_runs(monkeypatch):
+    """Let the bundle codec cut shares of any size, so that a run too small
+    to repay a fork still splits into one share per CPU, up to one per agent."""
+    monkeypatch.setattr(bundle, "_SHARE_CELLS", 1)
 
 
 def assert_no_child_left():
@@ -294,7 +301,7 @@ def trace_csv_oracle(trace, index: int) -> bytes:
     """Agent ``index``'s trace CSV with one ``str`` ``%.9g`` per cell of all
     ten columns, UTF-8 encoded.
 
-    ``bundle.trace_csv_text``, which formats the shared time column once
+    ``bundle.write_trace_csv``, which formats the shared time column once
     and each column's settled tail once, must give the same bytes.
     """
     table = np.column_stack(

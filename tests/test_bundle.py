@@ -4,6 +4,7 @@ import json
 import math
 import os
 import reprlib
+import tempfile
 from dataclasses import replace
 from unittest import mock
 
@@ -16,6 +17,7 @@ from conftest import (
     random_schedule,
     see_cpus,
     serialize_scenario,
+    split_small_runs,
     trace_csv_oracle,
     trace_table_oracle,
     traced_peak,
@@ -43,11 +45,20 @@ from affineswarm.bundle import (
     read_bundle,
     settle_rows,
     time_fields,
-    trace_csv_text,
+    write_trace_csv,
 )
 from affineswarm.errors import ScenarioError
 from affineswarm.scenario import Scenario, parse_scenario
 from affineswarm.simulation import closed_loop_radius, tick_times
+
+
+def csv_text(trace, index, times, settle) -> bytes:
+    """The bytes ``write_trace_csv`` writes for agent ``index`` of ``trace``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        write_trace_csv(path, trace, index, times, settle)
+        with open(path, "rb") as file:
+            return file.read()
 
 
 def csv_of(trace, agent_id, ids=("a",)):
@@ -55,7 +66,7 @@ def csv_of(trace, agent_id, ids=("a",)):
     the trace's agent order."""
     index = ids.index(agent_id)
     times, settle = time_fields(trace.times), settle_rows(trace)
-    return trace_csv_text(trace, index, times, settle[index])
+    return csv_text(trace, index, times, settle[index])
 
 
 def graph_parts(scenario):
@@ -210,7 +221,7 @@ def trace_of(times, table):
 
 
 class TestTraceCsvOracle:
-    """``trace_csv_text`` gives the bytes of one ``%.9g`` per cell."""
+    """``write_trace_csv`` writes the bytes of one ``%.9g`` per cell."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -222,7 +233,7 @@ class TestTraceCsvOracle:
         trace = trace_of(columns[0], table)
         times, settle = time_fields(trace.times), settle_rows(trace)
         for index in range(agents):
-            text = trace_csv_text(trace, index, times, settle[index])
+            text = csv_text(trace, index, times, settle[index])
             assert text == trace_csv_oracle(trace, index)
 
     def test_constant_columns_compare_bits(self):
@@ -550,6 +561,7 @@ SPLITS = {
 
 def split(monkeypatch, name):
     cpus, fault = SPLITS[name]
+    split_small_runs(monkeypatch)
     see_cpus(monkeypatch, cpus)
     if fault == "fork":
         monkeypatch.setattr(os, "fork", mock.Mock(side_effect=OSError("no room")))
@@ -647,14 +659,15 @@ class TestSplitAcrossCpus:
         # child that cannot write agent 4's CSV has its share run again
         # here, which meets the same directory and stops there.
         scenario, trace, metrics = short_run
-        parent, call, formatted = os.getpid(), bundle.trace_csv_text, []
+        parent, call, formatted = os.getpid(), bundle.write_trace_csv, []
 
-        def recorded(trace, index, *args):
+        def recorded(path, trace, index, *args):
             if os.getpid() == parent:
                 formatted.append(index)
-            return call(trace, index, *args)
+            return call(path, trace, index, *args)
 
-        monkeypatch.setattr(bundle, "trace_csv_text", recorded)
+        monkeypatch.setattr(bundle, "write_trace_csv", recorded)
+        split_small_runs(monkeypatch)
         see_cpus(monkeypatch, 2)
         if blocked is None:
             emit_bundle(tmp_path, scenario, trace, metrics, *graph_parts(scenario))
@@ -674,7 +687,7 @@ class TestSplitAcrossCpus:
     @pytest.mark.parametrize(
         "layer, error",
         [
-            ("trace_csv_text", OSError(24, "Too many open files")),
+            ("write_trace_csv", OSError(24, "Too many open files")),
             ("_trace_table", ScenarioError(["a damage only a child sees"])),
         ],
     )
@@ -685,6 +698,7 @@ class TestSplitAcrossCpus:
         # EMFILE, say), so the run is a one-share run's.
         scenario, trace, metrics = short_run
         parts = graph_parts(scenario)
+        split_small_runs(monkeypatch)
         see_cpus(monkeypatch, 1)
         alone = emit_bundle(tmp_path / "alone", scenario, trace, metrics, *parts)
         parent, call = os.getpid(), getattr(bundle, layer)
@@ -707,6 +721,55 @@ class TestSplitAcrossCpus:
         see_cpus(monkeypatch, 1)
         expected = read_bundle(alone)[1].positions
         assert np.array_equal(positions.view(np.uint64), expected.view(np.uint64))
+
+
+class TestShareFloor:
+    """Each share holds at least ``_SHARE_CELLS`` trace cells, so the codec
+    forks only for work that repays a fork, however many CPUs it may use."""
+
+    @pytest.fixture(scope="class")
+    def long_run(self, default_scenario):
+        # 13,111 rows of 6 agents: 786,660 cells, just over three floors.
+        params = replace(default_scenario.params, duration=131.1)
+        scenario = replace(default_scenario, params=params)
+        trace = run_simulation(scenario)
+        assert 3 * bundle._SHARE_CELLS < trace.positions.size // 3 * 10
+        return scenario, trace, validate_run(trace, scenario)
+
+    @pytest.mark.parametrize("run, floors", [("default", 0), ("long", 3)])
+    def test_forks_only_for_work_that_repays_them(
+        self, request, monkeypatch, tmp_path, run, floors
+    ):
+        if run == "default":
+            scenario = request.getfixturevalue("default_scenario")
+            trace = request.getfixturevalue("default_trace")
+            metrics = validate_run(trace, scenario)
+        else:
+            scenario, trace, metrics = request.getfixturevalue("long_run")
+        files, positions = {}, {}
+        for cpus in (1, 2, 4, 64):
+            forked = []  # the pids this process's forks returned
+            with monkeypatch.context() as patch:
+                see_cpus(patch, cpus)
+                fork = os.fork
+
+                def counted():
+                    forked.append(fork())  # a child appends to its own copy
+                    return forked[-1]
+
+                patch.setattr(os, "fork", counted)
+                out = emit_bundle(
+                    tmp_path / str(cpus), scenario, trace, metrics, *graph_parts(scenario)
+                )
+                written = len(forked)
+                positions[cpus] = read_bundle(out)[1].positions.view(np.uint64)
+            assert_no_child_left()
+            shares = max(1, min(cpus, floors))
+            assert written == len(forked) - written == shares - 1 <= 2
+            files[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
+        for cpus in files:
+            assert files[cpus] == files[1], cpus
+            assert np.array_equal(positions[cpus], positions[1]), cpus
 
 
 class TestGoldenRows:
@@ -850,18 +913,24 @@ def wide_bundle(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def trio_bundle(tmp_path_factory):
-    """A bundle of the three leaders alone over 40,001 ticks (a trace of 2.9 MB).
+def trio_run():
+    """The three leaders alone over 40,001 ticks (positions of 2.9 MB)."""
+    rng = np.random.default_rng(5)
+    scenario = make_scenario(
+        random_config(rng, 0), random_schedule(rng), SimParams(dt=0.005, duration=400.0)
+    )
+    return scenario, run_simulation(scenario)
+
+
+@pytest.fixture(scope="module")
+def trio_bundle(tmp_path_factory, trio_run):
+    """``trio_run``'s bundle.
 
     Their pair search would hold about 64 bytes a tick for each pair if it
     took all ticks at once, more than 0.75 of the 72 bytes a tick of
     positions.
     """
-    rng = np.random.default_rng(5)
-    scenario = make_scenario(
-        random_config(rng, 0), random_schedule(rng), SimParams(dt=0.005, duration=400.0)
-    )
-    trace = run_simulation(scenario)
+    scenario, trace = trio_run
     out = tmp_path_factory.mktemp("trio")
     metrics = validate_run(trace, scenario)
     emit_bundle(out, scenario, trace, metrics, *graph_parts(scenario))
@@ -890,6 +959,24 @@ class TestOneTraceInMemory:
         assert memoryview(owner).nbytes == positions.nbytes == 24 * t_count * n
         csv = max(path.stat().st_size for path in wide_bundle.glob("trace_*.csv"))
         assert peak <= 8 * csv < 24 * t_count * n
+
+    def test_write_holds_one_block(self, trio_run, tmp_path):
+        # Each CSV is about 3.3 MB, but the writer formats and writes one
+        # block of at most 512 rows (about 42 KB of text) at a time.
+        scenario, trace = trio_run
+        times, settle = time_fields(trace.times), settle_rows(trace)
+        paths = [tmp_path / f"trace_{aid}.csv" for aid in scenario.config.ids]
+
+        def write():
+            for index, path in enumerate(paths):
+                write_trace_csv(path, trace, index, times, settle[index])
+
+        peak = traced_peak(write)
+        sizes = [path.stat().st_size for path in paths]
+        assert min(sizes) > 3_000_000
+        assert peak < 1_000_000
+        for index, path in enumerate(paths):
+            assert path.read_bytes() == trace_csv_oracle(trace, index)
 
     def test_validate_run_scratch_is_well_under_one_array(self, wide_bundle):
         scenario, trace = read_bundle(wide_bundle)

@@ -22,6 +22,7 @@ from conftest import (
     repeated_key_text,
     see_cpus,
     serialize_scenario,
+    split_small_runs,
 )
 
 from affineswarm import SimParams, SpectralReport
@@ -560,8 +561,9 @@ class TestCheck:
         assert doc["pass"] is False
 
     def test_underflowing_spacing_fails_without_traceback(self, tmp_path):
-        # cf7 sits 1e-170 m from cf2: their distance squares to 0, so d_min
-        # is 0 and the floor infinite.
+        # cf7 sits 1e-170 m from cf2: their distance squares to 0, but the
+        # scaled length keeps d_min at 1e-170, so the floor is about 1.5e169,
+        # which no strain meets.
         doc = json.loads(default_scenario_text())
         doc["agents"].append({"id": "cf7", "role": "follower", "x": 1e-170, "y": 0.25})
         doc["graph"]["cf7"] = ["cf1", "cf3", "cf4"]
@@ -579,19 +581,20 @@ class TestCheck:
         assert [r.returncode for r in runs] == [1, 1, 0, 1]
         assert not any("Traceback" in r.stdout + r.stderr for r in runs)
         report = json.loads(runs[0].stdout, parse_constant=refuse)
-        assert report["d_min"] == 0.0
-        assert report["lambda_min_bound"] is None
+        assert report["d_min"] == 1e-170
+        assert report["lambda_min_bound"] == 2.0 * (0.01 + 0.065) / 1e-170
         assert report["pass"] is False
         assert report["violations"] == [{"t_start": 0.0, "t_end": 30.0}]
         assert runs[1].stderr.startswith("error: ") and runs[1].stderr.count("\n") == 1
         assert not refused.exists()
         metrics = json.loads(runs[3].stdout, parse_constant=refuse)
-        assert metrics["lambda_min_required"] is None
+        assert metrics["lambda_min_required"] > 1e169
         assert metrics["safety_pass"] is False
 
-    def test_overflowing_spacing_is_null(self, tmp_path):
-        # Leaders 1e200 m apart: the squared distances overflow, so d_min
-        # is inf, which JSON cannot hold, and the floor 0.
+    def test_overflowing_squares_keep_the_spacing(self, tmp_path):
+        # Leaders 1e200 m apart: their squared distances overflow, but the
+        # scaled lengths keep d_min at 2e200 and the tracking error finite,
+        # so the run check certifies also passes simulate and validate.
         corners = {"cf1": (1e200, 1e200), "cf5": (-1e200, 1e200), "cf6": (0.0, -1e200)}
         doc = json.loads(default_scenario_text())
         doc["agents"] = [
@@ -602,13 +605,22 @@ class TestCheck:
         doc["graph"] = {}
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(doc))
-        result = run_module("check", str(path))
-        assert result.returncode == 0
-        assert result.stderr == ""
-        report = json.loads(result.stdout, parse_constant=refuse)
-        assert report["d_min"] is None
-        assert report["lambda_min_bound"] == 0.0
+        bundle = tmp_path / "bundle"
+        runs = [
+            run_module("check", str(path)),
+            run_module("simulate", str(path), "--out", str(bundle)),
+            run_module("validate", str(bundle)),
+        ]
+        assert [r.returncode for r in runs] == [0, 0, 0]
+        assert [r.stderr for r in runs] == ["", "", ""]
+        report = json.loads(runs[0].stdout, parse_constant=refuse)
+        assert report["d_min"] == 2e200
+        assert report["lambda_min_bound"] == 2.0 * (0.01 + 0.065) / 2e200
         assert report["pass"] is True
+        metrics = json.loads(runs[2].stdout, parse_constant=refuse)
+        assert 0.0 < metrics["measured_delta"] < 1e200
+        assert 1e199 < metrics["min_pairwise_distance"] <= 2e200
+        assert metrics["safety_pass"] is True
 
 
 class TestGraph:
@@ -1384,8 +1396,13 @@ class TestSplitAcrossCpus:
     """``simulate`` and ``validate`` run one share of the agents per CPU.
 
     With 2 CPUs, the default layout's agents 0-2 (the leaders) are handled
-    in process and 3-5 (cf2, cf3, cf4) in a forked child.
+    in process and 3-5 (cf2, cf3, cf4) in a forked child. These runs are
+    too small to repay a fork, so each test lowers the share floor.
     """
+
+    @pytest.fixture(autouse=True)
+    def small_shares(self, monkeypatch):
+        split_small_runs(monkeypatch)
 
     def test_outputs_do_not_depend_on_the_cpu_count(
         self, fast_path, tmp_path, capsysbinary, monkeypatch
@@ -1425,7 +1442,7 @@ class TestSplitAcrossCpus:
         ] * 3
 
     @pytest.mark.parametrize(
-        "command, layer", [("simulate", "trace_csv_text"), ("validate", "_trace_table")]
+        "command, layer", [("simulate", "write_trace_csv"), ("validate", "_trace_table")]
     )
     def test_a_killed_child_is_one_error_line(
         self, fast_bundle, fast_path, tmp_path, capsys, monkeypatch, command, layer
@@ -1450,7 +1467,7 @@ class TestSplitAcrossCpus:
     @pytest.mark.parametrize(
         "command, layer, error",
         [
-            ("simulate", "trace_csv_text", OSError(24, "Too many open files")),
+            ("simulate", "write_trace_csv", OSError(24, "Too many open files")),
             ("validate", "_trace_table", ScenarioError(["a damage only a child sees"])),
         ],
     )

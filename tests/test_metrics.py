@@ -141,11 +141,21 @@ def length_operands(draw):
 @settings(max_examples=200, deadline=None)
 @given(v=length_operands())
 def test_lengths_are_numpys_norm_bit_for_bit(v):
+    # Where the squared sum is a finite normal float, the lengths are
+    # numpy's norm bit for bit. Where it overflows or underflows, the norm
+    # is inf, or 0 or off (a row of 1e-170 and 0 squares to 0), and the
+    # lengths are the scaled ``math.hypot``'s within rounding.
     with np.errstate(over="ignore"):
         expected = np.asarray(np.linalg.norm(v, axis=-1))
+        squares = np.asarray(np.add.reduce(v * v, axis=-1))
         found = np.asarray(metrics._lengths(v))
     assert found.shape == expected.shape == v.shape[:-1]
-    assert np.array_equal(found.view(np.uint64), expected.view(np.uint64))
+    info = np.finfo(float)
+    normal = (squares >= info.tiny) & (squares <= info.max)
+    assert np.array_equal(found[normal].view(np.uint64), expected[normal].view(np.uint64))
+    rows = v.reshape(-1, v.shape[-1])[~normal.ravel()].tolist()
+    scaled = np.array([math.hypot(*row) for row in rows])
+    assert np.allclose(found[~normal], scaled, rtol=4 * info.eps, atol=2 * info.smallest_subnormal)
 
 
 class TestSmallTeamSearch:

@@ -291,7 +291,8 @@ class TestMinScalingBound:
         assert strain_floor(0.05, 0.05, 0.4) == pytest.approx(0.5, abs=1e-12)
 
     def test_rejects_bad_inputs(self, default_scenario):
-        # A spacing that underflows to 0 gives an infinite floor no strain meets.
+        # A spacing whose square underflows to 0 keeps its length, 1e-170,
+        # and gives a floor near 1.5e169 that no strain meets.
         cfg = default_scenario.config
         crowded = ReferenceConfig(
             agents=(*cfg.agents, Agent("cf7", "follower", 1e-170, 0.25)),
@@ -299,8 +300,8 @@ class TestMinScalingBound:
             in_neighbors={**cfg.in_neighbors, "cf7": ("cf1", "cf3", "cf4")},
         )
         report = strain_check(dataclasses.replace(default_scenario, config=crowded), 0.01)
-        assert report.d_min == 0.0
-        assert report.lambda_min_bound == math.inf
+        assert report.d_min == 1e-170
+        assert report.lambda_min_bound == 2.0 * (0.01 + 0.065) / 1e-170
         assert not report.passed
         with pytest.raises(ValueError):
             strain_floor(-0.01, 0.065, 0.5)
